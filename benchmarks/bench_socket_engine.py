@@ -1,8 +1,9 @@
 """The socket engine's coordination tax, priced against the fork pool.
 
 The distributed configuration pays for what the in-process pool gets
-free: daemon spawn (process + import, not just a fork), a framed TCP
-round trip per job, and heartbeat traffic.  This bench measures that
+free: daemon spawn (a fork behind a listener the master bound, per
+daemon, per run), a framed TCP round trip per job, and heartbeat
+traffic.  This bench measures that
 tax end to end — same problem, same level, ``engine="socket"`` over
 loopback daemons vs the warm fork pool — and itemizes the network side
 from the engine's own accounting (framed bytes, send/recv seconds,
@@ -133,9 +134,9 @@ def test_socket_engine_vs_fork_pool(benchmark, socket_engine_settings):
           f"socket {socket_seconds:.3f}s (daemon spawn {spawn_seconds:.3f}s, "
           f"wire {wire_seconds * 1e3:.1f} ms, "
           f"{result.net_bytes_sent + result.net_bytes_received} framed bytes)")
-    # the tax must stay bounded: daemon spawn dominates, the wire is
-    # milliseconds — the socket run may not cost more than the pool run
-    # plus the spawn it visibly paid, with generous headroom for noise
+    # the tax must stay bounded: the socket run may not cost more than
+    # the pool run plus the spawn it measured itself paying, with
+    # generous headroom for noise
     assert socket_seconds <= pool_seconds + spawn_seconds + 2.0
 
 

@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wd = sub.add_parser(
         "worker-daemon",
-        help="host task instances behind a TCP port for --engine socket",
+        help="host task instances behind a TCP port, for a master on "
+        "another machine to dial (--engine socket --hosts tcp://host:port)",
     )
     p_wd.add_argument("--host", default="127.0.0.1",
                       help="bind address (default: loopback)")
@@ -404,7 +405,8 @@ def cmd_worker_daemon(args) -> int:
         heartbeat_interval=args.heartbeat_interval,
         drain_timeout=args.drain_timeout,
     )
-    daemon.announce()
+    # for whoever dials it: tcp://<this host>:<port>
+    print(f"LISTENING {daemon.port}", flush=True)
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive stop

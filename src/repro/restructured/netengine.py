@@ -8,8 +8,18 @@ an OS process listening on a TCP port, hosting task instances (the
 ``{load N}`` capacity and ``{perpetual}`` reuse mirror the MLINK
 pattern attributes, reachable by address exactly like a CONFIG
 ``{host}`` entry.  The master side (:class:`SocketTaskEngine`) plays
-the MANIFOLD master: it spawns or connects to daemons, ships job specs,
-and collects results — every byte crossing a real socket.
+the MANIFOLD master: it forks or dials daemons, ships job specs, and
+collects results — every byte crossing a real socket.
+
+Spawning: a ``localhost[:N]`` daemon is **forked from the master**, not
+exec'ed.  The master binds the listening socket itself (port 0, so the
+port is known synchronously), forks with the ``fork`` context, and the
+child adopts the inherited listener and serves; the master connects at
+once — the connection waits in the listen backlog until the child
+accepts.  The child pays no interpreter start and no numpy/scipy import,
+and is isolated like an exec'ed process before it serves
+(:func:`_forked_daemon_main`).  ``python -m repro worker-daemon`` is the
+way to start a daemon on *another* machine, for ``tcp://`` dialing.
 
 Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
@@ -53,35 +63,41 @@ Replays are idempotent: results are keyed ``(l, m)`` and a result frame
 whose attempt does not match the outstanding one is dropped, so a
 daemon that answers *after* being declared lost cannot corrupt the run.
 
-Data plane: a **locally spawned** daemon shares the master's machine,
-so the zero-copy shm transport works — the daemon writes through the
-job's :class:`~repro.perf.dataplane.ShmLease` and only the descriptor
-crosses the socket.  A daemon reached by address is not known to be
-host-local, so its jobs carry no lease and the payload falls back to
-pickle framing (the per-payload fallback of :func:`~repro.restructured.
-worker.ship_payload` keeps either path bitwise identical).  One
-subtlety: an attach inside a spawned daemon registers the segment with
-the *daemon's* resource tracker, which would unlink the master's live
-segment when the daemon exits — the daemon unregisters each segment
-right after its first attach (:func:`_untrack_after_ship`).
+Data plane: a **forked** daemon shares the master's machine, so the
+zero-copy shm transport works — the daemon writes through the job's
+:class:`~repro.perf.dataplane.ShmLease` and only the descriptor crosses
+the socket.  A daemon reached by address is not known to be host-local,
+so its jobs carry no lease and the payload falls back to pickle framing
+(the per-payload fallback of :func:`~repro.restructured.worker.
+ship_payload` keeps either path bitwise identical).  A forked daemon
+also shares the master's resource tracker, exactly like a pool worker:
+the tracker is started before the fork and its descriptor survives the
+child's isolation, so a daemon-side attach re-registers a name the
+tracker already holds (a no-op on its set) and the master's ``unlink``
+stays the one unregister.
 """
 
 from __future__ import annotations
 
 import errno
+import gc
 import heapq
+import multiprocessing
 import os
 import pickle
 import selectors
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Callable, Optional
+
+from repro.sparsegrid.cache import reset_default_operator_cache
+from repro.trace.recorder import uninstall_recorder
 
 from .taskengine import TaskInstanceDied, TaskInstanceEngine
 from .worker import SubsolveJobSpec, SubsolvePayload, execute_job, ship_payload
@@ -103,6 +119,13 @@ _HEADER = struct.Struct("!4sI")
 
 #: refuse to allocate absurd frames (a corrupted or hostile header)
 MAX_FRAME_BYTES = 1 << 30
+
+#: seconds a stopped daemon grants its in-flight jobs — and the master
+#: grants the daemon to exit on its own before killing it
+DRAIN_TIMEOUT = 5.0
+
+#: loopback daemons are forked like pool workers and task instances
+_FORK = multiprocessing.get_context("fork")
 
 #: scheduling slack added to deadline timers so a conviction never
 #: lands a clock-granularity tick *before* its full window has elapsed
@@ -394,28 +417,6 @@ def parse_hosts(text: str) -> tuple[HostSpec, ...]:
 # ----------------------------------------------------------------------
 # the daemon side
 # ----------------------------------------------------------------------
-def _untrack_after_ship(payload: SubsolvePayload, untracked: set) -> None:
-    """Cancel this process's resource-tracker claim on a just-attached
-    segment.
-
-    The master owns the arena; a spawned daemon that attaches a segment
-    must not let *its* tracker unlink the master's live block at daemon
-    exit.  Attaches are cached per name (:func:`~repro.perf.dataplane.
-    _writer_segment`), so one unregister per first attach balances the
-    books exactly.
-    """
-    descriptor = payload.descriptor
-    if descriptor is None or descriptor.name in untracked:
-        return
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(descriptor.name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker not running
-        pass
-    untracked.add(descriptor.name)
-
-
 class WorkerDaemon:
     """One machine of the testbed: task instances behind a TCP port.
 
@@ -441,17 +442,19 @@ class WorkerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        listener: Optional[socket.socket] = None,
         capacity: int = 1,
         perpetual: bool = True,
         heartbeat_interval: float = 0.5,
-        drain_timeout: float = 5.0,
+        drain_timeout: float = DRAIN_TIMEOUT,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
-        self._listener = socket.create_server((host, port))
+        #: a forked daemon adopts the listener its master bound for it
+        self._listener = listener or socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
         self._engine = TaskInstanceEngine(
             perpetual=perpetual, max_instances=capacity
@@ -460,7 +463,6 @@ class WorkerDaemon:
         self._send_lock = threading.Lock()
         self._jobs_lock = threading.Lock()
         self._job_threads: list[threading.Thread] = []
-        self._untracked: set = set()
         self.jobs_served = 0
         #: chaos hook (tests only): keys whose first result frame is
         #: truncated mid-transfer, the connection hard-closed under it
@@ -469,10 +471,6 @@ class WorkerDaemon:
     @property
     def port(self) -> int:
         return self.address[1]
-
-    def announce(self, stream=None) -> None:
-        """Print the spawner handshake line (``LISTENING <port>``)."""
-        print(f"LISTENING {self.port}", file=stream or sys.stdout, flush=True)
 
     def stop(self) -> None:
         self._stop.set()
@@ -619,7 +617,6 @@ class WorkerDaemon:
         if action is not None and action.kind == "slow":
             time.sleep((action.factor - 1.0) * (time.perf_counter() - started))
         payload = ship_payload(payload, lease)
-        _untrack_after_ship(payload, self._untracked)
         if key in self._drop_result_keys:
             self._drop_result_keys.discard(key)
             self._drop_mid_result(conn, key, attempt, payload)
@@ -657,6 +654,63 @@ class WorkerDaemon:
                 conn.close()
             except OSError:
                 pass
+
+
+def _open_fds() -> list[int]:
+    """The descriptors open in this process right now."""
+    fds = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            os.fstat(int(name))
+        except OSError:
+            continue  # the listing's own descriptor, closed again
+        fds.append(int(name))
+    return fds
+
+
+def _forked_daemon_main(
+    listener: socket.socket, inherited: list[int], heartbeat_interval: float
+) -> None:
+    """A forked loopback daemon: isolate, serve, leave — never returns.
+
+    The child is a copy of its master, and must be as separate from it
+    as an exec'ed ``worker-daemon`` would be before it serves a frame:
+
+    * every descriptor the master held at the fork (``inherited``:
+      sibling links' sockets, the selector, pool pipes, trace files) is
+      closed; stdio, the listener and the shared resource tracker are
+      not in that list, and the process-sentinel pipes ``multiprocessing``
+      made for this child are newer than it;
+    * the master's trace recorder is not this process's to write into;
+    * a fresh daemon is cold: it starts with an empty operator/factor
+      cache whatever the master had computed;
+    * objects copied from the master are frozen, so no finaliser of
+      theirs ever runs here against a descriptor number we reused;
+    * it leaves through ``os._exit``: no ``atexit`` hook, ``DataPlane``
+      or pool finaliser inherited from the master runs in the child.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        gc.freeze()
+        uninstall_recorder()
+        reset_default_operator_cache()
+        # forked as a daemonic process so an exiting master takes it
+        # down; but it hosts task instances, which daemonic processes
+        # may not fork
+        multiprocessing.current_process().daemon = False
+        WorkerDaemon(
+            listener=listener, heartbeat_interval=heartbeat_interval
+        ).serve_forever()
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
 
 
 # ----------------------------------------------------------------------
@@ -707,9 +761,9 @@ class _DaemonLink:
         self.name = name
         self.spawned = spawned          # we own the process (loopback)
         self.shm_ok = spawned           # host-local => lease-capable
-        self.address = address          # dial target for connect mode
+        self.address = address          # where the daemon listens
         self.sock: Optional[socket.socket] = None
-        self.proc: Optional[subprocess.Popen] = None
+        self.proc: Optional[multiprocessing.Process] = None
         self.capacity = 0               # learned from the hello frame
         self.pid: Optional[int] = None
         self.inflight: dict[tuple[int, int], _NetPending] = {}
@@ -731,9 +785,6 @@ class _DaemonLink:
         #: bumped per revive attempt and on attach/detach; a timer fired
         #: for a stale token is a no-op (timers are never cancelled)
         self.revive_token = 0
-        self.spawn_fd: Optional[int] = None
-        self.spawn_buf = b""
-        self.spawn_tail: deque = deque(maxlen=8)
 
     @property
     def free_slots(self) -> int:
@@ -763,8 +814,11 @@ class SocketTaskEngine:
     """The master of the socket-backed distributed configuration.
 
     ``hosts`` is a spec string (see :func:`parse_hosts`) or a sequence
-    of :class:`HostSpec`.  Spawned daemons are private to this engine
-    and torn down by :meth:`close`; dialed daemons are left running.
+    of :class:`HostSpec`.  ``localhost[:N]`` daemons are forked from
+    this process behind listeners it binds for them; they are private to
+    this engine, and :meth:`close` stops them and waits until they and
+    their task instances are gone.  Dialed (``tcp://``) daemons are only
+    disconnected: they stay up for their next master.
 
     The engine is a single-threaded reactor: every daemon socket is
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
@@ -811,11 +865,8 @@ class SocketTaskEngine:
                 if spec.local:
                     for _ in range(spec.spawn):
                         link = _DaemonLink(f"daemon-{index}", spawned=True)
-                        # launch first, handshake below: the daemons
-                        # boot concurrently, so spawning 32 links costs
-                        # one import wave, not 32 sequential ones
-                        link.proc = self._launch()
                         self.links.append(link)
+                        self._spawn(link)
                         index += 1
                 else:
                     link = _DaemonLink(
@@ -826,11 +877,7 @@ class SocketTaskEngine:
                     self.links.append(link)
                     index += 1
             for link in self.links:
-                if link.spawned:
-                    port = self._await_listening(link)
-                    self._attach(link, ("127.0.0.1", port))
-                else:
-                    self._attach(link, link.address)
+                self._attach(link)
         except Exception:
             self.close()
             raise
@@ -839,45 +886,47 @@ class SocketTaskEngine:
     # ------------------------------------------------------------------
     # link lifecycle
     # ------------------------------------------------------------------
-    def _launch(self) -> subprocess.Popen:
-        """Fork one loopback daemon; returns before it announces."""
-        cmd = [
-            sys.executable, "-m", "repro", "worker-daemon",
-            "--port", "0",
-            "--capacity", "1",
-            "--heartbeat-interval", str(self.daemon_heartbeat_interval),
-        ]
-        return subprocess.Popen(
-            cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
+    def _spawn(self, link: _DaemonLink) -> None:
+        """Bind an ephemeral loopback listener and fork the daemon that
+        adopts it.  The port is known before the fork and the socket is
+        already listening, so the caller may connect straight away: the
+        connection waits in the backlog until the child accepts."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            # started before the fork so the child shares this tracker
+            # (set semantics: its shm attaches re-register names the
+            # master already registered) instead of spawning its own
+            keep = {0, 1, 2, listener.fileno(), resource_tracker.getfd()}
+            link.address = listener.getsockname()[:2]
+            link.proc = _FORK.Process(
+                target=_forked_daemon_main,
+                args=(
+                    listener,
+                    [fd for fd in _open_fds() if fd not in keep],
+                    self.daemon_heartbeat_interval,
+                ),
+                name=link.name,
+                daemon=True,
+            )
+            link.proc.start()
 
-    def _await_listening(self, link: _DaemonLink) -> int:
-        """Block until the spawned daemon announces its port (init-time
-        only; revive-time spawns handshake through the selector)."""
-        proc = link.proc
-        tail: deque[str] = deque(maxlen=8)
-        while True:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            text = line.decode(errors="replace").rstrip()
-            tail.append(text)
-            if text.startswith("LISTENING "):
-                return int(text.split()[1])
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
+    @staticmethod
+    def _reap(link: _DaemonLink) -> None:
+        """Kill the link's daemon if it still runs, and collect it."""
+        proc, link.proc = link.proc, None
+        if proc is None:
+            return
+        if proc.is_alive():
             proc.kill()
-            proc.wait(timeout=5.0)
-        raise RuntimeError(
-            f"{link.name} failed to start: " + " | ".join(tail)
-        )
+        # no timeout: that waits for the daemon alone, while a timed
+        # join waits on the sentinel its task instances inherited too
+        proc.join()
+        proc.close()
 
-    def _attach(self, link: _DaemonLink, address: tuple[str, int]) -> None:
+    def _attach(self, link: _DaemonLink) -> None:
         """Connect (blocking; init-time only) and adopt the socket."""
-        sock = socket.create_connection(address, timeout=self.connect_timeout)
+        sock = socket.create_connection(
+            link.address, timeout=self.connect_timeout
+        )
         self._adopt(link, sock)
 
     def _adopt(self, link: _DaemonLink, sock: socket.socket) -> None:
@@ -933,20 +982,7 @@ class SocketTaskEngine:
             except OSError:  # pragma: no cover - defensive
                 pass
             link.sock = None
-        if link.spawn_fd is not None:
-            self._unregister(link.spawn_fd)
-            link.spawn_fd = None
-            link.spawn_buf = b""
-        if link.proc is not None:
-            if link.proc.poll() is None:
-                link.proc.kill()
-            try:
-                link.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
-            if link.proc.stdout is not None:
-                link.proc.stdout.close()
-            link.proc = None
+        self._reap(link)
 
     @property
     def total_capacity(self) -> int:
@@ -957,17 +993,34 @@ class SocketTaskEngine:
         )
 
     def close(self) -> None:
+        """Stop the daemons this engine forked, disconnect the rest.
+
+        A forked daemon is sent ``stop`` and given ``DRAIN_TIMEOUT``
+        seconds to leave on its own — drain its jobs, stop its task
+        instances — before it is killed: killing it at once would
+        orphan the task instances its ``serve_forever`` closes on the
+        way out.  A dialed daemon is never stopped, only disconnected.
+        """
         if self._closed:
             return
         self._closed = True
+        stopping = []
         for link in self.links:
-            if link.alive and link.sock is not None:
+            # a half-sent frame ahead of the stop would garble it
+            if link.spawned and link.alive and not link.sendq:
                 try:
                     link.sock.setblocking(True)
                     link.sock.settimeout(2.0)
                     send_frame(link.sock, "stop", {})
+                    stopping.append(link)
                 except (FrameError, OSError):
                     pass
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        for link in stopping:
+            # the sentinel is inherited by the daemon's task instances:
+            # this returns once the whole subtree has exited
+            link.proc.join(max(0.0, deadline - time.monotonic()))
+        for link in self.links:
             self._detach(link)
         self._selector.close()
 
@@ -1333,29 +1386,16 @@ class SocketTaskEngine:
                 return
             if link.spawned:
                 try:
-                    link.proc = self._launch()
-                except OSError as exc:
-                    abort_revive_attempt(link)
+                    self._spawn(link)
+                except OSError:
                     schedule_revive(link, link.revive_reason)
                     return
-                fd = link.proc.stdout.fileno()
-                os.set_blocking(fd, False)
-                link.spawn_fd = fd
-                link.spawn_buf = b""
-                link.spawn_tail.clear()
-                self._register(fd, selectors.EVENT_READ, ("spawn", link))
-                timers.schedule(
-                    self.connect_timeout, lambda: revive_timed_out(link, token)
-                )
-            else:
-                begin_connect(link, link.address, token)
+            begin_connect(link, token)
 
-        def begin_connect(
-            link: _DaemonLink, address: tuple[str, int], token: int
-        ) -> None:
+        def begin_connect(link: _DaemonLink, token: int) -> None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setblocking(False)
-            err = sock.connect_ex(address)
+            err = sock.connect_ex(link.address)
             if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY):
                 try:
                     sock.close()
@@ -1372,7 +1412,7 @@ class SocketTaskEngine:
 
         def abort_revive_attempt(link: _DaemonLink) -> None:
             """Release whatever this attempt half-built (connecting
-            socket, spawn pipe, daemon process)."""
+            socket, daemon process)."""
             if link.sock is not None:
                 self._unregister(link.sock)
                 try:
@@ -1380,57 +1420,13 @@ class SocketTaskEngine:
                 except OSError:  # pragma: no cover - defensive
                     pass
                 link.sock = None
-            if link.spawn_fd is not None:
-                self._unregister(link.spawn_fd)
-                link.spawn_fd = None
-                link.spawn_buf = b""
-            if link.proc is not None:
-                if link.proc.poll() is None:
-                    link.proc.kill()
-                try:
-                    link.proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-                if link.proc.stdout is not None:
-                    link.proc.stdout.close()
-                link.proc = None
+            self._reap(link)
 
         def revive_timed_out(link: _DaemonLink, token: int) -> None:
             if link.revive_token != token or not link.reviving:
                 return
             abort_revive_attempt(link)
             schedule_revive(link, link.revive_reason)
-
-        def on_spawn_output(link: _DaemonLink) -> None:
-            """Collect the reviving daemon's stdout until it announces
-            its port (the async version of _await_listening)."""
-            if link.spawn_fd is None or not link.reviving:
-                return
-            try:
-                chunk = os.read(link.spawn_fd, 4096)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                chunk = b""
-            if not chunk:
-                # EOF before LISTENING: the daemon died on startup
-                abort_revive_attempt(link)
-                schedule_revive(link, link.revive_reason)
-                return
-            link.spawn_buf += chunk
-            while b"\n" in link.spawn_buf:
-                line, _, link.spawn_buf = link.spawn_buf.partition(b"\n")
-                text = line.decode(errors="replace").rstrip()
-                link.spawn_tail.append(text)
-                if text.startswith("LISTENING "):
-                    self._unregister(link.spawn_fd)
-                    link.spawn_fd = None
-                    begin_connect(
-                        link,
-                        ("127.0.0.1", int(text.split()[1])),
-                        link.revive_token,
-                    )
-                    return
 
         def on_connect_ready(link: _DaemonLink) -> None:
             sock = link.sock
@@ -1439,11 +1435,7 @@ class SocketTaskEngine:
             err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
             self._unregister(sock)
             if err != 0:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-                link.sock = None
+                abort_revive_attempt(link)
                 schedule_revive(link, link.revive_reason)
                 return
             finish_revive(link, sock)
@@ -1622,8 +1614,6 @@ class SocketTaskEngine:
                     on_io(link, mask)
                 elif tag == "connect":
                     on_connect_ready(link)
-                elif tag == "spawn":
-                    on_spawn_output(link)
             timers.fire_due()
 
         return NetOutcome(

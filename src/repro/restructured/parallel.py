@@ -742,10 +742,15 @@ def _run_resilient(
         if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
             if kind in ("hang", "deadline"):
                 respawn_generation(key, job.attempt)
-            time.sleep(retry.delay_seconds(job.attempt, key))
+            delay = retry.delay_seconds(job.attempt, key)
+            time.sleep(delay)
             if trace is not None:
                 trace.record(
-                    "retry", key=key, attempt=job.attempt + 1, cause=kind
+                    "retry",
+                    key=key,
+                    attempt=job.attempt + 1,
+                    cause=kind,
+                    backoff_seconds=delay,
                 )
             submit(job.spec, job.attempt + 1)
         elif step is EscalationStep.FALLBACK:

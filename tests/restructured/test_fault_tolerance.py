@@ -123,6 +123,22 @@ class TestTransientFaults:
         assert "injected transient fault" in event.error
         assert np.array_equal(result.combined, fault_free_combined)
 
+    def test_retry_event_carries_the_backoff_it_slept(self):
+        """The pool path stamps the slept delay on its ``retry`` event,
+        like the socket engine does, so the trace's backoff total is not
+        zero on the default engine."""
+        from repro.trace import TraceAnalysis, TraceRecorder
+
+        policy = RetryPolicy(backoff_seconds=0.05, jitter=0.0)
+        recorder = TraceRecorder()
+        result = _run(faults="raise@1,1", retry=policy, trace=recorder)
+        assert result.faults == 1 and result.recovered == 1
+        (retry,) = (e for e in recorder.events() if e.kind == "retry")
+        assert retry.data["backoff_seconds"] == policy.delay_seconds(1, (1, 1))
+        assert TraceAnalysis.from_recorder(
+            recorder
+        ).retry_backoff_seconds == pytest.approx(0.05)
+
     def test_persistent_fault_degrades_to_sequential_fallback(
         self, fault_free_combined
     ):

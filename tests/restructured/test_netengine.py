@@ -10,18 +10,27 @@ and every recovery is visible in both the FaultReport and the trace.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import socket
 import struct
 import threading
 import time
 import warnings
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait as wait_for_exit
 
 import numpy as np
 import pytest
 
+from repro.resilience import EscalationPolicy, FaultPlan
 from repro.restructured import (
+    SocketTaskEngine,
+    SubsolveJobSpec,
     WorkerDaemon,
+    acquire_pool,
+    execute_job,
     parse_hosts,
     run_multiprocessing,
     shutdown_pool,
@@ -37,6 +46,8 @@ from repro.restructured.netengine import (
     recv_frame,
     send_frame,
 )
+from repro.sparsegrid import nested_loop_grids
+from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace import TraceAnalysis, TraceRecorder
 
 LEVEL = 2
@@ -357,6 +368,24 @@ class TestReactorInvariants:
             f"time.sleep outside WorkerDaemon: {sleeps}"
         )
 
+    def test_no_subprocess_no_stdout_handshake(self):
+        """Loopback daemons are forked behind a listener the master
+        bound: the module execs nothing and parses no port off a pipe."""
+        import ast
+        import inspect
+
+        from repro.restructured import netengine
+
+        source = inspect.getsource(netengine)
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "subprocess" not in imported
+        assert "LISTENING" not in source
+
     def test_master_adds_no_threads(self, pickle_combined):
         """One selector, zero reader threads: a socket run leaves the
         master's thread count exactly where it found it."""
@@ -451,6 +480,147 @@ class TestTaskEngineRun:
     def test_hosts_require_socket_engine(self):
         with pytest.raises(ValueError, match="hosts requires"):
             _run(hosts="localhost:2")
+
+
+# ----------------------------------------------------------------------
+# forked loopback daemons: isolation and lifecycle
+# ----------------------------------------------------------------------
+def _level_specs():
+    return [
+        SubsolveJobSpec(
+            problem_name="rotating-cone", root=2, l=g.l, m=g.m, tol=TOL
+        )
+        for g in nested_loop_grids(2, LEVEL)
+    ]
+
+
+def _fd_targets(pid):
+    """fd -> what it points at (``socket:[inode]``, ``pipe:[inode]``,
+    a path), read off ``/proc``."""
+    targets = {}
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            targets[int(name)] = os.readlink(f"/proc/{pid}/fd/{name}")
+        except OSError:
+            pass  # the listing's own descriptor
+    return targets
+
+
+def _children(pid):
+    pids = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/children") as listing:
+            pids += [int(child) for child in listing.read().split()]
+    return pids
+
+
+@pytest.fixture()
+def revived_engine(tmp_path):
+    """Two forked links, one killed mid-job and revived, in a master
+    that also holds a warm fork pool and an open trace file.  Yields
+    ``(engine, outcome, specs, before)`` with the daemons still up;
+    ``before`` is the master's descriptor table ahead of the engine."""
+    acquire_pool(2)
+    resource_tracker.ensure_running()
+    specs = _level_specs()
+    with open(tmp_path / "trace.jsonl", "w"):
+        before = _fd_targets(os.getpid())
+        with SocketTaskEngine("localhost:2") as engine:
+            outcome = engine.run(
+                specs,
+                escalation=EscalationPolicy(),
+                plan=FaultPlan.parse("crash@2,0"),
+            )
+            yield engine, outcome, specs, before
+
+
+class TestForkedDaemons:
+    def test_daemon_holds_nothing_of_its_masters(self, revived_engine):
+        """Descriptor hygiene: a daemon keeps stdio, the shared resource
+        tracker, its listener, its connection and its task-instance
+        channel — not the pool's pipes, the trace file, the selector,
+        or (the revived one was forked while it was open) the sibling
+        link's socket."""
+        engine, _, _, before = revived_engine
+        tracker = before[resource_tracker.getfd()]
+        shared = {before[0], before[1], before[2], tracker, "/dev/null"}
+        master = _fd_targets(os.getpid())
+        assert "anon_inode:[eventpoll]" in master.values()
+        for link in engine.links:
+            held = set(_fd_targets(link.proc.pid).values())
+            assert tracker in held
+            assert not (held & set(before.values())) - shared
+            assert "anon_inode:[eventpoll]" not in held
+            for any_link in engine.links:
+                assert master[any_link.sock.fileno()] not in held
+            sockets = [t for t in held if t.startswith("socket:")]
+            assert 2 <= len(sockets) <= 3  # listener, connection, channel
+
+    def test_kill_mid_job_revives_by_fork(self, revived_engine):
+        engine, outcome, specs, _ = revived_engine
+        assert outcome.reconnects == 1
+        (event,) = outcome.events
+        assert (event.kind, event.key) == ("crash", (2, 0))
+        for spec in specs:
+            assert np.array_equal(
+                outcome.payloads[spec.l, spec.m].solution,
+                execute_job(spec, use_cache=False).solution,
+            )
+        (revived,) = (l for l in engine.links if l.reconnects)
+        assert isinstance(revived.proc, multiprocessing.process.BaseProcess)
+        # a fork of this process, not an exec of anything
+        with open(f"/proc/{revived.proc.pid}/cmdline", "rb") as theirs:
+            with open("/proc/self/cmdline", "rb") as ours:
+                assert theirs.read() == ours.read()
+
+    def test_close_leaves_no_process_behind(self):
+        """After ``close()`` the daemons *and* the task instances forked
+        under them are gone — by construction, so the check polls
+        nothing: every sentinel is already at EOF."""
+        pids, sentinels = [], []
+        engine = SocketTaskEngine("localhost:2")
+        try:
+            engine.run(_level_specs(), escalation=EscalationPolicy())
+            for link in engine.links:
+                pids += [link.proc.pid, *_children(link.proc.pid)]
+                sentinels.append(os.dup(link.proc.sentinel))
+            assert len(pids) > len(engine.links)  # some task instance
+            engine.close()
+            assert len(wait_for_exit(sentinels, timeout=0)) == len(sentinels)
+            assert not [p for p in pids if os.path.exists(f"/proc/{p}")]
+        finally:
+            engine.close()
+            for fd in sentinels:
+                os.close(fd)
+
+    def test_dialed_daemon_outlives_its_master(
+        self, local_daemon, pickle_combined
+    ):
+        """``close()`` only disconnects a ``tcp://`` daemon: it is still
+        there for the next engine."""
+        hosts = f"tcp://127.0.0.1:{local_daemon.port}"
+        for _ in range(2):
+            result = _run(engine="socket", hosts=hosts)
+            assert np.array_equal(result.combined, pickle_combined)
+            assert result.reconnects == 0
+            assert not local_daemon._stop.is_set()
+
+    def test_forked_daemon_starts_cold(self):
+        """A fresh daemon's first job misses the operator cache even
+        when its master had every operator cached at the fork."""
+        specs = _level_specs()
+        try:
+            for spec in specs:
+                execute_job(spec)
+            assert all(execute_job(spec).operator_cache_hit for spec in specs)
+            with SocketTaskEngine("localhost:2") as engine:
+                outcome = engine.run(specs, escalation=EscalationPolicy())
+        finally:
+            reset_default_operator_cache()
+        assert len(outcome.payloads) == len(specs)
+        assert not any(
+            p.operator_cache_hit for p in outcome.payloads.values()
+        )
 
 
 # ----------------------------------------------------------------------
