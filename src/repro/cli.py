@@ -106,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result transport: pickle through the pool's "
                        "result pipe (seed behaviour) or zero-copy "
                        "shared-memory blocks with streaming combination")
-    p_par.add_argument("--engine", choices=("pool", "task", "socket"),
+    p_par.add_argument("--engine", choices=("pool", "socket"),
                        default="pool",
-                       help="execution substrate: the fork pool, "
-                       "per-worker OS task instances, or worker daemons "
-                       "over real TCP (see docs/distributed.md)")
+                       help="execution substrate: the fork pool, or worker "
+                       "daemons over real TCP; both drive one dispatch "
+                       "core (see docs/distributed.md)")
     p_par.add_argument("--hosts", default=None, metavar="SPEC",
                        help="socket-engine hosts: 'localhost:N' spawns N "
                        "loopback daemons; 'tcp://host:port' dials a "

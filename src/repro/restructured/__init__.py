@@ -14,6 +14,9 @@ generic master/worker protocol.
   nested loop replaced by protocol steps 3(a)–3(h);
 * :mod:`mainprog` — ``mainprog.m``: ``Main`` calls
   ``ProtocolMW(Master(argv), Worker)``;
+* :mod:`dispatch` — the one dispatch core: the resilient job lifecycle
+  (ledger, deadlines, escalation ladder, timer wheel) that the fork
+  pool and the socket master both drive;
 * :mod:`parallel` — the multiprocessing executor used as the
   real-parallel measurement configuration and as a cross-check; its
   warm path orders jobs longest-predicted-first (LPT) over

@@ -1,0 +1,574 @@
+"""The one dispatch core under the fork pool and the socket engine.
+
+The paper's argument is that the coordination protocol is *one* generic
+module that computation plugs into unchanged.  This module is that
+argument applied to the resilient job lifecycle: :class:`DispatchCore`
+is the only implementation of it, and the fork pool
+(:mod:`~repro.restructured.parallel`) and the socket master
+(:mod:`~repro.restructured.netengine`) are *drivers* that translate
+their substrate's signals into core calls and plug three callables
+(:class:`Driver`) back in.
+
+What the core owns, identically for every driver:
+
+* the **ledger** — every grid ``(l, m)`` is in exactly one
+  :class:`JobState`: ``ready → in-flight → done | backoff | fallback |
+  failed``, with ``backoff → ready`` the only way back;
+* **attempt counting and stale-attempt rejection** — a result or error
+  whose attempt is not the outstanding one is dropped, so a worker that
+  answers after being declared lost cannot corrupt the run;
+* **deadlines** — cost-model-scaled per attempt, armed on the timer
+  wheel, read off the wheel's clock (as is ``seconds_lost``);
+* the **escalation ladder** — :meth:`EscalationPolicy.decide` per
+  fault: retry/reassign parked on the wheel (never slept), in-master
+  ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
+* the **data plane discipline** — payload consumption through the
+  sink, with a refused descriptor (``StaleLeaseError`` /
+  ``DataPlaneError``) mapped to a ``stale`` / ``transport`` fault, and
+  the faulted attempt's lease revoked *after* the driver retired it;
+* **collateral** — jobs that shared a replaced worker re-queue at the
+  same attempt and consume no ladder step;
+* **late-bound holders** — a substrate that learns which worker holds
+  a job only from a heartbeat reports it through :meth:`held_by`; a
+  holder reported dead is remembered, so a ``start`` beat that names an
+  already-dead worker convicts on arrival instead of waiting out the
+  deadline;
+* the ``FaultLog`` and every trace event of the lifecycle, in the
+  per-key order ``fault`` → (driver: ``respawn`` / ``reconnect``) →
+  ``retry`` → ``job_submit``.
+
+What differs by substrate, and therefore lives in the drivers' ``retire``
+hook — the contract is only that once ``retire(job, kind)`` returns, no
+writer of the attempt's lease is alive:
+
+* the **pool** cannot kill one wedged worker, so a ``hang``/``deadline``
+  attempt keeps its lease until the whole generation is terminated and
+  ``bump_generation()`` has reclaimed it; that respawn happens before
+  the retry *and* before the fallback, and everything else in flight is
+  collateral of it;
+* the **socket** master kills the daemon (``lose_link``) before it
+  reports the loss, so the lease is revocable at once; only a per-job
+  ``deadline`` on an otherwise live daemon makes ``retire`` do the kill.
+
+The core never sleeps and never advances the clock: it schedules on the
+injected :class:`_TimerWheel` and the driver's loop — ``dispatch_ready``,
+block on the substrate with ``timers.next_timeout()``, ``fire_due`` —
+decides when time passes.  That is what makes it testable with a fake
+clock and a scripted driver, no process or socket involved.
+"""
+
+from __future__ import annotations
+
+import heapq
+import time
+from collections import deque
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Iterable, NamedTuple, Optional
+
+from repro.resilience import (
+    EscalationStep,
+    FaultEvent,
+    FaultLog,
+    FaultToleranceExhausted,
+)
+
+from .worker import SubsolveJobSpec, SubsolvePayload, execute_job
+
+__all__ = [
+    "DispatchCore",
+    "DispatchOutcome",
+    "Driver",
+    "Job",
+    "JobState",
+    "Slot",
+]
+
+#: scheduling slack added to deadline timers so a conviction never
+#: lands a clock-granularity tick *before* its full window has elapsed
+_DEADLINE_GRACE = 0.005
+
+
+class _TimerWheel:
+    """The dispatch loops' time source: a heap of ``(due, seq, callback)``.
+
+    Everything a dispatch thread would otherwise ``time.sleep`` for —
+    retry backoff, reconnect backoff, heartbeat-silence deadlines,
+    per-job deadlines, the pool's liveness tick — is a scheduled
+    callback here, so a driver's only blocking point is its substrate's
+    wait with :meth:`next_timeout` as the timeout.  Callbacks validate
+    their subject at fire time (epoch, pending identity, revive token)
+    instead of being cancelled, which keeps scheduling O(log n) with no
+    bookkeeping on the hot path.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self.clock = clock
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` on the dispatch thread ``delay`` seconds on."""
+        self._seq += 1
+        heapq.heappush(
+            self._heap, (self.clock() + max(0.0, delay), self._seq, callback)
+        )
+
+    def next_timeout(self) -> Optional[float]:
+        """Seconds until the earliest timer, ``None`` on an empty wheel."""
+        if not self._heap:
+            return None
+        return max(0.0, self._heap[0][0] - self.clock())
+
+    def fire_due(self) -> int:
+        """Run every callback whose due time has passed; returns how many."""
+        fired = 0
+        while self._heap and self._heap[0][0] <= self.clock():
+            _, _, callback = heapq.heappop(self._heap)
+            callback()
+            fired += 1
+        return fired
+
+
+def _trace_payload(trace, payload, *, attempt: int = 1, fallback: bool = False) -> None:
+    """Emit one completed job's lifecycle onto the trace timeline.
+
+    The start/finish timestamps were measured by the worker process's
+    own monotonic clock and carried home in the payload; on Linux that
+    is the same ``CLOCK_MONOTONIC`` the recorder's default clock reads,
+    so they land directly on the shared time axis.
+    """
+    if trace is None:
+        return
+    key = (payload.l, payload.m)
+    worker = payload.worker_pid or None
+    started = payload.started_monotonic or None
+    trace.record(
+        "cache_hit" if payload.operator_cache_hit else "cache_miss",
+        key=key,
+        worker=worker,
+        t=started,
+    )
+    trace.record("job_start", key=key, worker=worker, attempt=attempt, t=started)
+    extra = {"fallback": True} if fallback else {}
+    trace.record(
+        "job_done",
+        key=key,
+        worker=worker,
+        attempt=attempt,
+        t=payload.finished_monotonic or None,
+        wall_seconds=payload.wall_seconds,
+        **extra,
+    )
+    if getattr(payload, "split_k", 1) > 1:
+        # sharded job: the strips ran inside the worker process, where
+        # the global emit() hook is a no-op — lift the counters the
+        # payload carried home onto the master's timeline as one
+        # aggregate event per kind
+        trace.record(
+            "strip_factor",
+            key=key,
+            worker=worker,
+            attempt=attempt,
+            split_k=payload.split_k,
+            count=payload.strip_factorizations,
+            seconds=payload.strip_factor_seconds,
+            critical_seconds=payload.critical_strip_factor_seconds,
+        )
+        trace.record(
+            "halo_exchange",
+            key=key,
+            worker=worker,
+            attempt=attempt,
+            exchanges=payload.halo_exchanges,
+            payload_bytes=payload.halo_bytes,
+        )
+        trace.record(
+            "schur_solve",
+            key=key,
+            worker=worker,
+            attempt=attempt,
+            count=payload.interface_solves,
+            seconds=payload.interface_solve_seconds,
+            interface_unknowns=payload.interface_unknowns,
+        )
+
+
+# ----------------------------------------------------------------------
+# the ledger's vocabulary
+# ----------------------------------------------------------------------
+class JobState(Enum):
+    """Where one grid ``(l, m)`` stands; the last three are terminal."""
+
+    READY = "ready"
+    IN_FLIGHT = "in-flight"
+    BACKOFF = "backoff"
+    DONE = "done"
+    FALLBACK = "fallback"
+    FAILED = "failed"
+
+
+class Slot(NamedTuple):
+    """Where the next ready job can run, as a driver's ``place`` names it."""
+
+    worker: object
+    #: the worker shares the master's memory: the attempt gets a lease
+    shm_ok: bool = True
+    #: the ``worker`` field of the attempt's ``job_submit`` trace event
+    name: Optional[str] = None
+
+
+@dataclass(eq=False)
+class Job:
+    """One attempt in flight — the pending record of every driver."""
+
+    spec: SubsolveJobSpec
+    attempt: int
+    worker: object              # what the driver's place() put it on
+    deadline_at: float          # on the wheel's clock
+    submitted_at: float
+    lease: Optional[object] = None   # the attempt's ShmLease, if any
+    handle: object = None       # the driver's own token for the attempt
+    holder: object = None       # who reported holding it (see held_by)
+
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.spec.l, self.spec.m)
+
+
+class Driver(NamedTuple):
+    """What a substrate plugs into the core.  None of the three may call
+    :meth:`DispatchCore.dispatch_ready`: the core relies on nothing
+    being launched while it is mid-transition."""
+
+    #: a free slot for the next ready job, ``None`` when there is none
+    place: Callable[[], Optional[Slot]]
+    #: ship the attempt to ``job.worker`` (it is already pending, and its
+    #: deadline armed, so a send that fails may fault it right away)
+    launch: Callable[[Job], None]
+    #: the attempt left flight — ``kind`` is ``None`` on completion, else
+    #: the fault kind: free its slot and, before returning, make sure
+    #: nothing can still write through ``job.lease``
+    retire: Callable[[Job, Optional[str]], None]
+
+
+@dataclass
+class DispatchOutcome:
+    """What one resilient run produced, on any substrate."""
+
+    payloads: dict[tuple[int, int], SubsolvePayload]
+    completion_order: tuple[tuple[int, int], ...]
+    attempts: int
+    events: tuple
+    recovered_keys: tuple[tuple[int, int], ...]
+    fallback_keys: tuple[tuple[int, int], ...]
+
+
+# ----------------------------------------------------------------------
+# the core
+# ----------------------------------------------------------------------
+class DispatchCore:
+    """The resilient job lifecycle, driven by events and a timer wheel.
+
+    Completed payloads are keyed by grid ``(l, m)``; a key completes
+    exactly once, so recovery is idempotent and the result set is one
+    payload per grid, bitwise identical to a fault-free run.
+
+    With a ``sink`` (the shm data plane) every attempt placed on an
+    ``shm_ok`` slot carries a fresh lease; see the module docstring for
+    who reclaims it when.
+    """
+
+    def __init__(
+        self,
+        ordered: Iterable[SubsolveJobSpec],
+        driver: Driver,
+        *,
+        escalation,
+        timers: _TimerWheel,
+        use_cache: bool = True,
+        cost_model=None,
+        fault_log=None,
+        sink=None,
+        trace=None,
+    ) -> None:
+        self.driver = driver
+        self.escalation = escalation
+        self.timers = timers
+        self.clock = timers.clock
+        self.use_cache = use_cache
+        self.cost_model = cost_model
+        self.log = fault_log if fault_log is not None else FaultLog()
+        self.sink = sink
+        self.trace = trace
+        self.ready: deque[tuple[SubsolveJobSpec, int]] = deque(
+            (spec, 1) for spec in ordered
+        )
+        self.state = {(spec.l, spec.m): JobState.READY for spec, _ in self.ready}
+        self.pending: dict[tuple[int, int], Job] = {}
+        self.completed: dict[tuple[int, int], SubsolvePayload] = {}
+        self.completion_order: list[tuple[int, int]] = []
+        self.recovered_keys: list[tuple[int, int]] = []
+        self.fallback_keys: list[tuple[int, int]] = []
+        self.attempts = 0
+        #: holders reported dead → the ``(detected_by, error)`` to convict
+        #: with; a driver clears it when its worker identities start over
+        self.dead_holders: dict[object, tuple[str, str]] = {}
+        self._open = len(self.state)
+
+    @property
+    def done(self) -> bool:
+        """Every key is in a terminal state."""
+        return self._open == 0
+
+    def outcome(self) -> DispatchOutcome:
+        return DispatchOutcome(
+            payloads=self.completed,
+            completion_order=tuple(self.completion_order),
+            attempts=self.attempts,
+            events=tuple(self.log.events()),
+            recovered_keys=tuple(self.recovered_keys),
+            fallback_keys=tuple(self.fallback_keys),
+        )
+
+    # ------------------------------------------------------------------
+    # ready → in-flight
+    # ------------------------------------------------------------------
+    def dispatch_ready(self) -> None:
+        """Launch ready jobs, in queue order, while the driver has room."""
+        while self.ready:
+            slot = self.driver.place()
+            if slot is None:
+                return
+            spec, attempt = self.ready.popleft()
+            self._submit(spec, attempt, slot)
+
+    def _submit(self, spec: SubsolveJobSpec, attempt: int, slot: Slot) -> None:
+        key = (spec.l, spec.m)
+        predicted = (
+            None
+            if self.cost_model is None
+            else float(self.cost_model.predict_seconds(spec.l, spec.m, spec.tol))
+        )
+        budget = self.escalation.deadline.deadline_seconds(predicted)
+        self.attempts += 1
+        now = self.clock()
+        job = Job(
+            spec=spec,
+            attempt=attempt,
+            worker=slot.worker,
+            deadline_at=now + budget,
+            submitted_at=now,
+            lease=(
+                self.sink.lease_for(spec)
+                if self.sink is not None and slot.shm_ok
+                else None
+            ),
+        )
+        self.pending[key] = job
+        self.state[key] = JobState.IN_FLIGHT
+        if self.trace is not None:
+            self.trace.record(
+                "job_submit", key=key, worker=slot.name, attempt=attempt
+            )
+
+        def overdue() -> None:
+            if self.pending.get(key) is job:
+                self.fault(
+                    key,
+                    "deadline",
+                    detected_by="deadline",
+                    error=f"no result within {budget:.2f}s",
+                )
+
+        self.timers.schedule(budget + _DEADLINE_GRACE, overdue)
+        self.driver.launch(job)
+
+    # ------------------------------------------------------------------
+    # in-flight → done
+    # ------------------------------------------------------------------
+    def result(self, key, attempt: int, payload: SubsolvePayload) -> None:
+        """A worker answered; a superseded attempt's answer is dropped."""
+        from repro.perf.dataplane import DataPlaneError, StaleLeaseError
+
+        job = self.pending.get(key)
+        if job is None or job.attempt != attempt:
+            return
+        if self.sink is not None:
+            try:
+                self.sink.consume(key, payload, attempt=attempt)
+            except StaleLeaseError as exc:
+                # a descriptor written before a respawn: its block may be
+                # re-leased already, so the result is discarded and the
+                # job escalated (decide() retries unknown kinds)
+                self.fault(key, "stale", detected_by="dataplane", error=repr(exc))
+                return
+            except DataPlaneError as exc:
+                self.fault(
+                    key, "transport", detected_by="dataplane", error=repr(exc)
+                )
+                return
+        del self.pending[key]
+        self.driver.retire(job, None)
+        self._settle(key, JobState.DONE, payload)
+        _trace_payload(self.trace, payload, attempt=attempt)
+        if attempt > 1 and key not in self.recovered_keys:
+            self.recovered_keys.append(key)
+
+    def _settle(self, key, state: JobState, payload: SubsolvePayload) -> None:
+        self.completed[key] = payload
+        self.completion_order.append(key)
+        self.state[key] = state
+        self._open -= 1
+
+    # ------------------------------------------------------------------
+    # late-bound holders (the pool learns them from heartbeats)
+    # ------------------------------------------------------------------
+    def held_by(self, key, attempt: int, holder) -> None:
+        """A worker reported taking (``holder``) or dropping (``None``)
+        an attempt.  A holder already reported dead convicts on arrival:
+        its death was observed before this report was."""
+        job = self.pending.get(key)
+        if job is None or job.attempt != attempt:
+            return
+        job.holder = holder
+        if holder in self.dead_holders:
+            detected_by, error = self.dead_holders[holder]
+            self.fault(key, "crash", detected_by=detected_by, error=error)
+
+    def holder_died(self, holder, *, detected_by: str, error: str) -> None:
+        """A worker is gone: convict exactly the jobs it held, and
+        remember it for a ``held_by`` report still on its way."""
+        self.dead_holders[holder] = (detected_by, error)
+        for key, job in list(self.pending.items()):
+            if job.holder == holder and self.pending.get(key) is job:
+                self.fault(key, "crash", detected_by=detected_by, error=error)
+
+    # ------------------------------------------------------------------
+    # in-flight → backoff | fallback | failed
+    # ------------------------------------------------------------------
+    def fault(
+        self,
+        key,
+        kind: str,
+        *,
+        detected_by: str,
+        error: str = "",
+        attempt: Optional[int] = None,
+    ) -> None:
+        """The outstanding attempt of ``key`` failed: record it, let the
+        driver reclaim the worker, take the ladder's next step.  A report
+        about a superseded ``attempt`` is dropped."""
+        job = self.pending.get(key)
+        if job is None or (attempt is not None and job.attempt != attempt):
+            return
+        del self.pending[key]
+        step = self.escalation.decide(job.attempt, kind)
+        event = FaultEvent(
+            key=key,
+            kind=kind,
+            attempt=job.attempt,
+            action=step.value,
+            detected_by=detected_by,
+            error=error,
+            seconds_lost=self.clock() - job.submitted_at,
+        )
+        self.log.record(event)
+        if self.trace is not None:
+            self.trace.record_fault(event)
+        self.driver.retire(job, kind)
+        self._revoke(job, kind)
+        if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
+            self._park(job, kind)
+        elif step is EscalationStep.FALLBACK:
+            self._fall_back(job, kind)
+        else:
+            self.state[key] = JobState.FAILED
+            self.fail()
+
+    def requeue_collateral(self, jobs: Iterable[Job]) -> None:
+        """Jobs that shared a worker the driver just replaced: not their
+        fault, so they re-queue at the same attempt, ahead of the queue,
+        and no ladder step is consumed."""
+        for job in jobs:
+            if self.pending.get(job.key) is not job:
+                continue
+            del self.pending[job.key]
+            self._revoke(job, "collateral")
+            self.ready.appendleft((job.spec, job.attempt))
+            self.state[job.key] = JobState.READY
+
+    def _revoke(self, job: Job, reason: str) -> None:
+        if self.sink is not None and job.lease is not None:
+            self.sink.plane.revoke(job.lease.name, reason=reason)
+
+    def _park(self, job: Job, kind: str) -> None:
+        """Backoff on the wheel: every other key keeps completing."""
+        key = job.key
+        delay = self.escalation.retry.delay_seconds(job.attempt, key)
+        self.state[key] = JobState.BACKOFF
+
+        def requeue() -> None:
+            if self.trace is not None:
+                self.trace.record(
+                    "retry",
+                    key=key,
+                    attempt=job.attempt + 1,
+                    cause=kind,
+                    backoff_seconds=delay,
+                )
+            self.ready.appendleft((job.spec, job.attempt + 1))
+            self.state[key] = JobState.READY
+
+        self.timers.schedule(delay, requeue)
+
+    def _fall_back(self, job: Job, kind: str) -> None:
+        """Graceful degradation: the master computes the grid itself,
+        sequentially and without injection — the paper's original loop
+        body as the last safety net before failing the run.  It never
+        goes through the data plane: the in-master payload carries its
+        array directly (no lease, no descriptor), so a closed or bumped
+        plane cannot reject it."""
+        key = job.key
+        try:
+            payload = execute_job(job.spec, use_cache=self.use_cache)
+        except Exception as exc:
+            self.log.record(
+                FaultEvent(
+                    key=key,
+                    kind="exception",
+                    attempt=job.attempt,
+                    action="fail",
+                    detected_by="fallback",
+                    error=repr(exc),
+                )
+            )
+            self.state[key] = JobState.FAILED
+            self.fail(exc)
+        if self.sink is not None:
+            # the sink still folds it, so the streaming combiner sees
+            # every grid exactly once
+            self.sink.consume(key, payload, attempt=job.attempt + 1)
+        self._settle(key, JobState.FALLBACK, payload)
+        self.fallback_keys.append(key)
+        if self.trace is not None:
+            self.trace.record("fallback", key=key, attempt=job.attempt, cause=kind)
+            # attempt + 1: the in-master replay is a fresh attempt,
+            # distinct from the failed one on the (key, attempt) axis
+            _trace_payload(
+                self.trace, payload, attempt=job.attempt + 1, fallback=True
+            )
+        if key not in self.recovered_keys:
+            self.recovered_keys.append(key)
+
+    def fail(self, cause: Optional[BaseException] = None) -> None:
+        """Fail the run with its structured failure history."""
+        report = self.log.report(
+            recovered_keys=self.recovered_keys,
+            fallback_keys=self.fallback_keys,
+            failed_key=self.log.events()[-1].key if len(self.log) else None,
+        )
+        raise FaultToleranceExhausted(report) from cause

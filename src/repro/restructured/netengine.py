@@ -25,12 +25,12 @@ Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
 reactor — non-blocking sockets with a stateful per-link
 :class:`_FrameDecoder` doing incremental frame decoding, a per-link
-write queue with partial-send handling, and a :class:`_TimerWheel` that
-schedules everything the thread-per-link predecessor used to block on:
-retry backoff, reconnect backoff, heartbeat-silence deadlines, per-job
-deadlines.  No code path on the dispatch loop ever calls
-``time.sleep``; its only blocking point is ``selector.select`` with the
-wheel's next due time as the timeout.  That is what lets one master
+write queue with partial-send handling, and the timer wheel of
+:mod:`~repro.restructured.dispatch` that schedules everything the
+thread-per-link predecessor used to block on: retry backoff, reconnect
+backoff, heartbeat-silence deadlines, per-job deadlines.  No code path
+on the dispatch loop ever calls ``time.sleep``; its only blocking point
+is ``selector.select`` with the wheel's next due time as the timeout.  That is what lets one master
 hold dozens (or hundreds) of daemon links without a reader thread per
 link, and it removes a whole class of head-of-line stalls: one grid
 backing off, or one flapping daemon reconnecting, no longer freezes
@@ -42,8 +42,10 @@ Wire protocol: length-prefixed frames.  A frame is an 8-byte header
 ``error`` from the daemon, ``job``/``stop`` from the master.  The magic
 check rejects cross-talk from a non-daemon peer before any unpickling.
 
-Failure model — composing with the resilience ladder of
-:mod:`repro.resilience`:
+Failure model.  The job lifecycle — attempts, deadlines, the escalation
+ladder, lease revocation — is the shared dispatch core's
+(:class:`~repro.restructured.dispatch.DispatchCore`); this module is
+its socket driver and contributes the detection channels of a network:
 
 * a **dropped connection** (daemon killed, network reset, truncated
   frame) convicts every job in flight on that daemon as a ``crash``
@@ -52,15 +54,14 @@ Failure model — composing with the resilience ladder of
   recorded as a ``reconnect`` trace event;
 * a **silent daemon** — no frame within ``heartbeat_timeout`` — is a
   ``hang``: the daemon is killed and replaced, its jobs re-dispatched;
-* a **per-job deadline** (cost-model-scaled) catches a wedged job on an
-  otherwise healthy daemon; the daemon is replaced so the wedged
-  compute cannot outlive the run (or scribble into a reclaimed lease);
-* escalation follows the same :class:`~repro.resilience.policy.
-  EscalationPolicy` ladder as the fork pool — retry, reassign,
-  in-master sequential fallback, structured failure.
+* the core's **per-job deadline** (cost-model-scaled) catches a wedged
+  job on an otherwise healthy daemon; the driver's ``retire`` hook
+  replaces the daemon so the wedged compute cannot outlive the run (or
+  scribble into a reclaimed lease), and whatever else it was computing
+  re-queues as collateral.
 
-Replays are idempotent: results are keyed ``(l, m)`` and a result frame
-whose attempt does not match the outstanding one is dropped, so a
+Replays are idempotent: results are keyed ``(l, m)`` and the core drops
+a result frame whose attempt does not match the outstanding one, so a
 daemon that answers *after* being declared lost cannot corrupt the run.
 
 Data plane: a **forked** daemon shares the master's machine, so the
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 import errno
 import gc
-import heapq
 import multiprocessing
 import os
 import pickle
@@ -99,8 +99,17 @@ from typing import Callable, Optional
 from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace.recorder import uninstall_recorder
 
+from .dispatch import (
+    _DEADLINE_GRACE,
+    DispatchCore,
+    DispatchOutcome,
+    Driver,
+    Job,
+    Slot,
+    _TimerWheel,
+)
 from .taskengine import TaskInstanceDied, TaskInstanceEngine
-from .worker import SubsolveJobSpec, SubsolvePayload, execute_job, ship_payload
+from .worker import SubsolveJobSpec, ship_payload
 
 __all__ = [
     "FrameError",
@@ -109,7 +118,6 @@ __all__ = [
     "HostSpec",
     "parse_hosts",
     "WorkerDaemon",
-    "NetOutcome",
     "SocketTaskEngine",
 ]
 
@@ -126,10 +134,6 @@ DRAIN_TIMEOUT = 5.0
 
 #: loopback daemons are forked like pool workers and task instances
 _FORK = multiprocessing.get_context("fork")
-
-#: scheduling slack added to deadline timers so a conviction never
-#: lands a clock-granularity tick *before* its full window has elapsed
-_DEADLINE_GRACE = 0.005
 
 
 class FrameError(ConnectionError):
@@ -256,50 +260,6 @@ class _FrameDecoder:
             kind, payload = pickle.loads(body)
             frames.append((kind, payload, nbytes, seconds))
         return frames
-
-
-class _TimerWheel:
-    """The reactor's time source: a heap of ``(due, seq, callback)``.
-
-    Everything the thread-per-link engine used to ``time.sleep`` for —
-    retry backoff, reconnect backoff, heartbeat-silence deadlines,
-    per-job deadlines — becomes a scheduled callback here, so the
-    dispatch loop's only blocking point is ``selector.select`` with
-    :meth:`next_timeout` as its timeout.  Callbacks validate their
-    subject at fire time (epoch, pending identity, revive token)
-    instead of being cancelled, which keeps scheduling O(log n) with no
-    bookkeeping on the hot path.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` on the reactor thread ``delay`` seconds on."""
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.clock() + max(0.0, delay), self._seq, callback)
-        )
-
-    def next_timeout(self) -> Optional[float]:
-        """Seconds until the earliest timer, ``None`` on an empty wheel."""
-        if not self._heap:
-            return None
-        return max(0.0, self._heap[0][0] - self.clock())
-
-    def fire_due(self) -> int:
-        """Run every callback whose due time has passed; returns how many."""
-        fired = 0
-        while self._heap and self._heap[0][0] <= self.clock():
-            _, _, callback = heapq.heappop(self._heap)
-            callback()
-            fired += 1
-        return fired
 
 
 def arm_heartbeat_deadline(
@@ -716,18 +676,6 @@ def _forked_daemon_main(
 # ----------------------------------------------------------------------
 # the master side
 # ----------------------------------------------------------------------
-@dataclass
-class _NetPending:
-    """Master-side bookkeeping of one job attempt in flight on a daemon."""
-
-    spec: SubsolveJobSpec
-    attempt: int
-    link: "_DaemonLink"
-    deadline_at: float
-    submitted_at: float
-    lease: Optional[object] = None
-
-
 class _OutFrame:
     """One queued outgoing frame with partial-send progress."""
 
@@ -766,7 +714,7 @@ class _DaemonLink:
         self.proc: Optional[multiprocessing.Process] = None
         self.capacity = 0               # learned from the hello frame
         self.pid: Optional[int] = None
-        self.inflight: dict[tuple[int, int], _NetPending] = {}
+        self.inflight: dict[tuple[int, int], Job] = {}
         self.last_frame = time.monotonic()
         self.alive = False
         self.reconnects = 0
@@ -791,25 +739,6 @@ class _DaemonLink:
         return max(0, self.capacity - len(self.inflight))
 
 
-@dataclass
-class NetOutcome:
-    """What one socket-engine run produced (the resilient-outcome shape
-    plus the network accounting)."""
-
-    payloads: dict[tuple[int, int], SubsolvePayload]
-    completion_order: tuple[tuple[int, int], ...]
-    attempts: int
-    events: tuple
-    recovered_keys: tuple[tuple[int, int], ...]
-    fallback_keys: tuple[tuple[int, int], ...]
-    reconnects: int
-    daemons: int
-    bytes_sent: int
-    bytes_received: int
-    net_send_seconds: float
-    net_recv_seconds: float
-
-
 class SocketTaskEngine:
     """The master of the socket-backed distributed configuration.
 
@@ -823,9 +752,6 @@ class SocketTaskEngine:
     The engine is a single-threaded reactor: every daemon socket is
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
     master's thread count stays O(1) however many links it holds.
-    ``poll_interval`` is kept as the idle-select fallback for an empty
-    timer wheel; with the wheel armed (always, once a link is alive) it
-    is effectively unused.
     """
 
     def __init__(
@@ -838,7 +764,6 @@ class SocketTaskEngine:
         connect_timeout: float = 20.0,
         reconnect_backoff: float = 0.05,
         max_reconnects: int = 5,
-        poll_interval: float = 0.02,
     ) -> None:
         self.host_specs = (
             parse_hosts(hosts) if isinstance(hosts, str) else tuple(hosts)
@@ -849,7 +774,6 @@ class SocketTaskEngine:
         self.connect_timeout = connect_timeout
         self.reconnect_backoff = reconnect_backoff
         self.max_reconnects = max_reconnects
-        self.poll_interval = poll_interval
         self._selector = selectors.DefaultSelector()
         self._closed = False
         self.reconnects = 0
@@ -1044,47 +968,23 @@ class SocketTaskEngine:
         fault_log=None,
         sink=None,
         trace=None,
-    ) -> NetOutcome:
+    ) -> DispatchOutcome:
         """Dispatch ``ordered`` (LPT order preserved) across the daemons.
 
-        Mirrors the fork-pool resilient loop: per-job deadlines, fault
-        escalation, idempotent completion keyed ``(l, m)`` — with the
-        detection channels of a network: connection loss and heartbeat
-        silence instead of PID liveness.  The loop is a single-threaded
-        selectors reactor: reads, writes, retries, reconnects and every
-        deadline all multiplex through one ``select``, so a fault or a
-        flapping daemon on one link never blocks completion handling on
-        another.
+        The job lifecycle — deadlines, the escalation ladder, idempotent
+        completion keyed ``(l, m)`` — is the dispatch core's
+        (:mod:`~repro.restructured.dispatch`); this method is its socket
+        driver: frame I/O, write queues, link loss and revival, and
+        heartbeat silence, translated into core calls.  The loop is a
+        single-threaded selectors reactor: reads, writes, retries,
+        reconnects and every deadline all multiplex through one
+        ``select``, so a fault or a flapping daemon on one link never
+        blocks completion handling on another.  The network accounting
+        (``reconnects``, ``bytes_sent``/``bytes_received``,
+        ``net_send_seconds``/``net_recv_seconds``) accrues on the engine.
         """
-        from repro.resilience import (
-            EscalationStep,
-            FaultEvent,
-            FaultLog,
-            FaultToleranceExhausted,
-        )
-
         trace = trace if trace is not None else self.trace
-        log = fault_log if fault_log is not None else FaultLog()
-        retry, deadline_policy = escalation.retry, escalation.deadline
-        ready: deque[tuple[SubsolveJobSpec, int]] = deque(
-            (spec, 1) for spec in ordered
-        )
-        completed: dict[tuple[int, int], SubsolvePayload] = {}
-        completion_order: list[tuple[int, int]] = []
-        pending: dict[tuple[int, int], _NetPending] = {}
-        recovered_keys: list[tuple[int, int]] = []
-        fallback_keys: list[tuple[int, int]] = []
-        attempts = 0
-        #: jobs parked on a retry-backoff timer: neither pending nor
-        #: ready, but the run is not done until they re-enter the queue
-        backoff_waiting = 0
         timers = _TimerWheel()
-        clock = timers.clock
-
-        def predicted(spec: SubsolveJobSpec) -> Optional[float]:
-            if cost_model is None:
-                return None
-            return float(cost_model.predict_seconds(spec.l, spec.m, spec.tol))
 
         def record_net(kind: str, key, nbytes: int, seconds: float, **extra) -> None:
             if kind == "net_send":
@@ -1111,10 +1011,10 @@ class SocketTaskEngine:
                 self._selector.modify(link.sock, mask, ("io", link))
                 link.events_mask = mask
 
-        def flush_sendq(link: _DaemonLink) -> bool:
+        def flush_sendq(link: _DaemonLink) -> None:
             """Drain the link's write queue as far as the socket buffer
-            allows; ``False`` when the connection broke under it (the
-            link is already lost and its jobs re-routed)."""
+            allows; a connection that breaks under it loses the link
+            (and re-routes its jobs) right here."""
             while link.sendq and link.alive:
                 out = link.sendq[0]
                 t0 = time.perf_counter()
@@ -1129,7 +1029,7 @@ class SocketTaskEngine:
                         detected_by="connection",
                         error=repr(exc),
                     )
-                    return False
+                    return
                 out.seconds += time.perf_counter() - t0
                 if sent == 0:  # pragma: no cover - defensive
                     break
@@ -1145,219 +1045,78 @@ class SocketTaskEngine:
                             frame_kind="job",
                         )
             update_write_interest(link)
-            return True
 
-        def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> bool:
+        def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> None:
             body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
             link.sendq.append(
                 _OutFrame(_HEADER.pack(MAGIC, len(body)) + body, kind, key)
             )
-            return flush_sendq(link)
+            flush_sendq(link)
 
         # ------------------------------------------------------------------
-        # dispatch and completion
+        # the dispatch core's driver: place, launch, retire
         # ------------------------------------------------------------------
-        def submit(spec: SubsolveJobSpec, attempt: int, link: _DaemonLink) -> bool:
-            nonlocal attempts
-            key = (spec.l, spec.m)
-            lease = (
-                sink.lease_for(spec)
-                if sink is not None and link.shm_ok
-                else None
-            )
-            attempts += 1
-            now = clock()
-            job = _NetPending(
-                spec=spec,
-                attempt=attempt,
-                link=link,
-                deadline_at=now + deadline_policy.deadline_seconds(predicted(spec)),
-                submitted_at=now,
-                lease=lease,
-            )
-            pending[key] = job
-            link.inflight[key] = job
-            if trace is not None:
-                trace.record(
-                    "job_submit", key=key, worker=link.name, attempt=attempt
-                )
+        def place() -> Optional[Slot]:
+            for link in self.links:
+                if link.alive and link.sock is not None and link.free_slots > 0:
+                    return Slot(link, link.shm_ok, link.name)
+            return None
+
+        def launch(job: Job) -> None:
+            link = job.worker
             # registered *before* the queue flush: if the send trips over
             # a dead socket, lose_link convicts and re-routes this job
             # along with the rest of the link's in-flight work
-            if not queue_frame(link, "job", {
-                "spec": spec,
+            link.inflight[job.key] = job
+            queue_frame(link, "job", {
+                "spec": job.spec,
                 "plan": plan,
-                "attempt": attempt,
+                "attempt": job.attempt,
                 "use_cache": use_cache,
-                "lease": lease,
-            }, key=key):
-                return False
-            arm_job_deadline(key, job)
-            return True
+                "lease": job.lease,
+            }, key=job.key)
 
-        def dispatch_ready() -> None:
-            while ready:
-                link = next(
-                    (
-                        l
-                        for l in self.links
-                        if l.alive and l.sock is not None and l.free_slots > 0
-                    ),
-                    None,
-                )
-                if link is None:
-                    return
-                spec, attempt = ready.popleft()
-                submit(spec, attempt, link)
+        def retire(job: Job, kind: Optional[str]) -> None:
+            link = job.worker
+            link.inflight.pop(job.key, None)
+            if kind == "deadline" and link.alive:
+                # one job wedged on an otherwise healthy daemon: replace
+                # the daemon so the wedged compute cannot outlive the run
+                # (or scribble into a reclaimed lease); whatever else it
+                # was computing is collateral, not at fault
+                core.requeue_collateral(replace_daemon(link, reason=kind))
 
-        def complete(key, attempt: int, payload: SubsolvePayload) -> None:
-            from repro.perf.dataplane import DataPlaneError, StaleLeaseError
+        core = DispatchCore(
+            ordered,
+            Driver(place=place, launch=launch, retire=retire),
+            escalation=escalation,
+            timers=timers,
+            use_cache=use_cache,
+            cost_model=cost_model,
+            fault_log=fault_log,
+            sink=sink,
+            trace=trace,
+        )
 
-            job = pending.get(key)
-            if job is None or job.attempt != attempt:
-                return  # a stale replay from a daemon declared lost
-            if sink is not None:
-                try:
-                    sink.consume(key, payload, attempt=attempt)
-                except StaleLeaseError as exc:
-                    handle_fault(
-                        key, "stale", detected_by="dataplane", error=repr(exc)
-                    )
-                    return
-                except DataPlaneError as exc:
-                    handle_fault(
-                        key,
-                        "transport",
-                        detected_by="dataplane",
-                        error=repr(exc),
-                    )
-                    return
-            del pending[key]
-            job.link.inflight.pop(key, None)
-            completed[key] = payload
-            completion_order.append(key)
-            from .parallel import _trace_payload
-
-            _trace_payload(trace, payload, attempt=attempt)
-            if job.attempt > 1 and key not in recovered_keys:
-                recovered_keys.append(key)
-
-        def fail_run(cause: Optional[BaseException] = None) -> None:
-            report = log.report(
-                recovered_keys=recovered_keys,
-                fallback_keys=fallback_keys,
-                failed_key=log.events()[-1].key if len(log) else None,
-            )
-            raise FaultToleranceExhausted(report) from cause
-
-        def handle_fault(key, kind: str, detected_by: str, error: str = "") -> None:
-            nonlocal backoff_waiting
-            job = pending.pop(key)
-            job.link.inflight.pop(key, None)
-            if sink is not None and job.lease is not None:
-                # safe unconditionally: every faulting path either ends
-                # with the daemon process dead (crash/hang/deadline kill
-                # it in lose_link) or with a daemon that never wrote
-                # (error frame, refused descriptor)
-                sink.plane.revoke(job.lease.name, reason=kind)
-            step = escalation.decide(job.attempt, kind)
-            event = FaultEvent(
-                key=key,
-                kind=kind,
-                attempt=job.attempt,
-                action=step.value,
-                detected_by=detected_by,
-                error=error,
-                seconds_lost=clock() - job.submitted_at,
-            )
-            log.record(event)
-            if trace is not None:
-                trace.record_fault(event)
-            if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
-                # timer-scheduled, never slept: the reactor keeps serving
-                # every other link's frames while this grid backs off
-                delay = retry.delay_seconds(job.attempt, key)
-                backoff_waiting += 1
-
-                def requeue(job=job, key=key, kind=kind, delay=delay) -> None:
-                    nonlocal backoff_waiting
-                    backoff_waiting -= 1
-                    if trace is not None:
-                        trace.record(
-                            "retry",
-                            key=key,
-                            attempt=job.attempt + 1,
-                            cause=kind,
-                            backoff_seconds=delay,
-                        )
-                    ready.appendleft((job.spec, job.attempt + 1))
-
-                timers.schedule(delay, requeue)
-            elif step is EscalationStep.FALLBACK:
-                # graceful degradation: the master computes the grid
-                # itself, sequentially and without injection; never
-                # through the data plane (no lease, no descriptor)
-                try:
-                    payload = execute_job(job.spec, use_cache=use_cache)
-                except Exception as exc:
-                    log.record(
-                        FaultEvent(
-                            key=key,
-                            kind="exception",
-                            attempt=job.attempt,
-                            action="fail",
-                            detected_by="fallback",
-                            error=repr(exc),
-                        )
-                    )
-                    fail_run(exc)
-                if sink is not None:
-                    sink.consume(key, payload, attempt=job.attempt + 1)
-                completed[key] = payload
-                completion_order.append(key)
-                fallback_keys.append(key)
-                if trace is not None:
-                    trace.record(
-                        "fallback", key=key, attempt=job.attempt, cause=kind
-                    )
-                    from .parallel import _trace_payload
-
-                    _trace_payload(
-                        trace, payload, attempt=job.attempt + 1, fallback=True
-                    )
-                if key not in recovered_keys:
-                    recovered_keys.append(key)
-            else:  # EscalationStep.FAIL
-                fail_run()
+        def replace_daemon(link: _DaemonLink, reason: str) -> list[Job]:
+            """Kill the link's daemon and schedule its revival; returns
+            what was in flight on it.  From here on nothing can write
+            through those attempts' leases."""
+            self._detach(link)
+            lost = list(link.inflight.values())
+            link.inflight.clear()
+            schedule_revive(link, reason=reason)
+            return lost
 
         def lose_link(
-            link: _DaemonLink,
-            *,
-            kind: str,
-            detected_by: str,
-            error: str,
-            culprit=None,
+            link: _DaemonLink, *, kind: str, detected_by: str, error: str
         ) -> None:
-            """A daemon died, went silent, or wedged one job: kill it,
-            fault the culprit (or everything in flight), re-queue the
-            collateral at its same attempt, then schedule its revival."""
+            """A daemon died or went silent: everything in flight on it
+            is faulted."""
             if not link.alive:
                 return
-            self._detach(link)
-            for key in list(link.inflight):
-                job = link.inflight[key]
-                if culprit is None or key == culprit:
-                    handle_fault(key, kind, detected_by=detected_by, error=error)
-                else:
-                    # collateral of a daemon replacement: not the job's
-                    # fault, so no escalation step is consumed
-                    link.inflight.pop(key, None)
-                    pending.pop(key, None)
-                    if sink is not None and job.lease is not None:
-                        sink.plane.revoke(job.lease.name, reason="collateral")
-                    ready.appendleft((job.spec, job.attempt))
-            link.inflight.clear()
-            schedule_revive(link, reason=kind)
+            for job in replace_daemon(link, reason=kind):
+                core.fault(job.key, kind, detected_by=detected_by, error=error)
 
         # ------------------------------------------------------------------
         # the timer-driven reconnect state machine — the iterative
@@ -1475,23 +1234,6 @@ class SocketTaskEngine:
                 timers, link, self.heartbeat_timeout, on_silent
             )
 
-        def arm_job_deadline(key, job: _NetPending) -> None:
-            def fire() -> None:
-                if pending.get(key) is not job:
-                    return  # completed, faulted, or re-dispatched already
-                lose_link(
-                    job.link,
-                    kind="deadline",
-                    detected_by="deadline",
-                    error=(
-                        f"no result within "
-                        f"{job.deadline_at - job.submitted_at:.2f}s"
-                    ),
-                    culprit=key,
-                )
-
-            timers.schedule(job.deadline_at - clock() + _DEADLINE_GRACE, fire)
-
         # ------------------------------------------------------------------
         # the read side
         # ------------------------------------------------------------------
@@ -1513,21 +1255,20 @@ class SocketTaskEngine:
                 record_net(
                     "net_recv", key, nbytes, seconds, frame_kind="result"
                 )
-                complete(key, int(data["attempt"]), data["payload"])
+                core.result(key, int(data["attempt"]), data["payload"])
                 return
             if kind == "error":
                 key = tuple(data["key"])
                 record_net(
                     "net_recv", key, nbytes, seconds, frame_kind="error"
                 )
-                job = pending.get(key)
-                if job is not None and job.attempt == int(data["attempt"]):
-                    handle_fault(
-                        key,
-                        data.get("fault_kind", "exception"),
-                        detected_by="daemon",
-                        error=data.get("error", ""),
-                    )
+                core.fault(
+                    key,
+                    data.get("fault_kind", "exception"),
+                    detected_by="daemon",
+                    error=data.get("error", ""),
+                    attempt=int(data["attempt"]),
+                )
             # unknown kinds are ignored: forward compatibility
 
         def on_readable(link: _DaemonLink) -> None:
@@ -1556,7 +1297,7 @@ class SocketTaskEngine:
                     link, kind="crash", detected_by="connection", error=error
                 )
                 return
-            link.last_frame = clock()
+            link.last_frame = timers.clock()
             try:
                 frames = link.decoder.feed(data)
             except FrameError as exc:
@@ -1587,16 +1328,10 @@ class SocketTaskEngine:
 
         # the loop also drains in-progress revives: the outcome's
         # reconnect count must describe daemons that actually came back
-        # (and traced their ``reconnect`` event), same as the threaded
-        # engine whose inline revive always completed before returning
-        while (
-            pending
-            or ready
-            or backoff_waiting
-            or any(l.reviving for l in self.links)
-        ):
+        # (and traced their ``reconnect`` event)
+        while not core.done or any(l.reviving for l in self.links):
             if not any(l.alive or l.reviving for l in self.links):
-                fail_run(
+                core.fail(
                     RuntimeError(
                         "every worker daemon is lost and out of "
                         "reconnect budget"
@@ -1604,11 +1339,9 @@ class SocketTaskEngine:
                         else "no worker daemon is alive"
                     )
                 )
-            dispatch_ready()
-            timeout = timers.next_timeout()
-            if timeout is None:  # pragma: no cover - wheel is never empty
-                timeout = self.poll_interval
-            for sel_key, mask in self._selector.select(timeout):
+            core.dispatch_ready()
+            # never None: a live or reviving link always has a timer armed
+            for sel_key, mask in self._selector.select(timers.next_timeout()):
                 tag, link = sel_key.data
                 if tag == "io":
                     on_io(link, mask)
@@ -1616,17 +1349,4 @@ class SocketTaskEngine:
                     on_connect_ready(link)
             timers.fire_due()
 
-        return NetOutcome(
-            payloads=completed,
-            completion_order=tuple(completion_order),
-            attempts=attempts,
-            events=tuple(log.events()),
-            recovered_keys=tuple(recovered_keys),
-            fallback_keys=tuple(fallback_keys),
-            reconnects=self.reconnects,
-            daemons=len(self.links),
-            bytes_sent=self.bytes_sent,
-            bytes_received=self.bytes_received,
-            net_send_seconds=self.net_send_seconds,
-            net_recv_seconds=self.net_recv_seconds,
-        )
+        return core.outcome()

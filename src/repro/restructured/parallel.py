@@ -26,44 +26,57 @@ reproduce the seed behaviour exactly, so the benchmarks can measure the
 cold/warm gap.  Every configuration is bitwise identical in its output.
 
 **Fault tolerance.**  Passing any of ``retry``, ``deadline``,
-``escalation`` or ``faults`` switches the fan-out to the resilient
-dispatch loop: every job is submitted individually (``apply_async``,
-preserving the greedy LPT pull order), workers report heartbeats, and
-the master watches three fault channels —
+``escalation`` or ``faults`` hands the fan-out to the shared dispatch
+core (:mod:`~repro.restructured.dispatch`), which this module only
+*drives*: every job is submitted individually (``apply_async``,
+preserving the greedy LPT pull order), and the pool's three signals are
+translated into core calls —
 
-1. a job's exception (e.g. an injected transient fault) surfaces
-   through its ``AsyncResult``;
+1. a job's result or exception arrives through its ``apply_async``
+   callback, which only enqueues a wake-up for the dispatch thread;
 2. a **crashed** worker is caught by PID liveness: the heartbeat names
    the worker holding each job, so a vanished PID convicts exactly one
-   lost job, which is re-dispatched immediately (``multiprocessing``
-   itself would let its ``AsyncResult`` wait forever);
-3. a **hung** worker trips its per-job deadline (cost-model-scaled via
-   :class:`~repro.resilience.policy.DeadlinePolicy`); the wedged pool
+   lost job, which is re-dispatched (``multiprocessing`` itself would
+   let its ``AsyncResult`` wait forever) — whichever of the death and
+   the heartbeat is observed first;
+3. a **hung** worker trips the core's per-job deadline; the wedged pool
    is force-respawned and only the in-flight jobs re-dispatched —
    completed results are keyed by grid ``(l, m)`` and never recomputed,
    and because ``subsolve`` is deterministic, replays are idempotent:
    the combined solution stays bitwise identical to a fault-free run.
 
-Escalation follows :class:`~repro.resilience.policy.EscalationPolicy`:
-retry → reassign → in-master sequential ``subsolve`` → fail the run
-with a structured :class:`~repro.resilience.policy.FaultReport` inside
-:class:`~repro.resilience.policy.FaultToleranceExhausted`.
+The dispatch thread blocks on its wake-up queue alone, with the timer
+wheel's next due time as the timeout; it never sleeps.  Escalation is
+the core's: retry → reassign → in-master sequential ``subsolve`` → fail
+the run with a structured :class:`~repro.resilience.policy.FaultReport`
+inside :class:`~repro.resilience.policy.FaultToleranceExhausted`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
+from repro.resilience import resilient_entry
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
 from repro.trace.recorder import recording, trace_span
 
+from .dispatch import (
+    DispatchCore,
+    DispatchOutcome,
+    Driver,
+    Job,
+    Slot,
+    _TimerWheel,
+    _trace_payload,
+)
 from .pool import PersistentWorkerPool, acquire_pool, respawn_pool
 from .worker import (
     SubsolveJobSpec,
@@ -83,81 +96,21 @@ __all__ = [
 
 DISPATCH_POLICIES = ("longest-first", "static")
 
-#: execution substrates: ``pool`` is the fork pool (warm path), ``task``
-#: fans threads out over one :class:`~repro.restructured.taskengine.
-#: TaskInstanceEngine` (the MLINK semantics, in-machine), ``socket``
+#: execution substrates: ``pool`` is the fork pool (warm path), ``socket``
 #: dispatches over real TCP to worker daemons
 #: (:mod:`repro.restructured.netengine`)
-ENGINES = ("pool", "task", "socket")
+ENGINES = ("pool", "socket")
+
+#: seconds between the pool driver's heartbeat drain + liveness reap
+_LIVENESS_INTERVAL = 0.02
+
+#: fault kinds that leave a wedged worker in its pool slot
+_WEDGED_KINDS = ("hang", "deadline")
 
 #: result transports: ``pickle`` is the seed channel (serialize → pipe →
 #: deserialize per payload, barriered combine); ``shm`` is the zero-copy
 #: data plane of :mod:`repro.perf.dataplane` with streaming combination
 DATA_PLANES = ("pickle", "shm")
-
-
-def _trace_payload(trace, payload, *, attempt: int = 1, fallback: bool = False) -> None:
-    """Emit one completed job's lifecycle onto the trace timeline.
-
-    The start/finish timestamps were measured by the worker process's
-    own monotonic clock and carried home in the payload; on Linux that
-    is the same ``CLOCK_MONOTONIC`` the recorder's default clock reads,
-    so they land directly on the shared time axis.
-    """
-    if trace is None:
-        return
-    key = (payload.l, payload.m)
-    worker = payload.worker_pid or None
-    started = payload.started_monotonic or None
-    trace.record(
-        "cache_hit" if payload.operator_cache_hit else "cache_miss",
-        key=key,
-        worker=worker,
-        t=started,
-    )
-    trace.record("job_start", key=key, worker=worker, attempt=attempt, t=started)
-    extra = {"fallback": True} if fallback else {}
-    trace.record(
-        "job_done",
-        key=key,
-        worker=worker,
-        attempt=attempt,
-        t=payload.finished_monotonic or None,
-        wall_seconds=payload.wall_seconds,
-        **extra,
-    )
-    if getattr(payload, "split_k", 1) > 1:
-        # sharded job: the strips ran inside the worker process, where
-        # the global emit() hook is a no-op — lift the counters the
-        # payload carried home onto the master's timeline as one
-        # aggregate event per kind
-        trace.record(
-            "strip_factor",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            split_k=payload.split_k,
-            count=payload.strip_factorizations,
-            seconds=payload.strip_factor_seconds,
-            critical_seconds=payload.critical_strip_factor_seconds,
-        )
-        trace.record(
-            "halo_exchange",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            exchanges=payload.halo_exchanges,
-            payload_bytes=payload.halo_bytes,
-        )
-        trace.record(
-            "schur_solve",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            count=payload.interface_solves,
-            seconds=payload.interface_solve_seconds,
-            interface_unknowns=payload.interface_unknowns,
-        )
 
 
 def predicted_spec_seconds(spec: SubsolveJobSpec, cost_model=None) -> float:
@@ -303,7 +256,7 @@ class MultiprocessingResult:
     # ------------------------------------------------------------------
     # the socket engine (zero on the in-machine engines)
     # ------------------------------------------------------------------
-    #: execution substrate of this run ("pool", "task" or "socket")
+    #: execution substrate of this run ("pool" or "socket")
     engine: str = "pool"
     #: the resolved ``--hosts`` spec ("" off the socket engine)
     hosts: str = ""
@@ -519,24 +472,11 @@ class _PayloadSink:
 
 
 # ----------------------------------------------------------------------
-# the resilient dispatch loop
+# the pool driver of the dispatch core
 # ----------------------------------------------------------------------
-@dataclass
-class _Pending:
-    """Master-side bookkeeping of one in-flight job attempt."""
-
-    spec: SubsolveJobSpec
-    attempt: int
-    handle: object          # the AsyncResult
-    deadline_at: float      # monotonic absolute deadline
-    submitted_at: float
-    pid: Optional[int] = None  # worker PID, once its heartbeat arrives
-    lease: Optional[object] = None  # the attempt's ShmLease, if any
-
-
 class _PoolLease:
-    """The pool the resilient loop dispatches into, shared or private,
-    with a uniform respawn path for wedged generations."""
+    """The pool a run dispatches into, shared or private, with a
+    uniform respawn path for wedged generations."""
 
     def __init__(self, processes: int, shared: bool) -> None:
         self.processes = processes
@@ -566,17 +506,6 @@ class _PoolLease:
             self.pool.shutdown()
 
 
-@dataclass
-class _ResilientOutcome:
-    payloads: dict[tuple[int, int], SubsolvePayload]
-    completion_order: tuple[tuple[int, int], ...]
-    attempts: int
-    events: tuple
-    recovered_keys: tuple[tuple[int, int], ...]
-    fallback_keys: tuple[tuple[int, int], ...]
-    respawns: int
-
-
 def _run_resilient(
     lease: _PoolLease,
     ordered: list[SubsolveJobSpec],
@@ -586,290 +515,147 @@ def _run_resilient(
     escalation,
     cost_model,
     fault_log=None,
-    poll_interval: float = 0.02,
     trace=None,
     sink: Optional[_PayloadSink] = None,
-) -> _ResilientOutcome:
-    """Dispatch ``ordered`` with crash/hang/exception recovery.
+) -> DispatchOutcome:
+    """Drive the dispatch core over the fork pool.
 
-    Completed payloads are keyed by grid ``(l, m)``; a replayed job
-    simply overwrites nothing (it only ever completes once), so
-    recovery is idempotent and the result set is exactly one payload
-    per grid, bitwise identical to a fault-free run.
-
-    With a ``sink`` (the shm data plane) every attempt carries a fresh
-    lease, faults reclaim the faulted attempt's segment, a pool respawn
-    bumps the plane's generation — invalidating every outstanding lease
-    of the dead generation — and a descriptor the generation check
-    rejects is escalated like any other fault instead of being
-    attached.
+    Nothing of the job lifecycle is decided here: this function only
+    translates the pool's signals — ``apply_async`` callbacks, worker
+    heartbeats, PID deaths — into :class:`DispatchCore` calls, and gives
+    the core the pool's way to launch an attempt and to reclaim a
+    wedged generation.  Its one blocking point is the wake-up queue.
     """
-    from repro.resilience import (
-        EscalationStep,
-        FaultEvent,
-        FaultLog,
-        FaultToleranceExhausted,
-        resilient_entry,
-    )
+    #: (key, attempt, payload, exception) per finished ``AsyncResult``,
+    #: put by the pool's result-handler thread
+    wakeups: queue.SimpleQueue = queue.SimpleQueue()
+    timers = _TimerWheel()
 
-    log = fault_log if fault_log is not None else FaultLog()
-    retry, deadline_policy = escalation.retry, escalation.deadline
-    completed: dict[tuple[int, int], SubsolvePayload] = {}
-    completion_order: list[tuple[int, int]] = []
-    pending: dict[tuple[int, int], _Pending] = {}
-    recovered_keys: list[tuple[int, int]] = []
-    fallback_keys: list[tuple[int, int]] = []
-    attempts = 0
-
-    def predicted(spec: SubsolveJobSpec) -> Optional[float]:
-        if cost_model is None:
-            return None
-        return float(cost_model.predict_seconds(spec.l, spec.m, spec.tol))
-
-    def submit(spec: SubsolveJobSpec, attempt: int) -> None:
-        nonlocal attempts
-        attempts += 1
-        now = time.monotonic()
-        if trace is not None:
-            trace.record("job_submit", key=(spec.l, spec.m), attempt=attempt)
-        shm_lease = sink.lease_for(spec) if sink is not None else None
-        handle = lease.pool.submit(
-            resilient_entry, (spec, plan, attempt, use_cache, shm_lease)
-        )
-        pending[(spec.l, spec.m)] = _Pending(
-            spec=spec,
-            attempt=attempt,
-            handle=handle,
-            deadline_at=now + deadline_policy.deadline_seconds(predicted(spec)),
-            submitted_at=now,
-            lease=shm_lease,
+    def launch(job: Job) -> None:
+        key, attempt = job.key, job.attempt
+        job.handle = lease.pool.submit(
+            resilient_entry,
+            (job.spec, plan, attempt, use_cache, job.lease),
+            callback=lambda payload: wakeups.put((key, attempt, payload, None)),
+            error_callback=lambda exc: wakeups.put((key, attempt, None, exc)),
         )
 
-    def complete(key: tuple[int, int], payload: SubsolvePayload) -> None:
-        from repro.perf.dataplane import DataPlaneError, StaleLeaseError
-
-        job = pending[key]
-        if sink is not None:
-            try:
-                sink.consume(key, payload, attempt=job.attempt)
-            except StaleLeaseError as exc:
-                # a descriptor written before a respawn: its block may be
-                # re-leased already, so the result is discarded and the
-                # job escalated (decide() retries unknown kinds)
-                handle_fault(
-                    key, "stale", detected_by="dataplane", error=repr(exc)
-                )
-                return
-            except DataPlaneError as exc:
-                handle_fault(
-                    key, "transport", detected_by="dataplane", error=repr(exc)
-                )
-                return
-        was_replay = job.attempt > 1
-        del pending[key]
-        completed[key] = payload
-        completion_order.append(key)
-        _trace_payload(trace, payload, attempt=job.attempt)
-        if was_replay and key not in recovered_keys:
-            recovered_keys.append(key)
-
-    def fail_run(cause: Optional[BaseException] = None) -> None:
-        report = log.report(
-            recovered_keys=recovered_keys,
-            fallback_keys=fallback_keys,
-            failed_key=log.events()[-1].key if len(log) else None,
-        )
-        raise FaultToleranceExhausted(report) from cause
-
-    def respawn_generation(key: tuple[int, int], attempt: int) -> None:
-        """A worker is wedged and occupies a slot forever: reclaim it by
-        respawning the pool, then re-dispatch every job that was in
-        flight (their handles died with the old generation); completed
-        results are untouched."""
-        collateral = list(pending.values())
-        pending.clear()
-        lease.respawn()
-        if sink is not None:
-            # the old generation's workers are dead: reclaim all
-            # outstanding leases and invalidate their in-flight
-            # descriptors (attach will refuse them as stale)
-            sink.plane.bump_generation()
-        if trace is not None:
-            trace.record(
-                "respawn",
-                key=key,
-                attempt=attempt,
-                collateral=len(collateral),
-            )
-        for other in collateral:
-            submit(other.spec, other.attempt)
-
-    def handle_fault(
-        key: tuple[int, int], kind: str, detected_by: str, error: str = ""
-    ) -> None:
-        job = pending.pop(key)
+    def retire(job: Job, kind: Optional[str]) -> None:
         if kind == "crash":
             # the dead worker's job never completes; forget its handle
             # so the pool can still be drained gracefully later
             lease.pool.discard(job.handle)
-        if (
-            sink is not None
-            and job.lease is not None
-            and kind not in ("hang", "deadline")
-        ):
-            # the faulted attempt's segment has no live writer (crashed,
-            # raised before writing, or its descriptor was just refused)
-            # — reclaim it for the arena before the retry leases anew.
-            # A hung worker may still write later, so its block is NOT
-            # returned here: the respawn below terminates the generation
-            # and bump_generation reclaims every outstanding lease, and
-            # on the no-respawn path close() reaps it late — never while
-            # a wedged writer could still scribble into a re-leased block
-            sink.plane.revoke(job.lease.name, reason=kind)
-        step = escalation.decide(job.attempt, kind)
-        event = FaultEvent(
-            key=key,
-            kind=kind,
-            attempt=job.attempt,
-            action=step.value,
-            detected_by=detected_by,
-            error=error,
-            seconds_lost=time.monotonic() - job.submitted_at,
-        )
-        log.record(event)
-        if trace is not None:
-            trace.record_fault(event)
-        if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
-            if kind in ("hang", "deadline"):
-                respawn_generation(key, job.attempt)
-            delay = retry.delay_seconds(job.attempt, key)
-            time.sleep(delay)
+        elif kind in _WEDGED_KINDS:
+            # a wedged worker occupies its slot — and keeps its shm
+            # attachment — forever: reclaim it by respawning the pool.
+            # Every handle in flight died with the old generation, so
+            # those jobs are collateral; completed results are untouched
+            collateral = list(core.pending.values())
+            lease.respawn()
+            core.dead_holders.clear()
+            if sink is not None:
+                # the old generation's workers are dead: reclaim all
+                # outstanding leases and invalidate their in-flight
+                # descriptors (attach will refuse them as stale)
+                sink.plane.bump_generation()
             if trace is not None:
                 trace.record(
-                    "retry",
-                    key=key,
-                    attempt=job.attempt + 1,
-                    cause=kind,
-                    backoff_seconds=delay,
+                    "respawn",
+                    key=job.key,
+                    attempt=job.attempt,
+                    collateral=len(collateral),
                 )
-            submit(job.spec, job.attempt + 1)
-        elif step is EscalationStep.FALLBACK:
-            if kind in ("hang", "deadline"):
-                # the wedged worker outlives the job it ruined: without
-                # this respawn it keeps its pool slot *and* its shm
-                # attachment past the run, so the plane's close-audit
-                # reaps its lease late and the next warm acquisition
-                # inherits a busy worker — reclaim the generation here
-                # exactly like the retry path does
-                respawn_generation(key, job.attempt)
-            # graceful degradation: the master computes the grid itself,
-            # sequentially and without injection — the paper's original
-            # loop body as the last safety net before failing the run.
-            # This path never touches the data plane: the in-master
-            # payload carries its array directly (no lease, no
-            # descriptor), so a closed or bumped plane cannot reject it
-            try:
-                payload = execute_job(job.spec, use_cache=use_cache)
-            except Exception as exc:
-                log.record(
-                    FaultEvent(
-                        key=key,
-                        kind="exception",
-                        attempt=job.attempt,
-                        action="fail",
-                        detected_by="fallback",
-                        error=repr(exc),
-                    )
-                )
-                fail_run(exc)
-            if sink is not None:
-                # in-master payloads carry their array directly; the
-                # sink still folds them so the streaming combiner sees
-                # every grid exactly once
-                sink.consume(key, payload, attempt=job.attempt + 1)
-            completed[key] = payload
-            completion_order.append(key)
-            fallback_keys.append(key)
-            if trace is not None:
-                trace.record("fallback", key=key, attempt=job.attempt, cause=kind)
-                # attempt + 1: the in-master replay is a fresh attempt,
-                # distinct from the failed one on the (key, attempt) axis
-                _trace_payload(
-                    trace, payload, attempt=job.attempt + 1, fallback=True
-                )
-            if key not in recovered_keys:
-                recovered_keys.append(key)
-        else:  # EscalationStep.FAIL
-            fail_run()
+            core.requeue_collateral(collateral)
 
-    for spec in ordered:
-        submit(spec, 1)
+    core = DispatchCore(
+        ordered,
+        # the pool queues without bound and its workers pull greedily
+        Driver(place=lambda: Slot(lease.pool), launch=launch, retire=retire),
+        escalation=escalation,
+        timers=timers,
+        use_cache=use_cache,
+        cost_model=cost_model,
+        fault_log=fault_log,
+        sink=sink,
+        trace=trace,
+    )
 
-    while pending:
-        progressed = False
-        # 1) heartbeats: learn which worker PID holds which job
-        for beat in lease.pool.drain_heartbeats():
-            phase, key, attempt, pid = beat
-            job = pending.get(key)
-            if job is not None and job.attempt == attempt:
-                job.pid = pid if phase == "start" else None
-        # 2) finished handles: results and job-raised exceptions
-        for key in list(pending):
-            job = pending[key]
-            if not job.handle.ready():
-                continue
-            progressed = True
-            try:
-                payload = job.handle.get()
-            except Exception as exc:
-                handle_fault(
-                    key, "exception", detected_by="exception", error=repr(exc)
-                )
-            else:
-                complete(key, payload)
-        # 3) liveness: a vanished PID convicts exactly its lost job
-        dead = lease.pool.reap_dead_workers()
-        if dead:
-            for key in list(pending):
-                job = pending.get(key)
-                if job is None or job.pid not in dead:
-                    continue
-                if job.handle.ready():
-                    continue  # finished just before dying; handled above
-                progressed = True
-                handle_fault(
-                    key,
-                    "crash",
-                    detected_by="liveness",
-                    error=f"worker pid {job.pid} died",
-                )
-        # 4) deadlines: hung (or undetectably lost) jobs
-        now = time.monotonic()
-        for key in list(pending):
-            job = pending.get(key)
-            if job is None or now < job.deadline_at or job.handle.ready():
-                continue
-            progressed = True
-            handle_fault(
-                key,
-                "deadline",
-                detected_by="deadline",
-                error=(
-                    f"no result within "
-                    f"{job.deadline_at - job.submitted_at:.2f}s"
-                ),
+    def check_liveness() -> None:
+        # drained immediately before the reap, and the core remembers
+        # the dead: whichever of a worker's ``start`` beat and its death
+        # is seen first, the job it held is convicted
+        for phase, key, attempt, pid in lease.pool.drain_heartbeats():
+            core.held_by(key, attempt, pid if phase == "start" else None)
+        for pid in sorted(lease.pool.reap_dead_workers()):
+            core.holder_died(
+                pid, detected_by="liveness", error=f"worker pid {pid} died"
             )
-        if not progressed and pending:
-            time.sleep(poll_interval)
+        timers.schedule(_LIVENESS_INTERVAL, check_liveness)
 
-    return _ResilientOutcome(
-        payloads=completed,
-        completion_order=tuple(completion_order),
-        attempts=attempts,
-        events=tuple(log.events()),
-        recovered_keys=tuple(recovered_keys),
-        fallback_keys=tuple(fallback_keys),
-        respawns=lease.respawns,
+    def next_wakeup(timeout: Optional[float]):
+        try:
+            return wakeups.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    timers.schedule(_LIVENESS_INTERVAL, check_liveness)
+    while not core.done:
+        core.dispatch_ready()
+        item = next_wakeup(timers.next_timeout())
+        while item is not None:
+            key, attempt, payload, exc = item
+            if exc is None:
+                core.result(key, attempt, payload)
+            else:
+                core.fault(
+                    key,
+                    "exception",
+                    detected_by="exception",
+                    error=repr(exc),
+                    attempt=attempt,
+                )
+            item = next_wakeup(0.0)
+        timers.fire_due()
+    return core.outcome()
+
+
+def _run_plain(
+    pool: PersistentWorkerPool,
+    ordered: list[SubsolveJobSpec],
+    *,
+    use_cache: bool,
+    static: bool,
+    trace=None,
+    sink: Optional[_PayloadSink] = None,
+) -> DispatchOutcome:
+    """The fault-oblivious fan-out: one batch, no ladder, no core.
+
+    ``static`` is ``pool.map``'s contiguous chunking (the seed policy);
+    otherwise each free worker pulls the next item.  With a ``sink``
+    every job carries a lease and is folded as it arrives.
+    """
+    if trace is not None:
+        for s in ordered:
+            trace.record("job_submit", key=(s.l, s.m), attempt=1)
+    fan_out = pool.map_static if static else pool.imap_unordered
+    if sink is not None:
+        items = [(s, sink.lease_for(s), use_cache) for s in ordered]
+        payload_list = []
+        for p in fan_out(shm_entry, items):
+            sink.consume((p.l, p.m), p)
+            payload_list.append(p)
+    else:
+        job = execute_job if use_cache else execute_job_uncached
+        payload_list = list(fan_out(job, ordered))
+    for p in payload_list:
+        _trace_payload(trace, p)
+    return DispatchOutcome(
+        payloads={(p.l, p.m): p for p in payload_list},
+        completion_order=tuple((p.l, p.m) for p in payload_list),
+        attempts=len(payload_list),
+        events=(),
+        recovered_keys=(),
+        fallback_keys=(),
     )
 
 
@@ -912,7 +698,7 @@ def run_multiprocessing(
     ``escalation`` (:class:`~repro.resilience.EscalationPolicy`) or
     ``faults`` (a :class:`~repro.resilience.FaultPlan` or its spec
     string, seeded by ``fault_seed``) enables the fault-tolerant
-    dispatch loop; ``fault_log`` optionally shares one
+    dispatch core; ``fault_log`` optionally shares one
     :class:`~repro.resilience.FaultLog` with other detectors (e.g. the
     protocol supervisor) so a run has a single failure history.
 
@@ -929,15 +715,16 @@ def run_multiprocessing(
     barriered seed channel; both are bitwise identical in their output.
 
     ``engine`` picks the execution substrate: ``"pool"`` (default) is
-    the fork pool of the warm path; ``"task"`` fans worker threads out
-    over one :class:`~repro.restructured.taskengine.TaskInstanceEngine`
-    (per-worker OS task instances with perpetual reuse); ``"socket"``
-    dispatches over real TCP to worker daemons per ``hosts`` (see
+    the fork pool of the warm path; ``"socket"`` dispatches over real
+    TCP to worker daemons per ``hosts`` (see
     :func:`repro.restructured.netengine.parse_hosts`; default: one
-    local daemon per process).  The socket engine always runs the
-    resilient ladder — a network has failure modes whether or not
-    faults are injected; ``engine_options`` passes constructor knobs
-    (heartbeat timeout, reconnect budget) through to
+    local daemon per process), each of which hosts its jobs in
+    :class:`~repro.restructured.taskengine.TaskInstanceEngine` task
+    instances.  Both are drivers of the one dispatch core
+    (:mod:`~repro.restructured.dispatch`); the socket engine always
+    runs it — a network has failure modes whether or not faults are
+    injected; ``engine_options`` passes constructor knobs (heartbeat
+    timeout, reconnect budget) through to
     :class:`~repro.restructured.netengine.SocketTaskEngine`.
 
     ``split`` shards the critical-path grids into ``k``-strip Schur
@@ -970,11 +757,6 @@ def run_multiprocessing(
     resilient = any(
         option is not None for option in (retry, deadline, escalation, faults)
     )
-    if engine == "task" and (resilient or data_plane == "shm"):
-        raise ValueError(
-            "engine='task' supports neither fault injection nor the shm "
-            "data plane; use engine='pool' or engine='socket'"
-        )
     # the socket engine is always resilient: connection loss and daemon
     # silence need the escalation ladder even on a fault-free run
     resilient = resilient or engine == "socket"
@@ -1015,7 +797,6 @@ def run_multiprocessing(
         for g in nested_loop_grids(root, level)
     ]
     n_proc = processes or min(len(specs), multiprocessing.cpu_count())
-    job = execute_job if operator_cache else execute_job_uncached
     if dispatch == "longest-first":
         ordered = order_longest_first(specs, cost_model)
     else:
@@ -1036,15 +817,9 @@ def run_multiprocessing(
             for s in ordered
         ]
 
-    attempts = len(specs)
-    events: tuple = ()
-    recovered_keys: tuple = ()
-    fallback_keys: tuple = ()
     respawns = 0
-    daemons = reconnects = 0
-    net_bytes_sent = net_bytes_received = 0
-    net_send_seconds = net_recv_seconds = 0.0
-    completion_order: tuple[tuple[int, int], ...]
+    #: the socket engine's counters (zero on the fork pool)
+    net_stats: dict = {}
 
     plane = None
     sink: Optional[_PayloadSink] = None
@@ -1094,135 +869,45 @@ def run_multiprocessing(
                 was_warm = False
                 cold_start = net.spawn_seconds
                 n_proc = net.total_capacity
-                payloads = outcome.payloads
-                completion_order = outcome.completion_order
-                attempts = outcome.attempts
-                events = outcome.events
-                recovered_keys = outcome.recovered_keys
-                fallback_keys = outcome.fallback_keys
-                daemons = outcome.daemons
-                reconnects = outcome.reconnects
-                net_bytes_sent = outcome.bytes_sent
-                net_bytes_received = outcome.bytes_received
-                net_send_seconds = outcome.net_send_seconds
-                net_recv_seconds = outcome.net_recv_seconds
-            elif engine == "task":
-                # thread fan-out over per-worker OS task instances: the
-                # MLINK {load 1} {perpetual} semantics, in-machine
-                from concurrent.futures import ThreadPoolExecutor
-
-                from .taskengine import TaskInstanceEngine
-
-                was_warm = False
-                t_fork = time.perf_counter()
-                tengine = TaskInstanceEngine(max_instances=n_proc)
-                cold_start = time.perf_counter() - t_fork
-                if trace is not None:
-                    for s in ordered:
-                        trace.record("job_submit", key=(s.l, s.m), attempt=1)
-                try:
-                    with ThreadPoolExecutor(max_workers=n_proc) as executor:
-                        payload_list = list(
-                            executor.map(
-                                lambda s: tengine.compute(
-                                    s, use_cache=operator_cache
-                                ),
-                                ordered,
-                            )
-                        )
-                finally:
-                    tengine.close()
-                for p in payload_list:
-                    _trace_payload(trace, p)
-                payloads = {(p.l, p.m): p for p in payload_list}
-                completion_order = tuple((p.l, p.m) for p in payload_list)
-            elif resilient:
+                net_stats = {
+                    "daemons": len(net.links),
+                    "reconnects": net.reconnects,
+                    "net_bytes_sent": net.bytes_sent,
+                    "net_bytes_received": net.bytes_received,
+                    "net_send_seconds": net.net_send_seconds,
+                    "net_recv_seconds": net.net_recv_seconds,
+                }
+            else:
                 lease = _PoolLease(n_proc, shared=warm_pool)
                 try:
-                    outcome = _run_resilient(
-                        lease,
-                        ordered,
-                        use_cache=operator_cache,
-                        plan=plan,
-                        escalation=escalation,
-                        cost_model=cost_model,
-                        fault_log=fault_log,
-                        trace=trace,
-                        sink=sink,
-                    )
+                    if resilient:
+                        outcome = _run_resilient(
+                            lease,
+                            ordered,
+                            use_cache=operator_cache,
+                            plan=plan,
+                            escalation=escalation,
+                            cost_model=cost_model,
+                            fault_log=fault_log,
+                            trace=trace,
+                            sink=sink,
+                        )
+                    else:
+                        outcome = _run_plain(
+                            lease.pool,
+                            ordered,
+                            use_cache=operator_cache,
+                            static=dispatch == "static",
+                            trace=trace,
+                            sink=sink,
+                        )
                 finally:
                     lease.release()
                 was_warm = lease.was_warm
                 cold_start = lease.cold_start_seconds
                 n_proc = lease.pool.processes
-                payloads = outcome.payloads
-                completion_order = outcome.completion_order
-                attempts = outcome.attempts
-                events = outcome.events
-                recovered_keys = outcome.recovered_keys
-                fallback_keys = outcome.fallback_keys
-                respawns = outcome.respawns
-            elif warm_pool:
-                pool, was_warm = acquire_pool(n_proc)
-                cold_start = 0.0 if was_warm else pool.cold_start_seconds
-                if trace is not None:
-                    for s in ordered:
-                        trace.record("job_submit", key=(s.l, s.m), attempt=1)
-                if sink is not None:
-                    items = [
-                        (s, sink.lease_for(s), operator_cache)
-                        for s in ordered
-                    ]
-                    if dispatch == "static":
-                        arrivals = pool.map_static(shm_entry, items)
-                    else:
-                        arrivals = pool.imap_unordered(shm_entry, items)
-                    payload_list = []
-                    for p in arrivals:
-                        sink.consume((p.l, p.m), p)
-                        payload_list.append(p)
-                elif dispatch == "static":
-                    payload_list = pool.map_static(job, ordered)
-                else:
-                    payload_list = list(pool.imap_unordered(job, ordered))
-                n_proc = pool.processes
-                for p in payload_list:
-                    _trace_payload(trace, p)
-                payloads = {(p.l, p.m): p for p in payload_list}
-                completion_order = tuple((p.l, p.m) for p in payload_list)
-            else:
-                was_warm = False
-                t_fork = time.perf_counter()
-                fresh = multiprocessing.get_context("fork").Pool(n_proc)
-                cold_start = time.perf_counter() - t_fork
-                if trace is not None:
-                    for s in ordered:
-                        trace.record("job_submit", key=(s.l, s.m), attempt=1)
-                try:
-                    if sink is not None:
-                        items = [
-                            (s, sink.lease_for(s), operator_cache)
-                            for s in ordered
-                        ]
-                        if dispatch == "static":
-                            arrivals = fresh.map(shm_entry, items)
-                        else:
-                            arrivals = fresh.imap_unordered(shm_entry, items, 1)
-                        payload_list = []
-                        for p in arrivals:
-                            sink.consume((p.l, p.m), p)
-                            payload_list.append(p)
-                    elif dispatch == "static":
-                        payload_list = fresh.map(job, ordered)
-                    else:
-                        payload_list = list(fresh.imap_unordered(job, ordered, 1))
-                finally:
-                    fresh.close()
-                    fresh.join()
-                for p in payload_list:
-                    _trace_payload(trace, p)
-                payloads = {(p.l, p.m): p for p in payload_list}
-                completion_order = tuple((p.l, p.m) for p in payload_list)
+                respawns = lease.respawns
+            payloads = outcome.payloads
         pool_seconds = time.perf_counter() - t_pool
 
         t_combine = time.perf_counter()
@@ -1261,15 +946,15 @@ def run_multiprocessing(
         warm_pool=was_warm,
         pool_cold_start_seconds=cold_start,
         dispatch_order=tuple((s.l, s.m) for s in ordered),
-        completion_order=completion_order,
-        attempts=attempts,
-        faults=len(events),
-        recovered=len(recovered_keys),
-        fallbacks=len(fallback_keys),
+        completion_order=outcome.completion_order,
+        attempts=outcome.attempts,
+        faults=len(outcome.events),
+        recovered=len(outcome.recovered_keys),
+        fallbacks=len(outcome.fallback_keys),
         pool_respawns=respawns,
-        fault_events=events,
-        recovered_keys=recovered_keys,
-        fallback_keys=fallback_keys,
+        fault_events=outcome.events,
+        recovered_keys=outcome.recovered_keys,
+        fallback_keys=outcome.fallback_keys,
         data_plane=data_plane,
         streaming=sink.streaming if sink is not None else False,
         shm_payloads=sink.shm_payloads if sink is not None else 0,
@@ -1287,12 +972,7 @@ def run_multiprocessing(
         data_plane_audit=data_plane_audit,
         engine=engine,
         hosts=hosts or "",
-        daemons=daemons,
-        reconnects=reconnects,
-        net_bytes_sent=net_bytes_sent,
-        net_bytes_received=net_bytes_received,
-        net_send_seconds=net_send_seconds,
-        net_recv_seconds=net_recv_seconds,
+        **net_stats,
         split=split if isinstance(split, str) else f"k={split}",
         split_grids=tuple(sorted(split_map.items())),
     )

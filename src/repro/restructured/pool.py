@@ -143,17 +143,28 @@ class PersistentWorkerPool:
             handle = self._pool.apply_async(fn, args)
         return handle.get()
 
-    def submit(self, fn: Callable, item: Any):
+    def submit(
+        self,
+        fn: Callable,
+        item: Any,
+        *,
+        callback: Optional[Callable] = None,
+        error_callback: Optional[Callable] = None,
+    ):
         """One asynchronous job; returns the ``AsyncResult`` handle.
 
-        The fault-tolerant dispatch loop submits every job this way so
-        it can poll readiness, enforce per-job deadlines and re-dispatch
-        individual lost jobs.
+        The fault-tolerant pool driver submits every job this way so it
+        can enforce per-job deadlines and re-dispatch individual lost
+        jobs.  The callbacks run on the pool's result-handler thread
+        the moment the job's result (or exception) arrives: they must
+        only hand it over to the dispatch thread, never block or raise.
         """
         with self._lock:
             self._require_open()
             self.jobs_dispatched += 1
-            return self._pool.apply_async(fn, (item,))
+            return self._pool.apply_async(
+                fn, (item,), callback=callback, error_callback=error_callback
+            )
 
     def map_static(self, fn: Callable, items: list) -> list:
         """``pool.map`` with its default static chunking (the seed

@@ -206,9 +206,10 @@ class TraceAnalysis:
     def retry_backoff_seconds(self) -> float:
         """Total retry backoff the run waited through.
 
-        On the reactor engine this is *parked* time, not stalled time:
-        the faulted grid sits on a timer while every healthy link keeps
-        completing, so none of it is attributable to other workers.
+        On both engines this is *parked* time, not stalled time: the
+        dispatch core sits the faulted grid on its timer wheel while
+        every other grid keeps completing, so none of it is attributable
+        to other workers.
         """
         return sum(
             float(e.data.get("backoff_seconds", 0.0))

@@ -1,0 +1,528 @@
+"""The dispatch core, deterministically: a scripted in-memory driver and
+a fake clock — no process, no socket, no real time.
+
+Every test here runs with ``socket.socket`` and ``os.fork`` patched to
+raise and ``time.sleep`` forbidden, so "transport-agnostic" and "never
+sleeps" are enforced, not assumed.  Time passes only when a test moves
+the :class:`FakeClock` and fires the wheel.
+"""
+
+from __future__ import annotations
+
+import os
+import socket
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+
+from repro.perf.dataplane import DataPlaneError, StaleLeaseError
+from repro.resilience import (
+    DeadlinePolicy,
+    EscalationPolicy,
+    FaultToleranceExhausted,
+    RetryPolicy,
+)
+from repro.restructured import dispatch
+from repro.restructured.dispatch import (
+    DispatchCore,
+    Driver,
+    JobState,
+    Slot,
+    _TimerWheel,
+)
+from repro.restructured.worker import SubsolveJobSpec, SubsolvePayload
+from repro.trace import TraceRecorder
+
+TERMINAL = {JobState.DONE, JobState.FALLBACK, JobState.FAILED}
+DEADLINE = 10.0
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"the dispatch core suite must not call {name}")
+
+    return call
+
+
+@pytest.fixture(autouse=True)
+def no_substrate(monkeypatch):
+    monkeypatch.setattr(socket, "socket", _forbidden("socket.socket"))
+    monkeypatch.setattr(os, "fork", _forbidden("os.fork"))
+    monkeypatch.setattr(time, "sleep", _forbidden("time.sleep"))
+    # the in-master fallback, without the solver
+    monkeypatch.setattr(
+        dispatch, "execute_job", lambda spec, use_cache=True: payload_for(spec)
+    )
+
+
+@dataclass
+class FakeClock:
+    value: float = 0.0
+
+    def __call__(self) -> float:
+        return self.value
+
+
+def spec_for(key) -> SubsolveJobSpec:
+    return SubsolveJobSpec("rotating-cone", root=2, l=key[0], m=key[1], tol=1e-3)
+
+
+def payload_for(spec) -> SubsolvePayload:
+    return SubsolvePayload(
+        spec.l, spec.m, np.zeros(1), 0, 0, 0, 0, wall_seconds=0.0, work_units=0.0
+    )
+
+
+class FakePlane:
+    def __init__(self):
+        self.leased: set[str] = set()
+        self.revoked: list[tuple[str, str]] = []
+
+    def revoke(self, name, *, reason="fault"):
+        if name in self.leased:
+            self.leased.remove(name)
+            self.revoked.append((name, reason))
+
+
+@dataclass(frozen=True)
+class FakeLease:
+    name: str
+
+
+class FakeSink:
+    """Hands out named leases; ``refuse`` scripts one consume failure."""
+
+    def __init__(self):
+        self.plane = FakePlane()
+        self.consumed: list[tuple] = []
+        self.refuse: dict[tuple, Exception] = {}
+        self.by_key: dict[tuple, FakeLease] = {}
+        self.issued = 0
+
+    def lease_for(self, spec):
+        self.issued += 1
+        lease = FakeLease(f"seg{self.issued}")
+        self.plane.leased.add(lease.name)
+        self.by_key[(spec.l, spec.m)] = lease
+        return lease
+
+    def consume(self, key, payload, *, attempt=1):
+        if key in self.refuse:
+            raise self.refuse.pop(key)
+        self.consumed.append((key, attempt))
+        lease = self.by_key.get(key)
+        if lease is not None:
+            self.plane.leased.discard(lease.name)
+
+
+@dataclass
+class Rig:
+    """A core over ``workers`` one-slot in-memory workers."""
+
+    keys: tuple
+    workers: int = 2
+    escalation: EscalationPolicy = field(
+        default_factory=lambda: EscalationPolicy(
+            retry=RetryPolicy(backoff_seconds=1.0, backoff_factor=1.0, jitter=0.0),
+            deadline=DeadlinePolicy(default_seconds=DEADLINE),
+        )
+    )
+    sink: object = None
+
+    def __post_init__(self):
+        self.clock = FakeClock()
+        self.timers = _TimerWheel(self.clock)
+        self.trace = TraceRecorder(clock=self.clock)
+        self.free = [f"w{i}" for i in range(self.workers)]
+        self.retired: list[tuple] = []
+        self.core = DispatchCore(
+            [spec_for(key) for key in self.keys],
+            Driver(place=self.place, launch=self.launch, retire=self.retire),
+            escalation=self.escalation,
+            timers=self.timers,
+            sink=self.sink,
+            trace=self.trace,
+        )
+        self.core.dispatch_ready()
+
+    def place(self):
+        return Slot(self.free[0], True, self.free[0]) if self.free else None
+
+    def launch(self, job):
+        self.free.remove(job.worker)
+
+    def retire(self, job, kind):
+        self.free.append(job.worker)
+        self.retired.append((job.key, job.attempt, kind))
+
+    # -- the script's verbs ------------------------------------------------
+    def advance(self, seconds):
+        self.clock.value += seconds
+        self.timers.fire_due()
+        self.core.dispatch_ready()
+
+    def finish(self, key):
+        job = self.core.pending[key]
+        self.core.result(key, job.attempt, payload_for(job.spec))
+        self.core.dispatch_ready()
+
+    def fault(self, key, kind):
+        self.core.fault(key, kind, detected_by="script")
+        self.core.dispatch_ready()
+
+    def drain(self):
+        """Finish whatever is in flight, and let backoffs expire, until
+        the core reports done."""
+        for _ in range(1000):
+            if self.core.done:
+                return
+            for key in list(self.core.pending):
+                self.finish(key)
+            self.advance(1.0)
+        raise AssertionError("the core never reported done")
+
+    def kinds(self, key):
+        return [e.kind for e in self.trace.events() if e.key == key]
+
+
+# ----------------------------------------------------------------------
+# the ladder
+# ----------------------------------------------------------------------
+#: (kind, failed attempt) -> step, written out — not computed by decide()
+DEFAULT_LADDER = {
+    (kind, attempt): step
+    for kind, steps in {
+        "crash": ("reassign", "reassign", "fallback"),
+        "hang": ("reassign", "reassign", "fallback"),
+        "deadline": ("reassign", "reassign", "fallback"),
+        "exception": ("retry", "retry", "fallback"),
+        "stale": ("retry", "retry", "fallback"),
+        "transport": ("retry", "retry", "fallback"),
+    }.items()
+    for attempt, step in enumerate(steps, start=1)
+}
+
+
+class TestLadder:
+    @pytest.mark.parametrize("kind", sorted({k for k, _ in DEFAULT_LADDER}))
+    def test_default_policy_kind_by_attempt(self, kind):
+        rig = Rig(keys=((1, 1),))
+        for attempt in (1, 2, 3):
+            assert rig.core.pending[(1, 1)].attempt == attempt
+            rig.fault((1, 1), kind)
+            event = rig.core.log.events()[-1]
+            assert (event.kind, event.attempt) == (kind, attempt)
+            assert event.action == DEFAULT_LADDER[kind, attempt]
+            if attempt < 3:
+                assert rig.core.state[(1, 1)] is JobState.BACKOFF
+                rig.advance(1.0)
+        assert rig.core.state[(1, 1)] is JobState.FALLBACK
+        assert rig.core.done
+        outcome = rig.core.outcome()
+        assert outcome.fallback_keys == ((1, 1),)
+        assert outcome.recovered_keys == ((1, 1),)
+        assert outcome.attempts == 3
+
+    @pytest.mark.parametrize("kind", sorted({k for k, _ in DEFAULT_LADDER}))
+    def test_single_attempt_policy_falls_back_at_once(self, kind):
+        rig = Rig(
+            keys=((1, 1),),
+            escalation=EscalationPolicy(retry=RetryPolicy(max_attempts=1)),
+        )
+        rig.fault((1, 1), kind)
+        (event,) = rig.core.log.events()
+        assert event.action == "fallback"
+        assert rig.core.state[(1, 1)] is JobState.FALLBACK
+        assert len(rig.timers) == 1  # only the void deadline; nothing parked
+
+    def test_exhausted_ladder_fails_with_the_report(self):
+        rig = Rig(
+            keys=((1, 1), (0, 2)),
+            escalation=EscalationPolicy(
+                retry=RetryPolicy(max_attempts=1), sequential_fallback=False
+            ),
+        )
+        with pytest.raises(FaultToleranceExhausted) as info:
+            rig.fault((1, 1), "crash")
+        assert info.value.report.failed_key == (1, 1)
+        assert not info.value.report.survived
+        assert rig.core.state[(1, 1)] is JobState.FAILED
+
+    def test_a_failing_fallback_fails_the_run_with_its_cause(self, monkeypatch):
+        boom = RuntimeError("solver blew up")
+
+        def broken(spec, use_cache=True):
+            raise boom
+
+        monkeypatch.setattr(dispatch, "execute_job", broken)
+        rig = Rig(
+            keys=((1, 1),),
+            escalation=EscalationPolicy(retry=RetryPolicy(max_attempts=1)),
+        )
+        with pytest.raises(FaultToleranceExhausted) as info:
+            rig.fault((1, 1), "exception")
+        assert info.value.__cause__ is boom
+        assert [e.action for e in info.value.report.events] == ["fallback", "fail"]
+
+    def test_per_key_trace_order(self):
+        rig = Rig(keys=((1, 1),))
+        rig.fault((1, 1), "crash")
+        rig.advance(1.0)
+        rig.finish((1, 1))
+        assert rig.kinds((1, 1))[:4] == ["job_submit", "fault", "retry", "job_submit"]
+        retry = next(e for e in rig.trace.events() if e.kind == "retry")
+        assert retry.data["backoff_seconds"] == 1.0
+        assert retry.t == 1.0  # stamped when the parked delay had passed
+
+
+# ----------------------------------------------------------------------
+# the ledger
+# ----------------------------------------------------------------------
+class TestLedger:
+    KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))
+
+    def _mixed_run(self, sink=None):
+        rig = Rig(keys=self.KEYS, workers=2, sink=sink)
+        rig.fault((2, 0), "crash")            # parks; (0, 2) takes the slot
+        rig.finish((1, 1))
+        rig.fault((0, 2), "exception")
+        rig.advance(1.0)                      # both backoffs expire
+        rig.core.requeue_collateral(list(rig.core.pending.values()))
+        rig.free = ["w0", "w1"]               # the "daemon" was replaced
+        rig.core.dispatch_ready()
+        rig.drain()
+        return rig
+
+    def test_every_key_reaches_exactly_one_terminal_state(self):
+        rig = self._mixed_run()
+        assert set(rig.core.state) == set(self.KEYS)
+        assert all(state in TERMINAL for state in rig.core.state.values())
+        outcome = rig.core.outcome()
+        assert sorted(outcome.completion_order) == sorted(self.KEYS)
+        assert len(outcome.completion_order) == len(set(outcome.completion_order))
+        assert set(outcome.payloads) == set(self.KEYS)
+        assert not rig.core.pending and not rig.core.ready
+
+    def test_attempts_are_monotone_per_key(self):
+        rig = self._mixed_run()
+        submitted: dict = {}
+        for event in rig.trace.events():
+            if event.kind == "job_submit":
+                submitted.setdefault(event.key, []).append(event.attempt)
+        assert set(submitted) == set(self.KEYS)
+        for attempts in submitted.values():
+            assert attempts[0] == 1
+            assert all(b - a in (0, 1) for a, b in zip(attempts, attempts[1:]))
+        assert rig.core.attempts == sum(map(len, submitted.values()))
+
+    def test_no_lease_is_outstanding_when_done(self):
+        sink = FakeSink()
+        sink.refuse[(1, 0)] = StaleLeaseError("written by a dead generation")
+        rig = self._mixed_run(sink)
+        assert rig.core.done
+        assert sink.plane.leased == set()
+        reasons = {reason for _, reason in sink.plane.revoked}
+        assert {"crash", "exception", "collateral", "stale"} <= reasons
+        # each key was folded exactly once, stale refusal notwithstanding
+        assert sorted(k for k, _ in sink.consumed) == sorted(self.KEYS)
+
+    def test_late_result_for_a_superseded_attempt_is_ignored(self):
+        rig = Rig(keys=((1, 1),))
+        rig.fault((1, 1), "crash")
+        rig.core.result((1, 1), 1, payload_for(spec_for((1, 1))))
+        assert rig.core.state[(1, 1)] is JobState.BACKOFF
+        rig.advance(1.0)
+        assert rig.core.pending[(1, 1)].attempt == 2
+        # the lost worker answers after all: wrong attempt, dropped
+        rig.core.result((1, 1), 1, payload_for(spec_for((1, 1))))
+        rig.core.fault((1, 1), "exception", detected_by="script", attempt=1)
+        assert rig.core.pending[(1, 1)].attempt == 2
+        assert len(rig.core.log) == 1
+        rig.finish((1, 1))
+        assert rig.core.outcome().recovered_keys == ((1, 1),)
+        # and a second answer after completion changes nothing
+        rig.core.result((1, 1), 2, payload_for(spec_for((1, 1))))
+        assert rig.core.outcome().completion_order == ((1, 1),)
+
+    def test_collateral_keeps_its_attempt_and_consumes_no_step(self):
+        rig = Rig(keys=((2, 0), (1, 1), (0, 2)), workers=2)
+        before = rig.core.attempts
+        rig.core.requeue_collateral([rig.core.pending[(1, 1)]])
+        assert rig.core.state[(1, 1)] is JobState.READY
+        assert rig.core.ready[0][1] == 1          # same attempt, head of queue
+        assert len(rig.core.log) == 0             # not a fault
+        assert "retry" not in rig.kinds((1, 1))
+        rig.free.append("w1")
+        rig.core.dispatch_ready()
+        assert rig.core.pending[(1, 1)].attempt == 1
+        assert rig.core.attempts == before + 1    # but it is a dispatch
+        rig.drain()
+        assert rig.core.outcome().recovered_keys == ()
+
+
+# ----------------------------------------------------------------------
+# time
+# ----------------------------------------------------------------------
+class TestTime:
+    def test_parked_backoff_delays_nobody_else(self):
+        rig = Rig(keys=((2, 0), (1, 1), (0, 2)), workers=2)
+        rig.fault((2, 0), "exception")
+        assert rig.clock.value == 0.0             # the core moved no clock
+        assert rig.core.state[(2, 0)] is JobState.BACKOFF
+        # the freed slot went to the next ready key at once
+        assert rig.core.state[(0, 2)] is JobState.IN_FLIGHT
+        rig.finish((1, 1))
+        rig.finish((0, 2))
+        assert rig.core.outcome().completion_order == ((1, 1), (0, 2))
+        assert rig.clock.value == 0.0
+        assert not rig.core.done
+        rig.advance(0.999)
+        assert rig.core.state[(2, 0)] is JobState.BACKOFF
+        rig.advance(0.001)
+        assert rig.core.pending[(2, 0)].attempt == 2
+        rig.finish((2, 0))
+        assert rig.core.done
+
+    def test_deadline_is_a_timer_on_the_wheels_clock(self):
+        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
+        rig.advance(4.0)
+        rig.finish((0, 2))
+        rig.advance(DEADLINE - 4.0)               # not yet: the grace
+        assert len(rig.core.log) == 0
+        rig.advance(0.01)
+        (event,) = rig.core.log.events()
+        assert (event.key, event.kind, event.action) == ((1, 1), "deadline", "reassign")
+        assert event.detected_by == "deadline"
+        assert event.seconds_lost == pytest.approx(DEADLINE + 0.01)
+        assert rig.retired[-1] == ((1, 1), 1, "deadline")
+        # the finished key's timer fired too, and was void
+        assert rig.core.state[(0, 2)] is JobState.DONE
+
+    def test_deadline_scales_with_the_cost_model(self):
+        class Flat:
+            def predict_seconds(self, l, m, tol):
+                return 100.0
+
+        clock = FakeClock()
+        core = DispatchCore(
+            [spec_for((1, 1))],
+            Driver(lambda: Slot("w"), lambda job: None, lambda job, kind: None),
+            escalation=EscalationPolicy(deadline=DeadlinePolicy(factor=8.0)),
+            timers=_TimerWheel(clock),
+            cost_model=Flat(),
+        )
+        core.dispatch_ready()
+        assert core.pending[(1, 1)].deadline_at == 800.0
+
+
+# ----------------------------------------------------------------------
+# the data plane discipline
+# ----------------------------------------------------------------------
+class TestSink:
+    @pytest.mark.parametrize(
+        "error, kind",
+        [(StaleLeaseError("old generation"), "stale"),
+         (DataPlaneError("checksum mismatch"), "transport")],
+    )
+    def test_refused_descriptor_is_a_fault_not_a_completion(self, error, kind):
+        sink = FakeSink()
+        sink.refuse[(1, 1)] = error
+        rig = Rig(keys=((1, 1),), sink=sink)
+        rig.finish((1, 1))
+        (event,) = rig.core.log.events()
+        assert (event.kind, event.action, event.detected_by) == (kind, "retry", "dataplane")
+        assert rig.core.state[(1, 1)] is JobState.BACKOFF
+        assert sink.plane.revoked == [("seg1", kind)]
+        rig.drain()
+        assert sink.consumed == [((1, 1), 2)]
+
+    def test_lease_is_revoked_only_after_the_driver_retired_the_attempt(self):
+        sink = FakeSink()
+        order = []
+        rig = Rig(keys=((1, 1),), sink=sink)
+        rig.core.driver = rig.core.driver._replace(
+            retire=lambda job, kind: order.append(("retire", set(sink.plane.leased)))
+        )
+        rig.core.fault((1, 1), "hang", detected_by="script")
+        assert order == [("retire", {"seg1"})]    # still leased inside retire
+        assert sink.plane.revoked == [("seg1", "hang")]
+
+    def test_fallback_payload_is_folded_without_a_lease(self):
+        sink = FakeSink()
+        rig = Rig(
+            keys=((1, 1),),
+            sink=sink,
+            escalation=EscalationPolicy(retry=RetryPolicy(max_attempts=1)),
+        )
+        rig.fault((1, 1), "crash")
+        assert sink.consumed == [((1, 1), 2)]
+        assert sink.plane.leased == set()
+        assert rig.kinds((1, 1))[-4:] == ["fallback", "cache_miss", "job_start", "job_done"]
+
+    def test_slot_without_shared_memory_gets_no_lease(self):
+        sink = FakeSink()
+        core = DispatchCore(
+            [spec_for((1, 1))],
+            Driver(lambda: Slot("remote", shm_ok=False), lambda job: None,
+                   lambda job, kind: None),
+            escalation=EscalationPolicy(),
+            timers=_TimerWheel(FakeClock()),
+            sink=sink,
+        )
+        core.dispatch_ready()
+        assert core.pending[(1, 1)].lease is None
+        assert sink.plane.leased == set()
+
+
+# ----------------------------------------------------------------------
+# late-bound holders: benchmark finding F1
+# ----------------------------------------------------------------------
+class TestHolders:
+    def _died(self, rig, pid):
+        rig.core.holder_died(
+            pid, detected_by="liveness", error=f"worker pid {pid} died"
+        )
+        rig.core.dispatch_ready()
+
+    def test_beat_then_death_convicts_the_held_job_only(self):
+        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
+        rig.core.held_by((1, 1), 1, 4001)
+        rig.core.held_by((0, 2), 1, 4002)
+        self._died(rig, 4001)
+        (event,) = rig.core.log.events()
+        assert (event.key, event.kind, event.action) == ((1, 1), "crash", "reassign")
+        assert event.error == "worker pid 4001 died"
+        assert rig.core.state[(0, 2)] is JobState.IN_FLIGHT
+
+    def test_death_then_beat_convicts_on_arrival(self):
+        """F1: the worker took the job, beat, and died while the master
+        was busy; the reap saw the death before the drain saw the beat."""
+        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
+        self._died(rig, 4001)
+        assert len(rig.core.log) == 0             # nobody known to hold anything
+        rig.core.held_by((1, 1), 1, 4001)         # the beat, at last
+        (event,) = rig.core.log.events()
+        assert (event.key, event.kind, event.detected_by) == ((1, 1), "crash", "liveness")
+        assert rig.core.state[(1, 1)] is JobState.BACKOFF
+        rig.drain()
+        assert not any(e.kind == "deadline" for e in rig.core.outcome().events)
+
+    def test_done_beat_releases_the_holder(self):
+        rig = Rig(keys=((1, 1),))
+        rig.core.held_by((1, 1), 1, 4001)
+        rig.core.held_by((1, 1), 1, None)         # "done": result on its way
+        self._died(rig, 4001)
+        assert len(rig.core.log) == 0
+        rig.finish((1, 1))
+        assert rig.core.done
+
+    def test_beat_for_a_superseded_attempt_is_dropped(self):
+        rig = Rig(keys=((1, 1),))
+        rig.fault((1, 1), "exception")
+        rig.advance(1.0)
+        self._died(rig, 4001)
+        rig.core.held_by((1, 1), 1, 4001)         # attempt 1's beat, late
+        assert len(rig.core.log) == 1
+        assert rig.core.pending[(1, 1)].attempt == 2

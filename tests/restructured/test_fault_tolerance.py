@@ -124,8 +124,9 @@ class TestTransientFaults:
         assert np.array_equal(result.combined, fault_free_combined)
 
     def test_retry_event_carries_the_backoff_it_slept(self):
-        """The pool path stamps the slept delay on its ``retry`` event,
-        like the socket engine does, so the trace's backoff total is not
+        """The pool's ``retry`` event carries the delay its grid was
+        parked for — stamped by the dispatch core, the same code path
+        as the socket engine's — so the trace's backoff total is not
         zero on the default engine."""
         from repro.trace import TraceAnalysis, TraceRecorder
 
@@ -192,6 +193,109 @@ class TestHangRecovery:
         # *fault-free* run under a cost model finishes untroubled
         result = _run(retry=RetryPolicy(), cost_model=Flat())
         assert result.faults == 0
+
+
+class TestColdPoolCrash:
+    def test_death_seen_before_the_start_beat_still_convicts(self):
+        """Benchmark finding F1.  On a cold pool the transient fault on
+        (1,3) is handled while the other worker takes (2,2), beats and
+        dies; a master that is busy then (it used to sleep the backoff
+        on the dispatch thread) reaps the death before it drains the
+        beat.  The job must be convicted as a crash all the same, not
+        left to wait out its deadline."""
+        reference = run_multiprocessing(
+            root=2, level=5, tol=TOL, processes=2
+        ).combined
+        shutdown_pool()
+        result = run_multiprocessing(
+            root=2,
+            level=5,
+            tol=TOL,
+            processes=2,
+            faults="crash@2,2;raise@1,3",
+            deadline=DeadlinePolicy(default_seconds=3),
+        )
+        assert {e.kind for e in result.fault_events} == {"exception", "crash"}
+        assert (result.faults, result.recovered, result.fallbacks) == (2, 2, 0)
+        assert np.array_equal(result.combined, reference)
+
+
+#: one fault schedule per row, with what *either* engine must report:
+#: (faults, recovered, fallbacks, fault kinds, ladder actions)
+CHAOS = {
+    "crash": (
+        {"faults": "crash@2,0"},
+        (1, 1, 0, ("crash",), ("reassign",)),
+    ),
+    "raise": (
+        {"faults": "raise@1,1"},
+        (1, 1, 0, ("exception",), ("retry",)),
+    ),
+    "hang": (
+        {
+            "faults": "hang@1,1:seconds=120",
+            "deadline": DeadlinePolicy(floor_seconds=1.5, default_seconds=1.5),
+        },
+        (1, 1, 0, ("deadline",), ("reassign",)),
+    ),
+    "slow": (
+        {"faults": "slow@1,1:factor=3"},
+        (0, 0, 0, (), ()),
+    ),
+    "crash-under-shm": (
+        {"faults": "crash@2,0", "data_plane": "shm"},
+        (1, 1, 0, ("crash",), ("reassign",)),
+    ),
+    "fallback": (
+        {
+            "faults": "raise@1,1:attempt=*",
+            "retry": RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+        },
+        (2, 1, 1, ("exception", "exception"), ("retry", "fallback")),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ("pool", "socket"))
+class TestChaosMatrix:
+    """The ladder is one implementation, so one fault schedule must read
+    the same on both substrates: bitwise-equal result, identical counts,
+    kinds and actions.  What legitimately differs per engine (who
+    detected it, respawn vs reconnect) is asserted in the per-engine
+    suites, not here."""
+
+    @pytest.mark.parametrize("scenario", sorted(CHAOS))
+    def test_recovery_reads_the_same(self, engine, scenario, fault_free_combined):
+        options, expected = CHAOS[scenario]
+        result = _run(engine=engine, **options)
+        assert np.array_equal(result.combined, fault_free_combined)
+        assert (
+            result.faults,
+            result.recovered,
+            result.fallbacks,
+            tuple(e.kind for e in result.fault_events),
+            tuple(e.action for e in result.fault_events),
+        ) == expected
+        if result.data_plane_audit is not None:
+            assert result.data_plane_audit.leaked == 0
+
+    def test_exhausted_ladder_raises_with_the_report(self, engine):
+        with pytest.raises(FaultToleranceExhausted) as info:
+            _run(
+                engine=engine,
+                faults="raise@1,1:attempt=*",
+                escalation=EscalationPolicy(
+                    retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+                    sequential_fallback=False,
+                ),
+            )
+        report = info.value.report
+        assert report.failed_key == (1, 1)
+        assert not report.survived
+        assert [(e.kind, e.action) for e in report.events] == [
+            ("exception", "retry"),
+            ("exception", "fail"),
+        ]
 
 
 @pytest.mark.slow

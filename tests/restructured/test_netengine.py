@@ -35,13 +35,12 @@ from repro.restructured import (
     run_multiprocessing,
     shutdown_pool,
 )
+from repro.restructured.dispatch import _DEADLINE_GRACE, _TimerWheel
 from repro.restructured.netengine import (
-    _DEADLINE_GRACE,
     FrameError,
     HostSpec,
     _DaemonLink,
     _FrameDecoder,
-    _TimerWheel,
     arm_heartbeat_deadline,
     recv_frame,
     send_frame,
@@ -332,37 +331,44 @@ class TestHeartbeatDeadline:
 
 class TestReactorInvariants:
     def test_no_sleep_outside_worker_daemon(self):
-        """The dispatch loop never sleeps: every ``time.sleep`` in the
-        module belongs to the daemon side (fault injection and drain),
-        none to the master's reactor."""
+        """No dispatch thread ever sleeps: the core and the pool driver
+        contain no ``time.sleep`` at all, and every one in this module
+        belongs to the daemon side (fault injection and drain), none to
+        the master's reactor."""
         import ast
         import inspect
 
-        from repro.restructured import netengine
+        from repro.restructured import dispatch, netengine, parallel
 
-        sleeps = []
+        def sleep_sites(module):
+            sites = []
 
-        class Visitor(ast.NodeVisitor):
-            def __init__(self):
-                self.stack = []
+            class Visitor(ast.NodeVisitor):
+                def __init__(self):
+                    self.stack = []
 
-            def visit_ClassDef(self, node):
-                self.stack.append(node.name)
-                self.generic_visit(node)
-                self.stack.pop()
+                def visit_ClassDef(self, node):
+                    self.stack.append(node.name)
+                    self.generic_visit(node)
+                    self.stack.pop()
 
-            def visit_Call(self, node):
-                f = node.func
-                if (
-                    isinstance(f, ast.Attribute)
-                    and f.attr == "sleep"
-                    and isinstance(f.value, ast.Name)
-                    and f.value.id == "time"
-                ):
-                    sleeps.append(tuple(self.stack))
-                self.generic_visit(node)
+                def visit_Call(self, node):
+                    f = node.func
+                    if (
+                        isinstance(f, ast.Attribute)
+                        and f.attr == "sleep"
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "time"
+                    ):
+                        sites.append(tuple(self.stack))
+                    self.generic_visit(node)
 
-        Visitor().visit(ast.parse(inspect.getsource(netengine)))
+            Visitor().visit(ast.parse(inspect.getsource(module)))
+            return sites
+
+        assert sleep_sites(dispatch) == []
+        assert sleep_sites(parallel) == []
+        sleeps = sleep_sites(netengine)
         assert sleeps, "expected the daemon's fault-injection sleeps"
         assert all(s and s[0] == "WorkerDaemon" for s in sleeps), (
             f"time.sleep outside WorkerDaemon: {sleeps}"
@@ -460,19 +466,6 @@ class TestSocketRun:
 
 
 class TestTaskEngineRun:
-    def test_bitwise_identical_to_pool(self, pickle_combined):
-        result = _run(engine="task")
-        assert result.engine == "task"
-        assert np.array_equal(result.combined, pickle_combined)
-
-    def test_task_engine_rejects_faults(self):
-        with pytest.raises(ValueError, match="engine='task'"):
-            _run(engine="task", faults="crash@2,0")
-
-    def test_task_engine_rejects_shm(self):
-        with pytest.raises(ValueError, match="engine='task'"):
-            _run(engine="task", data_plane="shm")
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             _run(engine="mpi")
@@ -558,7 +551,7 @@ class TestForkedDaemons:
 
     def test_kill_mid_job_revives_by_fork(self, revived_engine):
         engine, outcome, specs, _ = revived_engine
-        assert outcome.reconnects == 1
+        assert engine.reconnects == 1
         (event,) = outcome.events
         assert (event.kind, event.key) == ("crash", (2, 0))
         for spec in specs:
