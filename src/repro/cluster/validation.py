@@ -133,6 +133,9 @@ def validate_socket_engine(
         engine="socket",
         hosts=f"localhost:{processes}",
         data_plane="pickle",
+        # daemons of its own, forked inside the call: the decomposition
+        # has a start-up row, which a leased warm fleet would not pay
+        warm_pool=False,
         trace=recorder,
     )
     analysis = TraceAnalysis(recorder.events())

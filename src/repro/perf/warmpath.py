@@ -197,9 +197,14 @@ class WarmPathReport:
         m = self.makespan
         network = []
         if self.engine == "socket":
+            fleet = (
+                "warm (no spawn paid)"
+                if self.warm_pool
+                else f"cold (spawn {self.pool_cold_start_seconds * 1e3:.1f} ms)"
+            )
             network.append(
                 f"socket engine: {self.daemons} daemon(s) on "
-                f"{self.hosts or 'localhost'}, "
+                f"{self.hosts or 'localhost'}, fleet: {fleet}, "
                 f"{self.net_bytes_sent + self.net_bytes_received} framed "
                 f"bytes ({self.net_bytes_sent} sent / "
                 f"{self.net_bytes_received} received), "

@@ -21,6 +21,15 @@ and is isolated like an exec'ed process before it serves
 (:func:`_forked_daemon_main`).  ``python -m repro worker-daemon`` is the
 way to start a daemon on *another* machine, for ``tcp://`` dialing.
 
+Leasing: a default ``run_multiprocessing(engine="socket")`` does not
+own its daemons, it leases the process-wide **fleet** the way a pool run
+leases the shared fork pool (``parallel._FleetLease``, the slot in
+:mod:`~repro.restructured.pool`).  This module contributes the
+mechanics: :meth:`SocketTaskEngine.park` disconnects a clean engine and
+keeps its daemons, :meth:`SocketTaskEngine.resume` reconnects, and a
+fleet daemon that nobody has connected to for ``FLEET_IDLE_EXIT``
+seconds leaves on its own.  Nothing of it is on the wire.
+
 Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
 reactor — non-blocking sockets with a stateful per-link
@@ -131,6 +140,14 @@ MAX_FRAME_BYTES = 1 << 30
 #: seconds a stopped daemon grants its in-flight jobs — and the master
 #: grants the daemon to exit on its own before killing it
 DRAIN_TIMEOUT = 5.0
+
+#: seconds a fleet daemon (a forked daemon leased across runs, see
+#: ``parallel._FleetLease``) stays without a master before it leaves on
+#: its own.  The master re-enters a parked fleet only within half of it,
+#: so a daemon it connects to cannot already have decided to go; and it
+#: is at most ``DRAIN_TIMEOUT``, so whoever waits that long for a stopped
+#: daemon has also outwaited an abandoned one
+FLEET_IDLE_EXIT = 2.0
 
 #: loopback daemons are forked like pool workers and task instances
 _FORK = multiprocessing.get_context("fork")
@@ -388,7 +405,9 @@ class WorkerDaemon:
     master finds it again.  A ``stop`` frame is a *clean* shutdown:
     in-flight jobs get ``drain_timeout`` seconds to finish and send
     their results before the connection closes, instead of being
-    silently dropped mid-compute.
+    silently dropped mid-compute.  With ``idle_exit`` set, a daemon that
+    has had no master connected for that many seconds leaves as if
+    stopped — the lease of a fleet daemon; the default never leaves.
 
     Fault injection happens *here*, where the paper's faults happen —
     on the worker machine: a matched ``crash`` rule kills the whole
@@ -407,12 +426,14 @@ class WorkerDaemon:
         perpetual: bool = True,
         heartbeat_interval: float = 0.5,
         drain_timeout: float = DRAIN_TIMEOUT,
+        idle_exit: Optional[float] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
+        self.idle_exit = idle_exit
         #: a forked daemon adopts the listener its master bound for it
         self._listener = listener or socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
@@ -439,11 +460,20 @@ class WorkerDaemon:
     def serve_forever(self) -> None:
         """Accept masters until stopped; serve one connection at a time."""
         self._listener.settimeout(0.2)
+        # the idle clock only runs between connections, and it is read
+        # only when an accept found the backlog empty: a master that
+        # connected before the deadline is always served
+        idle_since = time.monotonic()
         try:
             while not self._stop.is_set():
                 try:
                     conn, _ = self._listener.accept()
                 except socket.timeout:
+                    if (
+                        self.idle_exit is not None
+                        and time.monotonic() - idle_since >= self.idle_exit
+                    ):
+                        break
                     continue
                 except OSError:
                     break
@@ -454,6 +484,7 @@ class WorkerDaemon:
                         conn.close()
                     except OSError:  # pragma: no cover - defensive
                         pass
+                idle_since = time.monotonic()
         finally:
             self._listener.close()
             self._engine.close()
@@ -629,7 +660,10 @@ def _open_fds() -> list[int]:
 
 
 def _forked_daemon_main(
-    listener: socket.socket, inherited: list[int], heartbeat_interval: float
+    listener: socket.socket,
+    inherited: list[int],
+    heartbeat_interval: float,
+    idle_exit: Optional[float],
 ) -> None:
     """A forked loopback daemon: isolate, serve, leave — never returns.
 
@@ -664,7 +698,9 @@ def _forked_daemon_main(
         # may not fork
         multiprocessing.current_process().daemon = False
         WorkerDaemon(
-            listener=listener, heartbeat_interval=heartbeat_interval
+            listener=listener,
+            heartbeat_interval=heartbeat_interval,
+            idle_exit=idle_exit,
         ).serve_forever()
         status = 0
     except Exception:
@@ -752,30 +788,44 @@ class SocketTaskEngine:
     The engine is a single-threaded reactor: every daemon socket is
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
     master's thread count stays O(1) however many links it holds.
+
+    :meth:`run` may be called again on the same engine; the daemons'
+    task instances keep their operator and factor caches in between.
+    Between two runs the engine can be parked — :meth:`park`
+    disconnects every link and keeps the daemons, :meth:`resume`
+    reconnects — which is how a fleet is leased across
+    ``run_multiprocessing`` calls.  ``idle_exit`` is what the daemons
+    forked here are told about abandonment: ``None`` (a private engine,
+    closed by whoever built it) never leave on their own; a number is
+    the seconds without a master after which they do.
     """
 
     def __init__(
         self,
         hosts="localhost:2",
         *,
-        trace=None,
         heartbeat_timeout: float = 5.0,
         daemon_heartbeat_interval: float = 0.5,
         connect_timeout: float = 20.0,
         reconnect_backoff: float = 0.05,
         max_reconnects: int = 5,
+        idle_exit: Optional[float] = None,
     ) -> None:
         self.host_specs = (
             parse_hosts(hosts) if isinstance(hosts, str) else tuple(hosts)
         )
-        self.trace = trace
         self.heartbeat_timeout = heartbeat_timeout
         self.daemon_heartbeat_interval = daemon_heartbeat_interval
         self.connect_timeout = connect_timeout
         self.reconnect_backoff = reconnect_backoff
         self.max_reconnects = max_reconnects
+        self.idle_exit = idle_exit
         self._selector = selectors.DefaultSelector()
         self._closed = False
+        self._parked = False
+        #: the last ``run`` returned normally (or none has started)
+        self._clean = True
+        # the network accounting of the latest run
         self.reconnects = 0
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -827,6 +877,7 @@ class SocketTaskEngine:
                     listener,
                     [fd for fd in _open_fds() if fd not in keep],
                     self.daemon_heartbeat_interval,
+                    self.idle_exit,
                 ),
                 name=link.name,
                 daemon=True,
@@ -886,6 +937,11 @@ class SocketTaskEngine:
         """Tear down everything the link holds — socket, queued writes,
         half-done reconnect, daemon process.  No reader thread to join:
         the reactor was the only reader, and it is the caller."""
+        self._disconnect(link)
+        self._reap(link)
+
+    def _disconnect(self, link: _DaemonLink) -> None:
+        """Drop the link's connection and leave its daemon running."""
         link.alive = False
         link.reviving = False
         link.revive_token += 1
@@ -906,7 +962,61 @@ class SocketTaskEngine:
             except OSError:  # pragma: no cover - defensive
                 pass
             link.sock = None
-        self._reap(link)
+
+    # ------------------------------------------------------------------
+    # between two runs
+    # ------------------------------------------------------------------
+    @property
+    def reusable(self) -> bool:
+        """The last run left nothing behind: it returned normally, never
+        reconnected, and every link is up with nothing in flight, queued
+        or reviving."""
+        return (
+            not self._closed
+            and self._clean
+            and self.reconnects == 0
+            and all(
+                link.alive
+                and not (link.reviving or link.inflight or link.sendq)
+                for link in self.links
+            )
+        )
+
+    def park(self) -> bool:
+        """Disconnect every link and keep the daemons for a later
+        :meth:`resume`; ``False`` (and nothing done) unless
+        :attr:`reusable`.  A parked daemon is back in ``accept``, where
+        its idle clock runs."""
+        if not self.reusable:
+            return False
+        for link in self.links:
+            self._disconnect(link)
+        self._parked = True
+        return True
+
+    def resume(self) -> bool:
+        """Reconnect a parked engine; ``False`` when a daemon is dead or
+        does not answer, and the engine is then only good for
+        :meth:`close`.  Each link's ``hello`` is read here, so no job is
+        ever queued for a daemon that is not serving this connection."""
+        try:
+            for link in self.links:
+                if link.spawned and not link.proc.is_alive():
+                    return False
+                self._attach(link)
+            # every daemon is accepting by now: the waits overlap
+            for link in self.links:
+                link.sock.settimeout(self.connect_timeout)
+                frame = recv_frame(link.sock)
+                link.sock.setblocking(False)
+                if frame is None or frame[0] != "hello":
+                    return False
+                link.capacity = int(frame[1]["capacity"])
+                link.pid = frame[1].get("pid")
+        except OSError:
+            return False
+        self._parked = False
+        return True
 
     @property
     def total_capacity(self) -> int:
@@ -919,19 +1029,28 @@ class SocketTaskEngine:
     def close(self) -> None:
         """Stop the daemons this engine forked, disconnect the rest.
 
-        A forked daemon is sent ``stop`` and given ``DRAIN_TIMEOUT``
-        seconds to leave on its own — drain its jobs, stop its task
-        instances — before it is killed: killing it at once would
-        orphan the task instances its ``serve_forever`` closes on the
-        way out.  A dialed daemon is never stopped, only disconnected.
+        A forked daemon is sent ``stop`` (a parked one is reconnected
+        for that) and given ``DRAIN_TIMEOUT`` seconds to leave on its
+        own — drain its jobs, stop its task instances — before it is
+        killed: killing it at once would orphan the task instances its
+        ``serve_forever`` closes on the way out.  A dialed daemon is
+        never stopped, only disconnected.
         """
         if self._closed:
             return
         self._closed = True
         stopping = []
         for link in self.links:
+            if not link.spawned or link.proc is None:
+                continue
+            if self._parked:
+                try:
+                    self._attach(link)
+                except OSError:
+                    # not accepting any more: it is leaving by itself
+                    stopping.append(link)
             # a half-sent frame ahead of the stop would garble it
-            if link.spawned and link.alive and not link.sendq:
+            if link.alive and not link.sendq:
                 try:
                     link.sock.setblocking(True)
                     link.sock.settimeout(2.0)
@@ -981,10 +1100,13 @@ class SocketTaskEngine:
         ``select``, so a fault or a flapping daemon on one link never
         blocks completion handling on another.  The network accounting
         (``reconnects``, ``bytes_sent``/``bytes_received``,
-        ``net_send_seconds``/``net_recv_seconds``) accrues on the engine.
+        ``net_send_seconds``/``net_recv_seconds``) is left on the engine
+        and describes this run alone.
         """
-        trace = trace if trace is not None else self.trace
         timers = _TimerWheel()
+        self._clean = False
+        self.reconnects = self.bytes_sent = self.bytes_received = 0
+        self.net_send_seconds = self.net_recv_seconds = 0.0
 
         def record_net(kind: str, key, nbytes: int, seconds: float, **extra) -> None:
             if kind == "net_send":
@@ -1325,6 +1447,15 @@ class SocketTaskEngine:
         for link in self.links:
             if link.alive:
                 arm_heartbeat(link)
+                if trace is not None and link.capacity:
+                    # said hello before this run began: name it in this
+                    # run's trace too
+                    trace.record(
+                        "worker_spawn",
+                        worker=link.name,
+                        pid=link.pid,
+                        reused=True,
+                    )
 
         # the loop also drains in-progress revives: the outcome's
         # reconnect count must describe daemons that actually came back
@@ -1349,4 +1480,5 @@ class SocketTaskEngine:
                     on_connect_ready(link)
             timers.fire_due()
 
+        self._clean = True
         return core.outcome()

@@ -77,7 +77,14 @@ from .dispatch import (
     _TimerWheel,
     _trace_payload,
 )
-from .pool import PersistentWorkerPool, acquire_pool, respawn_pool
+from .pool import (
+    ParkedFleet,
+    PersistentWorkerPool,
+    acquire_pool,
+    park_fleet,
+    respawn_pool,
+    take_fleet,
+)
 from .worker import (
     SubsolveJobSpec,
     SubsolvePayload,
@@ -198,9 +205,11 @@ class MultiprocessingResult:
     # ------------------------------------------------------------------
     #: dispatch policy used ("longest-first" or "static")
     dispatch: str = "static"
-    #: the shared pool pre-existed this call (warm workers)
+    #: the shared pool — on the socket engine, the shared fleet —
+    #: pre-existed this call (warm workers)
     warm_pool: bool = False
-    #: seconds spent forking a pool inside this call (0.0 when warm)
+    #: seconds spent forking a pool, or the fleet's daemons, inside
+    #: this call (0.0 when warm)
     pool_cold_start_seconds: float = 0.0
     #: grids in the order jobs were handed to the pool
     dispatch_order: tuple[tuple[int, int], ...] = ()
@@ -506,6 +515,71 @@ class _PoolLease:
             self.pool.shutdown()
 
 
+class _FleetLease:
+    """The socket fleet a run dispatches over, shared or private — the
+    socket engine's :class:`_PoolLease`.
+
+    A shared lease takes the fleet parked under its key out of the slot
+    in :mod:`pool` and re-enters it, provided the fleet was released
+    less than half ``FLEET_IDLE_EXIT`` ago on ``clock`` — its daemons
+    started their idle clocks no earlier than that release, so none can
+    have decided to leave — and every daemon answers.  Otherwise, and
+    for every private lease, the daemons are forked here.
+    :meth:`release` parks a shared fleet again if the run left it clean
+    (:attr:`~netengine.SocketTaskEngine.reusable`) and closes it if
+    not; a private one is always closed.
+    """
+
+    def __init__(
+        self, hosts: str, options: dict, shared: bool, clock=time.monotonic
+    ) -> None:
+        # lazy: keeps the socket machinery out of pool-only runs
+        from .netengine import FLEET_IDLE_EXIT, SocketTaskEngine
+
+        self.shared = shared
+        self.clock = clock
+        key = (hosts, tuple(sorted(options.items())))
+        fleet = take_fleet(key) if shared else None
+        self.was_warm = fleet is not None and self._reenter(
+            fleet, FLEET_IDLE_EXIT / 2
+        )
+        if not self.was_warm:
+            engine = SocketTaskEngine(
+                hosts,
+                idle_exit=FLEET_IDLE_EXIT if shared else None,
+                **options,
+            )
+            fleet = ParkedFleet(key, engine, released_at=0.0, runs_served=0)
+        self.fleet = fleet
+        self.engine = fleet.engine
+        self.cold_start_seconds = (
+            0.0 if self.was_warm else self.engine.spawn_seconds
+        )
+
+    def _reenter(self, fleet: ParkedFleet, window: float) -> bool:
+        """Reconnect a fleet taken out of the slot, or close it — also
+        on an interrupt: out of the slot, it is this lease's to end."""
+        fresh = False
+        try:
+            fresh = (
+                self.clock() - fleet.released_at < window
+                and fleet.engine.resume()
+            )
+            return fresh
+        finally:
+            if not fresh:
+                fleet.engine.close()
+
+    def release(self) -> None:
+        # read before the disconnect that starts the daemons' idle clocks
+        self.fleet.released_at = self.clock()
+        self.fleet.runs_served += 1
+        if self.shared and self.engine.park():
+            park_fleet(self.fleet)
+        else:
+            self.engine.close()
+
+
 def _run_resilient(
     lease: _PoolLease,
     ordered: list[SubsolveJobSpec],
@@ -690,8 +764,9 @@ def run_multiprocessing(
     """Run the whole application with a process pool over the grids.
 
     The defaults are the warm path; ``warm_pool=False`` forks a
-    throwaway pool (the seed behaviour) and ``operator_cache=False``
-    disables worker-side operator/factor reuse, for cold measurements.
+    throwaway pool — on the socket engine, throwaway daemons — (the
+    seed behaviour) and ``operator_cache=False`` disables worker-side
+    operator/factor reuse, for cold measurements.
 
     Passing any of ``retry`` (:class:`~repro.resilience.RetryPolicy`),
     ``deadline`` (:class:`~repro.resilience.DeadlinePolicy`),
@@ -720,11 +795,12 @@ def run_multiprocessing(
     :func:`repro.restructured.netengine.parse_hosts`; default: one
     local daemon per process), each of which hosts its jobs in
     :class:`~repro.restructured.taskengine.TaskInstanceEngine` task
-    instances.  Both are drivers of the one dispatch core
-    (:mod:`~repro.restructured.dispatch`); the socket engine always
-    runs it — a network has failure modes whether or not faults are
-    injected; ``engine_options`` passes constructor knobs (heartbeat
-    timeout, reconnect budget) through to
+    instances, and which are leased across calls like the pool
+    (``docs/distributed.md``, *Warm fleet*).  Both are drivers of the
+    one dispatch core (:mod:`~repro.restructured.dispatch`); the socket
+    engine always runs it — a network has failure modes whether or not
+    faults are injected; ``engine_options`` passes constructor knobs
+    (heartbeat timeout, reconnect budget) through to
     :class:`~repro.restructured.netengine.SocketTaskEngine`.
 
     ``split`` shards the critical-path grids into ``k``-strip Schur
@@ -846,13 +922,11 @@ def run_multiprocessing(
     with recording(trace), _plane_guard(plane) as plane_audit:
         with trace_span("fanout"):
             if engine == "socket":
-                # lazy: keeps the socket machinery out of pool-only runs
-                from .netengine import SocketTaskEngine
-
                 hosts = hosts or f"localhost:{n_proc}"
-                net = SocketTaskEngine(
-                    hosts, trace=trace, **(engine_options or {})
+                lease = _FleetLease(
+                    hosts, engine_options or {}, shared=warm_pool
                 )
+                net = lease.engine
                 try:
                     outcome = net.run(
                         ordered,
@@ -864,11 +938,9 @@ def run_multiprocessing(
                         sink=sink,
                         trace=trace,
                     )
+                    n_proc = net.total_capacity
                 finally:
-                    net.close()
-                was_warm = False
-                cold_start = net.spawn_seconds
-                n_proc = net.total_capacity
+                    lease.release()
                 net_stats = {
                     "daemons": len(net.links),
                     "reconnects": net.reconnects,
@@ -903,8 +975,6 @@ def run_multiprocessing(
                         )
                 finally:
                     lease.release()
-                was_warm = lease.was_warm
-                cold_start = lease.cold_start_seconds
                 n_proc = lease.pool.processes
                 respawns = lease.respawns
             payloads = outcome.payloads
@@ -943,8 +1013,8 @@ def run_multiprocessing(
         total_seconds=time.perf_counter() - t_start,
         pool_seconds=pool_seconds,
         dispatch=dispatch,
-        warm_pool=was_warm,
-        pool_cold_start_seconds=cold_start,
+        warm_pool=lease.was_warm,
+        pool_cold_start_seconds=lease.cold_start_seconds,
         dispatch_order=tuple((s.l, s.m) for s in ordered),
         completion_order=outcome.completion_order,
         attempts=outcome.attempts,

@@ -39,6 +39,15 @@ fault-tolerant execution layer (:mod:`repro.resilience`):
 
 Cold-start cost is recorded so the warm-path observability layer can
 report cold-vs-warm pool timings.
+
+The socket engine's daemons are leased the same way: beside the shared
+pool sits one slot for a **parked fleet** — a
+:class:`~repro.restructured.netengine.SocketTaskEngine` between two
+runs, its daemons alive and their caches warm.  The slot shares the
+pool's lock and its ``atexit`` hook, and :func:`shutdown_pool` empties
+both; what may go into it and when it may come out again is decided by
+``parallel._FleetLease``.  This module only ever calls ``close()`` on
+what it holds, so a pool-only process never imports the socket engine.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import itertools
 import multiprocessing
 import threading
 import time
+from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Iterable, Optional
 
@@ -56,7 +66,10 @@ from repro.trace.recorder import emit as trace_emit
 __all__ = [
     "PoolClosedError",
     "PersistentWorkerPool",
+    "ParkedFleet",
     "acquire_pool",
+    "take_fleet",
+    "park_fleet",
     "shutdown_pool",
     "respawn_pool",
     "pool_diagnostics",
@@ -297,6 +310,22 @@ _warm_acquisitions = 0
 _respawns = 0
 
 
+@dataclass
+class ParkedFleet:
+    """A socket fleet between two runs, as the slot holds it."""
+
+    #: ``(hosts, engine options)`` it was built for
+    key: tuple
+    #: the parked ``SocketTaskEngine``; only ever ``close()``d here
+    engine: Any
+    #: the releasing lease's clock reading, taken before it disconnected
+    released_at: float
+    runs_served: int
+
+
+_fleet: Optional[ParkedFleet] = None
+
+
 def acquire_pool(processes: Optional[int] = None) -> tuple[PersistentWorkerPool, bool]:
     """Return ``(pool, was_warm)`` — the shared pool, creating or
     growing it only when needed.
@@ -323,9 +352,35 @@ def acquire_pool(processes: Optional[int] = None) -> tuple[PersistentWorkerPool,
         return _shared, False
 
 
+def take_fleet(key: tuple) -> Optional[ParkedFleet]:
+    """Empty the fleet slot; returns what was parked there under
+    ``key``.  A fleet parked under another key is closed: one fleet at
+    a time, like one pool.  The caller owns what it gets — to park it
+    again, or to close it."""
+    global _fleet
+    with _shared_lock:
+        parked, _fleet = _fleet, None
+    if parked is not None and parked.key != key:
+        parked.engine.close()
+        return None
+    return parked
+
+
+def park_fleet(parked: Optional[ParkedFleet]) -> None:
+    """Put a fleet (or nothing) into the slot, closing what it
+    displaces — a concurrent run's, or the one being shut down."""
+    global _fleet
+    with _shared_lock:
+        displaced, _fleet = _fleet, parked
+    if displaced is not None:
+        displaced.engine.close()
+
+
 def shutdown_pool() -> None:
-    """Gracefully wind down the shared pool (drain, join, forget)."""
+    """Gracefully wind down the shared pool (drain, join, forget) and
+    the parked socket fleet (stop, wait, forget)."""
     global _shared
+    park_fleet(None)
     with _shared_lock:
         pool, _shared = _shared, None
     if pool is not None:
@@ -355,7 +410,14 @@ def respawn_pool(processes: Optional[int] = None) -> PersistentWorkerPool:
 
 def pool_diagnostics() -> dict[str, float]:
     """Counters for the warm-path report."""
+    fleet = _fleet
     return {
+        "fleet_hosts": fleet.key[0] if fleet is not None else "",
+        "fleet_daemons": len(fleet.engine.links) if fleet is not None else 0,
+        "fleet_runs_served": fleet.runs_served if fleet is not None else 0,
+        "fleet_idle_s": (
+            time.monotonic() - fleet.released_at if fleet is not None else 0.0
+        ),
         "alive": _shared is not None and not _shared.closed,
         "processes": _shared.processes if _shared is not None else 0,
         "generation": _shared.generation if _shared is not None else 0,

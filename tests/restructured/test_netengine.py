@@ -13,8 +13,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -35,8 +38,11 @@ from repro.restructured import (
     run_multiprocessing,
     shutdown_pool,
 )
+from repro.restructured import netengine, pool as pool_module
 from repro.restructured.dispatch import _DEADLINE_GRACE, _TimerWheel
 from repro.restructured.netengine import (
+    DRAIN_TIMEOUT,
+    FLEET_IDLE_EXIT,
     FrameError,
     HostSpec,
     _DaemonLink,
@@ -45,7 +51,9 @@ from repro.restructured.netengine import (
     recv_frame,
     send_frame,
 )
-from repro.sparsegrid import nested_loop_grids
+from repro.restructured.parallel import _FleetLease
+from repro.sparsegrid import SequentialApplication, nested_loop_grids
+from repro.sparsegrid.registry import make_problem
 from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace import TraceAnalysis, TraceRecorder
 
@@ -502,8 +510,11 @@ def _fd_targets(pid):
 def _children(pid):
     pids = []
     for tid in os.listdir(f"/proc/{pid}/task"):
-        with open(f"/proc/{pid}/task/{tid}/children") as listing:
-            pids += [int(child) for child in listing.read().split()]
+        try:
+            with open(f"/proc/{pid}/task/{tid}/children") as listing:
+                pids += [int(child) for child in listing.read().split()]
+        except OSError:
+            pass  # a thread that ended under the listing
     return pids
 
 
@@ -614,6 +625,286 @@ class TestForkedDaemons:
         assert not any(
             p.operator_cache_hit for p in outcome.payloads.values()
         )
+
+
+# ----------------------------------------------------------------------
+# the warm fleet: daemons leased across runs
+# ----------------------------------------------------------------------
+class FakeClock:
+    value = 0.0
+
+    def __call__(self) -> float:
+        return self.value
+
+
+def _sequential(level):
+    return SequentialApplication(
+        root=2, level=level, tol=TOL, problem=make_problem("rotating-cone")
+    ).run().combined
+
+
+def _parked_pids():
+    """The parked fleet's daemons and the task instances under them."""
+    pids = []
+    for link in pool_module._fleet.engine.links:
+        pids += [link.proc.pid, *_children(link.proc.pid)]
+    return pids
+
+
+def _running(pid) -> bool:
+    """Still executing: not gone, and not a zombie awaiting its parent."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_until_gone(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(_running(p) for p in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [p for p in pids if _running(p)]
+
+
+def _spawned_pids(recorder):
+    return [
+        (e.data["pid"], e.data.get("reused", False))
+        for e in recorder.events()
+        if e.kind == "worker_spawn"
+    ]
+
+
+class TestWarmFleet:
+    @pytest.mark.parametrize("level", [LEVEL, 5])
+    def test_second_run_reuses_the_daemons_bitwise(self, level):
+        reference = _sequential(level)
+        first_trace, second_trace = TraceRecorder(), TraceRecorder()
+        first = _run(engine="socket", level=level, trace=first_trace)
+        second = _run(engine="socket", level=level, trace=second_trace)
+        assert np.array_equal(first.combined, reference)
+        assert np.array_equal(second.combined, reference)
+        assert not first.warm_pool and first.pool_cold_start_seconds > 0.0
+        assert second.warm_pool and second.pool_cold_start_seconds == 0.0
+        assert (second.faults, second.reconnects) == (0, 0)
+        # the same two processes, named in each run's own trace
+        spawned = _spawned_pids(first_trace)
+        assert len(spawned) == 2 and not any(r for _, r in spawned)
+        assert sorted(_spawned_pids(second_trace)) == sorted(
+            (pid, True) for pid, _ in spawned
+        )
+        # and their caches came along
+        assert second.operator_cache_hits > first.operator_cache_hits
+
+    def test_a_runs_counters_are_its_own(self):
+        runs = [_run(engine="socket") for _ in range(3)]
+        assert [r.warm_pool for r in runs] == [False, True, True]
+
+        def counters(r):
+            return (r.net_bytes_sent, r.net_bytes_received, r.reconnects)
+
+        assert counters(runs[0]) == counters(runs[2])
+        assert runs[0].net_bytes_sent > 0
+        assert pool_module.pool_diagnostics()["fleet_runs_served"] == 3
+
+    def test_crash_discards_the_fleet(self, pickle_combined):
+        faulted = _run(engine="socket", faults="crash@2,0")
+        assert np.array_equal(faulted.combined, pickle_combined)
+        assert (faulted.faults, faulted.recovered) == (1, 1)
+        assert pool_module._fleet is None
+        after = _run(engine="socket")
+        assert not after.warm_pool
+        assert (after.faults, after.reconnects) == (0, 0)
+        assert np.array_equal(after.combined, pickle_combined)
+
+    def test_daemon_killed_while_parked_is_noticed_before_dispatch(
+        self, pickle_combined
+    ):
+        _run(engine="socket")
+        victim = pool_module._fleet.engine.links[0].proc.pid
+        os.kill(victim, signal.SIGKILL)
+        assert not _wait_until_gone([victim], 5.0)
+        after = _run(engine="socket")
+        assert not after.warm_pool
+        assert (after.faults, after.reconnects) == (0, 0)
+        assert np.array_equal(after.combined, pickle_combined)
+
+    def test_shutdown_pool_leaves_no_process_behind(self):
+        _run(engine="socket")
+        links = pool_module._fleet.engine.links
+        pids = _parked_pids()
+        sentinels = [os.dup(link.proc.sentinel) for link in links]
+        try:
+            assert len(pids) > len(links)  # some task instance
+            shutdown_pool()
+            assert pool_module._fleet is None
+            assert len(wait_for_exit(sentinels, timeout=0)) == len(sentinels)
+            assert not [p for p in pids if os.path.exists(f"/proc/{p}")]
+        finally:
+            for fd in sentinels:
+                os.close(fd)
+
+    def test_interpreter_exit_with_a_live_fleet_leaves_nothing(self):
+        script = (
+            "from pathlib import Path\n"
+            "from repro.restructured import pool, run_multiprocessing\n"
+            "run_multiprocessing(root=2, level=2, tol=1e-3, processes=2,\n"
+            "                    engine='socket')\n"
+            "for link in pool._fleet.engine.links:\n"
+            "    print(link.proc.pid)\n"
+            "    for task in Path(f'/proc/{link.proc.pid}/task').iterdir():\n"
+            "        try:\n"
+            "            print((task / 'children').read_text())\n"
+            "        except OSError:\n"
+            "            pass  # a thread that ended under the listing\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) > 2  # two daemons and some task instance
+        assert not [p for p in pids if os.path.exists(f"/proc/{p}")]
+
+    def test_abandoned_daemons_leave_on_their_own(
+        self, monkeypatch, pickle_combined
+    ):
+        """Nobody is left behind: no master call after the run, and the
+        daemons and their task instances are gone all the same."""
+        monkeypatch.setattr(netengine, "FLEET_IDLE_EXIT", 0.2)
+        _run(engine="socket")
+        pids = _parked_pids()
+        assert len(pids) > 2
+        assert not _wait_until_gone(pids, 5.0)
+        after = _run(engine="socket")
+        assert not after.warm_pool
+        assert (after.faults, after.reconnects) == (0, 0)
+        assert np.array_equal(after.combined, pickle_combined)
+
+    def test_only_fleet_daemons_are_told_to_leave(self):
+        assert 0 < FLEET_IDLE_EXIT <= DRAIN_TIMEOUT
+        with SocketTaskEngine("localhost:1") as private:
+            assert private.idle_exit is None
+        # what `repro worker-daemon` builds: it never idles out
+        daemon = WorkerDaemon(port=0)
+        daemon._listener.close()
+        daemon._engine.close()
+        assert daemon.idle_exit is None
+        lease = _FleetLease("localhost:1", {}, shared=True)
+        try:
+            assert lease.engine.idle_exit == FLEET_IDLE_EXIT
+        finally:
+            lease.engine.close()
+
+    def test_reuse_ends_at_half_the_idle_exit(self):
+        """Rule 3 on an injected clock: a fleet released less than half
+        the daemons' idle-exit ago is re-entered, one released longer
+        ago is closed and rebuilt before anything is dispatched to it."""
+        clock = FakeClock()
+        specs = _level_specs()
+
+        def leased_run():
+            lease = _FleetLease("localhost:2", {}, shared=True, clock=clock)
+            try:
+                lease.engine.run(specs, escalation=EscalationPolicy())
+            finally:
+                lease.release()
+            return lease
+
+        first = leased_run()
+        assert not first.was_warm
+        assert pool_module._fleet.released_at == clock.value
+        clock.value += FLEET_IDLE_EXIT / 2 - 1e-3
+        second = leased_run()
+        assert second.was_warm and second.engine is first.engine
+        assert second.cold_start_seconds == 0.0
+        stale = second.engine
+        sentinels = [os.dup(link.proc.sentinel) for link in stale.links]
+        try:
+            clock.value += FLEET_IDLE_EXIT / 2
+            third = _FleetLease("localhost:2", {}, shared=True, clock=clock)
+            try:
+                # the stale fleet was stopped inside the constructor,
+                # without a job: the new daemons are other processes
+                assert not third.was_warm and third.engine is not stale
+                assert stale._closed
+                assert len(wait_for_exit(sentinels, timeout=0)) == 2
+                assert third.cold_start_seconds == third.engine.spawn_seconds
+            finally:
+                third.release()
+        finally:
+            for fd in sentinels:
+                os.close(fd)
+        assert pool_module._fleet.engine is third.engine
+
+    def test_two_shm_runs_on_one_fleet_leak_nothing(self, pickle_combined):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for expect_warm in (False, True):
+                result = _run(engine="socket", data_plane="shm")
+                assert result.warm_pool is expect_warm
+                assert np.array_equal(result.combined, pickle_combined)
+                assert result.shm_payloads == result.n_workers
+                assert result.data_plane_audit.leaked == 0
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"hosts": "localhost:4"},
+         {"engine_options": {"heartbeat_timeout": 4.0}}],
+    )
+    def test_another_key_closes_the_old_fleet_first(self, other):
+        _run(engine="socket", hosts="localhost:2")
+        old = pool_module._fleet
+        pids = _parked_pids()
+        result = _run(**{"engine": "socket", "hosts": "localhost:2", **other})
+        assert not result.warm_pool
+        assert old.engine._closed
+        assert not [p for p in pids if os.path.exists(f"/proc/{p}")]
+        assert pool_module._fleet.key != old.key
+        assert pool_module._fleet.key[0] == result.hosts
+
+    def test_cold_runs_never_touch_the_slot(self, pickle_combined):
+        cold = _run(engine="socket", warm_pool=False)
+        assert not cold.warm_pool and cold.pool_cold_start_seconds > 0.0
+        assert pool_module._fleet is None
+        _run(engine="socket")
+        parked = pool_module._fleet
+        cold = _run(engine="socket", warm_pool=False)
+        assert not cold.warm_pool and cold.pool_cold_start_seconds > 0.0
+        assert np.array_equal(cold.combined, pickle_combined)
+        assert pool_module._fleet is parked and parked.runs_served == 1
+        assert _run(engine="socket").warm_pool
+
+    def test_the_gap_between_runs_is_not_a_hang(self, pickle_combined):
+        """A link that was quiet for longer than ``heartbeat_timeout``
+        between two runs owes nothing: the watch armed by the second run
+        first looks one timeout later."""
+        options = {"heartbeat_timeout": 0.3, "daemon_heartbeat_interval": 0.1}
+        specs = _level_specs()
+        with SocketTaskEngine("localhost:2", **options) as engine:
+            engine.run(specs, escalation=EscalationPolicy())
+            time.sleep(0.5)
+            outcome = engine.run(specs, escalation=EscalationPolicy())
+            assert not outcome.events and engine.reconnects == 0
+        for expect_warm in (False, True):
+            result = _run(engine="socket", engine_options=options)
+            assert result.warm_pool is expect_warm
+            assert (result.faults, result.reconnects) == (0, 0)
+            assert np.array_equal(result.combined, pickle_combined)
+            time.sleep(0.5)
+
+    def test_fleet_diagnostics(self):
+        assert pool_module.pool_diagnostics()["fleet_daemons"] == 0
+        _run(engine="socket", hosts="localhost:2")
+        diagnostics = pool_module.pool_diagnostics()
+        assert diagnostics["fleet_hosts"] == "localhost:2"
+        assert diagnostics["fleet_daemons"] == 2
+        assert diagnostics["fleet_runs_served"] == 1
+        assert 0.0 <= diagnostics["fleet_idle_s"] < FLEET_IDLE_EXIT
+        shutdown_pool()
+        assert pool_module.pool_diagnostics()["fleet_hosts"] == ""
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,55 @@ class TestAcquirePool:
         assert pool_diagnostics()["alive"] is False
 
 
+class TestFleetSlot:
+    """The parked socket fleet's slot sits beside the shared pool; the
+    fleet's own behaviour is tested in ``test_netengine.py``."""
+
+    def test_pool_module_never_imports_the_socket_engine(self):
+        import ast
+        import inspect
+
+        from repro.restructured import pool
+
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(pool))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if "netengine" in name]
+
+    def test_pool_runs_leave_the_slot_alone(self):
+        from repro.restructured import pool
+
+        run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=2)
+        diagnostics = pool_diagnostics()
+        assert pool._fleet is None
+        assert diagnostics["alive"]
+        assert diagnostics["fleet_hosts"] == ""
+        assert diagnostics["fleet_daemons"] == 0
+        assert diagnostics["fleet_runs_served"] == 0
+        assert diagnostics["fleet_idle_s"] == 0.0
+
+    def test_shutdown_pool_closes_pool_and_fleet_together(self):
+        from repro.restructured import pool
+
+        run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=2)
+        first = run_multiprocessing(
+            root=2, level=LEVEL, tol=TOL, processes=2, engine="socket"
+        )
+        # one of each, side by side: neither lease disturbs the other
+        assert pool_diagnostics()["alive"]
+        assert pool_diagnostics()["fleet_daemons"] == 2
+        warm = run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=2)
+        assert warm.warm_pool and np.array_equal(warm.combined, first.combined)
+        parked = pool._fleet.engine
+        shutdown_pool()
+        assert parked._closed and pool._fleet is None
+        assert not pool_diagnostics()["alive"]
+
+
 class TestDispatchOrdering:
     def test_longest_first_orders_by_interior_count(self):
         specs = [_spec(g.l, g.m) for g in nested_loop_grids(2, 4)]
