@@ -67,10 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_args(p_par)
     p_par.add_argument("--processes", type=int, default=None,
                        help="pool size (default: min(grids, CPUs))")
-    p_par.add_argument("--dispatch", choices=("longest-first", "static"),
-                       default="longest-first",
-                       help="job ordering: cost-model LPT or the seed's "
-                       "static pool.map chunking")
     p_par.add_argument("--cold", action="store_true",
                        help="seed behaviour: throwaway pool, no operator "
                        "or factorization reuse")
@@ -82,19 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--verify", action="store_true",
                        help="also run sequentially and compare bitwise")
     p_par.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject faults and run fault-tolerant: e.g. "
+                       help="inject faults into the workers: e.g. "
                        "'crash@1,2' or 'slow@*:factor=3,rate=0.2' "
                        "(see docs/resilience.md for the grammar)")
     p_par.add_argument("--fault-seed", type=int, default=0,
                        help="seed for rate-sampled fault rules")
     p_par.add_argument("--retry", type=int, default=None, metavar="N",
-                       help="fault-tolerant execution with N attempts "
-                       "per job (default policy: 3)")
+                       help="attempts per job before the in-master "
+                       "fallback (default policy: 3)")
     p_par.add_argument("--deadline-factor", type=float, default=None,
                        metavar="X",
-                       help="fault-tolerant execution; declare a job "
-                       "hung after X times its cost-model-predicted "
-                       "seconds (default policy: 8.0)")
+                       help="declare a job hung after X times its "
+                       "cost-model-predicted seconds (default policy: "
+                       "8.0)")
     p_par.add_argument("--deadline-seconds", type=float, default=None,
                        help="flat per-job deadline when no cost model "
                        "is given (default policy: 60s)")
@@ -343,7 +339,6 @@ def cmd_run_parallel(args) -> int:
             root=args.root, level=args.level, tol=args.tol,
             problem_name=args.problem,
             processes=args.processes,
-            dispatch=args.dispatch,
             cost_model=model,
             warm_pool=not args.cold,
             operator_cache=not args.cold,

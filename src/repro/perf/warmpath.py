@@ -22,9 +22,9 @@ kind wins.  This module quantifies our own coordination layer:
   overlapped with still-running subsolves (the overlap ratio).
 
 The makespan simulator models the pool faithfully: workers pull the
-next unit greedily; under ``imap_unordered(chunksize=1)`` a unit is one
-job, under ``pool.map`` a unit is one static contiguous chunk (jobs of
-a chunk run back to back on one worker).
+next unit greedily; as dispatched (one ``submit`` per job) a unit is
+one job, under the seed's ``pool.map`` a unit is one static contiguous
+chunk (jobs of a chunk run back to back on one worker).
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class WarmPathReport:
 
     level: int
     tol: float
-    dispatch: str
     warm_pool: bool
     pool_cold_start_seconds: float
     operator_cache_hits: int
@@ -157,7 +156,7 @@ class WarmPathReport:
     pool_seconds: float
     total_seconds: float
     makespan: DispatchMakespan
-    # fault-tolerance counters (zero on a fault-free or non-resilient run)
+    # fault-tolerance counters (a fault-free run: attempts == jobs, rest 0)
     attempts: int = 0
     faults: int = 0
     recovered: int = 0
@@ -285,8 +284,7 @@ class WarmPathReport:
                     f"{t.n_halo_exchanges} halo exchange(s)"
                 )
         return network + resilience + transport + splitting + traced + [
-            f"dispatch: {self.dispatch}, pool: "
-            f"{'warm' if self.warm_pool else 'cold'}"
+            f"pool: {'warm' if self.warm_pool else 'cold'}"
             + (
                 f" (fork {self.pool_cold_start_seconds * 1e3:.1f} ms)"
                 if not self.warm_pool
@@ -336,7 +334,6 @@ def warm_path_report(
     return WarmPathReport(
         level=result.level,
         tol=result.tol,
-        dispatch=result.dispatch,
         warm_pool=result.warm_pool,
         pool_cold_start_seconds=result.pool_cold_start_seconds,
         operator_cache_hits=result.operator_cache_hits,

@@ -214,9 +214,10 @@ class FaultPlan:
 def resilient_entry(item: tuple):
     """Run one job under fault injection, emitting heartbeats.
 
-    ``item`` is ``(spec, plan, attempt, use_cache)``, optionally
-    extended with a fifth element — the job's shared-memory
-    :class:`~repro.perf.dataplane.ShmLease` — when the run uses the
+    The one entry point of a fork-pool worker.  ``item`` is ``(spec,
+    plan, attempt, use_cache, lease)`` — ``plan`` is ``None`` on a run
+    that injects nothing, ``lease`` the job's shared-memory
+    :class:`~repro.perf.dataplane.ShmLease` or ``None`` off the
     zero-copy data plane; top-level so multiprocessing pickles it by
     reference.  Heartbeats — ``(phase, (l, m), attempt, pid)`` tuples on
     the pool's inherited queue — tell the master *which worker process*
@@ -224,8 +225,7 @@ def resilient_entry(item: tuple):
     OS-level death to the exact lost job instead of waiting out its
     deadline.
     """
-    spec, plan, attempt, use_cache = item[:4]
-    lease = item[4] if len(item) > 4 else None
+    spec, plan, attempt, use_cache, lease = item
     # local imports: this module must stay importable (and picklable by
     # reference) without dragging the execution layer in at import time
     from repro.restructured import pool as pool_mod

@@ -51,7 +51,6 @@ from .worker import (
     SubsolveJobSpec,
     SubsolvePayload,
     execute_job,
-    execute_job_uncached,
     make_subsolve_worker,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "acquire_pool",
     "child_heartbeat_queue",
     "execute_job",
-    "execute_job_uncached",
     "make_master_definition",
     "make_subsolve_worker",
     "order_longest_first",

@@ -15,22 +15,25 @@ overhead in three ways:
   repeat runs find warm workers instead of re-forking;
 * workers serve operators and LU factors from their process-local
   **cache** (:mod:`repro.sparsegrid.cache`) instead of re-assembling;
-* jobs are dispatched **longest-predicted-first** through
-  ``imap_unordered`` with chunksize 1 — LPT scheduling — instead of
-  ``pool.map``'s static contiguous chunks, which lose makespan on the
-  geometrically-skewed grid family (the biggest diagonal sits at the
-  *end* of the paper's loop order).
+* jobs are dispatched **longest-predicted-first**, one ``submit`` per
+  job, and each free worker pulls the next — LPT scheduling — instead
+  of ``pool.map``'s static contiguous chunks, which lose makespan on
+  the geometrically-skewed grid family (the biggest diagonal sits at
+  the *end* of the paper's loop order).
 
-``dispatch="static"``, ``warm_pool=False`` and ``operator_cache=False``
-reproduce the seed behaviour exactly, so the benchmarks can measure the
-cold/warm gap.  Every configuration is bitwise identical in its output.
+``warm_pool=False`` and ``operator_cache=False`` reproduce the seed's
+throwaway pool and per-run assembly, so the benchmarks can measure the
+cold/warm gap; the seed's chunking is scored on the run's measured
+durations (:func:`repro.perf.warmpath.static_chunk_makespan`).  Every
+configuration is bitwise identical in its output.
 
-**Fault tolerance.**  Passing any of ``retry``, ``deadline``,
-``escalation`` or ``faults`` hands the fan-out to the shared dispatch
-core (:mod:`~repro.restructured.dispatch`), which this module only
-*drives*: every job is submitted individually (``apply_async``,
-preserving the greedy LPT pull order), and the pool's three signals are
-translated into core calls —
+**Fault tolerance.**  Every run — with or without ``retry``,
+``deadline``, ``escalation`` or ``faults`` — is driven by the shared
+dispatch core (:mod:`~repro.restructured.dispatch`); there is no other
+way onto a pool worker.  This module only *drives* the core: every job
+is submitted individually (``apply_async``, preserving the greedy LPT
+pull order), and the pool's three signals are translated into core
+calls —
 
 1. a job's result or exception arrives through its ``apply_async``
    callback, which only enqueues a wake-up for the dispatch thread;
@@ -63,7 +66,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.resilience import resilient_entry
+from repro.resilience import (
+    DeadlinePolicy,
+    EscalationPolicy,
+    FaultPlan,
+    RetryPolicy,
+    resilient_entry,
+)
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
 from repro.trace.recorder import recording, trace_span
@@ -75,7 +84,6 @@ from .dispatch import (
     Job,
     Slot,
     _TimerWheel,
-    _trace_payload,
 )
 from .pool import (
     ParkedFleet,
@@ -85,13 +93,7 @@ from .pool import (
     respawn_pool,
     take_fleet,
 )
-from .worker import (
-    SubsolveJobSpec,
-    SubsolvePayload,
-    execute_job,
-    execute_job_uncached,
-    shm_entry,
-)
+from .worker import SubsolveJobSpec, SubsolvePayload
 
 __all__ = [
     "MultiprocessingResult",
@@ -100,8 +102,6 @@ __all__ = [
     "resolve_split_map",
     "run_multiprocessing",
 ]
-
-DISPATCH_POLICIES = ("longest-first", "static")
 
 #: execution substrates: ``pool`` is the fork pool (warm path), ``socket``
 #: dispatches over real TCP to worker daemons
@@ -203,8 +203,6 @@ class MultiprocessingResult:
     # ------------------------------------------------------------------
     # warm-path observability
     # ------------------------------------------------------------------
-    #: dispatch policy used ("longest-first" or "static")
-    dispatch: str = "static"
     #: the shared pool — on the socket engine, the shared fleet —
     #: pre-existed this call (warm workers)
     warm_pool: bool = False
@@ -216,8 +214,8 @@ class MultiprocessingResult:
     #: grids in the order their results arrived
     completion_order: tuple[tuple[int, int], ...] = ()
     # ------------------------------------------------------------------
-    # fault tolerance (the resilient dispatch loop fills these in; a
-    # fault-free run on the plain path reports attempts == n jobs)
+    # fault tolerance (the dispatch core fills these in; a fault-free
+    # run reports attempts == n jobs and nothing else)
     # ------------------------------------------------------------------
     #: job dispatches, replays and collateral re-dispatches included
     attempts: int = 0
@@ -241,8 +239,6 @@ class MultiprocessingResult:
     # ------------------------------------------------------------------
     #: result transport of this run ("pickle" or "shm")
     data_plane: str = "pickle"
-    #: combination was fed per-arrival instead of after the barrier
-    streaming: bool = False
     #: payloads whose solution traveled through a shared-memory lease
     shm_payloads: int = 0
     #: payloads that fell back to the pickle channel on an shm run
@@ -287,6 +283,11 @@ class MultiprocessingResult:
     split: str = "off"
     #: the grids actually split, as ``((l, m), k)`` pairs
     split_grids: tuple = ()
+
+    @property
+    def streaming(self) -> bool:
+        """Combination was fed per-arrival instead of after the barrier."""
+        return self.data_plane == "shm"
 
     @property
     def split_payloads(self) -> int:
@@ -396,12 +397,11 @@ class _PayloadSink:
     """
 
     def __init__(
-        self, plane, combiner, *, n_expected: int, streaming: bool, trace=None
+        self, plane, combiner, *, n_expected: int, trace=None
     ) -> None:
         self.plane = plane
         self.combiner = combiner
         self.n_expected = n_expected
-        self.streaming = streaming
         self.trace = trace
         self.arrived = 0
         self.shm_payloads = 0
@@ -425,7 +425,7 @@ class _PayloadSink:
 
         Raises :class:`~repro.perf.dataplane.DataPlaneError` (notably
         its stale-generation subclass) *before* any state changes, so
-        the resilient loop can treat a rejected descriptor like any
+        the dispatch core can treat a rejected descriptor like any
         other fault and re-dispatch the job.
         """
         descriptor = payload.descriptor
@@ -457,7 +457,7 @@ class _PayloadSink:
             self.shm_fallbacks += 1
             self.transport_pickle_bytes += int(values.nbytes)
         self.arrived += 1
-        overlapped = self.streaming and self.arrived < self.n_expected
+        overlapped = self.arrived < self.n_expected
         t_combine = time.perf_counter()
         folded = self.combiner.add(key, values)
         combine_dt = time.perf_counter() - t_combine
@@ -580,7 +580,7 @@ class _FleetLease:
             self.engine.close()
 
 
-def _run_resilient(
+def _run_pool(
     lease: _PoolLease,
     ordered: list[SubsolveJobSpec],
     *,
@@ -693,46 +693,6 @@ def _run_resilient(
     return core.outcome()
 
 
-def _run_plain(
-    pool: PersistentWorkerPool,
-    ordered: list[SubsolveJobSpec],
-    *,
-    use_cache: bool,
-    static: bool,
-    trace=None,
-    sink: Optional[_PayloadSink] = None,
-) -> DispatchOutcome:
-    """The fault-oblivious fan-out: one batch, no ladder, no core.
-
-    ``static`` is ``pool.map``'s contiguous chunking (the seed policy);
-    otherwise each free worker pulls the next item.  With a ``sink``
-    every job carries a lease and is folded as it arrives.
-    """
-    if trace is not None:
-        for s in ordered:
-            trace.record("job_submit", key=(s.l, s.m), attempt=1)
-    fan_out = pool.map_static if static else pool.imap_unordered
-    if sink is not None:
-        items = [(s, sink.lease_for(s), use_cache) for s in ordered]
-        payload_list = []
-        for p in fan_out(shm_entry, items):
-            sink.consume((p.l, p.m), p)
-            payload_list.append(p)
-    else:
-        job = execute_job if use_cache else execute_job_uncached
-        payload_list = list(fan_out(job, ordered))
-    for p in payload_list:
-        _trace_payload(trace, p)
-    return DispatchOutcome(
-        payloads={(p.l, p.m): p for p in payload_list},
-        completion_order=tuple((p.l, p.m) for p in payload_list),
-        attempts=len(payload_list),
-        events=(),
-        recovered_keys=(),
-        fallback_keys=(),
-    )
-
-
 def run_multiprocessing(
     root: int = 2,
     level: int = 2,
@@ -744,7 +704,6 @@ def run_multiprocessing(
     t_end: Optional[float] = None,
     scheme: str = "upwind",
     target_cap: int | None = 8,
-    dispatch: str = "longest-first",
     cost_model=None,
     warm_pool: bool = True,
     operator_cache: bool = True,
@@ -768,12 +727,18 @@ def run_multiprocessing(
     seed behaviour) and ``operator_cache=False`` disables worker-side
     operator/factor reuse, for cold measurements.
 
-    Passing any of ``retry`` (:class:`~repro.resilience.RetryPolicy`),
-    ``deadline`` (:class:`~repro.resilience.DeadlinePolicy`),
-    ``escalation`` (:class:`~repro.resilience.EscalationPolicy`) or
-    ``faults`` (a :class:`~repro.resilience.FaultPlan` or its spec
-    string, seeded by ``fault_seed``) enables the fault-tolerant
-    dispatch core; ``fault_log`` optionally shares one
+    Every run is driven by the dispatch core under the default ladder
+    ``EscalationPolicy(RetryPolicy(), DeadlinePolicy())``: a crashed,
+    hung or transiently failing worker costs a re-dispatch, not the
+    run, and an error that survives every retry and the in-master
+    fallback surfaces as :class:`~repro.resilience.FaultToleranceExhausted`
+    with the worker's exception as its ``__cause__``.  ``retry``
+    (:class:`~repro.resilience.RetryPolicy`) and ``deadline``
+    (:class:`~repro.resilience.DeadlinePolicy`) replace the ladder's
+    parts, ``escalation`` (:class:`~repro.resilience.EscalationPolicy`)
+    the whole of it; ``faults`` (a :class:`~repro.resilience.FaultPlan`
+    or its spec string, seeded by ``fault_seed``) injects failures into
+    the workers; ``fault_log`` optionally shares one
     :class:`~repro.resilience.FaultLog` with other detectors (e.g. the
     protocol supervisor) so a run has a single failure history.
 
@@ -797,10 +762,9 @@ def run_multiprocessing(
     :class:`~repro.restructured.taskengine.TaskInstanceEngine` task
     instances, and which are leased across calls like the pool
     (``docs/distributed.md``, *Warm fleet*).  Both are drivers of the
-    one dispatch core (:mod:`~repro.restructured.dispatch`); the socket
-    engine always runs it — a network has failure modes whether or not
-    faults are injected; ``engine_options`` passes constructor knobs
-    (heartbeat timeout, reconnect budget) through to
+    one dispatch core (:mod:`~repro.restructured.dispatch`);
+    ``engine_options`` passes constructor knobs (heartbeat timeout,
+    reconnect budget) through to
     :class:`~repro.restructured.netengine.SocketTaskEngine`.
 
     ``split`` shards the critical-path grids into ``k``-strip Schur
@@ -814,10 +778,6 @@ def run_multiprocessing(
     untouched.  Split solutions match the unsplit oracle within
     :func:`~repro.sparsegrid.decompose.split_tolerance`.
     """
-    if dispatch not in DISPATCH_POLICIES:
-        raise ValueError(
-            f"unknown dispatch policy {dispatch!r}; choose from {DISPATCH_POLICIES}"
-        )
     if data_plane not in DATA_PLANES:
         raise ValueError(
             f"unknown data plane {data_plane!r}; choose from {DATA_PLANES}"
@@ -830,28 +790,12 @@ def run_multiprocessing(
         raise ValueError("hosts requires engine='socket'")
     if engine_options is not None and engine != "socket":
         raise ValueError("engine_options requires engine='socket'")
-    resilient = any(
-        option is not None for option in (retry, deadline, escalation, faults)
+    plan = (
+        FaultPlan.parse(faults, seed=fault_seed)
+        if isinstance(faults, str)
+        else faults
     )
-    # the socket engine is always resilient: connection loss and daemon
-    # silence need the escalation ladder even on a fault-free run
-    resilient = resilient or engine == "socket"
-    plan = None
-    if faults is not None:
-        from repro.resilience import FaultPlan
-
-        plan = (
-            FaultPlan.parse(faults, seed=fault_seed)
-            if isinstance(faults, str)
-            else faults
-        )
-    if resilient and escalation is None:
-        from repro.resilience import (
-            DeadlinePolicy,
-            EscalationPolicy,
-            RetryPolicy,
-        )
-
+    if escalation is None:
         escalation = EscalationPolicy(
             retry=retry if retry is not None else RetryPolicy(),
             deadline=deadline if deadline is not None else DeadlinePolicy(),
@@ -873,10 +817,7 @@ def run_multiprocessing(
         for g in nested_loop_grids(root, level)
     ]
     n_proc = processes or min(len(specs), multiprocessing.cpu_count())
-    if dispatch == "longest-first":
-        ordered = order_longest_first(specs, cost_model)
-    else:
-        ordered = specs
+    ordered = order_longest_first(specs, cost_model)
     split_map = resolve_split_map(
         split,
         specs,
@@ -909,9 +850,6 @@ def run_multiprocessing(
             plane,
             combine_incremental(root, level, target_cap=target_cap),
             n_expected=len(specs),
-            # map_static barriers on the full batch, so its combine
-            # work cannot overlap the fan-out even on the shm plane
-            streaming=resilient or dispatch != "static",
             trace=trace,
         )
 
@@ -952,27 +890,17 @@ def run_multiprocessing(
             else:
                 lease = _PoolLease(n_proc, shared=warm_pool)
                 try:
-                    if resilient:
-                        outcome = _run_resilient(
-                            lease,
-                            ordered,
-                            use_cache=operator_cache,
-                            plan=plan,
-                            escalation=escalation,
-                            cost_model=cost_model,
-                            fault_log=fault_log,
-                            trace=trace,
-                            sink=sink,
-                        )
-                    else:
-                        outcome = _run_plain(
-                            lease.pool,
-                            ordered,
-                            use_cache=operator_cache,
-                            static=dispatch == "static",
-                            trace=trace,
-                            sink=sink,
-                        )
+                    outcome = _run_pool(
+                        lease,
+                        ordered,
+                        use_cache=operator_cache,
+                        plan=plan,
+                        escalation=escalation,
+                        cost_model=cost_model,
+                        fault_log=fault_log,
+                        trace=trace,
+                        sink=sink,
+                    )
                 finally:
                     lease.release()
                 n_proc = lease.pool.processes
@@ -1012,7 +940,6 @@ def run_multiprocessing(
         combined=combined,
         total_seconds=time.perf_counter() - t_start,
         pool_seconds=pool_seconds,
-        dispatch=dispatch,
         warm_pool=lease.was_warm,
         pool_cold_start_seconds=lease.cold_start_seconds,
         dispatch_order=tuple((s.l, s.m) for s in ordered),
@@ -1026,7 +953,6 @@ def run_multiprocessing(
         recovered_keys=outcome.recovered_keys,
         fallback_keys=outcome.fallback_keys,
         data_plane=data_plane,
-        streaming=sink.streaming if sink is not None else False,
         shm_payloads=sink.shm_payloads if sink is not None else 0,
         shm_fallbacks=sink.shm_fallbacks if sink is not None else 0,
         transport_shm_bytes=sink.transport_shm_bytes if sink is not None else 0,

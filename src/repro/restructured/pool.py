@@ -59,7 +59,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.trace.recorder import emit as trace_emit
 
@@ -142,7 +142,6 @@ class PersistentWorkerPool:
                 generation=self.generation,
             )
         self.jobs_dispatched = 0
-        self.batches_dispatched = 0
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -166,9 +165,9 @@ class PersistentWorkerPool:
     ):
         """One asynchronous job; returns the ``AsyncResult`` handle.
 
-        The fault-tolerant pool driver submits every job this way so it
-        can enforce per-job deadlines and re-dispatch individual lost
-        jobs.  The callbacks run on the pool's result-handler thread
+        The pool driver of the dispatch core submits every job this way
+        so it can enforce per-job deadlines and re-dispatch individual
+        lost jobs.  The callbacks run on the pool's result-handler thread
         the moment the job's result (or exception) arrives: they must
         only hand it over to the dispatch thread, never block or raise.
         """
@@ -178,28 +177,6 @@ class PersistentWorkerPool:
             return self._pool.apply_async(
                 fn, (item,), callback=callback, error_callback=error_callback
             )
-
-    def map_static(self, fn: Callable, items: list) -> list:
-        """``pool.map`` with its default static chunking (the seed
-        dispatch policy, kept for measurement)."""
-        with self._lock:
-            self._require_open()
-            self.jobs_dispatched += len(items)
-            self.batches_dispatched += 1
-            handle = self._pool.map_async(fn, items)
-        return handle.get()
-
-    def imap_unordered(
-        self, fn: Callable, items: Iterable, *, chunksize: int = 1
-    ) -> Iterable:
-        """Greedy single-job dispatch: each free worker pulls the next
-        item, so a longest-first ordering becomes LPT scheduling."""
-        with self._lock:
-            self._require_open()
-            items = list(items)
-            self.jobs_dispatched += len(items)
-            self.batches_dispatched += 1
-            return self._pool.imap_unordered(fn, items, chunksize)
 
     # ------------------------------------------------------------------
     # observability: heartbeats and process liveness

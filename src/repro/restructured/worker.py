@@ -19,7 +19,6 @@ configurations of the paper:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
@@ -39,9 +38,7 @@ __all__ = [
     "SubsolveJobSpec",
     "SubsolvePayload",
     "execute_job",
-    "execute_job_uncached",
     "ship_payload",
-    "shm_entry",
     "ComputeEngine",
     "InlineEngine",
     "ProcessPoolEngine",
@@ -239,14 +236,6 @@ def execute_job(spec: SubsolveJobSpec, *, use_cache: bool = True) -> SubsolvePay
     )
 
 
-def execute_job_uncached(spec: SubsolveJobSpec) -> SubsolvePayload:
-    """The cold path: no operator or factor reuse (for measurement).
-
-    Top-level so multiprocessing can pickle it by reference.
-    """
-    return execute_job(spec, use_cache=False)
-
-
 #: placeholder solution of a payload whose data went through shm
 _SHIPPED = np.empty((0, 0))
 
@@ -276,19 +265,6 @@ def ship_payload(payload: SubsolvePayload, lease) -> SubsolvePayload:
         descriptor=descriptor,
         shm_write_seconds=time.perf_counter() - t_write,
     )
-
-
-def shm_entry(item: tuple) -> SubsolvePayload:
-    """Pool entry point for the shm data plane (no fault machinery).
-
-    ``item`` is ``(spec, lease, use_cache)``; top-level so
-    multiprocessing pickles it by reference.  The resilient dispatch
-    loop has its own entry point
-    (:func:`repro.resilience.inject.resilient_entry`), which ships
-    through the lease the same way.
-    """
-    spec, lease, use_cache = item
-    return ship_payload(execute_job(spec, use_cache=use_cache), lease)
 
 
 class ComputeEngine:
@@ -321,45 +297,26 @@ class ProcessPoolEngine(ComputeEngine):
     paper's configuration of one worker per task instance the natural
     choice is one process per expected worker, capped by the hardware.
 
-    By default the engine borrows the process-wide *persistent* pool of
+    The engine borrows the process-wide *persistent* pool of
     :mod:`repro.restructured.pool`: warm workers retain their operator
     caches between jobs, runs and engines, and ``close()`` merely
-    detaches (the shared pool stays warm for the next engine).  With
-    ``persistent=False`` the engine owns a private pool and ``close()``
-    drains it gracefully — ``close()``/``join()``, never
-    ``terminate()``, so in-flight jobs finish instead of being killed
-    mid-computation.
+    detaches (the shared pool stays warm for the next engine).
     """
 
-    def __init__(
-        self, processes: Optional[int] = None, *, persistent: bool = True
-    ) -> None:
+    def __init__(self, processes: Optional[int] = None) -> None:
         from .pool import acquire_pool
 
         self.processes = processes
-        self.persistent = persistent
-        if persistent:
-            self._pool, self.warm_start = acquire_pool(processes)
-            self._owned = None
-        else:
-            self._owned = multiprocessing.get_context("fork").Pool(processes)
-            self._pool = None
-            self.warm_start = False
+        self._pool, self.warm_start = acquire_pool(processes)
 
     def compute(self, spec: SubsolveJobSpec) -> SubsolvePayload:
-        if self._owned is not None:
-            return self._owned.apply(execute_job, (spec,))
         if self._pool is None:
             raise RuntimeError("engine has been closed")
         return self._pool.apply(execute_job, (spec,))
 
     def close(self) -> None:
-        if self._owned is not None:
-            self._owned.close()
-            self._owned.join()
-            self._owned = None
-        # a borrowed persistent pool is shared state: detach only, the
-        # shared pool is wound down by pool.shutdown_pool()/atexit
+        # the borrowed pool is shared state: detach only, the shared
+        # pool is wound down by pool.shutdown_pool()/atexit
         self._pool = None
 
 

@@ -74,11 +74,6 @@ class TestBitwiseEquality:
         assert audit.released == result.n_workers
         assert audit.leaked == 0
 
-    def test_static_dispatch_matches_too(self, pickle_combined):
-        result = _run(data_plane="shm", dispatch="static")
-        assert not result.streaming
-        assert np.array_equal(result.combined, pickle_combined)
-
     def test_cold_pool_matches_too(self, pickle_combined):
         result = _run(data_plane="shm", warm_pool=False)
         assert np.array_equal(result.combined, pickle_combined)

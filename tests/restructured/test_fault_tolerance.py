@@ -14,6 +14,9 @@ marked ``slow`` and runs via ``pytest -m slow``.
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 import threading
 import time
 
@@ -73,10 +76,89 @@ class TestResilientFaultFree:
         assert result.attempts == result.n_workers  # one attempt per grid
         assert np.array_equal(result.combined, fault_free_combined)
 
-    def test_plain_path_reports_one_attempt_per_grid(self):
+    def test_default_run_one_attempt_each(self):
         result = _run()
         assert result.attempts == result.n_workers
         assert result.fault_events == ()
+
+
+#: a *default* level-7 run (no ``faults``, no ``retry``) on the warm
+#: shared pool, one of whose workers is SIGKILLed 50 ms in — mid-run,
+#: a warm run takes about 0.2 s.  Prints what the parent test asserts.
+KILL_A_WORKER = """
+import json, os, signal, threading
+import numpy as np
+from repro.restructured import acquire_pool, run_multiprocessing
+from repro.sparsegrid import SequentialApplication
+
+reference = SequentialApplication(root=2, level=7, tol=1e-3).run().combined
+for _ in range(2):
+    run_multiprocessing(root=2, level=7, tol=1e-3, processes=2)
+pool, was_warm = acquire_pool(2)
+victim = min(pool.worker_pids())
+timer = threading.Timer(0.05, os.kill, (victim, signal.SIGKILL))
+timer.start()
+hit = run_multiprocessing(root=2, level=7, tol=1e-3, processes=2)
+timer.join()
+after = run_multiprocessing(root=2, level=7, tol=1e-3, processes=2)
+print(json.dumps({
+    "was_warm": was_warm,
+    "victim_gone": victim not in acquire_pool(2)[0].worker_pids(),
+    "hit_bitwise": bool(np.array_equal(hit.combined, reference)),
+    "hit": [hit.faults, hit.recovered, hit.fallbacks],
+    "hit_kinds": [e.kind for e in hit.fault_events],
+    "after_warm": after.warm_pool,
+    "after_bitwise": bool(np.array_equal(after.combined, reference)),
+    "after": [after.faults, after.recovered, after.fallbacks],
+}))
+"""
+
+
+class TestDefaultRun:
+    """Nothing has to be passed to get the ladder: the default call is
+    driven by the dispatch core like every other."""
+
+    def test_worker_killed_mid_run(self):
+        # in a subprocess with a timeout: without the core the lost
+        # job's AsyncResult is never completed and the run never returns
+        done = subprocess.run(
+            [sys.executable, "-c", KILL_A_WORKER],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen == {
+            "was_warm": True,
+            "victim_gone": True,
+            "hit_bitwise": True,
+            "hit": [1, 1, 0],
+            "hit_kinds": ["crash"],
+            "after_warm": True,
+            "after_bitwise": True,
+            "after": [0, 0, 0],
+        }
+
+    @pytest.mark.parametrize("engine", ("pool", "socket"))
+    def test_deterministic_exception(self, engine):
+        """A spec that raises on every worker *and* in the master's
+        fallback: the run fails with the whole history and the original
+        exception, the same on both engines."""
+        with pytest.raises(FaultToleranceExhausted) as info:
+            _run(engine=engine, problem_name="no-such-problem")
+        assert isinstance(info.value.__cause__, KeyError)
+        assert "no-such-problem" in str(info.value.__cause__)
+        report = info.value.report
+        assert not report.survived
+        failed = [e for e in report.events if e.key == report.failed_key]
+        # RetryPolicy() allows three attempts, then the in-master one
+        assert [(e.attempt, e.kind, e.action) for e in failed] == [
+            (1, "exception", "retry"),
+            (2, "exception", "retry"),
+            (3, "exception", "fallback"),
+            (3, "exception", "fail"),
+        ]
+        assert failed[-1].detected_by == "fallback"
+        assert all("no-such-problem" in e.error for e in failed)
 
 
 class TestCrashRecovery:

@@ -382,6 +382,36 @@ class TestReactorInvariants:
             f"time.sleep outside WorkerDaemon: {sleeps}"
         )
 
+    def test_one_way_onto_a_pool_worker(self):
+        """``parallel.py`` hands work to a pool at exactly one call site
+        — the pool driver's ``submit`` — and the pool offers no batch
+        method, so a fan-out path round the dispatch core cannot come
+        back unnoticed."""
+        import ast
+        import inspect
+
+        from repro.restructured import parallel
+        from repro.restructured.pool import PersistentWorkerPool
+
+        def hands_over(name):
+            return name in ("submit", "apply", "apply_async") or (
+                name.startswith(("map", "imap", "starmap"))
+            )
+
+        sites = [
+            node.func.attr
+            for node in ast.walk(ast.parse(inspect.getsource(parallel)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and hands_over(node.func.attr)
+        ]
+        assert sites == ["submit"]
+        assert not [
+            name
+            for name in vars(PersistentWorkerPool)
+            if name.startswith(("map", "imap", "starmap"))
+        ]
+
     def test_no_subprocess_no_stdout_handshake(self):
         """Loopback daemons are forked behind a listener the master
         bound: the module execs nothing and parses no port off a pipe."""

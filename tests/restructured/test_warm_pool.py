@@ -54,19 +54,18 @@ class TestPersistentWorkerPool:
         pool = PersistentWorkerPool(1)
         try:
             assert pool.cold_start_seconds > 0.0
-            out = pool.map_static(execute_job, [_spec(0, 0), _spec(0, 1)])
-            assert len(out) == 2
+            handles = [
+                pool.submit(execute_job, _spec(0, 0)),
+                pool.submit(execute_job, _spec(0, 1)),
+            ]
+            out = [handle.get(timeout=60) for handle in handles]
+            assert [(p.l, p.m) for p in out] == [(0, 0), (0, 1)]
             assert pool.jobs_dispatched == 2
-            assert pool.batches_dispatched == 1
-            unordered = list(pool.imap_unordered(execute_job, [_spec(1, 0)]))
-            assert len(unordered) == 1
-            assert pool.jobs_dispatched == 3
-            assert pool.batches_dispatched == 2
         finally:
             pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.map_static(execute_job, [_spec(0, 0)])
+            pool.submit(execute_job, _spec(0, 0))
 
     def test_apply_runs_one_job(self):
         pool = PersistentWorkerPool(1)
@@ -212,7 +211,7 @@ class TestRunMultiprocessing:
         sequential = SequentialApplication(root=2, level=LEVEL, tol=TOL).run()
         cold = run_multiprocessing(
             root=2, level=LEVEL, tol=TOL,
-            warm_pool=False, operator_cache=False, dispatch="static",
+            warm_pool=False, operator_cache=False,
         )
         warm = run_multiprocessing(root=2, level=LEVEL, tol=TOL)
         warm2 = run_multiprocessing(root=2, level=LEVEL, tol=TOL)
@@ -224,7 +223,6 @@ class TestRunMultiprocessing:
 
     def test_dispatch_order_recorded_longest_first(self):
         result = run_multiprocessing(root=2, level=LEVEL, tol=TOL)
-        assert result.dispatch == "longest-first"
         n_grids = 2 * LEVEL + 1
         assert len(result.dispatch_order) == n_grids
         assert len(result.completion_order) == n_grids
@@ -232,22 +230,6 @@ class TestRunMultiprocessing:
         # heaviest diagonal first under the n_interior proxy
         l0, m0 = result.dispatch_order[0]
         assert l0 + m0 == LEVEL
-
-    def test_static_dispatch_keeps_loop_order(self):
-        result = run_multiprocessing(
-            root=2, level=LEVEL, tol=TOL, dispatch="static"
-        )
-        expected = tuple((g.l, g.m) for g in nested_loop_grids(2, LEVEL))
-        assert result.dispatch == "static"
-        assert result.dispatch_order == expected
-        assert np.array_equal(
-            result.combined,
-            SequentialApplication(root=2, level=LEVEL, tol=TOL).run().combined,
-        )
-
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            run_multiprocessing(root=2, level=LEVEL, tol=TOL, dispatch="fifo")
 
     def test_observability_counters_populated(self):
         run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=1)
@@ -285,12 +267,12 @@ class TestProcessPoolEngine:
         with pytest.raises(RuntimeError, match="closed"):
             engine.compute(_spec(0, 0))
 
-    def test_private_engine_owns_and_drains_its_pool(self):
-        engine = ProcessPoolEngine(processes=1, persistent=False)
-        assert not engine.warm_start
+    def test_close_is_idempotent_and_only_detaches(self):
+        engine = ProcessPoolEngine(processes=1)
         payload = engine.compute(_spec(1, 0))
         assert payload.m == 0
         engine.close()
         engine.close()  # idempotent
-        # the private pool never touched the shared one
-        assert pool_diagnostics()["alive"] is False
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.compute(_spec(1, 0))
+        assert pool_diagnostics()["alive"] is True

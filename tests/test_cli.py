@@ -82,17 +82,12 @@ class TestCommands:
         assert "run 1 (cold)" in out
         assert "pool: cold" in out
 
-    def test_run_parallel_static_dispatch(self, capsys):
-        from repro.restructured import shutdown_pool
-
-        shutdown_pool()
-        try:
-            assert main([
-                "run-parallel", "--level", "1", "--dispatch", "static"
-            ]) == 0
-            assert "dispatch: static" in capsys.readouterr().out
-        finally:
-            shutdown_pool()
+    def test_run_parallel_has_no_dispatch_option(self, capsys):
+        # jobs are always dispatched longest-predicted-first
+        with pytest.raises(SystemExit) as info:
+            main(["run-parallel", "--level", "1", "--dispatch", "static"])
+        assert info.value.code == 2
+        assert "--dispatch" in capsys.readouterr().err
 
     def test_calibrate_writes_model(self, tmp_path, capsys, monkeypatch):
         # This test covers the CLI glue (argument plumbing, JSON output),
