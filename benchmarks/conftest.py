@@ -241,17 +241,14 @@ def split_solve_settings() -> dict:
             "root": 5, "level": 5, "tol": 1.0e-3,
             "t_end": 0.25, "rounds": 3,
             "k_options": (2, 4), "makespan_workers": 16,
-            "top_fraction": 0.5, "min_reduction": 1.3,
+            "top_fraction": 0.5,
         }
-    # the smoke floor is slightly relaxed: the short integration window
-    # leaves ~5% machine noise on the lane projection, and the issue's
-    # 1.3x figure is asserted (and recorded) by the full mode
     return {
         "full": False,
         "root": 5, "level": 5, "tol": 1.0e-3,
         "t_end": 0.12, "rounds": 3,
         "k_options": (2, 4), "makespan_workers": 16,
-        "top_fraction": 0.5, "min_reduction": 1.2,
+        "top_fraction": 0.5,
     }
 
 

@@ -749,10 +749,10 @@ def run_multiprocessing(
 
     ``data_plane="shm"`` switches the result transport to the zero-copy
     shared-memory arena of :mod:`repro.perf.dataplane` and the fan-in to
-    streaming: each payload is resampled and folded into the
-    preallocated target the moment it lands, overlapping combination
-    with the remaining subsolves.  ``"pickle"`` (the default) is the
-    barriered seed channel; both are bitwise identical in their output.
+    streaming: each payload is handed to the combiner the moment it
+    lands, overlapping combination with the remaining subsolves.
+    ``"pickle"`` (the default) is the barriered seed channel; both are
+    bitwise identical in their output.
 
     ``engine`` picks the execution substrate: ``"pool"`` (default) is
     the fork pool of the warm path; ``"socket"`` dispatches over real
@@ -911,7 +911,7 @@ def run_multiprocessing(
         t_combine = time.perf_counter()
         if sink is not None:
             # streaming already folded every grid; this is the (cheap)
-            # completeness check + hand-over of the preallocated buffer
+            # completeness check + hand-over of the accumulator
             with trace_span("prolongation"):
                 target_grid, combined = sink.combiner.result()
             combine_seconds = sink.combine_seconds

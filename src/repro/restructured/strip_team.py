@@ -84,7 +84,8 @@ def _child_main(
     cache so hold-band oscillation does not refactor.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+
+    from repro.sparsegrid.linsolve import factorize
 
     J_ss, B, C, _cols = pickle.loads(blocks_blob)
     n = J_ss.shape[0]
@@ -112,7 +113,7 @@ def _child_main(
             fresh = entry is None
             if fresh:
                 scale = -gamma * h
-                lu = spla.splu((identity - (gamma * h) * J_ss).tocsc())
+                lu = factorize(identity - (gamma * h) * J_ss)
                 W = np.atleast_2d(
                     np.asarray(lu.solve(scale * np.asarray(B.todense())))
                 )
@@ -276,9 +277,10 @@ class StripProcessTeam:
         """Respawn a dead strip child and replay its state.
 
         The replacement recomputes the strip factor for the current
-        ``h`` (bit-identical: ``splu`` is deterministic) and, when the
-        lost operation had a forward solve in flight or already behind
-        it, re-runs ``forward`` with the retained rhs slice.  The
+        ``h`` (bit-identical: ``linsolve.factorize`` is deterministic)
+        and, when the lost operation had a forward solve in flight or
+        already behind it, re-runs ``forward`` with the retained rhs
+        slice.  The
         in-flight command itself is re-issued by the caller's pending
         ``_recv`` loop — the reply it eventually reads comes from the
         replay below.
@@ -303,7 +305,7 @@ class StripProcessTeam:
             # is the whole replay, and its reply feeds the caller
             conn.send(cmd)
             return
-        # replay factor state (bit-identical: splu is deterministic)
+        # replay factor state (bit-identical: factorize is deterministic)
         if self._current_h is not None:
             conn.send(("prepare", self._current_h))
             self._await_plain(conn, strip_id, deadline)

@@ -9,7 +9,12 @@ technique forms::
 
 where ``P`` prolongates (bilinear interpolation; the grid families are
 nested, so coarse nodes map onto fine nodes exactly) each anisotropic
-solution onto the target grid.
+solution onto the target grid.  ``P`` factors into an axis-1 and an
+axis-0 part, and the sum is evaluated with the axis-0 part folded
+Horner-style — one doubling of the running accumulator per level
+instead of a full-size prolongation per grid — see
+:class:`IncrementalCombiner`, the one implementation behind
+:func:`combine` and every streaming fan-in.
 
 For large ``L`` the full isotropic target grid ``(L, L)`` would have
 ``(2**(root+L)+1)**2`` nodes — astronomically more memory than all the
@@ -69,7 +74,9 @@ def resample_1d(values: np.ndarray, levels_up: int, axis: int) -> np.ndarray:
         hi = [slice(None)] * result.ndim
         hi[axis] = slice(1, n)
         out[tuple(even)] = result
-        out[tuple(odd)] = 0.5 * (result[tuple(lo)] + result[tuple(hi)])
+        midpoints = out[tuple(odd)]
+        np.add(result[tuple(lo)], result[tuple(hi)], out=midpoints)
+        midpoints *= 0.5
         result = out
     return result
 
@@ -99,20 +106,33 @@ def combination_coefficients(level: int) -> dict[int, int]:
 
 
 class IncrementalCombiner:
-    """Streaming combination with a deterministic accumulation order.
+    """Streaming combination, folded Horner-style one axis-0 level at a time.
+
+    Prolongation is linear and the grid families are nested, so the
+    axis-0 prolongation can be applied once per *level* instead of once
+    per grid (block-wise prolongation on nested grids): with ``T`` the
+    target level and ``P0`` one axis-0 doubling, ::
+
+        acc_0 = members of row 0
+        acc_r = P0(acc_{r-1}) ± members of row r        r = 1 .. T
+
+    where *row* ``r`` holds the grids with ``min(l, T) == r``, each
+    already brought to the target's axis-1 size (and, for ``l > T``,
+    subsampled along axis 0), in :func:`combination_grids` order.
+    ``acc_T`` is the combined solution.  A grid with few rows therefore
+    stays small until the accumulator has grown to meet it: :meth:`add`
+    produces a ``rows(min(l, T)) x cols(T)`` array, never a target-sized
+    one, and the whole family parks at most about three target arrays.
 
     Solutions may be fed in *any* arrival order (this is what lets the
-    master overlap combination with outstanding subsolves): each
-    :meth:`add` resamples the grid onto the preallocated target buffer's
-    geometry immediately — the expensive part — and the cheap in-place
-    accumulation is *folded* strictly in the nested-loop order of
-    :func:`combination_grids`.  Out-of-order arrivals are parked
-    (already resampled) until their turn.  Because the fold order is
-    fixed and every fold is an in-place ``np.add``/``np.subtract`` into
-    the single accumulation buffer, the result is bitwise identical to
-    the batch :func:`combine` regardless of arrival order — IEEE
-    addition is not associative, so order discipline, not tolerance, is
-    what preserves the paper's exact-equality claim.
+    master overlap combination with outstanding subsolves): :meth:`add`
+    does the per-grid axis-1 work at once and parks the array until the
+    chain reaches it.  Every operand and the order of every ``+``/``-``
+    is fixed by the keys, not by arrival, so the result is bitwise
+    identical for any arrival order — IEEE addition is not associative,
+    so order discipline, not tolerance, is what preserves the paper's
+    exact-equality claim between the sequential driver and every
+    parallel fan-in, all of which combine through this class.
     """
 
     def __init__(
@@ -121,9 +141,6 @@ class IncrementalCombiner:
         target_level = level if target_cap is None else min(level, target_cap)
         self.level = level
         self.target = Grid(root, target_level, target_level)
-        #: the preallocated accumulation buffer — every fold lands here
-        #: in place; no per-grid temporaries are materialized
-        self.combined = np.zeros(self.target.shape)
         self._grids: dict[tuple[int, int], Grid] = {}
         self._coefficients: dict[tuple[int, int], int] = {}
         self._sequence: list[tuple[int, int]] = []
@@ -132,25 +149,32 @@ class IncrementalCombiner:
             self._grids[key] = grid
             self._coefficients[key] = coefficient
             self._sequence.append(key)
+        #: the chain's order: by row, nested-loop order within a row
+        self._chain = sorted(self._sequence, key=self._row)
         self._parked: dict[tuple[int, int], np.ndarray] = {}
         self._added: set[tuple[int, int]] = set()
         self._next = 0
+        self._acc_row = 0
+        self._acc = np.zeros((Grid(root, 0, 0).shape[0], self.target.shape[1]))
+
+    def _row(self, key: tuple[int, int]) -> int:
+        return min(key[0], self.target.l)
 
     # ------------------------------------------------------------------
     # feeding
     # ------------------------------------------------------------------
     def expected_keys(self) -> list[tuple[int, int]]:
-        """Every grid of the formula, in fold (nested-loop) order."""
+        """Every grid of the formula, in nested-loop order."""
         return list(self._sequence)
 
     @property
     def remaining(self) -> list[tuple[int, int]]:
-        """Keys not yet fed, in fold order."""
+        """Keys not yet fed, in nested-loop order."""
         return [k for k in self._sequence if k not in self._added]
 
     @property
     def complete(self) -> bool:
-        return self._next == len(self._sequence)
+        return self._next == len(self._chain)
 
     def add(self, key: tuple[int, int], values: np.ndarray) -> int:
         """Feed one grid's solution; returns how many grids folded.
@@ -169,29 +193,39 @@ class IncrementalCombiner:
             )
         if key in self._added:
             raise ValueError(f"grid {key} was already added")
-        resampled = resample_2d(values, grid, self.target)
-        if np.shares_memory(resampled, values):
+        if values.shape != grid.shape:
+            raise ValueError(
+                f"solution shape {values.shape} does not match {grid} "
+                f"nodes {grid.shape}"
+            )
+        # rows first: the subsample is a view, and it spares the axis-1
+        # work on rows the target does not have
+        member = resample_1d(values, self._row(key) - grid.l, axis=0)
+        member = resample_1d(member, self.target.m - grid.m, axis=1)
+        if np.shares_memory(member, values):
             # pure-subsample (or identity) resampling returns a view of
             # the input; park a copy so the caller may free its buffer
-            resampled = np.array(resampled, dtype=float)
-        self._parked[key] = resampled
+            member = np.array(member, dtype=float)
+        self._parked[key] = member
         self._added.add(key)
         return self._fold()
 
     def _fold(self) -> int:
         folded = 0
-        while self._next < len(self._sequence):
-            key = self._sequence[self._next]
-            values = self._parked.pop(key, None)
-            if values is None:
+        while self._next < len(self._chain):
+            key = self._chain[self._next]
+            member = self._parked.pop(key, None)
+            if member is None:
                 break
-            # in place into the preallocated buffer; ``a - b`` is IEEE
-            # ``a + (-b)`` exactly, so +=/-= of the ±1 coefficients is
-            # reproduced bit for bit without the scaled temporary
+            row = self._row(key)
+            self._acc = resample_1d(self._acc, row - self._acc_row, axis=0)
+            self._acc_row = row
+            # in place; ``a - b`` is IEEE ``a + (-b)`` exactly, so +=/-=
+            # of the ±1 coefficients needs no scaled temporary
             if self._coefficients[key] == 1:
-                np.add(self.combined, values, out=self.combined)
+                np.add(self._acc, member, out=self._acc)
             else:
-                np.subtract(self.combined, values, out=self.combined)
+                np.subtract(self._acc, member, out=self._acc)
             self._next += 1
             folded += 1
         return folded
@@ -203,7 +237,7 @@ class IncrementalCombiner:
             raise KeyError(
                 f"missing solution for grid {missing} at level {self.level}"
             )
-        return self.target, self.combined
+        return self.target, self._acc
 
 
 def combine_incremental(
@@ -226,10 +260,8 @@ def combine(
     grid.  Every grid of both diagonals must be present.  Returns the
     target grid and the combined nodal array on it.
 
-    The accumulation buffer is preallocated and every grid is folded in
-    place (no ``coefficient * resampled`` temporaries); the batch path
-    is the incremental combiner fed in loop order, so the two are
-    bitwise identical by construction.
+    The batch path is the incremental combiner fed in loop order, so
+    the two are bitwise identical by construction.
     """
     combiner = IncrementalCombiner(root, level, target_cap=target_cap)
     for key in combiner.expected_keys():

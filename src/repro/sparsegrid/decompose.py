@@ -24,15 +24,19 @@ the interface block ``A_gg``::
 The backward substitution is a dense GEMV against the ``W_s`` computed
 *once per factorization* — not a second triangular solve — which is
 what makes the per-stage critical path (max over strips, plus the small
-interface solve) genuinely shorter than the unsplit solve: measured on
-this machine, ~1.4-1.5x at ``k=2`` and ~2.2x at ``k=4`` on the largest
-level-5/6 grids.
+interface solve) shorter than the unsplit solve where it is shorter
+at all.  Against an unsplit LU under the same fill-reducing ordering
+(:func:`~repro.sparsegrid.linsolve.factorize`), measured on this
+machine on the root-5 level-5 family: ~2.2x at either ``k`` on
+(0,4) and (1,3), 1.3-1.7x on (5,0), and on the other six grids
+1.1-1.3x at ``k=4`` and 0.8-1.2x at ``k=2`` (below 1 on five of
+them) — the table is in ``docs/intra_grid.md``.
 
 Strip factors (``LU``, ``W_s``, ``piece_s``) enter the shared
 :class:`~repro.sparsegrid.linsolve.FactorCache` keyed by
 ``(split-tag, strip, h)`` and the interface factor by
 ``(split-tag, 'schur', h)``, so the warm path amortizes the Schur
-construction exactly like the unsplit path amortizes ``splu``.
+construction exactly like the unsplit path amortizes its LU.
 
 **Determinism.**  Every reduction runs in fixed strip order on the
 master; executors only parallelize *independent* per-strip operations,
@@ -52,12 +56,11 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.trace.recorder import emit as trace_emit
 
 from .grid import Grid
-from .linsolve import FactorCache
+from .linsolve import FactorCache, factorize
 
 __all__ = [
     "SPLIT_SOLVE_RTOL",
@@ -299,8 +302,7 @@ class _StripWorker:
                 return cached.piece, 0.0, False
         started = time.perf_counter()
         scale = -self.gamma * h
-        matrix = (self._identity - (self.gamma * h) * self.J_ss).tocsc()
-        lu = spla.splu(matrix)
+        lu = factorize(self._identity - (self.gamma * h) * self.J_ss)
         W = lu.solve(scale * np.asarray(self.B.todense()))
         W = np.atleast_2d(np.asarray(W))
         if W.ndim == 2 and W.shape[0] != self.n:  # pragma: no cover

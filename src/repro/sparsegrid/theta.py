@@ -26,9 +26,9 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import SpatialOperator
+from .linsolve import factorize
 from .rosenbrock import Ros2Integrator, StepStats
 
 __all__ = ["ThetaIntegrator", "make_integrator", "steps_for_tolerance"]
@@ -69,9 +69,7 @@ class ThetaIntegrator:
         solve = None
         factor_started = time.perf_counter()
         if self.theta > 0.0:
-            lhs = (identity - (self.theta * h) * J).tocsc()
-            lu = spla.splu(lhs)
-            solve = lu.solve
+            solve = factorize(identity - (self.theta * h) * J).solve
             stats.factorizations = 1
         stats.factor_seconds = time.perf_counter() - factor_started
 

@@ -6,8 +6,8 @@ The acceptance invariant throughout: ``data_plane="shm"`` must produce
 a combined solution *bitwise identical* to ``data_plane="pickle"`` —
 with or without injected faults, with or without a pool respawn —
 because the transport moves bytes, it does not do arithmetic.  The
-streaming combiner preserves this by folding grids in formula order
-regardless of arrival order.
+streaming combiner preserves this by folding grids in an order fixed by
+their keys, regardless of arrival order.
 
 Cheap tests run at level 2-4 in tier-1; the level-6 equality sweep of
 the issue's acceptance criterion is marked ``slow``.

@@ -13,6 +13,8 @@ from repro.sparsegrid import (
     resample_1d,
     resample_2d,
 )
+from repro.sparsegrid.combination import IncrementalCombiner
+from repro.sparsegrid.grid import combination_grids
 
 
 class TestResample1D:
@@ -143,3 +145,72 @@ class TestCombine:
             errors.append(float(np.max(np.abs(result.combined - exact))))
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
+
+
+class TestFoldedCombiner:
+    """Contracts of the Horner-folded streaming combiner beyond its
+    value (the value properties are in ``tests/test_properties.py``)."""
+
+    ROOT = 2
+
+    def family(self, level):
+        rng = np.random.default_rng(level)
+        return {
+            (g.l, g.m): rng.uniform(-1, 1, g.shape)
+            for g, _ in combination_grids(self.ROOT, level)
+        }
+
+    def test_worst_arrival_order_parks_about_three_target_arrays(self):
+        """Nothing folds until the chain's first grid lands, so feeding
+        it last parks the whole family — at its axis-1-prolonged size,
+        rows(l) x cols(target), not at target size."""
+        level = 7
+        solutions = self.family(level)
+        combiner = IncrementalCombiner(self.ROOT, level)
+        target_bytes = 8 * combiner.target.n_nodes
+        cols = combiner.target.shape[1]
+        family_bytes = sum(
+            8 * Grid(self.ROOT, l, m).shape[0] * cols for l, m in solutions
+        )
+        assert family_bytes < 3.1 * target_bytes
+        first, *rest = combiner.expected_keys()
+        peak = 0
+        for key in rest:
+            assert combiner.add(key, solutions[key]) == 0
+            peak = max(peak, sum(a.nbytes for a in combiner._parked.values()))
+        assert 2.9 * target_bytes < peak <= family_bytes
+        assert combiner.add(first, solutions[first]) == len(solutions)
+        assert not combiner._parked
+        assert np.array_equal(
+            combiner.result()[1], combine(solutions, self.ROOT, level)[1]
+        )
+
+    @pytest.mark.parametrize("target_cap", [None, 1])
+    def test_add_copies_views_of_caller_memory(self, target_cap):
+        """The shm contract: the caller may reclaim (here: scribble on)
+        its buffer the moment ``add`` returns, parked or not."""
+        level = 3
+        solutions = self.family(level)
+        _, expected = combine(solutions, self.ROOT, level, target_cap=target_cap)
+        combiner = IncrementalCombiner(self.ROOT, level, target_cap=target_cap)
+        for key in reversed(combiner.expected_keys()):
+            buffer = solutions[key].copy()
+            combiner.add(key, buffer)
+            assert not any(
+                np.shares_memory(buffer, a) for a in combiner._parked.values()
+            )
+            buffer.fill(np.nan)
+        assert np.array_equal(combiner.result()[1], expected)
+
+    def test_rejections_keep_their_exception_types(self):
+        combiner = IncrementalCombiner(self.ROOT, 2)
+        with pytest.raises(KeyError):
+            combiner.add((5, 5), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            combiner.add((1, 1), np.zeros((3, 3)))
+        combiner.add((1, 1), np.zeros(Grid(self.ROOT, 1, 1).shape))
+        with pytest.raises(ValueError):
+            combiner.add((1, 1), np.zeros(Grid(self.ROOT, 1, 1).shape))
+        with pytest.raises(KeyError):
+            combiner.result()
+        assert (1, 1) not in combiner.remaining

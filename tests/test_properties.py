@@ -15,7 +15,12 @@ from repro.cluster.host import uniform_cluster
 from repro.cluster.trace import MachinePoint, machines_timeline, weighted_average_machines
 from repro.manifold import Event, EventMemory, EventOccurrence
 from repro.manifold.mlink import parse_mlink
-from repro.sparsegrid.combination import combine, resample_1d
+from repro.sparsegrid.combination import (
+    IncrementalCombiner,
+    combine,
+    resample_1d,
+    resample_2d,
+)
 from repro.sparsegrid.grid import Grid, combination_grids, nested_loop_grids
 
 # ----------------------------------------------------------------------
@@ -63,17 +68,48 @@ def test_prolongation_preserves_extrema_bounds(levels, n):
     a=st.floats(min_value=-3, max_value=3, allow_nan=False),
     b=st.floats(min_value=-3, max_value=3, allow_nan=False),
     c=st.floats(min_value=-3, max_value=3, allow_nan=False),
+    target_cap=st.sampled_from([None, 1, 3, 8]),
 )
 @settings(max_examples=30, deadline=None)
-def test_combination_reproduces_bilinear_fields(root, level, a, b, c):
+def test_combination_reproduces_bilinear_fields(root, level, a, b, c, target_cap):
     f = lambda x, y: a * x + b * y + c * x * y
     solutions = {
         (g.l, g.m): g.sample(lambda x, y: f(x, y))
         for g in nested_loop_grids(root, level)
     }
-    target, combined = combine(solutions, root, level)
+    target, combined = combine(solutions, root, level, target_cap=target_cap)
     xx, yy = target.meshgrid()
     assert np.allclose(combined, f(xx, yy), atol=1e-9)
+
+
+@given(
+    level=st.integers(min_value=0, max_value=5),
+    target_cap=st.sampled_from([None, 3, 8]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_folded_combination_is_arrival_order_independent(level, target_cap, data):
+    """The folded combiner fixes every operand and every ``+``/``-`` by
+    key: any arrival order gives the same bits as the nested-loop order,
+    and those bits are the direct formula ``sum c * P u`` up to rounding
+    (a cap below the level exercises restriction and many grids per row)."""
+    root = 2
+    rng = np.random.default_rng(level * 31 + (target_cap or 0))
+    family = list(combination_grids(root, level))
+    solutions = {(g.l, g.m): rng.uniform(-1, 1, g.shape) for g, _ in family}
+    target, reference = combine(solutions, root, level, target_cap=target_cap)
+
+    combiner = IncrementalCombiner(root, level, target_cap=target_cap)
+    for key in data.draw(st.permutations(combiner.expected_keys())):
+        combiner.add(key, solutions[key])
+    assert combiner.complete and not combiner.remaining
+    assert np.array_equal(combiner.result()[1], reference)
+
+    direct = sum(
+        c * resample_2d(solutions[(g.l, g.m)], g, target) for g, c in family
+    )
+    peak = max(np.max(np.abs(u)) for u in solutions.values())
+    assert np.max(np.abs(reference - direct)) <= 1e-14 * peak
 
 
 @given(level=st.integers(min_value=0, max_value=12))
