@@ -132,10 +132,6 @@ FAULT_RECOVERY_FULL = os.environ.get(
     "REPRO_FAULT_RECOVERY_FULL", ""
 ) not in ("", "0")
 
-#: ``REPRO_DATA_PLANE_FULL=1`` switches bench_data_plane from the fast
-#: smoke mode to a bigger level and more rounds.
-DATA_PLANE_FULL = os.environ.get("REPRO_DATA_PLANE_FULL", "") not in ("", "0")
-
 #: ``REPRO_SOCKET_ENGINE_FULL=1`` switches bench_socket_engine from the
 #: fast smoke mode to a bigger level and more rounds.
 SOCKET_ENGINE_FULL = os.environ.get(
@@ -185,26 +181,6 @@ def fault_recovery_settings() -> dict:
         "full": False,
         "level": 3, "tol": 1.0e-3, "processes": 2,
         "rounds": 2, "fault": "crash@1,2",
-    }
-
-
-@pytest.fixture(scope="session")
-def data_plane_settings() -> dict:
-    """Configuration of the data-plane bench: per-payload transport at
-    the issue's level-5 floor either way, the full mode runs the
-    end-to-end comparison at level 6 with more rounds."""
-    if DATA_PLANE_FULL:
-        return {
-            "full": True,
-            "payload_root": 6, "payload_level": 6,
-            "run_level": 6, "tol": 1.0e-4,
-            "transport_rounds": 30, "run_rounds": 5,
-        }
-    return {
-        "full": False,
-        "payload_root": 6, "payload_level": 5,
-        "run_level": 5, "tol": 1.0e-3,
-        "transport_rounds": 10, "run_rounds": 3,
     }
 
 

@@ -97,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--trace", default=None, metavar="OUT.jsonl",
                        help="record the run's structured event timeline "
                        "and write it as JSONL (inspect with analyze-trace)")
-    p_par.add_argument("--data-plane", choices=("pickle", "shm"),
-                       default="pickle", dest="data_plane",
-                       help="result transport: pickle through the pool's "
-                       "result pipe (seed behaviour) or zero-copy "
-                       "shared-memory blocks with streaming combination")
     p_par.add_argument("--engine", choices=("pool", "socket"),
                        default="pool",
                        help="execution substrate: the fork pool, or worker "
@@ -302,7 +297,11 @@ def cmd_run_parallel(args) -> int:
     from repro.sparsegrid.registry import make_problem
 
     model = CostModel.from_json(args.model) if args.model else None
-    retry = deadline = None
+    plan = retry = deadline = None
+    if args.faults is not None:
+        from repro.resilience import FaultPlan
+
+        plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
     if args.retry is not None:
         from repro.resilience import RetryPolicy
 
@@ -344,10 +343,8 @@ def cmd_run_parallel(args) -> int:
             operator_cache=not args.cold,
             retry=retry,
             deadline=deadline,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
+            faults=plan,
             trace=recorder,
-            data_plane=args.data_plane,
             engine=args.engine,
             hosts=args.hosts,
             split=split,

@@ -114,9 +114,8 @@ def validate_socket_engine(
 
     The socket run comes first — its payloads provide the per-grid
     costs the simulator is then fed, so both decompositions describe
-    the *same* workload.  Uses the pickle data plane so every result
-    byte actually crosses the socket (the shm path would hide the
-    result transfer from the network accounting).
+    the *same* workload.  Every result byte crosses the socket, so the
+    network accounting sees the whole result transfer.
     """
     from repro.sparsegrid import SequentialApplication
     from repro.sparsegrid.registry import make_problem
@@ -132,7 +131,6 @@ def validate_socket_engine(
         processes=processes,
         engine="socket",
         hosts=f"localhost:{processes}",
-        data_plane="pickle",
         # daemons of its own, forked inside the call: the decomposition
         # has a start-up row, which a leased warm fleet would not pay
         warm_pool=False,

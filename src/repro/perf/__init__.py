@@ -11,23 +11,20 @@
 * :mod:`warmpath` — warm-path observability: operator/factorization
   cache effectiveness, cold-vs-warm pool timings, and the
   dispatch-order makespan metric;
-* :mod:`dataplane` — the zero-copy shared-memory data plane: pooled
-  arena of ``multiprocessing.shared_memory`` blocks with
-  generation-tagged leases, so workers write result arrays in place and
-  the master attaches without a copy.
+* :mod:`dataplane` — the shared-memory arena of the strip process
+  team: pooled ``multiprocessing.shared_memory`` blocks, leases and
+  checksummed descriptors, so halo vectors are written in place and
+  read without pickling.
 """
 
 from .bridge import costs_from_run, records_from_run, replay_on_cluster
 from .costmodel import CalibrationError, CostModel, CostRecord, measure_costs
 from .dataplane import (
-    DATA_PLANES,
     DataPlane,
     DataPlaneAudit,
     DataPlaneError,
     ShmDescriptor,
     ShmLease,
-    StaleLeaseError,
-    payload_nbytes,
     write_through_lease,
 )
 from .metrics import RunStatistics, speedup, summarize_runs
@@ -46,7 +43,6 @@ __all__ = [
     "CalibrationError",
     "CostModel",
     "CostRecord",
-    "DATA_PLANES",
     "DataPlane",
     "DataPlaneAudit",
     "DataPlaneError",
@@ -55,14 +51,12 @@ __all__ = [
     "RunStatistics",
     "ShmDescriptor",
     "ShmLease",
-    "StaleLeaseError",
     "TimingResult",
     "WarmPathReport",
     "costs_from_run",
     "decompose_run",
     "dispatch_makespan",
     "measure_costs",
-    "payload_nbytes",
     "records_from_run",
     "replay_on_cluster",
     "simulate_makespan",

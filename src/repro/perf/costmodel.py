@@ -158,16 +158,6 @@ class CostModel:
     measured: dict[tuple[int, int, float], float] = field(default_factory=dict)
     #: prolongation cost per combined target node, per component grid
     prolongation_seconds_per_node_grid: float = 2.0e-8
-    #: result-transport throughput per data plane, bytes/second: pickle
-    #: pays serialize + pipe + deserialize, shm pays two memcpys (worker
-    #: write + nothing on attach, which is a zero-copy map).  Defaults
-    #: are conservative single-machine figures; the benchmark
-    #: (benchmarks/bench_data_plane.py) measures the real ratio.
-    pickle_bytes_per_second: float = 0.8e9
-    shm_bytes_per_second: float = 4.0e9
-    #: per-payload constant of a transport (pickle protocol overhead
-    #: resp. segment attach + checksum page walk)
-    transport_latency_seconds: float = 5.0e-5
     #: calibration machine → reference machine scale (1.0: report our
     #: own machine's seconds as "reference seconds"; the shape analysis
     #: is scale-free)
@@ -333,7 +323,7 @@ class CostModel:
         as ``(1.35/k + 0.08)`` of the unsplit solve part — fitted to
         the measured per-stage critical paths on this machine (~0.65 at
         ``k=2``, ~0.44 at ``k=4``).  On top rides the interface cost per
-        stage: ``2k`` halo exchanges at the transport latency plus the
+        stage: ``2k`` halo exchanges at 50 µs apiece plus the
         dense interface solve, quadratic in the ``(k-1)``-separator
         interface size.  Floored at a quarter of the unsplit prediction
         — diminishing returns keep any real ``k`` above that.
@@ -353,7 +343,7 @@ class CostModel:
         g = float(plan.n_interface)
         lane = overhead_part + solve_part * (1.35 / plan.k + 0.08)
         lane += s * (
-            2.0 * plan.k * self.transport_latency_seconds + 2.0e-9 * g * g
+            2.0 * plan.k * 5.0e-5 + 2.0e-9 * g * g
         )
         return max(lane, 0.25 * base) * self.reference_scale
 
@@ -445,35 +435,6 @@ class CostModel:
         n_grids = 2 * level + 1 if level > 0 else 1
         return self.prolongation_seconds_per_node_grid * target_nodes * n_grids
 
-    def transport_seconds(
-        self, payload_bytes: int, data_plane: str = "pickle"
-    ) -> float:
-        """Cost of moving one result payload master-ward.
-
-        ``pickle``: serialize, push through the result pipe,
-        deserialize.  ``shm``: the worker's copy into the shared block
-        (the master attach is a zero-copy map, so only the latency
-        constant remains on its side).
-        """
-        if data_plane == "shm":
-            rate = self.shm_bytes_per_second
-        elif data_plane == "pickle":
-            rate = self.pickle_bytes_per_second
-        else:
-            raise ValueError(
-                f"unknown data plane {data_plane!r}; choose 'pickle' or 'shm'"
-            )
-        return self.transport_latency_seconds + payload_bytes / rate
-
-    def level_transport_seconds(
-        self, level: int, tol: float, data_plane: str = "pickle"
-    ) -> float:
-        """Total result-transport cost of one level's fan-in."""
-        return sum(
-            self.transport_seconds(cost.result_bytes, data_plane)
-            for cost in self.level_costs(level, tol)
-        )
-
     # ------------------------------------------------------------------
     # diagnostics / persistence
     # ------------------------------------------------------------------
@@ -508,9 +469,6 @@ class CostModel:
             "solves_r_squared": self.solves_r_squared,
             "noise_floor_seconds": self.noise_floor_seconds,
             "prolongation_seconds_per_node_grid": self.prolongation_seconds_per_node_grid,
-            "pickle_bytes_per_second": self.pickle_bytes_per_second,
-            "shm_bytes_per_second": self.shm_bytes_per_second,
-            "transport_latency_seconds": self.transport_latency_seconds,
             "reference_scale": self.reference_scale,
             "measured": [
                 {"l": l, "m": m, "tol": tol, "wall_seconds": w}
@@ -532,13 +490,8 @@ class CostModel:
             prolongation_seconds_per_node_grid=payload[
                 "prolongation_seconds_per_node_grid"
             ],
-            # transport terms are newer than the first saved models;
-            # .get defaults keep old calibration files loadable
-            pickle_bytes_per_second=payload.get("pickle_bytes_per_second", 0.8e9),
-            shm_bytes_per_second=payload.get("shm_bytes_per_second", 4.0e9),
-            transport_latency_seconds=payload.get(
-                "transport_latency_seconds", 5.0e-5
-            ),
+            # keys are read by name: a file saved with keys this model
+            # no longer has (the transport terms) still loads
             reference_scale=payload.get("reference_scale", 1.0),
             measured={
                 (rec["l"], rec["m"], rec["tol"]): rec["wall_seconds"]

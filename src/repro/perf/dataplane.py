@@ -1,37 +1,33 @@
-"""The zero-copy shared-memory data plane for the subsolve fan-out.
+"""The shared-memory arena: pooled blocks, leases, checksummed descriptors.
 
-The paper routes every grid's data through streams into
-``master.dataport``; in the reproduction that stream is
-``multiprocessing.Pool`` pickling, so each result array pays a full
-serialize → pipe → deserialize round trip before the master can touch
-it.  The S-Net/CnC comparison in the related work shows exactly this
-coordination-layer data transport dominating fan-out/fan-in workloads,
-and the protocol-sequentialization argument (Jongmans & Arbab) motivates
-collapsing the per-payload protocol steps into one shared-buffer
-hand-off.  This module is that hand-off:
+The arena moves arrays between processes of one machine without
+pickling them.  Its one consumer in the package is the strip process
+team (:mod:`repro.restructured.strip_team`), whose halo, interface and
+Schur-piece vectors travel through it; subsolve *results* do not — they
+come home pickled, the one result transport (``docs/performance.md``,
+"Result transport", records the measurement that removed the second
+one).  The per-payload cost of the arena against a pickle round trip
+stays on record as the ``dataplane.*`` probes of ``benchmarks/e2e``.
 
-* the **master** owns a :class:`DataPlane` — a small pooled arena of
-  ``multiprocessing.shared_memory`` blocks.  Each job is issued a
-  :class:`ShmLease` naming a block sized for its grid; released blocks
-  return to the arena and are reused by later jobs, so a run allocates
-  ``O(in-flight jobs)`` segments, not one per job forever;
-* a **worker** writes its result array straight into the leased block
-  (one ``memcpy``) and returns only a lightweight :class:`ShmDescriptor`
-  — name, shape, dtype, checksum, payload bytes, generation — through
-  the pickle channel.  The bulk data never crosses the pipe;
-* the master **attaches without a copy**: it kept the creating handle,
-  so consuming a descriptor is a checksum verification plus a NumPy
-  view over the existing mapping — zero syscalls, zero copies.
+* the **owner** holds a :class:`DataPlane` — a small pooled arena of
+  ``multiprocessing.shared_memory`` blocks.  :meth:`DataPlane.lease`
+  hands out a :class:`ShmLease` naming a block of at least the asked
+  size; released blocks return to the arena and are reused by later
+  leases, so allocation is ``O(leases outstanding)``, not one segment
+  per lease forever;
+* a **writer** copies its array straight into the leased block (one
+  ``memcpy``, :func:`write_through_lease`) and passes on only a
+  lightweight :class:`ShmDescriptor` — name, shape, dtype, checksum,
+  payload bytes.  The bulk data never crosses a pipe;
+* the owner **attaches without a copy** (:meth:`DataPlane.attach`): it
+  kept the creating handle, so consuming a descriptor is a checksum
+  verification plus a NumPy view over the existing mapping — zero
+  syscalls, zero copies; a process that does not own the plane reads a
+  copy through :func:`read_descriptor`.
 
-**Generations.**  Every lease is tagged with the plane's current
-generation.  When the resilient dispatch loop respawns a wedged pool it
-calls :meth:`DataPlane.bump_generation`, which reclaims every
-outstanding lease (their writers died with the old pool) and invalidates
-their descriptors: a stale descriptor that still arrives — e.g. from a
-result handle completing around the respawn — is *rejected* by
-:meth:`DataPlane.attach` with :class:`StaleLeaseError`, never silently
-attached, because a reclaimed block may already be re-leased to a new
-job.
+A descriptor that names an unknown or unleased segment, claims more
+bytes than its block holds, or fails its checksum is *rejected* with
+:class:`DataPlaneError`, never silently attached.
 
 **Lifecycle.**  The plane owns its segments outright and
 :meth:`DataPlane.close` — run on every exit path, success or fault
@@ -40,15 +36,10 @@ arena: leases still outstanding at close are *reaped late*, counted in
 the :class:`DataPlaneAudit` and emitted as ``segment_reaped`` trace
 events.  After ``close()`` the arena is provably empty (asserted), and
 an ``atexit`` safety net closes any plane a crashed caller abandoned.
-The fork-started pool shares one ``resource_tracker`` process, whose
+Forked children share one ``resource_tracker`` process, whose
 registrations balance without manual bookkeeping (see :func:`_untrack`);
 the creating registration stays in place as the unlink-of-last-resort
-should the master die before ``close()``.
-
-The plane is an optional transport: callers fall back to the pickle
-channel per payload (a result that outgrew its lease, a vanished
-segment) and per run (``data_plane="pickle"``), so every configuration
-stays A/B-comparable and bitwise identical.
+should the owner die before ``close()``.
 """
 
 from __future__ import annotations
@@ -69,20 +60,14 @@ import numpy as np
 from repro.trace.recorder import emit as trace_emit
 
 __all__ = [
-    "DATA_PLANES",
     "DataPlaneError",
-    "StaleLeaseError",
     "ShmLease",
     "ShmDescriptor",
     "DataPlaneAudit",
     "DataPlane",
     "write_through_lease",
     "read_descriptor",
-    "payload_nbytes",
 ]
-
-#: the run-level transport choices (``run_multiprocessing(data_plane=)``)
-DATA_PLANES = ("pickle", "shm")
 
 #: segment capacities are rounded up to this granularity so released
 #: blocks are reusable by any later grid of the same size class
@@ -94,34 +79,27 @@ class DataPlaneError(RuntimeError):
     overflow, checksum mismatch)."""
 
 
-class StaleLeaseError(DataPlaneError):
-    """The descriptor's generation predates a pool respawn; its block
-    may have been reclaimed and re-leased, so attaching is refused."""
-
-
 @dataclass(frozen=True)
 class ShmLease:
-    """What a job is handed at submit time: where to write its result.
+    """What a writer is handed: where to put its array.
 
-    Deliberately tiny and picklable — it rides inside the job tuple the
-    same way the spec does.
+    Deliberately tiny and picklable — it rides inside a child's start-up
+    arguments.
     """
 
     name: str
     nbytes: int
-    generation: int
 
 
 @dataclass(frozen=True)
 class ShmDescriptor:
-    """What a worker sends back instead of the array itself."""
+    """What a writer passes on instead of the array itself."""
 
     name: str
     shape: tuple
     dtype: str
     checksum: int
     payload_bytes: int
-    generation: int
 
 
 @dataclass(frozen=True)
@@ -134,8 +112,6 @@ class DataPlaneAudit:
     leases_issued: int
     #: leases consumed and returned cleanly (attach + release)
     released: int
-    #: leases reclaimed mid-run by the fault ladder / generation bumps
-    reaped: int
     #: leases still outstanding when ``close()`` ran (reaped late)
     reaped_late: int
     #: blocks still registered after close — zero by construction
@@ -143,8 +119,8 @@ class DataPlaneAudit:
 
     @property
     def clean(self) -> bool:
-        """No segment needed reaping on any path."""
-        return self.reaped == 0 and self.reaped_late == 0
+        """No segment needed reaping."""
+        return self.reaped_late == 0
 
 
 @dataclass
@@ -164,11 +140,11 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
     unregisters *after* a successful ``shm_unlink``, so the
     ``FileNotFoundError`` path would leave a dangling tracker entry (and
     a bogus leak warning at exit) unless it is cancelled by hand.  The
-    regular paths never touch the tracker: the fork-started pool shares
-    one tracker process whose per-name cache is a set, so the creating
-    register, the no-op re-register of each worker attach, and the
+    regular paths never touch the tracker: forked children share one
+    tracker process whose per-name cache is a set, so the creating
+    register, the no-op re-register of each child attach, and the
     single unregister inside ``unlink()`` balance exactly — and the
-    registration doubles as the unlink-of-last-resort should the master
+    registration doubles as the unlink-of-last-resort should the owner
     die before :meth:`DataPlane.close`.
     """
     try:
@@ -177,11 +153,6 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         )
     except Exception:  # pragma: no cover - tracker not running
         pass
-
-
-def payload_nbytes(n_nodes: int, itemsize: int = 8) -> int:
-    """Lease size for a nodal solution array (float64 by default)."""
-    return int(n_nodes) * int(itemsize)
 
 
 #: how much of each payload edge the checksum samples
@@ -193,13 +164,12 @@ def _checksum(buf) -> int:
     length.
 
     A full-buffer digest would cost more than the ``memcpy`` it guards
-    (adler32 runs at ~2 GB/s, the copy at ~10), handing the pickle
-    channel back most of the shm win.  Sampling the two edge pages plus
-    the length is O(8 KiB) whatever the payload size and still catches
-    the realistic failure modes — truncation, a vanished or re-leased
-    segment, a write torn at page granularity — which is what the check
-    is for; bit-level integrity inside one mapped page is the kernel's
-    contract, not the transport's.
+    (adler32 runs at ~2 GB/s, the copy at ~10).  Sampling the two edge
+    pages plus the length is O(8 KiB) whatever the payload size and
+    still catches the realistic failure modes — truncation, a vanished
+    or re-leased segment, a write torn at page granularity — which is
+    what the check is for; bit-level integrity inside one mapped page is
+    the kernel's contract, not the transport's.
     """
     view = memoryview(buf)
     n = len(view)
@@ -223,12 +193,12 @@ atexit.register(_close_abandoned_planes)
 
 
 class DataPlane:
-    """The master-side arena of pooled, generation-tagged shm blocks."""
+    """The owner-side arena of pooled shm blocks."""
 
     _instance_ids = itertools.count(1)
 
-    def __init__(self, *, generation: int = 0) -> None:
-        # the tracker must exist before any pool forks: children that
+    def __init__(self) -> None:
+        # the tracker must exist before any child forks: children that
         # inherit a live tracker share its (set-semantics) name cache,
         # so their attach re-registrations are no-ops; a child forced to
         # spawn its own tracker would report phantom leaks at exit
@@ -240,13 +210,11 @@ class DataPlane:
             f"{secrets.token_hex(3)}"
         )
         self._counter = itertools.count(1)
-        self.generation = generation
         self.closed = False
         # audit counters
         self.segments_created = 0
         self.leases_issued = 0
         self.released_count = 0
-        self.reaped_count = 0
         self.reaped_late_count = 0
         _open_planes.add(self)
 
@@ -254,7 +222,7 @@ class DataPlane:
     # leasing
     # ------------------------------------------------------------------
     def lease(self, key: tuple, nbytes: int) -> ShmLease:
-        """Lease a block of at least ``nbytes`` for the job ``key``.
+        """Lease a block of at least ``nbytes``, labelled ``key``.
 
         Reuses the smallest free pooled block that fits; creates a new
         one only when none does.
@@ -274,11 +242,7 @@ class DataPlane:
             fit.leased = True
             fit.key = tuple(key)
             self.leases_issued += 1
-            return ShmLease(
-                name=fit.shm.name,
-                nbytes=fit.capacity,
-                generation=self.generation,
-            )
+            return ShmLease(name=fit.shm.name, nbytes=fit.capacity)
 
     def _create_segment(self, nbytes: int) -> _Segment:
         capacity = -(-nbytes // _CAPACITY_QUANTUM) * _CAPACITY_QUANTUM
@@ -299,20 +263,12 @@ class DataPlane:
     def attach(self, descriptor: ShmDescriptor) -> np.ndarray:
         """A zero-copy NumPy view over the descriptor's payload.
 
-        Verifies the generation (stale descriptors are *rejected*, see
-        module docstring) and the checksum before exposing the data.
-        The caller must drop the view before :meth:`release`-ing or
-        closing — the combiner copies anything it keeps.
+        Verifies the segment, the claimed size and the checksum before
+        exposing the data.  The caller must drop the view before
+        :meth:`release`-ing or closing.
         """
         with self._lock:
             self._require_open()
-            if descriptor.generation != self.generation:
-                raise StaleLeaseError(
-                    f"descriptor for segment {descriptor.name!r} carries "
-                    f"generation {descriptor.generation}, but the plane is "
-                    f"at {self.generation}: its block may have been "
-                    "reclaimed after a pool respawn"
-                )
             segment = self._segments.get(descriptor.name)
             if segment is None or not segment.leased:
                 raise DataPlaneError(
@@ -344,50 +300,12 @@ class DataPlane:
                 segment.key = None
                 self.released_count += 1
 
-    def revoke(self, name: str, *, reason: str = "fault") -> bool:
-        """Reap one outstanding lease (the fault ladder's path).
-
-        The block returns to the free pool — its writer is dead or done
-        by the time any fault is escalated — and the reaping lands on
-        the trace timeline.  Idempotent: revoking a non-leased name is a
-        no-op.
-        """
-        with self._lock:
-            segment = self._segments.get(name)
-            if segment is None or not segment.leased:
-                return False
-            key = segment.key
-            segment.leased = False
-            segment.key = None
-            self.reaped_count += 1
-        trace_emit("segment_reaped", key=key, segment=name, reason=reason)
-        return True
-
-    def bump_generation(self) -> int:
-        """Invalidate every outstanding lease (pool respawn path).
-
-        The respawn terminated every worker of the old generation, so
-        outstanding blocks have no writers left and are safe to reclaim;
-        descriptors already in flight are rejected by the generation
-        check in :meth:`attach`.
-        """
-        with self._lock:
-            self.generation += 1
-            outstanding = [
-                name
-                for name, segment in self._segments.items()
-                if segment.leased
-            ]
-        for name in outstanding:
-            self.revoke(name, reason="generation")
-        return self.generation
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @property
     def outstanding(self) -> int:
-        """Leases issued but neither released nor reaped."""
+        """Leases issued and not yet released."""
         with self._lock:
             return sum(1 for s in self._segments.values() if s.leased)
 
@@ -395,7 +313,7 @@ class DataPlane:
         """Unlink every block and audit the arena; idempotent.
 
         Runs on every exit path.  Leases still outstanding here were
-        leaked by their jobs (crash mid-run, KeyboardInterrupt): they
+        leaked by their holders (crash mid-run, KeyboardInterrupt): they
         are reaped late — counted, trace-emitted — and their blocks
         unlinked like all others, so nothing survives in ``/dev/shm``.
         The zero-leak guarantee is asserted, not hoped for.
@@ -438,7 +356,6 @@ class DataPlane:
                 segments_created=self.segments_created,
                 leases_issued=self.leases_issued,
                 released=self.released_count,
-                reaped=self.reaped_count,
                 reaped_late=self.reaped_late_count,
                 leaked=len(self._segments) if self.closed else 0,
             )
@@ -451,7 +368,7 @@ class DataPlane:
 
 
 # ----------------------------------------------------------------------
-# the worker-side half
+# the writer-side half
 # ----------------------------------------------------------------------
 #: writer-side cache of attached segments.  The arena reuses block
 #: names across jobs, so re-``mmap``-ing a block per write — and soft-
@@ -488,10 +405,9 @@ atexit.register(_close_writer_mappings)
 def write_through_lease(lease: ShmLease, array) -> Optional[ShmDescriptor]:
     """Write ``array`` into the leased block; return its descriptor.
 
-    Returns ``None`` when the shm hand-off is impossible — the array
-    outgrew its lease or the segment vanished — so the caller falls back
-    to the pickle channel for this payload; the run stays correct either
-    way, only the transport differs.
+    Returns ``None`` when the hand-off is impossible — the array is
+    empty, outgrew its lease, or the segment vanished — and writes
+    nothing; the caller decides what that means for it.
     """
     data = np.ascontiguousarray(array)
     if data.nbytes > lease.nbytes or data.nbytes == 0:
@@ -512,22 +428,19 @@ def write_through_lease(lease: ShmLease, array) -> Optional[ShmDescriptor]:
         dtype=str(data.dtype),
         checksum=checksum,
         payload_bytes=data.nbytes,
-        generation=lease.generation,
     )
 
 
 def read_descriptor(descriptor: ShmDescriptor) -> np.ndarray:
     """Peer-side read of a descriptor written by *another* process.
 
-    The master consumes worker-written descriptors through
-    :meth:`DataPlane.attach` (it owns the creating handle); this is the
+    The plane's owner can consume descriptors through
+    :meth:`DataPlane.attach` (it holds the creating handle); this is the
     mirror for processes that do *not* own the plane — the strip-team
     children reading master-written halo/interface vectors.  Uses the
     same cached writer mapping as :func:`write_through_lease`, verifies
     the checksum, and returns a *copy* (the block is about to be
     rewritten by the next exchange; the reader must not hold a view).
-    Generation discipline is the master's job — peers only ever receive
-    descriptors the master minted for the current generation.
     """
     shm = _writer_segment(descriptor.name)
     if descriptor.payload_bytes > shm.size:

@@ -16,10 +16,8 @@ kind wins.  This module quantifies our own coordination layer:
   effect from machine noise (and from the core count of the present
   machine), the same way the paper's cost model isolates timing
   structure from 2003 hardware;
-* **data-plane transport** — payload bytes and seconds moved through the
-  zero-copy shared-memory plane (:mod:`repro.perf.dataplane`) versus
-  the pickle pipe, and how much of the streaming combination the master
-  overlapped with still-running subsolves (the overlap ratio).
+* **result transport** — the solution bytes that came home through the
+  pickle channel and the master's combination seconds after them.
 
 The makespan simulator models the pool faithfully: workers pull the
 next unit greedily; as dispatched (one ``submit`` per job) a unit is
@@ -162,16 +160,9 @@ class WarmPathReport:
     recovered: int = 0
     fallbacks: int = 0
     pool_respawns: int = 0
-    # data-plane counters (pickle transport leaves the shm fields zero)
-    data_plane: str = "pickle"
-    shm_payloads: int = 0
-    shm_fallbacks: int = 0
-    transport_shm_bytes: int = 0
+    # result transport: pickled bytes home, then the barriered combine
     transport_pickle_bytes: int = 0
-    shm_write_seconds: float = 0.0
-    attach_seconds: float = 0.0
     combine_seconds: float = 0.0
-    overlap_ratio: float = 0.0
     # intra-grid split counters ("off" / zeros when no grid was split)
     split: str = "off"
     split_grids: tuple = ()
@@ -219,27 +210,11 @@ class WarmPathReport:
                 f"{self.pool_respawns} pool respawns"
             )
         transport = []
-        if self.data_plane == "shm":
+        if self.transport_pickle_bytes:
             transport.append(
-                f"data plane: shm, {self.shm_payloads} zero-copy payloads "
-                f"({self.transport_shm_bytes} bytes)"
-                + (
-                    f", {self.shm_fallbacks} pickle fallbacks "
-                    f"({self.transport_pickle_bytes} bytes)"
-                    if self.shm_fallbacks
-                    else ""
-                )
-            )
-            transport.append(
-                f"transport: write {self.shm_write_seconds * 1e3:.1f} ms + "
-                f"attach {self.attach_seconds * 1e3:.1f} ms; streaming "
-                f"combine {self.combine_seconds * 1e3:.1f} ms "
-                f"(overlap ratio {self.overlap_ratio:.2f})"
-            )
-        elif self.transport_pickle_bytes:
-            transport.append(
-                f"data plane: pickle, {self.transport_pickle_bytes} bytes "
-                f"through the result pipe"
+                f"result transport: {self.transport_pickle_bytes} bytes "
+                f"through the pickle channel, combine "
+                f"{self.combine_seconds * 1e3:.1f} ms"
             )
         splitting = []
         if self.split_payloads:
@@ -349,15 +324,8 @@ def warm_path_report(
         recovered=result.recovered,
         fallbacks=result.fallbacks,
         pool_respawns=result.pool_respawns,
-        data_plane=result.data_plane,
-        shm_payloads=result.shm_payloads,
-        shm_fallbacks=result.shm_fallbacks,
-        transport_shm_bytes=result.transport_shm_bytes,
         transport_pickle_bytes=result.transport_pickle_bytes,
-        shm_write_seconds=result.shm_write_seconds,
-        attach_seconds=result.attach_seconds,
         combine_seconds=result.combine_seconds,
-        overlap_ratio=result.overlap_ratio,
         split=getattr(result, "split", "off"),
         split_grids=getattr(result, "split_grids", ()),
         split_payloads=getattr(result, "split_payloads", 0),

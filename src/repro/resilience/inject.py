@@ -215,21 +215,19 @@ def resilient_entry(item: tuple):
     """Run one job under fault injection, emitting heartbeats.
 
     The one entry point of a fork-pool worker.  ``item`` is ``(spec,
-    plan, attempt, use_cache, lease)`` — ``plan`` is ``None`` on a run
-    that injects nothing, ``lease`` the job's shared-memory
-    :class:`~repro.perf.dataplane.ShmLease` or ``None`` off the
-    zero-copy data plane; top-level so multiprocessing pickles it by
+    plan, attempt, use_cache)`` — ``plan`` is ``None`` on a run that
+    injects nothing; top-level so multiprocessing pickles it by
     reference.  Heartbeats — ``(phase, (l, m), attempt, pid)`` tuples on
     the pool's inherited queue — tell the master *which worker process*
     holds *which job*, so a process liveness check can attribute an
     OS-level death to the exact lost job instead of waiting out its
     deadline.
     """
-    spec, plan, attempt, use_cache, lease = item
+    spec, plan, attempt, use_cache = item
     # local imports: this module must stay importable (and picklable by
     # reference) without dragging the execution layer in at import time
     from repro.restructured import pool as pool_mod
-    from repro.restructured.worker import execute_job, ship_payload
+    from repro.restructured.worker import execute_job
 
     heartbeats = pool_mod.child_heartbeat_queue()
     key = (spec.l, spec.m)
@@ -254,10 +252,6 @@ def resilient_entry(item: tuple):
     if action is not None and action.kind == "slow":
         # emulate a slow host: stretch the job to factor x its own time
         time.sleep((action.factor - 1.0) * (time.perf_counter() - started))
-    # ship through the shm lease *after* the injected compute faults, so
-    # a crashed or hung attempt never half-writes its block: a lease is
-    # either carrying a complete checksummed payload or reclaimed whole
-    payload = ship_payload(payload, lease)
     if heartbeats is not None:
         heartbeats.put(("done", key, attempt, pid))
     return payload

@@ -22,10 +22,6 @@ What the core owns, identically for every driver:
 * the **escalation ladder** — :meth:`EscalationPolicy.decide` per
   fault: retry/reassign parked on the wheel (never slept), in-master
   ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
-* the **data plane discipline** — payload consumption through the
-  sink, with a refused descriptor (``StaleLeaseError`` /
-  ``DataPlaneError``) mapped to a ``stale`` / ``transport`` fault, and
-  the faulted attempt's lease revoked *after* the driver retired it;
 * **collateral** — jobs that shared a replaced worker re-queue at the
   same attempt and consume no ladder step;
 * **late-bound holders** — a substrate that learns which worker holds
@@ -38,17 +34,16 @@ What the core owns, identically for every driver:
   ``retry`` → ``job_submit``.
 
 What differs by substrate, and therefore lives in the drivers' ``retire``
-hook — the contract is only that once ``retire(job, kind)`` returns, no
-writer of the attempt's lease is alive:
+hook — the contract is only that once ``retire(job, kind)`` returns, the
+attempt's slot is free again:
 
 * the **pool** cannot kill one wedged worker, so a ``hang``/``deadline``
-  attempt keeps its lease until the whole generation is terminated and
-  ``bump_generation()`` has reclaimed it; that respawn happens before
-  the retry *and* before the fallback, and everything else in flight is
+  attempt costs the whole generation; that respawn happens before the
+  retry *and* before the fallback, and everything else in flight is
   collateral of it;
 * the **socket** master kills the daemon (``lose_link``) before it
-  reports the loss, so the lease is revocable at once; only a per-job
-  ``deadline`` on an otherwise live daemon makes ``retire`` do the kill.
+  reports the loss; only a per-job ``deadline`` on an otherwise live
+  daemon makes ``retire`` do the kill.
 
 The core never sleeps and never advances the clock: it schedules on the
 injected :class:`_TimerWheel` and the driver's loop — ``dispatch_ready``,
@@ -215,8 +210,6 @@ class Slot(NamedTuple):
     """Where the next ready job can run, as a driver's ``place`` names it."""
 
     worker: object
-    #: the worker shares the master's memory: the attempt gets a lease
-    shm_ok: bool = True
     #: the ``worker`` field of the attempt's ``job_submit`` trace event
     name: Optional[str] = None
 
@@ -230,7 +223,6 @@ class Job:
     worker: object              # what the driver's place() put it on
     deadline_at: float          # on the wheel's clock
     submitted_at: float
-    lease: Optional[object] = None   # the attempt's ShmLease, if any
     handle: object = None       # the driver's own token for the attempt
     holder: object = None       # who reported holding it (see held_by)
 
@@ -250,8 +242,7 @@ class Driver(NamedTuple):
     #: deadline armed, so a send that fails may fault it right away)
     launch: Callable[[Job], None]
     #: the attempt left flight — ``kind`` is ``None`` on completion, else
-    #: the fault kind: free its slot and, before returning, make sure
-    #: nothing can still write through ``job.lease``
+    #: the fault kind: free its slot before returning
     retire: Callable[[Job, Optional[str]], None]
 
 
@@ -276,10 +267,6 @@ class DispatchCore:
     Completed payloads are keyed by grid ``(l, m)``; a key completes
     exactly once, so recovery is idempotent and the result set is one
     payload per grid, bitwise identical to a fault-free run.
-
-    With a ``sink`` (the shm data plane) every attempt placed on an
-    ``shm_ok`` slot carries a fresh lease; see the module docstring for
-    who reclaims it when.
     """
 
     def __init__(
@@ -291,8 +278,6 @@ class DispatchCore:
         timers: _TimerWheel,
         use_cache: bool = True,
         cost_model=None,
-        fault_log=None,
-        sink=None,
         trace=None,
     ) -> None:
         self.driver = driver
@@ -301,8 +286,7 @@ class DispatchCore:
         self.clock = timers.clock
         self.use_cache = use_cache
         self.cost_model = cost_model
-        self.log = fault_log if fault_log is not None else FaultLog()
-        self.sink = sink
+        self.log = FaultLog()
         self.trace = trace
         self.ready: deque[tuple[SubsolveJobSpec, int]] = deque(
             (spec, 1) for spec in ordered
@@ -362,11 +346,6 @@ class DispatchCore:
             worker=slot.worker,
             deadline_at=now + budget,
             submitted_at=now,
-            lease=(
-                self.sink.lease_for(spec)
-                if self.sink is not None and slot.shm_ok
-                else None
-            ),
         )
         self.pending[key] = job
         self.state[key] = JobState.IN_FLIGHT
@@ -392,25 +371,9 @@ class DispatchCore:
     # ------------------------------------------------------------------
     def result(self, key, attempt: int, payload: SubsolvePayload) -> None:
         """A worker answered; a superseded attempt's answer is dropped."""
-        from repro.perf.dataplane import DataPlaneError, StaleLeaseError
-
         job = self.pending.get(key)
         if job is None or job.attempt != attempt:
             return
-        if self.sink is not None:
-            try:
-                self.sink.consume(key, payload, attempt=attempt)
-            except StaleLeaseError as exc:
-                # a descriptor written before a respawn: its block may be
-                # re-leased already, so the result is discarded and the
-                # job escalated (decide() retries unknown kinds)
-                self.fault(key, "stale", detected_by="dataplane", error=repr(exc))
-                return
-            except DataPlaneError as exc:
-                self.fault(
-                    key, "transport", detected_by="dataplane", error=repr(exc)
-                )
-                return
         del self.pending[key]
         self.driver.retire(job, None)
         self._settle(key, JobState.DONE, payload)
@@ -480,7 +443,6 @@ class DispatchCore:
         if self.trace is not None:
             self.trace.record_fault(event)
         self.driver.retire(job, kind)
-        self._revoke(job, kind)
         if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
             self._park(job, kind)
         elif step is EscalationStep.FALLBACK:
@@ -497,13 +459,8 @@ class DispatchCore:
             if self.pending.get(job.key) is not job:
                 continue
             del self.pending[job.key]
-            self._revoke(job, "collateral")
             self.ready.appendleft((job.spec, job.attempt))
             self.state[job.key] = JobState.READY
-
-    def _revoke(self, job: Job, reason: str) -> None:
-        if self.sink is not None and job.lease is not None:
-            self.sink.plane.revoke(job.lease.name, reason=reason)
 
     def _park(self, job: Job, kind: str) -> None:
         """Backoff on the wheel: every other key keeps completing."""
@@ -528,10 +485,7 @@ class DispatchCore:
     def _fall_back(self, job: Job, kind: str) -> None:
         """Graceful degradation: the master computes the grid itself,
         sequentially and without injection — the paper's original loop
-        body as the last safety net before failing the run.  It never
-        goes through the data plane: the in-master payload carries its
-        array directly (no lease, no descriptor), so a closed or bumped
-        plane cannot reject it."""
+        body as the last safety net before failing the run."""
         key = job.key
         try:
             payload = execute_job(job.spec, use_cache=self.use_cache)
@@ -548,10 +502,6 @@ class DispatchCore:
             )
             self.state[key] = JobState.FAILED
             self.fail(exc)
-        if self.sink is not None:
-            # the sink still folds it, so the streaming combiner sees
-            # every grid exactly once
-            self.sink.consume(key, payload, attempt=job.attempt + 1)
         self._settle(key, JobState.FALLBACK, payload)
         self.fallback_keys.append(key)
         if self.trace is not None:

@@ -52,7 +52,7 @@ Wire protocol: length-prefixed frames.  A frame is an 8-byte header
 check rejects cross-talk from a non-daemon peer before any unpickling.
 
 Failure model.  The job lifecycle — attempts, deadlines, the escalation
-ladder, lease revocation — is the shared dispatch core's
+ladder — is the shared dispatch core's
 (:class:`~repro.restructured.dispatch.DispatchCore`); this module is
 its socket driver and contributes the detection channels of a network:
 
@@ -65,26 +65,17 @@ its socket driver and contributes the detection channels of a network:
   ``hang``: the daemon is killed and replaced, its jobs re-dispatched;
 * the core's **per-job deadline** (cost-model-scaled) catches a wedged
   job on an otherwise healthy daemon; the driver's ``retire`` hook
-  replaces the daemon so the wedged compute cannot outlive the run (or
-  scribble into a reclaimed lease), and whatever else it was computing
-  re-queues as collateral.
+  replaces the daemon so the wedged compute cannot outlive the run,
+  and whatever else it was computing re-queues as collateral.
 
 Replays are idempotent: results are keyed ``(l, m)`` and the core drops
 a result frame whose attempt does not match the outstanding one, so a
 daemon that answers *after* being declared lost cannot corrupt the run.
 
-Data plane: a **forked** daemon shares the master's machine, so the
-zero-copy shm transport works — the daemon writes through the job's
-:class:`~repro.perf.dataplane.ShmLease` and only the descriptor crosses
-the socket.  A daemon reached by address is not known to be host-local,
-so its jobs carry no lease and the payload falls back to pickle framing
-(the per-payload fallback of :func:`~repro.restructured.worker.
-ship_payload` keeps either path bitwise identical).  A forked daemon
-also shares the master's resource tracker, exactly like a pool worker:
-the tracker is started before the fork and its descriptor survives the
-child's isolation, so a daemon-side attach re-registers a name the
-tracker already holds (a no-op on its set) and the master's ``unlink``
-stays the one unregister.
+A forked daemon shares the master's resource tracker, exactly like a
+pool worker: the tracker is started before the fork and its descriptor
+survives the child's isolation, so a daemon never spawns a tracker of
+its own.
 """
 
 from __future__ import annotations
@@ -118,7 +109,7 @@ from .dispatch import (
     _TimerWheel,
 )
 from .taskengine import TaskInstanceDied, TaskInstanceEngine
-from .worker import SubsolveJobSpec, ship_payload
+from .worker import SubsolveJobSpec
 
 __all__ = [
     "FrameError",
@@ -324,10 +315,8 @@ class HostSpec:
     """One entry of the ``--hosts`` list.
 
     ``spawn > 0`` means: fork that many loopback daemons on this machine
-    (the CONFIG ``{host}`` entries of a single-machine run; shm-capable
-    because they share the master's memory).  ``port`` names an
-    already-listening daemon to dial instead — not known to be
-    host-local, so its payloads travel by pickle framing.
+    (the CONFIG ``{host}`` entries of a single-machine run).  ``port``
+    names an already-listening daemon to dial instead.
     """
 
     host: str
@@ -565,7 +554,6 @@ class WorkerDaemon:
         plan = data.get("plan")
         attempt = int(data.get("attempt", 1))
         use_cache = bool(data.get("use_cache", True))
-        lease = data.get("lease")
         key = (spec.l, spec.m)
         action = plan.action(spec.l, spec.m, attempt) if plan is not None else None
         if action is not None and action.kind == "crash":
@@ -607,7 +595,6 @@ class WorkerDaemon:
             return
         if action is not None and action.kind == "slow":
             time.sleep((action.factor - 1.0) * (time.perf_counter() - started))
-        payload = ship_payload(payload, lease)
         if key in self._drop_result_keys:
             self._drop_result_keys.discard(key)
             self._drop_mid_result(conn, key, attempt, payload)
@@ -744,7 +731,6 @@ class _DaemonLink:
     ) -> None:
         self.name = name
         self.spawned = spawned          # we own the process (loopback)
-        self.shm_ok = spawned           # host-local => lease-capable
         self.address = address          # where the daemon listens
         self.sock: Optional[socket.socket] = None
         self.proc: Optional[multiprocessing.Process] = None
@@ -867,8 +853,7 @@ class SocketTaskEngine:
         connection waits in the backlog until the child accepts."""
         with socket.create_server(("127.0.0.1", 0)) as listener:
             # started before the fork so the child shares this tracker
-            # (set semantics: its shm attaches re-register names the
-            # master already registered) instead of spawning its own
+            # instead of spawning its own
             keep = {0, 1, 2, listener.fileno(), resource_tracker.getfd()}
             link.address = listener.getsockname()[:2]
             link.proc = _FORK.Process(
@@ -1084,8 +1069,6 @@ class SocketTaskEngine:
         plan=None,
         use_cache: bool = True,
         cost_model=None,
-        fault_log=None,
-        sink=None,
         trace=None,
     ) -> DispatchOutcome:
         """Dispatch ``ordered`` (LPT order preserved) across the daemons.
@@ -1181,7 +1164,7 @@ class SocketTaskEngine:
         def place() -> Optional[Slot]:
             for link in self.links:
                 if link.alive and link.sock is not None and link.free_slots > 0:
-                    return Slot(link, link.shm_ok, link.name)
+                    return Slot(link, link.name)
             return None
 
         def launch(job: Job) -> None:
@@ -1195,7 +1178,6 @@ class SocketTaskEngine:
                 "plan": plan,
                 "attempt": job.attempt,
                 "use_cache": use_cache,
-                "lease": job.lease,
             }, key=job.key)
 
         def retire(job: Job, kind: Optional[str]) -> None:
@@ -1203,9 +1185,8 @@ class SocketTaskEngine:
             link.inflight.pop(job.key, None)
             if kind == "deadline" and link.alive:
                 # one job wedged on an otherwise healthy daemon: replace
-                # the daemon so the wedged compute cannot outlive the run
-                # (or scribble into a reclaimed lease); whatever else it
-                # was computing is collateral, not at fault
+                # the daemon so the wedged compute cannot outlive the run;
+                # whatever else it was computing is collateral, not at fault
                 core.requeue_collateral(replace_daemon(link, reason=kind))
 
         core = DispatchCore(
@@ -1215,15 +1196,12 @@ class SocketTaskEngine:
             timers=timers,
             use_cache=use_cache,
             cost_model=cost_model,
-            fault_log=fault_log,
-            sink=sink,
             trace=trace,
         )
 
         def replace_daemon(link: _DaemonLink, reason: str) -> list[Job]:
             """Kill the link's daemon and schedule its revival; returns
-            what was in flight on it.  From here on nothing can write
-            through those attempts' leases."""
+            what was in flight on it."""
             self._detach(link)
             lost = list(link.inflight.values())
             link.inflight.clear()

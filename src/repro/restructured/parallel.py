@@ -60,7 +60,6 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -113,11 +112,6 @@ _LIVENESS_INTERVAL = 0.02
 
 #: fault kinds that leave a wedged worker in its pool slot
 _WEDGED_KINDS = ("hang", "deadline")
-
-#: result transports: ``pickle`` is the seed channel (serialize → pipe →
-#: deserialize per payload, barriered combine); ``shm`` is the zero-copy
-#: data plane of :mod:`repro.perf.dataplane` with streaming combination
-DATA_PLANES = ("pickle", "shm")
 
 
 def predicted_spec_seconds(spec: SubsolveJobSpec, cost_model=None) -> float:
@@ -234,29 +228,13 @@ class MultiprocessingResult:
     fallback_keys: tuple[tuple[int, int], ...] = ()
 
     # ------------------------------------------------------------------
-    # data plane (the shm transport + streaming combination fill these
-    # in; a pickle run reports every payload on the pickle channel)
+    # result transport: every payload comes home pickled, and the
+    # combination runs after the last one landed
     # ------------------------------------------------------------------
-    #: result transport of this run ("pickle" or "shm")
-    data_plane: str = "pickle"
-    #: payloads whose solution traveled through a shared-memory lease
-    shm_payloads: int = 0
-    #: payloads that fell back to the pickle channel on an shm run
-    shm_fallbacks: int = 0
-    #: solution bytes that crossed each transport
-    transport_shm_bytes: int = 0
+    #: solution bytes that crossed the pickle channel
     transport_pickle_bytes: int = 0
-    #: worker-side seconds writing + checksumming shm payloads
-    shm_write_seconds: float = 0.0
-    #: master-side seconds verifying + attaching descriptors
-    attach_seconds: float = 0.0
     #: master-side seconds resampling/folding grids into the target
     combine_seconds: float = 0.0
-    #: the subset of ``combine_seconds`` spent while subsolves were
-    #: still outstanding — work the barriered path serializes
-    combine_overlap_seconds: float = 0.0
-    #: the :class:`~repro.perf.dataplane.DataPlaneAudit` of the run
-    data_plane_audit: Optional[object] = None
 
     # ------------------------------------------------------------------
     # the socket engine (zero on the in-machine engines)
@@ -283,11 +261,6 @@ class MultiprocessingResult:
     split: str = "off"
     #: the grids actually split, as ``((l, m), k)`` pairs
     split_grids: tuple = ()
-
-    @property
-    def streaming(self) -> bool:
-        """Combination was fed per-arrival instead of after the barrier."""
-        return self.data_plane == "shm"
 
     @property
     def split_payloads(self) -> int:
@@ -317,13 +290,6 @@ class MultiprocessingResult:
         return sum(
             getattr(p, "strip_respawns", 0) for p in self.payloads.values()
         )
-
-    @property
-    def overlap_ratio(self) -> float:
-        """Fraction of combination time hidden behind the fan-out."""
-        if self.combine_seconds <= 0.0:
-            return 0.0
-        return self.combine_overlap_seconds / self.combine_seconds
 
     @property
     def fault_report(self):
@@ -366,118 +332,6 @@ class MultiprocessingResult:
             return 0.0
         reused = sum(p.factor_reuse_hits for p in self.payloads.values())
         return reused / prepares
-
-
-# ----------------------------------------------------------------------
-# the streaming fan-in
-# ----------------------------------------------------------------------
-@contextmanager
-def _plane_guard(plane):
-    """Close the data plane on every exit path; yields a dict that holds
-    the :class:`~repro.perf.dataplane.DataPlaneAudit` after unwinding."""
-    holder: dict = {}
-    try:
-        yield holder
-    finally:
-        if plane is not None:
-            holder["audit"] = plane.close()
-
-
-class _PayloadSink:
-    """Consumes payloads as they land: descriptor resolution + streaming
-    combination + the transport-vs-compute accounting.
-
-    One sink per shm run.  ``consume`` resolves a descriptor-carrying
-    payload into a zero-copy view (:meth:`DataPlane.attach` verifies
-    generation and checksum first), feeds the grid to the streaming
-    combiner, then returns the segment to the arena — so a block is
-    reusable the moment its grid has been resampled.  Combine time
-    accrued while other subsolves were still outstanding is the overlap
-    the barriered path cannot have.
-    """
-
-    def __init__(
-        self, plane, combiner, *, n_expected: int, trace=None
-    ) -> None:
-        self.plane = plane
-        self.combiner = combiner
-        self.n_expected = n_expected
-        self.trace = trace
-        self.arrived = 0
-        self.shm_payloads = 0
-        self.shm_fallbacks = 0
-        self.transport_shm_bytes = 0
-        self.transport_pickle_bytes = 0
-        self.attach_seconds = 0.0
-        self.combine_seconds = 0.0
-        self.overlap_seconds = 0.0
-
-    def lease_for(self, spec: SubsolveJobSpec):
-        """A lease sized for the job's full nodal solution."""
-        from repro.perf.dataplane import payload_nbytes
-
-        return self.plane.lease(
-            (spec.l, spec.m), payload_nbytes(spec.grid.n_nodes)
-        )
-
-    def consume(self, key, payload: SubsolvePayload, *, attempt: int = 1) -> None:
-        """Fold one arrived payload into the combined solution.
-
-        Raises :class:`~repro.perf.dataplane.DataPlaneError` (notably
-        its stale-generation subclass) *before* any state changes, so
-        the dispatch core can treat a rejected descriptor like any
-        other fault and re-dispatch the job.
-        """
-        descriptor = payload.descriptor
-        if descriptor is not None:
-            t_attach = time.perf_counter()
-            values = self.plane.attach(descriptor)
-            attach_dt = time.perf_counter() - t_attach
-            self.attach_seconds += attach_dt
-            self.shm_payloads += 1
-            self.transport_shm_bytes += descriptor.payload_bytes
-            if self.trace is not None:
-                self.trace.record(
-                    "payload_shm_write",
-                    key=key,
-                    worker=payload.worker_pid or None,
-                    attempt=attempt,
-                    payload_bytes=descriptor.payload_bytes,
-                    seconds=payload.shm_write_seconds,
-                )
-                self.trace.record(
-                    "payload_attach",
-                    key=key,
-                    attempt=attempt,
-                    payload_bytes=descriptor.payload_bytes,
-                    seconds=attach_dt,
-                )
-        else:
-            values = payload.solution
-            self.shm_fallbacks += 1
-            self.transport_pickle_bytes += int(values.nbytes)
-        self.arrived += 1
-        overlapped = self.arrived < self.n_expected
-        t_combine = time.perf_counter()
-        folded = self.combiner.add(key, values)
-        combine_dt = time.perf_counter() - t_combine
-        self.combine_seconds += combine_dt
-        if overlapped:
-            self.overlap_seconds += combine_dt
-        if self.trace is not None:
-            self.trace.record(
-                "combine_chunk",
-                key=key,
-                seconds=combine_dt,
-                folded=folded,
-                pending=self.n_expected - self.arrived,
-                payload_bytes=int(np.asarray(values).nbytes),
-            )
-        if descriptor is not None:
-            # the combiner copied anything it parked: drop the view and
-            # hand the block back for the next lease
-            del values
-            self.plane.release(descriptor.name)
 
 
 # ----------------------------------------------------------------------
@@ -588,9 +442,7 @@ def _run_pool(
     plan,
     escalation,
     cost_model,
-    fault_log=None,
     trace=None,
-    sink: Optional[_PayloadSink] = None,
 ) -> DispatchOutcome:
     """Drive the dispatch core over the fork pool.
 
@@ -609,7 +461,7 @@ def _run_pool(
         key, attempt = job.key, job.attempt
         job.handle = lease.pool.submit(
             resilient_entry,
-            (job.spec, plan, attempt, use_cache, job.lease),
+            (job.spec, plan, attempt, use_cache),
             callback=lambda payload: wakeups.put((key, attempt, payload, None)),
             error_callback=lambda exc: wakeups.put((key, attempt, None, exc)),
         )
@@ -620,18 +472,13 @@ def _run_pool(
             # so the pool can still be drained gracefully later
             lease.pool.discard(job.handle)
         elif kind in _WEDGED_KINDS:
-            # a wedged worker occupies its slot — and keeps its shm
-            # attachment — forever: reclaim it by respawning the pool.
+            # a wedged worker occupies its slot forever: reclaim it by
+            # respawning the pool.
             # Every handle in flight died with the old generation, so
             # those jobs are collateral; completed results are untouched
             collateral = list(core.pending.values())
             lease.respawn()
             core.dead_holders.clear()
-            if sink is not None:
-                # the old generation's workers are dead: reclaim all
-                # outstanding leases and invalidate their in-flight
-                # descriptors (attach will refuse them as stale)
-                sink.plane.bump_generation()
             if trace is not None:
                 trace.record(
                     "respawn",
@@ -649,8 +496,6 @@ def _run_pool(
         timers=timers,
         use_cache=use_cache,
         cost_model=cost_model,
-        fault_log=fault_log,
-        sink=sink,
         trace=trace,
     )
 
@@ -711,10 +556,7 @@ def run_multiprocessing(
     deadline=None,
     escalation=None,
     faults: Union[str, object, None] = None,
-    fault_seed: int = 0,
-    fault_log=None,
     trace=None,
-    data_plane: str = "pickle",
     engine: str = "pool",
     hosts: Optional[str] = None,
     engine_options: Optional[dict] = None,
@@ -737,22 +579,16 @@ def run_multiprocessing(
     (:class:`~repro.resilience.DeadlinePolicy`) replace the ladder's
     parts, ``escalation`` (:class:`~repro.resilience.EscalationPolicy`)
     the whole of it; ``faults`` (a :class:`~repro.resilience.FaultPlan`
-    or its spec string, seeded by ``fault_seed``) injects failures into
-    the workers; ``fault_log`` optionally shares one
-    :class:`~repro.resilience.FaultLog` with other detectors (e.g. the
-    protocol supervisor) so a run has a single failure history.
+    or its spec string) injects failures into the workers.
 
     ``trace`` (a :class:`~repro.trace.TraceRecorder`) records the run's
     structured event timeline: job lifecycle, faults and recovery
     actions, and — because the recorder is installed globally for the
     duration — the pool's worker spawns/deaths too.
 
-    ``data_plane="shm"`` switches the result transport to the zero-copy
-    shared-memory arena of :mod:`repro.perf.dataplane` and the fan-in to
-    streaming: each payload is handed to the combiner the moment it
-    lands, overlapping combination with the remaining subsolves.
-    ``"pickle"`` (the default) is the barriered seed channel; both are
-    bitwise identical in their output.
+    Every result comes home the one way: pickled through the engine's
+    channel, and folded by :func:`~repro.sparsegrid.combination.combine`
+    once the last grid has landed.
 
     ``engine`` picks the execution substrate: ``"pool"`` (default) is
     the fork pool of the warm path; ``"socket"`` dispatches over real
@@ -774,14 +610,9 @@ def run_multiprocessing(
     the head-of-line specs per :func:`resolve_split_map`.  Sharded jobs
     run on every engine: the strips execute serially inside whichever
     worker owns the job, so the job-level fault ladder re-dispatches a
-    lost strip-job unchanged and the ``StaleLeaseError`` discipline is
-    untouched.  Split solutions match the unsplit oracle within
-    :func:`~repro.sparsegrid.decompose.split_tolerance`.
+    lost strip-job unchanged.  Split solutions match the unsplit oracle
+    within :func:`~repro.sparsegrid.decompose.split_tolerance`.
     """
-    if data_plane not in DATA_PLANES:
-        raise ValueError(
-            f"unknown data plane {data_plane!r}; choose from {DATA_PLANES}"
-        )
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; choose from {ENGINES}"
@@ -790,11 +621,7 @@ def run_multiprocessing(
         raise ValueError("hosts requires engine='socket'")
     if engine_options is not None and engine != "socket":
         raise ValueError("engine_options requires engine='socket'")
-    plan = (
-        FaultPlan.parse(faults, seed=fault_seed)
-        if isinstance(faults, str)
-        else faults
-    )
+    plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
     if escalation is None:
         escalation = EscalationPolicy(
             retry=retry if retry is not None else RetryPolicy(),
@@ -838,26 +665,8 @@ def run_multiprocessing(
     #: the socket engine's counters (zero on the fork pool)
     net_stats: dict = {}
 
-    plane = None
-    sink: Optional[_PayloadSink] = None
-    if data_plane == "shm":
-        # lazy: repro.perf pulls this module in at package import
-        from repro.perf.dataplane import DataPlane
-        from repro.sparsegrid.combination import combine_incremental
-
-        plane = DataPlane()
-        sink = _PayloadSink(
-            plane,
-            combine_incremental(root, level, target_cap=target_cap),
-            n_expected=len(specs),
-            trace=trace,
-        )
-
     t_pool = time.perf_counter()
-    # contexts unwind inner-first: the plane guard closes (and trace-
-    # emits any late reap) while the recorder is still installed, on
-    # every exit path — success, fault escalation, KeyboardInterrupt
-    with recording(trace), _plane_guard(plane) as plane_audit:
+    with recording(trace):
         with trace_span("fanout"):
             if engine == "socket":
                 hosts = hosts or f"localhost:{n_proc}"
@@ -872,8 +681,6 @@ def run_multiprocessing(
                         plan=plan,
                         use_cache=operator_cache,
                         cost_model=cost_model,
-                        fault_log=fault_log,
-                        sink=sink,
                         trace=trace,
                     )
                     n_proc = net.total_capacity
@@ -897,9 +704,7 @@ def run_multiprocessing(
                         plan=plan,
                         escalation=escalation,
                         cost_model=cost_model,
-                        fault_log=fault_log,
                         trace=trace,
-                        sink=sink,
                     )
                 finally:
                     lease.release()
@@ -909,27 +714,13 @@ def run_multiprocessing(
         pool_seconds = time.perf_counter() - t_pool
 
         t_combine = time.perf_counter()
-        if sink is not None:
-            # streaming already folded every grid; this is the (cheap)
-            # completeness check + hand-over of the accumulator
-            with trace_span("prolongation"):
-                target_grid, combined = sink.combiner.result()
-            combine_seconds = sink.combine_seconds
-        else:
-            solutions = {key: p.solution for key, p in payloads.items()}
-            with trace_span("prolongation"):
-                target_grid, combined = combine(
-                    solutions, root, level, target_cap=target_cap
-                )
-            combine_seconds = time.perf_counter() - t_combine
+        solutions = {key: p.solution for key, p in payloads.items()}
+        with trace_span("prolongation"):
+            target_grid, combined = combine(
+                solutions, root, level, target_cap=target_cap
+            )
+        combine_seconds = time.perf_counter() - t_combine
 
-    data_plane_audit = plane_audit.get("audit")
-    if sink is not None:
-        transport_pickle_bytes = sink.transport_pickle_bytes
-    else:
-        transport_pickle_bytes = sum(
-            int(p.solution.nbytes) for p in payloads.values()
-        )
     return MultiprocessingResult(
         root=root,
         level=level,
@@ -952,20 +743,10 @@ def run_multiprocessing(
         fault_events=outcome.events,
         recovered_keys=outcome.recovered_keys,
         fallback_keys=outcome.fallback_keys,
-        data_plane=data_plane,
-        shm_payloads=sink.shm_payloads if sink is not None else 0,
-        shm_fallbacks=sink.shm_fallbacks if sink is not None else 0,
-        transport_shm_bytes=sink.transport_shm_bytes if sink is not None else 0,
-        transport_pickle_bytes=transport_pickle_bytes,
-        shm_write_seconds=sum(
-            p.shm_write_seconds for p in payloads.values()
+        transport_pickle_bytes=sum(
+            int(p.solution.nbytes) for p in payloads.values()
         ),
-        attach_seconds=sink.attach_seconds if sink is not None else 0.0,
         combine_seconds=combine_seconds,
-        combine_overlap_seconds=(
-            sink.overlap_seconds if sink is not None else 0.0
-        ),
-        data_plane_audit=data_plane_audit,
         engine=engine,
         hosts=hosts or "",
         **net_stats,

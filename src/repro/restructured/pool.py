@@ -102,9 +102,8 @@ def child_heartbeat_queue():
 
 
 #: monotonically increasing id across every pool this process forks;
-#: respawned generations get fresh ids, which is what the data plane's
-#: generation-tagged leases key off (a descriptor written by an old
-#: generation's worker must never be attached after a respawn)
+#: respawned generations get fresh ids (the ``worker_spawn`` trace event
+#: and :func:`pool_diagnostics` report them)
 _pool_generations = itertools.count(1)
 
 

@@ -1,15 +1,14 @@
-"""A process team running one grid's strips over the shm data plane.
+"""A process team running one grid's strips over the shared-memory arena.
 
 The serial and thread executors in :mod:`repro.sparsegrid.decompose`
 keep the strips in one address space; this module is the *distributed*
-variant the tentpole asks for: one forked child per strip, halo and
-interface vectors moving through the existing
-:class:`~repro.perf.dataplane.DataPlane` instead of pickles, and the
-fault ladder's discipline applied at strip granularity — a lost strip
-is re-dispatched like a lost subsolve, without touching the plane's
-generation (the ``StaleLeaseError`` rules are unchanged; strip leases
-belong to the team, stay leased across the respawn, and the replacement
-child simply attaches the same blocks).
+variant: one forked child per strip, halo and interface vectors moving
+through a :class:`~repro.perf.dataplane.DataPlane` — of which this team
+is the only consumer — instead of pickles, and the fault ladder's
+discipline applied at strip granularity — a lost strip is re-dispatched
+like a lost subsolve (strip leases belong to the team, stay leased
+across the respawn, and the replacement child simply attaches the same
+blocks).
 
 Wire protocol per strip (all leases from the master's plane, written
 with :func:`~repro.perf.dataplane.write_through_lease` and read with
@@ -155,9 +154,8 @@ class StripProcessTeam:
     Satisfies the executor protocol of
     :class:`~repro.sparsegrid.decompose.SchurSplitSolver`
     (``start``/``prepare``/``forward``/``backward``/``close`` plus a
-    ``respawns`` counter).  ``plane`` may be shared with the enclosing
-    run or omitted, in which case the team owns a private plane and
-    closes it (with the usual zero-leak audit) on :meth:`close`.
+    ``respawns`` counter).  The team owns its plane and closes it
+    (with the usual zero-leak audit) on :meth:`close`.
     """
 
     kind = "team"
@@ -165,12 +163,10 @@ class StripProcessTeam:
     def __init__(
         self,
         *,
-        plane: Optional[DataPlane] = None,
         fault_injections: Optional[dict[int, int]] = None,
         op_deadline: float = _OP_DEADLINE_SECONDS,
     ) -> None:
-        self._own_plane = plane is None
-        self.plane = plane if plane is not None else DataPlane()
+        self.plane = DataPlane()
         self.fault_injections = dict(fault_injections or {})
         self.op_deadline = op_deadline
         self.respawns = 0
@@ -422,5 +418,4 @@ class StripProcessTeam:
         for leases in self._leases:
             for lease in leases.values():
                 self.plane.release(lease.name)
-        if self._own_plane:
-            self.plane.close()
+        self.plane.close()

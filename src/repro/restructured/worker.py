@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "SubsolveJobSpec",
     "SubsolvePayload",
     "execute_job",
-    "ship_payload",
     "ComputeEngine",
     "InlineEngine",
     "ProcessPoolEngine",
@@ -121,16 +120,6 @@ class SubsolvePayload:
     #: ``time.monotonic()`` just before / after the computation
     started_monotonic: float = 0.0
     finished_monotonic: float = 0.0
-    # ------------------------------------------------------------------
-    # zero-copy data plane: when the solution traveled through a shared
-    # memory lease, ``descriptor`` names the segment and ``solution`` is
-    # an empty placeholder — the master resolves it via
-    # ``DataPlane.attach`` without a copy
-    # ------------------------------------------------------------------
-    #: the :class:`~repro.perf.dataplane.ShmDescriptor`, if any
-    descriptor: Optional[object] = None
-    #: worker-side seconds spent on the shm write + checksum
-    shm_write_seconds: float = 0.0
     # ------------------------------------------------------------------
     # intra-grid decomposition counters (zeros / 1 on the unsplit path)
     # ------------------------------------------------------------------
@@ -233,37 +222,6 @@ def execute_job(spec: SubsolveJobSpec, *, use_cache: bool = True) -> SubsolvePay
         schur_factor_seconds=stats.schur_factor_seconds,
         interface_solve_seconds=stats.interface_solve_seconds,
         strip_respawns=stats.strip_respawns,
-    )
-
-
-#: placeholder solution of a payload whose data went through shm
-_SHIPPED = np.empty((0, 0))
-
-
-def ship_payload(payload: SubsolvePayload, lease) -> SubsolvePayload:
-    """Move the payload's solution into its shared-memory lease.
-
-    On success the returned payload carries only the descriptor — the
-    array itself never enters the pickle channel.  When the write is
-    impossible (``lease`` is ``None``, the array outgrew its block, the
-    segment vanished with a closed plane) the payload is returned
-    untouched and travels by pickle: the per-payload fallback that keeps
-    every run correct whatever happens to the transport.
-    """
-    if lease is None:
-        return payload
-    # lazy: repro.perf pulls in the execution layer at package import
-    from repro.perf.dataplane import write_through_lease
-
-    t_write = time.perf_counter()
-    descriptor = write_through_lease(lease, payload.solution)
-    if descriptor is None:
-        return payload
-    return replace(
-        payload,
-        solution=_SHIPPED,
-        descriptor=descriptor,
-        shm_write_seconds=time.perf_counter() - t_write,
     )
 
 

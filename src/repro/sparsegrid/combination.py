@@ -14,7 +14,7 @@ axis-0 part, and the sum is evaluated with the axis-0 part folded
 Horner-style — one doubling of the running accumulator per level
 instead of a full-size prolongation per grid — see
 :class:`IncrementalCombiner`, the one implementation behind
-:func:`combine` and every streaming fan-in.
+:func:`combine`.
 
 For large ``L`` the full isotropic target grid ``(L, L)`` would have
 ``(2**(root+L)+1)**2`` nodes — astronomically more memory than all the
@@ -40,7 +40,6 @@ __all__ = [
     "combination_coefficients",
     "combine",
     "IncrementalCombiner",
-    "combine_incremental",
 ]
 
 
@@ -124,10 +123,9 @@ class IncrementalCombiner:
     produces a ``rows(min(l, T)) x cols(T)`` array, never a target-sized
     one, and the whole family parks at most about three target arrays.
 
-    Solutions may be fed in *any* arrival order (this is what lets the
-    master overlap combination with outstanding subsolves): :meth:`add`
-    does the per-grid axis-1 work at once and parks the array until the
-    chain reaches it.  Every operand and the order of every ``+``/``-``
+    Solutions may be fed in *any* arrival order: :meth:`add` does the
+    per-grid axis-1 work at once and parks the array until the chain
+    reaches it.  Every operand and the order of every ``+``/``-``
     is fixed by the keys, not by arrival, so the result is bitwise
     identical for any arrival order — IEEE addition is not associative,
     so order discipline, not tolerance, is what preserves the paper's
@@ -238,14 +236,6 @@ class IncrementalCombiner:
                 f"missing solution for grid {missing} at level {self.level}"
             )
         return self.target, self._acc
-
-
-def combine_incremental(
-    root: int, level: int, target_cap: int | None = None
-) -> IncrementalCombiner:
-    """A streaming combiner for the given run (see
-    :class:`IncrementalCombiner`)."""
-    return IncrementalCombiner(root, level, target_cap=target_cap)
 
 
 def combine(

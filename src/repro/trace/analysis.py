@@ -20,11 +20,7 @@ timeline:
 * **recovery overhead** — seconds lost to faults (from the lifted
   ``fault`` events) plus the compute spent on replayed attempts and
   fallbacks, which must be consistent with the run's
-  :class:`~repro.resilience.FaultReport`;
-* **transport vs compute** — when the run used the shared-memory data
-  plane, the ``payload_shm_write``/``payload_attach``/``combine_chunk``
-  events split payload movement (and the streaming combination the
-  master overlapped with it) from the subsolve compute itself.
+  :class:`~repro.resilience.FaultReport`.
 """
 
 from __future__ import annotations
@@ -250,53 +246,12 @@ class TraceAnalysis:
         """Work the run paid *because* of faults: lost + replayed."""
         return self.fault_seconds_lost + self.replay_compute_seconds
 
-    # ------------------------------------------------------------------
-    # transport vs compute (the zero-copy data plane)
-    # ------------------------------------------------------------------
     def _data_seconds(self, kind: str) -> float:
         return sum(
             float(e.data.get("seconds", 0.0))
             for e in self.events
             if e.kind == kind
         )
-
-    @property
-    def shm_write_seconds(self) -> float:
-        """Worker-side seconds spent copying payloads into shm blocks."""
-        return self._data_seconds("payload_shm_write")
-
-    @property
-    def attach_seconds(self) -> float:
-        """Master-side seconds spent attaching (mapping + verifying)."""
-        return self._data_seconds("payload_attach")
-
-    @property
-    def transport_seconds(self) -> float:
-        """Total payload-movement seconds (shm write + attach)."""
-        return self.shm_write_seconds + self.attach_seconds
-
-    @property
-    def transport_bytes(self) -> int:
-        """Payload bytes moved through the shared-memory data plane."""
-        return sum(
-            int(e.data.get("payload_bytes", 0))
-            for e in self.events
-            if e.kind == "payload_attach"
-        )
-
-    @property
-    def n_shm_payloads(self) -> int:
-        return sum(1 for e in self.events if e.kind == "payload_attach")
-
-    @property
-    def combine_chunk_seconds(self) -> float:
-        """Master-side seconds spent in streaming per-chunk combination."""
-        return self._data_seconds("combine_chunk")
-
-    @property
-    def n_segment_reaps(self) -> int:
-        """Segments reclaimed by the fault ladder or reaped at close."""
-        return sum(1 for e in self.events if e.kind == "segment_reaped")
 
     # ------------------------------------------------------------------
     # network vs compute (the socket engine)
@@ -392,8 +347,8 @@ class TraceAnalysis:
     @property
     def split_overhead_seconds(self) -> float:
         """Seconds a split pays that the unsplit path would not: the
-        interface solves (halo movement through shm is accounted by the
-        data-plane metrics)."""
+        interface solves (halo movement is counted by the
+        ``halo_exchange`` events)."""
         return self.schur_solve_seconds
 
     # ------------------------------------------------------------------
@@ -475,20 +430,6 @@ class TraceAnalysis:
                 lines.append(
                     f"  retry backoff: {self.retry_backoff_seconds:.3f}s "
                     f"parked on timers (healthy links kept completing)"
-                )
-        if self.n_shm_payloads:
-            lines.append(
-                f"data plane: {self.n_shm_payloads} shm payloads, "
-                f"{self.transport_bytes} bytes; transport "
-                f"{self.transport_seconds:.3f}s "
-                f"({self.shm_write_seconds:.3f}s write + "
-                f"{self.attach_seconds:.3f}s attach), streaming combine "
-                f"{self.combine_chunk_seconds:.3f}s"
-            )
-            if self.n_segment_reaps:
-                lines.append(
-                    f"  segments reaped by the fault ladder: "
-                    f"{self.n_segment_reaps}"
                 )
         if self.network_seconds or self.n_reconnects:
             lines.append(

@@ -72,10 +72,7 @@ EVENT_KINDS = (
     # warm-path cache observability
     "cache_hit",
     "cache_miss",
-    # the zero-copy data plane: transport vs compute split
-    "payload_shm_write",
-    "payload_attach",
-    "combine_chunk",
+    # the shared-memory arena: a lease still out when its plane closed
     "segment_reaped",
     # the socket engine: network time vs compute split
     "net_send",

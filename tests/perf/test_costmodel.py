@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -184,6 +185,16 @@ class TestPersistence:
         assert loaded.work_seconds(9, 9, 1e-4) == pytest.approx(
             synthetic_cost_model.work_seconds(9, 9, 1e-4)
         )
+        # a calibration saved when the model still carried transport
+        # terms has three keys more; they are ignored, not an error
+        payload = json.loads(path.read_text())
+        payload.update(
+            pickle_bytes_per_second=0.8e9,
+            shm_bytes_per_second=4.0e9,
+            transport_latency_seconds=5.0e-5,
+        )
+        path.write_text(json.dumps(payload))
+        assert CostModel.from_json(path) == loaded
 
 
 class TestRealCalibration:

@@ -1,9 +1,8 @@
-"""Unit tests of the zero-copy shared-memory data plane.
+"""Unit tests of the shared-memory arena.
 
-The arena, lease, descriptor and audit mechanics in isolation — the
-integration path (a real pool writing through leases, bitwise equality
-with the pickle transport, fault composition) lives in
-``tests/restructured/test_data_plane.py``.
+The arena, lease, descriptor and audit mechanics in isolation — its one
+consumer, the strip process team, is exercised against real children in
+``tests/restructured/test_split_jobs.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from repro.perf.dataplane import (
     DataPlane,
     DataPlaneError,
     ShmDescriptor,
-    StaleLeaseError,
     _CAPACITY_QUANTUM,
-    payload_nbytes,
     write_through_lease,
 )
 from repro.trace import TraceRecorder
@@ -58,10 +55,6 @@ class TestLeaseAndAttach:
             view, np.ndarray(view.shape, view.dtype, buffer=segment.shm.buf)
         )
 
-    def test_payload_nbytes_sizes_float64_nodes(self):
-        assert payload_nbytes(100) == 800
-        assert payload_nbytes(100, itemsize=4) == 400
-
     def test_capacity_rounds_to_quantum(self, plane):
         lease = plane.lease((1, 1), 10)
         assert lease.nbytes == _CAPACITY_QUANTUM
@@ -92,17 +85,10 @@ class TestLeaseAndAttach:
 
 
 class TestRejection:
-    def test_stale_generation_is_rejected_not_attached(self, plane):
-        array = np.arange(32, dtype=np.float64)
-        _, descriptor = _round_trip(plane, (1, 1), array)
-        plane.bump_generation()
-        with pytest.raises(StaleLeaseError, match="respawn"):
-            plane.attach(descriptor)
-
     def test_unknown_segment_is_rejected(self, plane):
         descriptor = ShmDescriptor(
             name="repro-dp-nowhere", shape=(1,), dtype="float64",
-            checksum=0, payload_bytes=8, generation=0,
+            checksum=0, payload_bytes=8,
         )
         with pytest.raises(DataPlaneError, match="unknown"):
             plane.attach(descriptor)
@@ -154,31 +140,6 @@ class TestWorkerSideFallback:
         assert write_through_lease(gone, np.arange(1, dtype=np.float64)) is None
 
 
-class TestGenerationsAndRevocation:
-    def test_bump_reaps_outstanding_leases(self, plane):
-        lease = plane.lease((1, 1), 8)
-        assert plane.outstanding == 1
-        assert plane.bump_generation() == 1
-        assert plane.outstanding == 0
-        assert plane.reaped_count == 1
-        # the reclaimed block is back in the free pool
-        assert plane.lease((2, 2), 8).name == lease.name
-
-    def test_revoke_is_idempotent_and_traced(self, plane):
-        lease = plane.lease((1, 1), 8)
-        recorder = TraceRecorder()
-        with recording(recorder):
-            assert plane.revoke(lease.name, reason="crash") is True
-            assert plane.revoke(lease.name, reason="crash") is False
-        reaps = [e for e in recorder.events() if e.kind == "segment_reaped"]
-        assert len(reaps) == 1
-        assert reaps[0].data["reason"] == "crash"
-
-    def test_fresh_lease_carries_the_new_generation(self, plane):
-        plane.bump_generation()
-        assert plane.lease((1, 1), 8).generation == 1
-
-
 class TestCloseAudit:
     def test_clean_run_audits_clean(self):
         plane = DataPlane()
@@ -191,7 +152,7 @@ class TestCloseAudit:
         assert audit.segments_created == 1
         assert audit.leases_issued == 1
         assert audit.released == 1
-        assert audit.reaped == audit.reaped_late == audit.leaked == 0
+        assert audit.reaped_late == audit.leaked == 0
 
     def test_outstanding_lease_is_reaped_late_and_traced(self):
         plane = DataPlane()

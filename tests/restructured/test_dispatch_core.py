@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.perf.dataplane import DataPlaneError, StaleLeaseError
 from repro.resilience import (
     DeadlinePolicy,
     EscalationPolicy,
@@ -75,48 +74,6 @@ def payload_for(spec) -> SubsolvePayload:
     )
 
 
-class FakePlane:
-    def __init__(self):
-        self.leased: set[str] = set()
-        self.revoked: list[tuple[str, str]] = []
-
-    def revoke(self, name, *, reason="fault"):
-        if name in self.leased:
-            self.leased.remove(name)
-            self.revoked.append((name, reason))
-
-
-@dataclass(frozen=True)
-class FakeLease:
-    name: str
-
-
-class FakeSink:
-    """Hands out named leases; ``refuse`` scripts one consume failure."""
-
-    def __init__(self):
-        self.plane = FakePlane()
-        self.consumed: list[tuple] = []
-        self.refuse: dict[tuple, Exception] = {}
-        self.by_key: dict[tuple, FakeLease] = {}
-        self.issued = 0
-
-    def lease_for(self, spec):
-        self.issued += 1
-        lease = FakeLease(f"seg{self.issued}")
-        self.plane.leased.add(lease.name)
-        self.by_key[(spec.l, spec.m)] = lease
-        return lease
-
-    def consume(self, key, payload, *, attempt=1):
-        if key in self.refuse:
-            raise self.refuse.pop(key)
-        self.consumed.append((key, attempt))
-        lease = self.by_key.get(key)
-        if lease is not None:
-            self.plane.leased.discard(lease.name)
-
-
 @dataclass
 class Rig:
     """A core over ``workers`` one-slot in-memory workers."""
@@ -129,7 +86,6 @@ class Rig:
             deadline=DeadlinePolicy(default_seconds=DEADLINE),
         )
     )
-    sink: object = None
 
     def __post_init__(self):
         self.clock = FakeClock()
@@ -142,13 +98,12 @@ class Rig:
             Driver(place=self.place, launch=self.launch, retire=self.retire),
             escalation=self.escalation,
             timers=self.timers,
-            sink=self.sink,
             trace=self.trace,
         )
         self.core.dispatch_ready()
 
     def place(self):
-        return Slot(self.free[0], True, self.free[0]) if self.free else None
+        return Slot(self.free[0], self.free[0]) if self.free else None
 
     def launch(self, job):
         self.free.remove(job.worker)
@@ -198,8 +153,6 @@ DEFAULT_LADDER = {
         "hang": ("reassign", "reassign", "fallback"),
         "deadline": ("reassign", "reassign", "fallback"),
         "exception": ("retry", "retry", "fallback"),
-        "stale": ("retry", "retry", "fallback"),
-        "transport": ("retry", "retry", "fallback"),
     }.items()
     for attempt, step in enumerate(steps, start=1)
 }
@@ -283,8 +236,8 @@ class TestLadder:
 class TestLedger:
     KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))
 
-    def _mixed_run(self, sink=None):
-        rig = Rig(keys=self.KEYS, workers=2, sink=sink)
+    def _mixed_run(self):
+        rig = Rig(keys=self.KEYS, workers=2)
         rig.fault((2, 0), "crash")            # parks; (0, 2) takes the slot
         rig.finish((1, 1))
         rig.fault((0, 2), "exception")
@@ -316,17 +269,6 @@ class TestLedger:
             assert attempts[0] == 1
             assert all(b - a in (0, 1) for a, b in zip(attempts, attempts[1:]))
         assert rig.core.attempts == sum(map(len, submitted.values()))
-
-    def test_no_lease_is_outstanding_when_done(self):
-        sink = FakeSink()
-        sink.refuse[(1, 0)] = StaleLeaseError("written by a dead generation")
-        rig = self._mixed_run(sink)
-        assert rig.core.done
-        assert sink.plane.leased == set()
-        reasons = {reason for _, reason in sink.plane.revoked}
-        assert {"crash", "exception", "collateral", "stale"} <= reasons
-        # each key was folded exactly once, stale refusal notwithstanding
-        assert sorted(k for k, _ in sink.consumed) == sorted(self.KEYS)
 
     def test_late_result_for_a_superseded_attempt_is_ignored(self):
         rig = Rig(keys=((1, 1),))
@@ -418,62 +360,46 @@ class TestTime:
 
 
 # ----------------------------------------------------------------------
-# the data plane discipline
+# retire before the ladder's next step
 # ----------------------------------------------------------------------
-class TestSink:
-    @pytest.mark.parametrize(
-        "error, kind",
-        [(StaleLeaseError("old generation"), "stale"),
-         (DataPlaneError("checksum mismatch"), "transport")],
-    )
-    def test_refused_descriptor_is_a_fault_not_a_completion(self, error, kind):
-        sink = FakeSink()
-        sink.refuse[(1, 1)] = error
-        rig = Rig(keys=((1, 1),), sink=sink)
-        rig.finish((1, 1))
-        (event,) = rig.core.log.events()
-        assert (event.kind, event.action, event.detected_by) == (kind, "retry", "dataplane")
-        assert rig.core.state[(1, 1)] is JobState.BACKOFF
-        assert sink.plane.revoked == [("seg1", kind)]
-        rig.drain()
-        assert sink.consumed == [((1, 1), 2)]
+class TestRetireOrdering:
+    """The driver reclaims the faulted attempt's worker *before* the
+    ladder moves: the pool's respawn of a wedged generation has to come
+    before the retry and before the in-master fallback alike."""
 
-    def test_lease_is_revoked_only_after_the_driver_retired_the_attempt(self):
-        sink = FakeSink()
-        order = []
-        rig = Rig(keys=((1, 1),), sink=sink)
+    def test_retire_precedes_the_retry(self):
+        rig = Rig(keys=((1, 1),))
+        seen = []
         rig.core.driver = rig.core.driver._replace(
-            retire=lambda job, kind: order.append(("retire", set(sink.plane.leased)))
+            retire=lambda job, kind: seen.append(
+                (kind, rig.core.state[job.key], len(rig.timers))
+            )
         )
         rig.core.fault((1, 1), "hang", detected_by="script")
-        assert order == [("retire", {"seg1"})]    # still leased inside retire
-        assert sink.plane.revoked == [("seg1", "hang")]
+        # inside retire: not yet parked, only the deadline on the wheel
+        assert seen == [("hang", JobState.IN_FLIGHT, 1)]
+        assert rig.core.state[(1, 1)] is JobState.BACKOFF
+        assert len(rig.timers) == 2
 
-    def test_fallback_payload_is_folded_without_a_lease(self):
-        sink = FakeSink()
+    def test_retire_precedes_the_fallback(self, monkeypatch):
+        order = []
+
+        def fallback(spec, use_cache=True):
+            order.append("fallback")
+            return payload_for(spec)
+
+        monkeypatch.setattr(dispatch, "execute_job", fallback)
         rig = Rig(
             keys=((1, 1),),
-            sink=sink,
             escalation=EscalationPolicy(retry=RetryPolicy(max_attempts=1)),
         )
-        rig.fault((1, 1), "crash")
-        assert sink.consumed == [((1, 1), 2)]
-        assert sink.plane.leased == set()
-        assert rig.kinds((1, 1))[-4:] == ["fallback", "cache_miss", "job_start", "job_done"]
-
-    def test_slot_without_shared_memory_gets_no_lease(self):
-        sink = FakeSink()
-        core = DispatchCore(
-            [spec_for((1, 1))],
-            Driver(lambda: Slot("remote", shm_ok=False), lambda job: None,
-                   lambda job, kind: None),
-            escalation=EscalationPolicy(),
-            timers=_TimerWheel(FakeClock()),
-            sink=sink,
+        rig.core.driver = rig.core.driver._replace(
+            retire=lambda job, kind: order.append(("retire", kind))
         )
-        core.dispatch_ready()
-        assert core.pending[(1, 1)].lease is None
-        assert sink.plane.leased == set()
+        rig.core.fault((1, 1), "hang", detected_by="script")
+        assert order == [("retire", "hang"), "fallback"]
+        assert rig.core.state[(1, 1)] is JobState.FALLBACK
+        assert rig.kinds((1, 1))[-4:] == ["fallback", "cache_miss", "job_start", "job_done"]
 
 
 # ----------------------------------------------------------------------

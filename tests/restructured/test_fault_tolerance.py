@@ -324,9 +324,13 @@ CHAOS = {
         {"faults": "slow@1,1:factor=3"},
         (0, 0, 0, (), ()),
     ),
-    "crash-under-shm": (
-        {"faults": "crash@2,0", "data_plane": "shm"},
-        (1, 1, 0, ("crash",), ("reassign",)),
+    "hang-to-fallback": (
+        {
+            "faults": "hang@1,1:attempt=*,seconds=120",
+            "retry": RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+            "deadline": DeadlinePolicy(floor_seconds=1.0, default_seconds=1.0),
+        },
+        (2, 1, 1, ("deadline", "deadline"), ("reassign", "fallback")),
     ),
     "fallback": (
         {
@@ -344,7 +348,9 @@ class TestChaosMatrix:
     the same on both substrates: bitwise-equal result, identical counts,
     kinds and actions.  What legitimately differs per engine (who
     detected it, respawn vs reconnect) is asserted in the per-engine
-    suites, not here."""
+    suites, not here — but for the pool's one rule that the ladder
+    depends on: a wedged worker costs its generation *before* the next
+    step, be that the retry or the in-master fallback."""
 
     @pytest.mark.parametrize("scenario", sorted(CHAOS))
     def test_recovery_reads_the_same(self, engine, scenario, fault_free_combined):
@@ -358,8 +364,10 @@ class TestChaosMatrix:
             tuple(e.kind for e in result.fault_events),
             tuple(e.action for e in result.fault_events),
         ) == expected
-        if result.data_plane_audit is not None:
-            assert result.data_plane_audit.leaked == 0
+        if engine == "pool":
+            assert result.pool_respawns == sum(
+                e.kind == "deadline" for e in result.fault_events
+            )
 
     def test_exhausted_ladder_raises_with_the_report(self, engine):
         with pytest.raises(FaultToleranceExhausted) as info:
@@ -382,15 +390,35 @@ class TestChaosMatrix:
 
 @pytest.mark.slow
 class TestLevelSixAcceptance:
-    def test_mid_run_kill_at_level_6_is_bitwise_transparent(self):
+    @pytest.mark.parametrize(
+        "options, respawns",
+        [
+            # kill the worker holding a heavy top-diagonal grid mid-run
+            ({"faults": "crash@3,3"}, 0),
+            # wedge it instead: the whole generation is respawned
+            (
+                {
+                    "faults": "hang@3,3:seconds=120",
+                    "deadline": DeadlinePolicy(
+                        floor_seconds=2.0, default_seconds=2.0
+                    ),
+                },
+                1,
+            ),
+        ],
+        ids=("crash", "hang"),
+    )
+    def test_mid_run_kill_at_level_6_is_bitwise_transparent(
+        self, options, respawns
+    ):
         baseline = run_multiprocessing(root=2, level=6, tol=TOL, processes=4)
-        # kill the worker holding a heavy top-diagonal grid mid-run
         result = run_multiprocessing(
-            root=2, level=6, tol=TOL, processes=4, faults="crash@3,3"
+            root=2, level=6, tol=TOL, processes=4, **options
         )
         assert result.faults == 1
         assert result.recovered == 1
         assert result.fallbacks == 0
+        assert result.pool_respawns == respawns
         assert np.array_equal(result.combined, baseline.combined)
 
 

@@ -1,8 +1,8 @@
 """The socket-backed task engine: framing, host parsing, bitwise runs,
 and the chaos suite.
 
-The acceptance invariant mirrors the data-plane suite's: whatever the
-transport does — frames over loopback TCP, a killed daemon, a
+The acceptance invariant mirrors the fault-tolerance suite's: whatever
+the transport does — frames over loopback TCP, a killed daemon, a
 connection dropped mid-result, a heartbeat gone silent — the combined
 solution stays *bitwise identical* to the sequential application's,
 and every recovery is visible in both the FaultReport and the trace.
@@ -20,7 +20,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as wait_for_exit
 
@@ -412,6 +411,42 @@ class TestReactorInvariants:
             if name.startswith(("map", "imap", "starmap"))
         ]
 
+    def test_one_way_home_for_a_result(self):
+        """A result array comes home pickled and nothing else: no module
+        of ``repro.restructured`` but the strip team imports the
+        shared-memory arena, and no entry point of the run path takes a
+        sink, a plane or a lease, so a second result transport cannot
+        come back unnoticed."""
+        import ast
+        import inspect
+        import pkgutil
+        from importlib import import_module
+
+        import repro.restructured as package
+        from repro.restructured import run_multiprocessing
+        from repro.restructured.dispatch import DispatchCore
+        from repro.restructured.netengine import SocketTaskEngine
+
+        importers = []
+        for info in pkgutil.iter_modules(package.__path__):
+            module = import_module(f"{package.__name__}.{info.name}")
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                if any(n.startswith("repro.perf.dataplane") for n in names):
+                    importers.append(info.name)
+        assert sorted(set(importers)) == ["strip_team"]
+        for entry in (
+            run_multiprocessing, DispatchCore.__init__, SocketTaskEngine.run
+        ):
+            parameters = set(inspect.signature(entry).parameters)
+            assert not parameters & {"sink", "data_plane", "lease"}, entry
+
     def test_no_subprocess_no_stdout_handshake(self):
         """Loopback daemons are forked behind a listener the master
         bound: the module execs nothing and parses no port off a pipe."""
@@ -478,29 +513,6 @@ class TestSocketRun:
         result = _run(engine="socket")
         assert result.daemons == 2
         assert result.hosts == "localhost:2"
-
-    def test_shm_data_plane_over_spawned_daemons(self, pickle_combined):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            result = _run(engine="socket", data_plane="shm")
-            assert np.array_equal(result.combined, pickle_combined)
-            assert result.shm_payloads == result.n_workers
-            assert result.shm_fallbacks == 0
-            audit = result.data_plane_audit
-            assert audit is not None and audit.leaked == 0
-
-    def test_dialed_daemon_never_gets_leases(self, local_daemon, pickle_combined):
-        # a tcp:// daemon is not known host-local: shm must fall back
-        # to pickle framing per payload, bitwise identically
-        result = _run(
-            engine="socket",
-            data_plane="shm",
-            hosts=f"tcp://127.0.0.1:{local_daemon.port}",
-        )
-        assert np.array_equal(result.combined, pickle_combined)
-        assert result.shm_payloads == 0
-        assert result.shm_fallbacks == result.n_workers
-        assert result.data_plane_audit.leaked == 0
 
 
 class TestTaskEngineRun:
@@ -869,16 +881,6 @@ class TestWarmFleet:
                 os.close(fd)
         assert pool_module._fleet.engine is third.engine
 
-    def test_two_shm_runs_on_one_fleet_leak_nothing(self, pickle_combined):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            for expect_warm in (False, True):
-                result = _run(engine="socket", data_plane="shm")
-                assert result.warm_pool is expect_warm
-                assert np.array_equal(result.combined, pickle_combined)
-                assert result.shm_payloads == result.n_workers
-                assert result.data_plane_audit.leaked == 0
-
     @pytest.mark.parametrize(
         "other",
         [{"hosts": "localhost:4"},
@@ -962,20 +964,6 @@ class TestChaos:
             e for e in recorder.events() if e.kind == "reconnect"
         )
         assert reconnect.data["reason"] == "crash"
-
-    def test_daemon_kill_under_shm(self, pickle_combined):
-        """The killed daemon's lease is revoked (the writer is dead by
-        construction), the retry gets a fresh lease, nothing leaks."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            result = _run(
-                engine="socket", data_plane="shm", faults="crash@2,0"
-            )
-            assert np.array_equal(result.combined, pickle_combined)
-            assert result.faults == 1
-            audit = result.data_plane_audit
-            assert audit.reaped >= 1
-            assert audit.leaked == 0
 
     def test_connection_drop_during_result_transfer(
         self, local_daemon, pickle_combined
@@ -1110,7 +1098,7 @@ class TestDaemonDrain:
             plan = FaultPlan.parse("hang@2,0:seconds=0.5")
             send_frame(sock, "job", {
                 "spec": spec, "plan": plan, "attempt": 1,
-                "use_cache": True, "lease": None,
+                "use_cache": True,
             })
             send_frame(sock, "stop", {})
             result = None

@@ -187,7 +187,7 @@ class TestFoldedCombiner:
 
     @pytest.mark.parametrize("target_cap", [None, 1])
     def test_add_copies_views_of_caller_memory(self, target_cap):
-        """The shm contract: the caller may reclaim (here: scribble on)
+        """The copy contract: the caller may reclaim (here: scribble on)
         its buffer the moment ``add`` returns, parked or not."""
         level = 3
         solutions = self.family(level)
