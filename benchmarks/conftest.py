@@ -138,13 +138,6 @@ SOCKET_ENGINE_FULL = os.environ.get(
     "REPRO_SOCKET_ENGINE_FULL", ""
 ) not in ("", "0")
 
-#: ``REPRO_SPLIT_SOLVE_FULL=1`` switches bench_split_solve from the
-#: fast smoke mode (short integration window, tier-1 suite) to the full
-#: measurement (whole integration window, more rounds).
-SPLIT_SOLVE_FULL = os.environ.get(
-    "REPRO_SPLIT_SOLVE_FULL", ""
-) not in ("", "0")
-
 
 @pytest.fixture(scope="session")
 def warm_path_settings() -> dict:
@@ -198,33 +191,6 @@ def socket_engine_settings() -> dict:
         "full": False,
         "level": 3, "tol": 1.0e-3, "processes": 2,
         "rounds": 2,
-    }
-
-
-@pytest.fixture(scope="session")
-def split_solve_settings() -> dict:
-    """Configuration of the split-solve bench: unsplit vs k-strip Schur
-    substructuring on the critical-path grids of the level-5 family at
-    root 5 (the anisotropic long-axis shapes the decomposition targets).
-    ``makespan_workers`` puts the schedule in the worker-rich regime
-    (``w >= 2*level + 1``, the paper's worker-count relation) where LPT
-    is pinned to the longest job and only splitting it helps.  The
-    smoke mode shortens the integration window; the full mode runs the
-    whole window with more rounds."""
-    if SPLIT_SOLVE_FULL:
-        return {
-            "full": True,
-            "root": 5, "level": 5, "tol": 1.0e-3,
-            "t_end": 0.25, "rounds": 3,
-            "k_options": (2, 4), "makespan_workers": 16,
-            "top_fraction": 0.5,
-        }
-    return {
-        "full": False,
-        "root": 5, "level": 5, "tol": 1.0e-3,
-        "t_end": 0.12, "rounds": 3,
-        "k_options": (2, 4), "makespan_workers": 16,
-        "top_fraction": 0.5,
     }
 
 

@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="socket-engine hosts: 'localhost:N' spawns N "
                        "loopback daemons; 'tcp://host:port' dials a "
                        "running 'repro worker-daemon' (comma-separated)")
-    p_par.add_argument("--split", default="off", metavar="K",
-                       help="intra-grid decomposition of the critical-path "
-                       "grids: 'off', 'auto' (cost-model decision), or an "
-                       "integer strip count applied to the largest grids "
-                       "(see docs/intra_grid.md)")
 
     p_wd = sub.add_parser(
         "worker-daemon",
@@ -317,14 +312,6 @@ def cmd_run_parallel(args) -> int:
             if args.deadline_seconds is not None
             else DeadlinePolicy.default_seconds,
         )
-    split = args.split
-    if split not in ("off", "auto"):
-        try:
-            split = int(split)
-        except ValueError:
-            raise SystemExit(
-                f"--split must be 'off', 'auto' or an integer, got {split!r}"
-            )
     result = None
     recorder = None
     for run in range(max(1, args.repeat)):
@@ -347,7 +334,6 @@ def cmd_run_parallel(args) -> int:
             trace=recorder,
             engine=args.engine,
             hosts=args.hosts,
-            split=split,
         )
         label = "cold" if args.cold else ("warm" if result.warm_pool else "cool")
         print(f"run {run + 1} ({label}): total {result.total_seconds:.3f}s "
@@ -369,17 +355,6 @@ def cmd_run_parallel(args) -> int:
             root=args.root, level=args.level, tol=args.tol,
             problem=make_problem(args.problem),
         ).run()
-        if result.split_grids:
-            # split solves are within a stated tolerance of the unsplit
-            # oracle, not bitwise (see docs/intra_grid.md)
-            from repro.sparsegrid.decompose import split_tolerance
-
-            bound = split_tolerance(args.tol)
-            diff = float(np.max(np.abs(seq.combined - result.combined)))
-            ok = diff <= bound
-            print(f"split verify: max |diff| vs sequential {diff:.3e} "
-                  f"(tolerance {bound:.3e}): {'ok' if ok else 'FAIL'}")
-            return 0 if ok else 1
         identical = np.array_equal(seq.combined, result.combined)
         print(f"bitwise identical to sequential: {identical}")
         return 0 if identical else 1

@@ -11,10 +11,10 @@
 * :mod:`warmpath` — warm-path observability: operator/factorization
   cache effectiveness, cold-vs-warm pool timings, and the
   dispatch-order makespan metric;
-* :mod:`dataplane` — the shared-memory arena of the strip process
-  team: pooled ``multiprocessing.shared_memory`` blocks, leases and
-  checksummed descriptors, so halo vectors are written in place and
-  read without pickling.
+* :mod:`dataplane` — a shared-memory arena (pooled
+  ``multiprocessing.shared_memory`` blocks, leases, checksummed
+  descriptors) that no run uses: it stays only as the subject of the
+  ``dataplane.*`` probes of ``benchmarks/e2e`` (ROADMAP 1(a)).
 """
 
 from .bridge import costs_from_run, records_from_run, replay_on_cluster

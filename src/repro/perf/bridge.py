@@ -35,36 +35,24 @@ __all__ = ["costs_from_run", "records_from_run", "replay_on_cluster"]
 AnyRunResult = Union[SequentialResult, ConcurrentResult, MultiprocessingResult]
 
 
-def _per_grid(
-    result: AnyRunResult,
-) -> dict[tuple[int, int], tuple[float, int, int, int]]:
-    """(wall seconds, solves, result bytes, split_k) per grid.
+def _per_grid(result: AnyRunResult) -> dict[tuple[int, int], tuple[float, int, int]]:
+    """(wall seconds, solves, result bytes) per grid, from any run kind.
 
     Rejects non-finite or negative wall times up front: a corrupted
     timing (NaN from a serialization bug, a negative from clock
     arithmetic) would otherwise silently poison the cost-model fit or
     the cluster replay far downstream of its origin.
     """
-    out: dict[tuple[int, int], tuple[float, int, int, int]] = {}
+    out: dict[tuple[int, int], tuple[float, int, int]] = {}
     if isinstance(result, SequentialResult):
         for key, sub in result.data.results.items():
-            out[key] = (
-                sub.wall_seconds,
-                sub.stats.solves,
-                sub.solution.nbytes,
-                getattr(sub.stats, "split_k", 1),
-            )
+            out[key] = (sub.wall_seconds, sub.stats.solves, sub.solution.nbytes)
     else:
         for key, payload in result.payloads.items():
-            out[key] = (
-                payload.wall_seconds,
-                payload.solves,
-                payload.solution.nbytes,
-                getattr(payload, "split_k", 1),
-            )
+            out[key] = (payload.wall_seconds, payload.solves, payload.solution.nbytes)
     bad = {
         key: wall
-        for key, (wall, _solves, _bytes, _k) in out.items()
+        for key, (wall, _solves, _bytes) in out.items()
         if not math.isfinite(wall) or wall < 0.0
     }
     if bad:
@@ -99,17 +87,9 @@ def costs_from_run(result: AnyRunResult) -> list[GridCost]:
 
 
 def records_from_run(result: AnyRunResult) -> list[CostRecord]:
-    """The run's grids as cost-model calibration records.
-
-    Sharded (split) payloads are tagged with their ``split_k`` so
-    :meth:`~repro.perf.costmodel.CostModel.fit` can keep them out of
-    the unsplit wall regression; their counters stay in system-level
-    units (see :class:`~repro.perf.costmodel.CostRecord`).
-    """
+    """The run's grids as cost-model calibration records."""
     records = []
-    for (l, m), (wall, solves, _bytes, split_k) in sorted(
-        _per_grid(result).items()
-    ):
+    for (l, m), (wall, solves, _bytes) in sorted(_per_grid(result).items()):
         grid = Grid(result.root, l, m)
         records.append(
             CostRecord(
@@ -120,7 +100,6 @@ def records_from_run(result: AnyRunResult) -> list[CostRecord]:
                 solves=solves,
                 steps_accepted=max(1, solves // 2),
                 n_interior=grid.n_interior,
-                split_k=split_k,
             )
         )
     return records

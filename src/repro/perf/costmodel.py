@@ -67,17 +67,7 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class CostRecord:
-    """One measured ``subsolve`` execution.
-
-    ``split_k`` records how many strips the solve was sharded into
-    (1 = the unsplit direct solve).  ``solves`` is *system-level* on
-    both paths — one Rosenbrock stage counts once however many strips
-    it touched, and the strip slices together with the interface rows
-    partition the interior exactly — so a split record carries the same
-    work measure as an unsplit record of the identical grid: nothing is
-    double-counted.  Only the *wall time* differs, which is why the
-    wall regression in :meth:`CostModel.fit` uses unsplit records only.
-    """
+    """One measured ``subsolve`` execution."""
 
     l: int
     m: int
@@ -86,7 +76,6 @@ class CostRecord:
     solves: int
     steps_accepted: int
     n_interior: int
-    split_k: int = 1
 
     @property
     def log_wall(self) -> float:
@@ -203,16 +192,7 @@ class CostModel:
         solves_r2 = 1.0 - s_res / s_tot if s_tot > 0 else 1.0
 
         # --- wall-time regression (structured, dominated by large grids)
-        # split solves have a different wall-time structure (per-strip
-        # factors + interface solve), so they calibrate nothing here:
-        # the regression stays load-robust when sharded jobs appear in
-        # the feed by fitting unsplit executions only
-        usable = [
-            r
-            for r in records
-            if r.wall_seconds >= noise_floor_seconds
-            and getattr(r, "split_k", 1) == 1
-        ]
+        usable = [r for r in records if r.wall_seconds >= noise_floor_seconds]
         if len(usable) < 4:
             raise CalibrationError(
                 f"need >= 4 records above the {noise_floor_seconds}s noise "
@@ -276,11 +256,7 @@ class CostModel:
         w_tot = float(np.sum((w_target - w_target.mean()) ** 2))
         r_squared = 1.0 - w_res / w_tot if w_tot > 0 else 1.0
 
-        measured = {
-            (r.l, r.m, r.tol): r.wall_seconds
-            for r in records
-            if getattr(r, "split_k", 1) == 1
-        }
+        measured = {(r.l, r.m, r.tol): r.wall_seconds for r in records}
         return cls(
             root=root,
             solve_coefficients=tuple(float(c) for c in s_coef),  # type: ignore[arg-type]
@@ -308,97 +284,6 @@ class CostModel:
         n = float(grid.n_interior)
         s = self.predict_solves(l, m, tol)
         return gamma + beta * n + alpha * n * s
-
-    def predict_split_seconds(
-        self, l: int, m: int, tol: float, k: int
-    ) -> float:
-        """Predicted per-lane critical-path seconds of a ``k``-strip
-        split of ``subsolve(l, m)``.
-
-        The fitted wall time splits into overhead (``gamma + beta*N``,
-        which the master pays once) and the solve part
-        (``alpha*N*S``).  Substructuring divides the solve part across
-        ``k`` strips, but not perfectly: the Schur route re-does the
-        coupling work as dense GEMVs, so the per-lane share is modeled
-        as ``(1.35/k + 0.08)`` of the unsplit solve part — fitted to
-        the measured per-stage critical paths on this machine (~0.65 at
-        ``k=2``, ~0.44 at ``k=4``).  On top rides the interface cost per
-        stage: ``2k`` halo exchanges at 50 µs apiece plus the
-        dense interface solve, quadratic in the ``(k-1)``-separator
-        interface size.  Floored at a quarter of the unsplit prediction
-        — diminishing returns keep any real ``k`` above that.
-        """
-        from repro.sparsegrid.decompose import StripPlan
-
-        grid = Grid(self.root, l, m)
-        base = self.predict_seconds(l, m, tol)
-        plan = StripPlan.from_shape(grid.interior_shape, k)
-        if plan.k < 2:
-            return base
-        gamma, beta, alpha = self.wall_coefficients
-        n = float(grid.n_interior)
-        s = self.predict_solves(l, m, tol)
-        solve_part = alpha * n * s
-        overhead_part = base - solve_part
-        g = float(plan.n_interface)
-        lane = overhead_part + solve_part * (1.35 / plan.k + 0.08)
-        lane += s * (
-            2.0 * plan.k * 5.0e-5 + 2.0e-9 * g * g
-        )
-        return max(lane, 0.25 * base) * self.reference_scale
-
-    def plan_split(
-        self,
-        level: int,
-        tol: float,
-        *,
-        n_workers: int,
-        k_options: Sequence[int] = (2, 4),
-        max_split_grids: int = 2,
-        min_gain: float = 1.05,
-    ) -> dict[tuple[int, int], int]:
-        """Where sharding the head-of-line grids beats LPT packing.
-
-        Builds the level's predicted durations, then greedily tries
-        splitting the largest ``max_split_grids`` grids: a candidate
-        ``k`` replaces the grid's single job by ``k`` lane-jobs of
-        :meth:`predict_split_seconds` duration, and is accepted only
-        when the LPT makespan over ``n_workers`` drops by at least
-        ``min_gain``.  Returns ``{(l, m): k}`` for the accepted splits —
-        empty when packing already wins (small levels, one worker, or
-        splits whose interface overhead eats the gain).
-        """
-        if n_workers < 2:
-            return {}
-        jobs: dict[tuple[int, int], list[float]] = {
-            (c.l, c.m): [c.work_ref_seconds]
-            for c in self.level_costs(level, tol)
-        }
-
-        def makespan() -> float:
-            return _lpt_makespan(
-                [d for parts in jobs.values() for d in parts], n_workers
-            )
-
-        chosen: dict[tuple[int, int], int] = {}
-        current = makespan()
-        order = sorted(jobs, key=lambda key: jobs[key][0], reverse=True)
-        for key in order[:max_split_grids]:
-            original = jobs[key]
-            best: Optional[tuple[float, int, list[float]]] = None
-            for k in k_options:
-                lane = self.predict_split_seconds(key[0], key[1], tol, k)
-                jobs[key] = [lane] * k
-                trial = makespan()
-                if best is None or trial < best[0]:
-                    best = (trial, k, jobs[key])
-            if best is not None and best[0] * min_gain <= current:
-                jobs[key] = best[2]
-                chosen[key] = best[1]
-                current = best[0]
-            else:
-                jobs[key] = original
-        return chosen
 
     def work_seconds(self, l: int, m: int, tol: float) -> float:
         """Reference-machine seconds for ``subsolve(l, m)`` at ``tol``.
@@ -439,18 +324,12 @@ class CostModel:
     # diagnostics / persistence
     # ------------------------------------------------------------------
     def holdout_error(self, records: Sequence[CostRecord]) -> float:
-        """Median relative |prediction - measurement| on given records.
-
-        Split records are excluded for the same reason :meth:`fit`
-        excludes them: the unsplit wall model is not supposed to
-        predict a substructured solve's wall time.
-        """
+        """Median relative |prediction - measurement| on given records."""
         errors = [
             abs(self.predict_seconds(r.l, r.m, r.tol) - r.wall_seconds)
             / r.wall_seconds
             for r in records
             if r.wall_seconds >= self.noise_floor_seconds
-            and getattr(r, "split_k", 1) == 1
         ]
         if not errors:
             raise CalibrationError(
@@ -498,19 +377,3 @@ class CostModel:
                 for rec in payload["measured"]
             },
         )
-
-
-def _lpt_makespan(durations: Sequence[float], n_workers: int) -> float:
-    """Greedy longest-processing-time list-schedule makespan.
-
-    Local twin of :func:`repro.perf.warmpath.simulate_makespan` — that
-    module imports the execution layer, which imports this one, so the
-    planner keeps its own ten-line copy instead of a circular import.
-    """
-    if not durations:
-        return 0.0
-    lanes = [0.0] * max(1, int(n_workers))
-    for duration in sorted(durations, reverse=True):
-        shortest = min(range(len(lanes)), key=lanes.__getitem__)
-        lanes[shortest] += duration
-    return max(lanes)

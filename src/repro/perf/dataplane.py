@@ -1,13 +1,16 @@
 """The shared-memory arena: pooled blocks, leases, checksummed descriptors.
 
 The arena moves arrays between processes of one machine without
-pickling them.  Its one consumer in the package is the strip process
-team (:mod:`repro.restructured.strip_team`), whose halo, interface and
-Schur-piece vectors travel through it; subsolve *results* do not — they
-come home pickled, the one result transport (``docs/performance.md``,
-"Result transport", records the measurement that removed the second
-one).  The per-payload cost of the arena against a pickle round trip
-stays on record as the ``dataplane.*`` probes of ``benchmarks/e2e``.
+pickling them.  Nothing in the package uses it any more: subsolve
+*results* come home pickled, the one result transport
+(``docs/performance.md``, "Result transport", records the measurement
+that removed the second one), and the intra-grid strip team whose halo
+vectors travelled through it is gone with the split layer
+(``docs/performance.md``, "Below the grid").  The module stays, code
+untouched, as the subject of the ``dataplane.*`` probes of
+``benchmarks/e2e`` — the per-payload cost of the arena against a pickle
+round trip — until ROADMAP 1(a) retires the probes and the module
+together.
 
 * the **owner** holds a :class:`DataPlane` — a small pooled arena of
   ``multiprocessing.shared_memory`` blocks.  :meth:`DataPlane.lease`

@@ -163,13 +163,6 @@ class WarmPathReport:
     # result transport: pickled bytes home, then the barriered combine
     transport_pickle_bytes: int = 0
     combine_seconds: float = 0.0
-    # intra-grid split counters ("off" / zeros when no grid was split)
-    split: str = "off"
-    split_grids: tuple = ()
-    split_payloads: int = 0
-    halo_exchanges: int = 0
-    halo_bytes: int = 0
-    strip_respawns: int = 0
     # socket-engine counters (zero for the in-process engines)
     engine: str = "pool"
     hosts: str = ""
@@ -216,21 +209,6 @@ class WarmPathReport:
                 f"through the pickle channel, combine "
                 f"{self.combine_seconds * 1e3:.1f} ms"
             )
-        splitting = []
-        if self.split_payloads:
-            grids = ", ".join(
-                f"({l},{m})×{k}" for (l, m), k in self.split_grids
-            )
-            splitting.append(
-                f"split ({self.split}): {self.split_payloads} sharded "
-                f"grid(s) [{grids}], {self.halo_exchanges} halo "
-                f"exchange(s) ({self.halo_bytes} bytes)"
-                + (
-                    f", {self.strip_respawns} strip respawn(s)"
-                    if self.strip_respawns
-                    else ""
-                )
-            )
         traced = []
         if self.trace is not None:
             t = self.trace
@@ -249,16 +227,7 @@ class WarmPathReport:
                     f"({t.fault_seconds_lost:.3f}s lost + "
                     f"{t.replay_compute_seconds:.3f}s replayed)"
                 )
-            if t.n_strip_factors:
-                traced.append(
-                    f"trace: split efficiency — {t.n_strip_factors} strip "
-                    f"factor(s) ({t.strip_factor_seconds:.3f}s serial, "
-                    f"{t.critical_strip_factor_seconds:.3f}s critical), "
-                    f"{t.n_schur_solves} interface solve(s) "
-                    f"({t.schur_solve_seconds:.3f}s), "
-                    f"{t.n_halo_exchanges} halo exchange(s)"
-                )
-        return network + resilience + transport + splitting + traced + [
+        return network + resilience + transport + traced + [
             f"pool: {'warm' if self.warm_pool else 'cold'}"
             + (
                 f" (fork {self.pool_cold_start_seconds * 1e3:.1f} ms)"
@@ -326,12 +295,6 @@ def warm_path_report(
         pool_respawns=result.pool_respawns,
         transport_pickle_bytes=result.transport_pickle_bytes,
         combine_seconds=result.combine_seconds,
-        split=getattr(result, "split", "off"),
-        split_grids=getattr(result, "split_grids", ()),
-        split_payloads=getattr(result, "split_payloads", 0),
-        halo_exchanges=getattr(result, "halo_exchanges", 0),
-        halo_bytes=getattr(result, "halo_bytes", 0),
-        strip_respawns=getattr(result, "strip_respawns", 0),
         engine=result.engine,
         hosts=result.hosts,
         daemons=result.daemons,

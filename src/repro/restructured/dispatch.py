@@ -158,38 +158,6 @@ def _trace_payload(trace, payload, *, attempt: int = 1, fallback: bool = False) 
         wall_seconds=payload.wall_seconds,
         **extra,
     )
-    if getattr(payload, "split_k", 1) > 1:
-        # sharded job: the strips ran inside the worker process, where
-        # the global emit() hook is a no-op — lift the counters the
-        # payload carried home onto the master's timeline as one
-        # aggregate event per kind
-        trace.record(
-            "strip_factor",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            split_k=payload.split_k,
-            count=payload.strip_factorizations,
-            seconds=payload.strip_factor_seconds,
-            critical_seconds=payload.critical_strip_factor_seconds,
-        )
-        trace.record(
-            "halo_exchange",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            exchanges=payload.halo_exchanges,
-            payload_bytes=payload.halo_bytes,
-        )
-        trace.record(
-            "schur_solve",
-            key=key,
-            worker=worker,
-            attempt=attempt,
-            count=payload.interface_solves,
-            seconds=payload.interface_solve_seconds,
-            interface_unknowns=payload.interface_unknowns,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -98,7 +98,6 @@ __all__ = [
     "MultiprocessingResult",
     "predicted_spec_seconds",
     "order_longest_first",
-    "resolve_split_map",
     "run_multiprocessing",
 ]
 
@@ -141,46 +140,6 @@ def order_longest_first(
         key=lambda s: predicted_spec_seconds(s, cost_model),
         reverse=True,
     )
-
-
-def resolve_split_map(
-    split: Union[str, int],
-    specs: list[SubsolveJobSpec],
-    *,
-    level: int,
-    tol: float,
-    n_workers: int,
-    cost_model=None,
-) -> dict[tuple[int, int], int]:
-    """Which grids to shard, and into how many strips: ``{(l, m): k}``.
-
-    ``"off"`` (or a single worker — splitting cannot shorten a one-lane
-    schedule) splits nothing.  An integer ``k`` splits the head-of-line
-    grids — every grid tied at the maximal interior size, which on the
-    even diagonal means both square-ish twins.  ``"auto"`` asks the
-    calibrated cost model where splitting beats LPT packing
-    (:meth:`~repro.perf.costmodel.CostModel.plan_split`: split only when
-    the predicted makespan drops); without a calibrated model it falls
-    back to the structural choice ``k=2`` on the top grids, mirroring
-    the integer path.
-    """
-    if split == "off" or n_workers < 2 or not specs:
-        return {}
-    if split == "auto":
-        if cost_model is not None and hasattr(cost_model, "plan_split"):
-            planned = cost_model.plan_split(level, tol, n_workers=n_workers)
-            if planned is not None:
-                return dict(planned)
-        split = 2
-    k = int(split)
-    if k < 1:
-        raise ValueError(f"split must be 'off', 'auto' or k >= 1, got {k}")
-    if k == 1:
-        return {}
-    top = max(s.grid.n_interior for s in specs)
-    return {
-        (s.l, s.m): k for s in specs if s.grid.n_interior == top
-    }
 
 
 @dataclass
@@ -253,43 +212,6 @@ class MultiprocessingResult:
     #: master-side seconds inside socket send / result-body receive
     net_send_seconds: float = 0.0
     net_recv_seconds: float = 0.0
-
-    # ------------------------------------------------------------------
-    # intra-grid decomposition (sharded jobs; "off" runs report nothing)
-    # ------------------------------------------------------------------
-    #: the resolved ``split`` request ("off", "auto", or "k=<n>")
-    split: str = "off"
-    #: the grids actually split, as ``((l, m), k)`` pairs
-    split_grids: tuple = ()
-
-    @property
-    def split_payloads(self) -> int:
-        """Payloads computed by strip substructuring."""
-        return sum(
-            1
-            for p in self.payloads.values()
-            if getattr(p, "split_k", 1) > 1
-        )
-
-    @property
-    def halo_bytes(self) -> int:
-        """Halo/interface vector bytes exchanged by split solves."""
-        return sum(
-            getattr(p, "halo_bytes", 0) for p in self.payloads.values()
-        )
-
-    @property
-    def halo_exchanges(self) -> int:
-        return sum(
-            getattr(p, "halo_exchanges", 0) for p in self.payloads.values()
-        )
-
-    @property
-    def strip_respawns(self) -> int:
-        """Strip children respawned by the team executors' fault path."""
-        return sum(
-            getattr(p, "strip_respawns", 0) for p in self.payloads.values()
-        )
 
     @property
     def fault_report(self):
@@ -560,7 +482,6 @@ def run_multiprocessing(
     engine: str = "pool",
     hosts: Optional[str] = None,
     engine_options: Optional[dict] = None,
-    split: Union[str, int] = "off",
 ) -> MultiprocessingResult:
     """Run the whole application with a process pool over the grids.
 
@@ -602,16 +523,6 @@ def run_multiprocessing(
     ``engine_options`` passes constructor knobs (heartbeat timeout,
     reconnect budget) through to
     :class:`~repro.restructured.netengine.SocketTaskEngine`.
-
-    ``split`` shards the critical-path grids into ``k``-strip Schur
-    subsolves (:mod:`repro.sparsegrid.decompose`): ``"off"`` (default)
-    leaves every job whole — bitwise identical to previous behaviour —
-    while an integer ``k`` or ``"auto"`` (cost-model-planned) replaces
-    the head-of-line specs per :func:`resolve_split_map`.  Sharded jobs
-    run on every engine: the strips execute serially inside whichever
-    worker owns the job, so the job-level fault ladder re-dispatches a
-    lost strip-job unchanged.  Split solutions match the unsplit oracle
-    within :func:`~repro.sparsegrid.decompose.split_tolerance`.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -645,21 +556,6 @@ def run_multiprocessing(
     ]
     n_proc = processes or min(len(specs), multiprocessing.cpu_count())
     ordered = order_longest_first(specs, cost_model)
-    split_map = resolve_split_map(
-        split,
-        specs,
-        level=level,
-        tol=tol,
-        n_workers=n_proc,
-        cost_model=cost_model,
-    )
-    if split_map:
-        ordered = [
-            replace(s, split_k=split_map[(s.l, s.m)])
-            if (s.l, s.m) in split_map
-            else s
-            for s in ordered
-        ]
 
     respawns = 0
     #: the socket engine's counters (zero on the fork pool)
@@ -750,6 +646,4 @@ def run_multiprocessing(
         engine=engine,
         hosts=hosts or "",
         **net_stats,
-        split=split if isinstance(split, str) else f"k={split}",
-        split_grids=tuple(sorted(split_map.items())),
     )

@@ -61,11 +61,6 @@ class SubsolveJobSpec:
     t_end: Optional[float] = None
     scheme: str = "upwind"
     problem_kwargs: tuple = ()  # sorted (key, value) pairs
-    #: strips for the intra-grid Schur decomposition (1 = unsplit; the
-    #: sharded-job path — see :mod:`repro.sparsegrid.decompose`).  A
-    #: defaulted field keeps old pickles and constructors valid, so the
-    #: socket engine's wire format is unchanged for unsplit jobs.
-    split_k: int = 1
 
     @property
     def grid(self) -> Grid:
@@ -120,25 +115,6 @@ class SubsolvePayload:
     #: ``time.monotonic()`` just before / after the computation
     started_monotonic: float = 0.0
     finished_monotonic: float = 0.0
-    # ------------------------------------------------------------------
-    # intra-grid decomposition counters (zeros / 1 on the unsplit path)
-    # ------------------------------------------------------------------
-    #: strips the stage systems were split into (1 = unsplit)
-    split_k: int = 1
-    interface_unknowns: int = 0
-    strip_factorizations: int = 0
-    strip_solves: int = 0
-    interface_solves: int = 0
-    halo_exchanges: int = 0
-    halo_bytes: int = 0
-    strip_factor_seconds: float = 0.0
-    strip_solve_seconds: float = 0.0
-    #: per-call max-over-strips sums: the k-lane critical-path seconds
-    critical_strip_factor_seconds: float = 0.0
-    critical_strip_solve_seconds: float = 0.0
-    schur_factor_seconds: float = 0.0
-    interface_solve_seconds: float = 0.0
-    strip_respawns: int = 0
 
     @property
     def factor_reuse_ratio(self) -> float:
@@ -182,12 +158,6 @@ def execute_job(spec: SubsolveJobSpec, *, use_cache: bool = True) -> SubsolvePay
         scheme=spec.scheme,
         operator=operator,
         factor_cache=factor_cache,
-        # a sharded job runs its strips serially inside this worker;
-        # the per-strip timings travel home in the payload and the
-        # k-lane critical path is composed master-side (the same
-        # hindsight-schedule methodology dispatch_makespan uses)
-        split_k=getattr(spec, "split_k", 1),
-        strip_executor="serial",
     )
     stats = result.stats
     return SubsolvePayload(
@@ -208,20 +178,6 @@ def execute_job(spec: SubsolveJobSpec, *, use_cache: bool = True) -> SubsolvePay
         worker_pid=os.getpid(),
         started_monotonic=started_monotonic,
         finished_monotonic=time.monotonic(),
-        split_k=stats.split_k,
-        interface_unknowns=stats.interface_unknowns,
-        strip_factorizations=stats.strip_factorizations,
-        strip_solves=stats.strip_solves,
-        interface_solves=stats.interface_solves,
-        halo_exchanges=stats.halo_exchanges,
-        halo_bytes=stats.halo_bytes,
-        strip_factor_seconds=stats.strip_factor_seconds,
-        strip_solve_seconds=stats.strip_solve_seconds,
-        critical_strip_factor_seconds=stats.critical_strip_factor_seconds,
-        critical_strip_solve_seconds=stats.critical_strip_solve_seconds,
-        schur_factor_seconds=stats.schur_factor_seconds,
-        interface_solve_seconds=stats.interface_solve_seconds,
-        strip_respawns=stats.strip_respawns,
     )
 
 

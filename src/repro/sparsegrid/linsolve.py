@@ -8,8 +8,7 @@ factorization depends only on the step size ``h``; the cache refactors
 only when the adaptive controller actually changes ``h``, and counts
 factorizations and triangular solves for the cost model.
 
-Every LU in the package — the unsplit stage matrix here, the strip
-blocks of :mod:`~repro.sparsegrid.decompose` and of the strip team, the
+Every LU in the package — the Rosenbrock stage matrix here and the
 θ-method baseline — comes from :func:`factorize`, so the column
 ordering is chosen in exactly one place.  The choice is minimum degree
 on the pattern of ``AᵀA + A`` (SuperLU's ``MMD_AT_PLUS_A``): the
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,19 +69,13 @@ def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
 
 
 class FactorCache:
-    """A bounded LRU of LU factors keyed by any hashable key.
+    """A bounded LRU of LU factors keyed by step size ``h``.
 
-    The unsplit path keys by step size ``h`` alone: the factor of
-    ``(I - gamma*h*J)`` depends only on ``(J, gamma, h)`` — not on the
-    tolerance or the time span — so one cache instance can outlive many
-    integrations of the same operator (the warm path: the n-run
-    averaging protocol re-solves the identical grid and replays the
-    identical ``h`` sequence).  The split path
-    (:mod:`repro.sparsegrid.decompose`) stores strip and interface
-    factors in the *same* cache under composite keys
-    ``(split-signature, strip, h)`` / ``(split-signature, 'schur', h)``,
-    so the two never collide and a grid's split and unsplit factors
-    share one eviction budget.  Reusing a factor is bitwise safe:
+    The factor of ``(I - gamma*h*J)`` depends only on ``(J, gamma, h)``
+    — not on the tolerance or the time span — so one cache instance can
+    outlive many integrations of the same operator (the warm path: the
+    n-run averaging protocol re-solves the identical grid and replays
+    the identical ``h`` sequence).  Reusing a factor is bitwise safe:
     :func:`factorize` is deterministic, the cached object *is* the
     object a fresh factorization would produce.
     """
@@ -91,7 +84,7 @@ class FactorCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._factors: OrderedDict[Hashable, object] = OrderedDict()
+        self._factors: OrderedDict[float, spla.SuperLU] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -99,7 +92,7 @@ class FactorCache:
     def __len__(self) -> int:
         return len(self._factors)
 
-    def get(self, h: Hashable) -> Optional[object]:
+    def get(self, h: float) -> Optional[spla.SuperLU]:
         lu = self._factors.get(h)
         if lu is None:
             self.misses += 1
@@ -108,7 +101,7 @@ class FactorCache:
         self.hits += 1
         return lu
 
-    def put(self, h: Hashable, lu: object) -> None:
+    def put(self, h: float, lu: spla.SuperLU) -> None:
         self._factors[h] = lu
         self._factors.move_to_end(h)
         while len(self._factors) > self.maxsize:

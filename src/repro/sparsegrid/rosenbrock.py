@@ -60,23 +60,6 @@ class StepStats:
     max_h: float = 0.0
     #: accepted step sizes, for diagnostics (kept small: bounded runs)
     h_history: list[float] = field(default_factory=list)
-    #: intra-grid decomposition counters (1 / zeros on the unsplit path;
-    #: filled from ``SchurSplitSolver.split_stats`` when the solve is
-    #: strip-substructured — see :mod:`repro.sparsegrid.decompose`)
-    split_k: int = 1
-    interface_unknowns: int = 0
-    strip_factorizations: int = 0
-    strip_solves: int = 0
-    interface_solves: int = 0
-    halo_exchanges: int = 0
-    halo_bytes: int = 0
-    strip_factor_seconds: float = 0.0
-    strip_solve_seconds: float = 0.0
-    critical_strip_factor_seconds: float = 0.0
-    critical_strip_solve_seconds: float = 0.0
-    schur_factor_seconds: float = 0.0
-    interface_solve_seconds: float = 0.0
-    strip_respawns: int = 0
 
     @property
     def steps_total(self) -> int:
@@ -116,7 +99,6 @@ class Ros2Integrator:
         h_max: float | None = None,
         record_history: bool = False,
         factor_cache: FactorCache | None = None,
-        solver=None,
     ) -> None:
         if tol <= 0:
             raise ValueError(f"tolerance must be positive, got {tol}")
@@ -125,15 +107,9 @@ class Ros2Integrator:
         self.h_min = h_min
         self.h_max = h_max
         self.record_history = record_history
-        #: ``solver`` injects an alternative stage-system solver with the
-        #: same prepare/solve/counters protocol (the split path passes a
-        #: :class:`~repro.sparsegrid.decompose.SchurSplitSolver`); the
-        #: default is the direct single-factor solver.
-        if solver is None:
-            solver = RosenbrockSystemSolver(
-                operator.J, GAMMA, factor_cache=factor_cache
-            )
-        self.solver = solver
+        self.solver = RosenbrockSystemSolver(
+            operator.J, GAMMA, factor_cache=factor_cache
+        )
         self._h0 = h0
 
     # ------------------------------------------------------------------
@@ -221,26 +197,6 @@ class Ros2Integrator:
         stats.solves = self.solver.solves
         stats.factor_seconds = self.solver.factor_seconds
         stats.solve_seconds = self.solver.solve_seconds
-        split = getattr(self.solver, "split_stats", None)
-        if split is not None:
-            stats.split_k = split.split_k
-            stats.interface_unknowns = split.interface_unknowns
-            stats.strip_factorizations = split.strip_factorizations
-            stats.strip_solves = split.strip_solves
-            stats.interface_solves = split.interface_solves
-            stats.halo_exchanges = split.halo_exchanges
-            stats.halo_bytes = split.halo_bytes
-            stats.strip_factor_seconds = split.strip_factor_seconds
-            stats.strip_solve_seconds = split.strip_solve_seconds
-            stats.critical_strip_factor_seconds = (
-                split.critical_strip_factor_seconds
-            )
-            stats.critical_strip_solve_seconds = (
-                split.critical_strip_solve_seconds
-            )
-            stats.schur_factor_seconds = split.schur_factor_seconds
-            stats.interface_solve_seconds = split.interface_solve_seconds
-            stats.strip_respawns = split.strip_respawns
         stats.total_seconds = time.perf_counter() - started
         if stats.min_h is math.inf:
             stats.min_h = 0.0

@@ -39,23 +39,8 @@ class SubsolveResult:
     @property
     def work_units(self) -> float:
         """An architecture-independent work measure for the cost model:
-        interior unknowns times linear solves performed.
-
-        ``stats.solves`` counts *system-level* stage solves on both the
-        unsplit and the split path: one split ``solve()`` covers its
-        ``k`` strips (which partition the interior together with the
-        interface rows, summing to ``n_interior`` unknowns exactly) and
-        counts once, so split results report the same work as an
-        unsplit solve of the identical grid — the interface unknowns
-        are not double-counted and the cost-model feed stays in one
-        unit regardless of ``split_k``.
-        """
+        interior unknowns times linear solves performed."""
         return float(self.grid.n_interior) * float(self.stats.solves)
-
-    @property
-    def split_k(self) -> int:
-        """Strip count of the solve (1 = unsplit path)."""
-        return self.stats.split_k
 
 
 def subsolve(
@@ -69,8 +54,6 @@ def subsolve(
     record_history: bool = False,
     operator: SpatialOperator | None = None,
     factor_cache: FactorCache | None = None,
-    split_k: int = 1,
-    strip_executor: str = "serial",
 ) -> SubsolveResult:
     """Integrate the problem on one grid from ``t=0`` to ``t_end``.
 
@@ -86,21 +69,6 @@ def subsolve(
     reuse LU factors across repeated integrations.  Both are pure reuse
     — the operator and factors are deterministic functions of their
     inputs, so results stay bitwise identical to a cold call.
-
-    ``split_k > 1`` solves the Rosenbrock stage systems by ``k``-strip
-    Schur substructuring (:mod:`repro.sparsegrid.decompose`) instead of
-    one monolithic LU — the sharded-job execution path.  ``split_k=1``
-    (or a ``k`` the grid cannot sustain, which is clamped back to 1)
-    takes the literal unsplit code path, so results stay bitwise
-    identical to a call without the argument; ``split_k > 1`` matches
-    the unsplit oracle within
-    :func:`~repro.sparsegrid.decompose.split_tolerance`.
-    ``strip_executor`` selects how strip operations run: ``"serial"``
-    (in-process, strip order — the worker-side sharded-job mode) or
-    ``"thread"`` (one thread per strip, bitwise equal to serial).
-    Process-team execution over the shm data plane is wired up by
-    :mod:`repro.restructured.strip_team`, which passes a ready-made
-    executor object instead of a name.
     """
     started = time.perf_counter()
     t_final = problem.t_end if t_end is None else t_end
@@ -111,26 +79,10 @@ def subsolve(
             f"cached operator is for ({operator.grid}, {operator.scheme!r}), "
             f"not ({grid}, {scheme!r})"
         )
-    solver = None
-    if split_k != 1:
-        from .decompose import StripPlan
-
-        if integrator_name != "ros2":
-            raise ValueError(
-                "split_k > 1 requires the ros2 integrator, got "
-                f"{integrator_name!r}"
-            )
-        plan = StripPlan.for_grid(grid, split_k)
-        if plan.k >= 2:
-            solver = _make_split_solver(
-                operator, grid, plan, factor_cache, strip_executor
-            )
-        # plan.k == 1: the grid is too small to split — fall through to
-        # the literal unsplit path (bitwise identical by construction)
     if integrator_name == "ros2":
         integrator = Ros2Integrator(
             operator, tol, record_history=record_history,
-            factor_cache=factor_cache, solver=solver,
+            factor_cache=factor_cache,
         )
     else:
         from .theta import make_integrator
@@ -139,53 +91,12 @@ def subsolve(
             integrator_name, operator, tol, t_span=t_final,
             record_history=record_history,
         )
-    try:
-        u0 = operator.initial_interior()
-        u_final, stats = integrator.integrate(u0, 0.0, t_final)
-        solution = operator.full_solution(u_final, t_final)
-    finally:
-        if solver is not None:
-            solver.close()
+    u0 = operator.initial_interior()
+    u_final, stats = integrator.integrate(u0, 0.0, t_final)
+    solution = operator.full_solution(u_final, t_final)
     return SubsolveResult(
         grid=grid,
         solution=solution,
         stats=stats,
         wall_seconds=time.perf_counter() - started,
-    )
-
-
-def _make_split_solver(
-    operator: SpatialOperator,
-    grid: Grid,
-    plan,
-    factor_cache: FactorCache | None,
-    strip_executor,
-):
-    """Build the Schur substructuring solver for a ``k >= 2`` plan."""
-    from .decompose import (
-        SchurSplitSolver,
-        SerialStripExecutor,
-        ThreadStripExecutor,
-    )
-    from .rosenbrock import GAMMA
-
-    if isinstance(strip_executor, str):
-        if strip_executor == "serial":
-            executor = SerialStripExecutor()
-        elif strip_executor == "thread":
-            executor = ThreadStripExecutor()
-        else:
-            raise ValueError(
-                f"unknown strip executor {strip_executor!r}; expected "
-                "'serial', 'thread', or an executor object"
-            )
-    else:
-        executor = strip_executor
-    return SchurSplitSolver(
-        operator.J,
-        GAMMA,
-        plan,
-        factor_cache=factor_cache,
-        executor=executor,
-        trace_key=(grid.l, grid.m),
     )

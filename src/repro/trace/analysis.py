@@ -287,71 +287,6 @@ class TraceAnalysis:
         return sum(1 for e in self.events if e.kind == "reconnect")
 
     # ------------------------------------------------------------------
-    # split efficiency (intra-grid strip substructuring)
-    # ------------------------------------------------------------------
-    def _data_sum(self, kind: str, field: str) -> float:
-        return sum(
-            float(e.data.get(field, 0.0))
-            for e in self.events
-            if e.kind == kind
-        )
-
-    @property
-    def n_strip_factors(self) -> int:
-        """Fresh strip LU factorizations (events may carry counts)."""
-        return int(
-            sum(
-                int(e.data.get("count", 1))
-                for e in self.events
-                if e.kind == "strip_factor"
-            )
-        )
-
-    @property
-    def strip_factor_seconds(self) -> float:
-        """Seconds spent factoring strip blocks, summed over strips."""
-        return self._data_seconds("strip_factor")
-
-    @property
-    def critical_strip_factor_seconds(self) -> float:
-        """Per-call max-over-strips factor seconds — what ``k`` lanes
-        would pay (falls back to the serial sum when the event carries
-        no critical figure)."""
-        total = self._data_sum("strip_factor", "critical_seconds")
-        return total if total > 0.0 else self.strip_factor_seconds
-
-    @property
-    def n_halo_exchanges(self) -> int:
-        return int(self._data_sum("halo_exchange", "exchanges"))
-
-    @property
-    def halo_bytes(self) -> int:
-        """Halo/interface vector bytes moved by split solves."""
-        return int(self._data_sum("halo_exchange", "payload_bytes"))
-
-    @property
-    def n_schur_solves(self) -> int:
-        return int(
-            sum(
-                int(e.data.get("count", 1))
-                for e in self.events
-                if e.kind == "schur_solve"
-            )
-        )
-
-    @property
-    def schur_solve_seconds(self) -> float:
-        """Master-side seconds in the dense interface (Schur) solves."""
-        return self._data_seconds("schur_solve")
-
-    @property
-    def split_overhead_seconds(self) -> float:
-        """Seconds a split pays that the unsplit path would not: the
-        interface solves (halo movement is counted by the
-        ``halo_exchange`` events)."""
-        return self.schur_solve_seconds
-
-    # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
     def check_span_nesting(self) -> list[tuple[str, float, float]]:
@@ -438,15 +373,5 @@ class TraceAnalysis:
                 f"({self.net_send_seconds:.3f}s send + "
                 f"{self.net_recv_seconds:.3f}s recv), "
                 f"{self.n_reconnects} reconnect(s)"
-            )
-        if self.n_halo_exchanges or self.n_schur_solves:
-            lines.append(
-                f"split: {self.n_strip_factors} strip factors "
-                f"({self.strip_factor_seconds:.3f}s serial, "
-                f"{self.critical_strip_factor_seconds:.3f}s critical), "
-                f"{self.n_schur_solves} interface solves "
-                f"({self.schur_solve_seconds:.3f}s), "
-                f"{self.n_halo_exchanges} halo exchanges "
-                f"({self.halo_bytes} bytes)"
             )
         return lines

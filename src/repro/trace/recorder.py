@@ -78,10 +78,6 @@ EVENT_KINDS = (
     "net_send",
     "net_recv",
     "reconnect",
-    # intra-grid decomposition: strip substructuring observability
-    "strip_factor",
-    "halo_exchange",
-    "schur_solve",
     # nested phases
     "span_begin",
     "span_end",

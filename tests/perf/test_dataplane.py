@@ -1,8 +1,8 @@
 """Unit tests of the shared-memory arena.
 
-The arena, lease, descriptor and audit mechanics in isolation — its one
-consumer, the strip process team, is exercised against real children in
-``tests/restructured/test_split_jobs.py``.
+The arena, lease, descriptor and audit mechanics in isolation; no run
+uses the arena, its other caller is the ``dataplane.*`` probes of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -413,10 +413,9 @@ class TestReactorInvariants:
 
     def test_one_way_home_for_a_result(self):
         """A result array comes home pickled and nothing else: no module
-        of ``repro.restructured`` but the strip team imports the
-        shared-memory arena, and no entry point of the run path takes a
-        sink, a plane or a lease, so a second result transport cannot
-        come back unnoticed."""
+        of ``repro.restructured`` imports the shared-memory arena, and
+        no entry point of the run path takes a sink, a plane or a lease,
+        so a second result transport cannot come back unnoticed."""
         import ast
         import inspect
         import pkgutil
@@ -440,12 +439,53 @@ class TestReactorInvariants:
                     ]
                 if any(n.startswith("repro.perf.dataplane") for n in names):
                     importers.append(info.name)
-        assert sorted(set(importers)) == ["strip_team"]
+        assert importers == []
         for entry in (
             run_multiprocessing, DispatchCore.__init__, SocketTaskEngine.run
         ):
             parameters = set(inspect.signature(entry).parameters)
             assert not parameters & {"sink", "data_plane", "lease"}, entry
+
+    def test_the_grid_is_the_unit_of_work(self):
+        """``subsolve(l, m)`` on the whole grid is the only way a stage
+        system is solved: no entry point takes a split or a solver to
+        inject, no record carries a strip counter, the trace has no
+        kind for one and the two modules are gone, so an intra-grid
+        path beside the bitwise one cannot come back unnoticed."""
+        import dataclasses
+        import inspect
+        from importlib.util import find_spec
+
+        from repro.perf.costmodel import CostRecord
+        from repro.perf.warmpath import WarmPathReport
+        from repro.restructured import run_multiprocessing
+        from repro.restructured.parallel import MultiprocessingResult
+        from repro.restructured.worker import SubsolveJobSpec, SubsolvePayload
+        from repro.sparsegrid.rosenbrock import Ros2Integrator, StepStats
+        from repro.sparsegrid.subsolve import subsolve
+        from repro.trace.recorder import EVENT_KINDS
+
+        for entry in (run_multiprocessing, subsolve, Ros2Integrator.__init__):
+            parameters = set(inspect.signature(entry).parameters)
+            assert not parameters & {
+                "split", "split_k", "strip_executor", "solver"
+            }, entry
+        prefixes = (
+            "split", "strip_", "halo_", "schur_", "interface_",
+            "critical_strip_",
+        )
+        for record in (
+            SubsolveJobSpec, SubsolvePayload, StepStats, CostRecord,
+            MultiprocessingResult, WarmPathReport,
+        ):
+            names = {f.name for f in dataclasses.fields(record)}
+            names |= set(vars(record))
+            assert not [n for n in names if n.startswith(prefixes)], record
+        assert not set(EVENT_KINDS) & {
+            "strip_factor", "halo_exchange", "schur_solve"
+        }
+        assert find_spec("repro.sparsegrid.decompose") is None
+        assert find_spec("repro.restructured.strip_team") is None
 
     def test_no_subprocess_no_stdout_handshake(self):
         """Loopback daemons are forked behind a listener the master

@@ -39,10 +39,14 @@ class TestReadme:
             assert f"{package}/" in readme
             assert (REPO / "src" / "repro" / package / "__init__.py").exists()
 
-    def test_docs_links_exist(self):
-        readme = read("README.md")
-        for match in re.findall(r"docs/\w+\.md", readme):
-            assert (REPO / match).exists(), match
+    @pytest.mark.parametrize(
+        "document",
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        + sorted(f"docs/{path.name}" for path in (REPO / "docs").glob("*.md")),
+    )
+    def test_docs_links_exist(self, document):
+        for match in re.findall(r"docs/\w+\.md", read(document)):
+            assert (REPO / match).exists(), f"{document}: {match}"
 
 
 class TestDesign:
