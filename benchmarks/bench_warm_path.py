@@ -110,10 +110,16 @@ def test_longest_first_beats_static_chunk_makespan(benchmark, warm_path_settings
     tol = warm_path_settings["makespan_tol"]
     workers = warm_path_settings["makespan_workers"]
 
-    _warm_run(level, tol)  # warm the caches so durations are steady
-    result = benchmark.pedantic(
-        lambda: _warm_run(level, tol), rounds=2, iterations=1
-    )
+    # one worker, in a pool of its own: caches are per worker, so with
+    # two a grid can still miss after any number of warm-ups — most
+    # often the last ones dispatched — and the inflated durations of
+    # those misses, not the dispatch order, decide the comparison
+    def run():
+        return run_multiprocessing(root=ROOT, level=level, tol=tol, processes=1)
+
+    shutdown_pool()
+    run()  # warm the caches so durations are steady
+    result = benchmark.pedantic(run, rounds=2, iterations=1)
     # longest-predicted-first: the heavy diagonal leads
     assert sum(result.dispatch_order[0]) == level
 
@@ -134,8 +140,8 @@ def test_longest_first_beats_static_chunk_makespan(benchmark, warm_path_settings
 
 @pytest.mark.benchmark(group="warm-path")
 def test_pool_persists_across_runs(benchmark):
-    """Two consecutive runs share one pool generation — the second
-    acquisition is warm."""
+    """Two consecutive runs share one pool — the second acquisition
+    is warm."""
     shutdown_pool()
     first = run_multiprocessing(root=ROOT, level=2, tol=1.0e-3)
     second = benchmark.pedantic(

@@ -11,10 +11,10 @@ reproduction working together:
 2. the *supervised* protocol (``protocol_mw(..., supervise=True)``)
    converting the same crash into a failure result the master can
    handle — the run completes, the surviving results arrive;
-3. the full escalation ladder against the *real* fork pool: a seeded
-   injector kills the OS process computing one level-5 grid mid-run,
-   the master detects the death by PID liveness, re-dispatches the lost
-   job to a fresh worker, and the combination-technique result comes
+3. the full escalation ladder against the *real* pool of task
+   instances: a seeded injector kills the OS process computing one
+   level-5 grid mid-run, the master reads the death as the EOF of that
+   worker's pipe, re-dispatches the lost job to a fresh worker, and the combination-technique result comes
    out bitwise identical to a fault-free run.
 
 Usage::

@@ -49,11 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_conc = sub.add_parser("run-concurrent", help="run the restructured program")
     add_problem_args(p_conc)
     p_conc.add_argument(
-        "--engine", choices=("threads", "processes", "task-instances"),
+        "--engine", choices=("threads", "task-instances"),
         default="threads",
         help="where worker computations execute: in the worker threads, "
-        "in a process pool, or in per-worker OS task instances with "
-        "perpetual reuse (the MLINK semantics, literally)",
+        "or in per-worker OS task instances with perpetual reuse (the "
+        "MLINK semantics, literally)",
     )
     p_conc.add_argument("--pool-per-diagonal", action="store_true",
                         help="one workers-pool per grid diagonal (two pools)")
@@ -237,19 +237,13 @@ def cmd_run_sequential(args) -> int:
 
 
 def cmd_run_concurrent(args) -> int:
-    from repro.restructured import (
-        ProcessPoolEngine,
-        TaskInstanceEngine,
-        run_concurrent,
-    )
+    from repro.restructured import TaskInstanceEngine, run_concurrent
     from repro.restructured.mainprog import DEFAULT_MLINK
     from repro.sparsegrid import SequentialApplication
     from repro.sparsegrid.registry import make_problem
 
     engine = None
-    if args.engine == "processes":
-        engine = ProcessPoolEngine()
-    elif args.engine == "task-instances":
+    if args.engine == "task-instances":
         engine = TaskInstanceEngine()
     result, tasks = run_concurrent(
         root=args.root, level=args.level, tol=args.tol,
@@ -263,14 +257,7 @@ def cmd_run_concurrent(args) -> int:
     if tasks is not None:
         print(f"task instances forked: {len(tasks.instances())}, "
               f"peak alive {tasks.peak_instances()}")
-    if isinstance(engine, ProcessPoolEngine):
-        hits = sum(
-            1 for p in result.payloads.values() if p.operator_cache_hit
-        )
-        print(f"process pool: {'warm' if engine.warm_start else 'cold'} "
-              f"start, operator cache {hits}/{len(result.payloads)} hits")
-        engine.close()
-    if isinstance(engine, TaskInstanceEngine):
+    if engine is not None:
         print(f"OS task instances: {engine.stats.spawned} spawned, "
               f"{engine.stats.reused} worker(s) reused one")
         engine.close()

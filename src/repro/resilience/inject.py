@@ -6,8 +6,9 @@ attempt(s) it applies to, and an optional deterministic sampling rate.
 The same plan object drives two very different backends:
 
 * **in-process, against the real pool** — :func:`resilient_entry` is
-  the job wrapper the fault-tolerant dispatch loop of
-  :mod:`repro.restructured.parallel` ships to the fork-pool workers.
+  what every task instance of the pool runs a job through
+  (:mod:`repro.restructured.taskengine`), with the plan the pool driver
+  of :mod:`repro.restructured.parallel` sent along.
   A matched ``crash`` rule really calls ``os._exit`` inside the worker
   OS process, a ``hang`` rule really sleeps through the deadline, so
   the recovery machinery is exercised against genuine process death,
@@ -212,28 +213,18 @@ class FaultPlan:
 # the worker-side entry point
 # ----------------------------------------------------------------------
 def resilient_entry(item: tuple):
-    """Run one job under fault injection, emitting heartbeats.
+    """Run one job under fault injection.
 
-    The one entry point of a fork-pool worker.  ``item`` is ``(spec,
-    plan, attempt, use_cache)`` — ``plan`` is ``None`` on a run that
-    injects nothing; top-level so multiprocessing pickles it by
-    reference.  Heartbeats — ``(phase, (l, m), attempt, pid)`` tuples on
-    the pool's inherited queue — tell the master *which worker process*
-    holds *which job*, so a process liveness check can attribute an
-    OS-level death to the exact lost job instead of waiting out its
-    deadline.
+    What a task instance (:mod:`repro.restructured.taskengine`) does
+    with every message it is sent.  ``item`` is ``(spec, plan, attempt,
+    use_cache)`` — ``plan`` is ``None`` on a run that injects nothing.
     """
     spec, plan, attempt, use_cache = item
-    # local imports: this module must stay importable (and picklable by
-    # reference) without dragging the execution layer in at import time
-    from repro.restructured import pool as pool_mod
+    # local import: this module must stay importable without dragging
+    # the execution layer in at import time
     from repro.restructured.worker import execute_job
 
-    heartbeats = pool_mod.child_heartbeat_queue()
     key = (spec.l, spec.m)
-    pid = os.getpid()
-    if heartbeats is not None:
-        heartbeats.put(("start", key, attempt, pid))
     action = plan.action(spec.l, spec.m, attempt) if plan is not None else None
     if action is not None and action.kind == "crash":
         # a real, unannounced OS-level death — exactly what a segfault
@@ -242,8 +233,6 @@ def resilient_entry(item: tuple):
     if action is not None and action.kind == "hang":
         time.sleep(action.seconds)
     if action is not None and action.kind == "raise":
-        if heartbeats is not None:
-            heartbeats.put(("fail", key, attempt, pid))
         raise TransientWorkerError(
             f"injected transient fault on grid {key}, attempt {attempt}"
         )
@@ -252,6 +241,4 @@ def resilient_entry(item: tuple):
     if action is not None and action.kind == "slow":
         # emulate a slow host: stretch the job to factor x its own time
         time.sleep((action.factor - 1.0) * (time.perf_counter() - started))
-    if heartbeats is not None:
-        heartbeats.put(("done", key, attempt, pid))
     return payload

@@ -7,22 +7,22 @@ generic master/worker protocol.
 
 * :mod:`worker` — the worker wrapper plus pluggable *compute engines*:
   inline (worker thread computes; concurrency bounded by the GIL except
-  where NumPy/SciPy release it) and process-based (each worker ships its
-  job to a separate OS process — the Python equivalent of MLINK housing
-  each worker in its own task instance);
+  where NumPy/SciPy release it) and, in :mod:`taskengine`, process-based
+  (each worker ships its job to a separate OS process — the Python
+  equivalent of MLINK housing each worker in its own task instance);
 * :mod:`master` — the master wrapper: the sequential program with the
   nested loop replaced by protocol steps 3(a)–3(h);
 * :mod:`mainprog` — ``mainprog.m``: ``Main`` calls
   ``ProtocolMW(Master(argv), Worker)``;
 * :mod:`dispatch` — the one dispatch core: the resilient job lifecycle
-  (ledger, deadlines, escalation ladder, timer wheel) that the fork
+  (ledger, deadlines, escalation ladder, timer wheel) that the local
   pool and the socket master both drive;
 * :mod:`parallel` — the multiprocessing executor used as the
   real-parallel measurement configuration and as a cross-check; its
   warm path orders jobs longest-predicted-first (LPT) over
-* :mod:`pool` — the persistent worker pool: one long-lived fork pool
-  shared across levels, runs and engines, whose warm workers retain
-  their process-local operator caches between jobs.
+* :mod:`pool` — the persistent worker pool: ``processes`` long-lived
+  task instances shared across levels and runs, whose warm workers
+  retain their process-local operator caches between jobs.
 """
 
 from .master import ConcurrentResult, make_master_definition
@@ -38,16 +38,13 @@ from .pool import (
     PersistentWorkerPool,
     PoolClosedError,
     acquire_pool,
-    child_heartbeat_queue,
     pool_diagnostics,
-    respawn_pool,
     shutdown_pool,
 )
 from .taskengine import TaskInstanceDied, TaskInstanceEngine, TaskInstanceStats
 from .worker import (
     ComputeEngine,
     InlineEngine,
-    ProcessPoolEngine,
     SubsolveJobSpec,
     SubsolvePayload,
     execute_job,
@@ -64,14 +61,12 @@ __all__ = [
     "WorkerDaemon",
     "PersistentWorkerPool",
     "PoolClosedError",
-    "ProcessPoolEngine",
     "SubsolveJobSpec",
     "SubsolvePayload",
     "TaskInstanceDied",
     "TaskInstanceEngine",
     "TaskInstanceStats",
     "acquire_pool",
-    "child_heartbeat_queue",
     "execute_job",
     "make_master_definition",
     "make_subsolve_worker",
@@ -79,7 +74,6 @@ __all__ = [
     "parse_hosts",
     "pool_diagnostics",
     "predicted_spec_seconds",
-    "respawn_pool",
     "run_concurrent",
     "run_multiprocessing",
     "shutdown_pool",

@@ -1,9 +1,9 @@
-"""The one dispatch core under the fork pool and the socket engine.
+"""The one dispatch core under the local pool and the socket engine.
 
 The paper's argument is that the coordination protocol is *one* generic
 module that computation plugs into unchanged.  This module is that
 argument applied to the resilient job lifecycle: :class:`DispatchCore`
-is the only implementation of it, and the fork pool
+is the only implementation of it, and the local pool
 (:mod:`~repro.restructured.parallel`) and the socket master
 (:mod:`~repro.restructured.netengine`) are *drivers* that translate
 their substrate's signals into core calls and plug three callables
@@ -24,26 +24,20 @@ What the core owns, identically for every driver:
   ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
 * **collateral** — jobs that shared a replaced worker re-queue at the
   same attempt and consume no ladder step;
-* **late-bound holders** — a substrate that learns which worker holds
-  a job only from a heartbeat reports it through :meth:`held_by`; a
-  holder reported dead is remembered, so a ``start`` beat that names an
-  already-dead worker convicts on arrival instead of waiting out the
-  deadline;
 * the ``FaultLog`` and every trace event of the lifecycle, in the
   per-key order ``fault`` → (driver: ``respawn`` / ``reconnect``) →
   ``retry`` → ``job_submit``.
 
-What differs by substrate, and therefore lives in the drivers' ``retire``
-hook — the contract is only that once ``retire(job, kind)`` returns, the
-attempt's slot is free again:
-
-* the **pool** cannot kill one wedged worker, so a ``hang``/``deadline``
-  attempt costs the whole generation; that respawn happens before the
-  retry *and* before the fallback, and everything else in flight is
-  collateral of it;
-* the **socket** master kills the daemon (``lose_link``) before it
-  reports the loss; only a per-job ``deadline`` on an otherwise live
-  daemon makes ``retire`` do the kill.
+What a driver is, identically on both substrates: ``place`` names a
+free slot (an idle task instance, a daemon link with capacity),
+``launch`` sends the attempt there, and ``retire(job, kind)`` gives the
+slot back or replaces its one worker — the contract is only that once
+it returns, the attempt's slot is free again.  A crashed worker is
+already gone when its loss is reported (the EOF of its pipe, the
+daemon's dropped link); only a per-job ``deadline`` on a worker that is
+still alive makes ``retire`` do the kill, before the retry *and* before
+the fallback.  What else a killed daemon was computing (``--capacity
+N``) is collateral of it; a pool worker holds one job, so it has none.
 
 The core never sleeps and never advances the clock: it schedules on the
 injected :class:`_TimerWheel` and the driver's loop — ``dispatch_ready``,
@@ -89,9 +83,9 @@ class _TimerWheel:
 
     Everything a dispatch thread would otherwise ``time.sleep`` for —
     retry backoff, reconnect backoff, heartbeat-silence deadlines,
-    per-job deadlines, the pool's liveness tick — is a scheduled
-    callback here, so a driver's only blocking point is its substrate's
-    wait with :meth:`next_timeout` as the timeout.  Callbacks validate
+    per-job deadlines — is a scheduled callback here, so a driver's
+    only blocking point is its substrate's wait with
+    :meth:`next_timeout` as the timeout.  Callbacks validate
     their subject at fire time (epoch, pending identity, revive token)
     instead of being cancelled, which keeps scheduling O(log n) with no
     bookkeeping on the hot path.
@@ -179,7 +173,7 @@ class Slot(NamedTuple):
 
     worker: object
     #: the ``worker`` field of the attempt's ``job_submit`` trace event
-    name: Optional[str] = None
+    name: Optional[object] = None
 
 
 @dataclass(eq=False)
@@ -191,8 +185,6 @@ class Job:
     worker: object              # what the driver's place() put it on
     deadline_at: float          # on the wheel's clock
     submitted_at: float
-    handle: object = None       # the driver's own token for the attempt
-    holder: object = None       # who reported holding it (see held_by)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -266,9 +258,6 @@ class DispatchCore:
         self.recovered_keys: list[tuple[int, int]] = []
         self.fallback_keys: list[tuple[int, int]] = []
         self.attempts = 0
-        #: holders reported dead → the ``(detected_by, error)`` to convict
-        #: with; a driver clears it when its worker identities start over
-        self.dead_holders: dict[object, tuple[str, str]] = {}
         self._open = len(self.state)
 
     @property
@@ -354,29 +343,6 @@ class DispatchCore:
         self.completion_order.append(key)
         self.state[key] = state
         self._open -= 1
-
-    # ------------------------------------------------------------------
-    # late-bound holders (the pool learns them from heartbeats)
-    # ------------------------------------------------------------------
-    def held_by(self, key, attempt: int, holder) -> None:
-        """A worker reported taking (``holder``) or dropping (``None``)
-        an attempt.  A holder already reported dead convicts on arrival:
-        its death was observed before this report was."""
-        job = self.pending.get(key)
-        if job is None or job.attempt != attempt:
-            return
-        job.holder = holder
-        if holder in self.dead_holders:
-            detected_by, error = self.dead_holders[holder]
-            self.fault(key, "crash", detected_by=detected_by, error=error)
-
-    def holder_died(self, holder, *, detected_by: str, error: str) -> None:
-        """A worker is gone: convict exactly the jobs it held, and
-        remember it for a ``held_by`` report still on its way."""
-        self.dead_holders[holder] = (detected_by, error)
-        for key, job in list(self.pending.items()):
-            if job.holder == holder and self.pending.get(key) is job:
-                self.fault(key, "crash", detected_by=detected_by, error=error)
 
     # ------------------------------------------------------------------
     # in-flight → backoff | fallback | failed

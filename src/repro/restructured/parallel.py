@@ -15,11 +15,11 @@ overhead in three ways:
   repeat runs find warm workers instead of re-forking;
 * workers serve operators and LU factors from their process-local
   **cache** (:mod:`repro.sparsegrid.cache`) instead of re-assembling;
-* jobs are dispatched **longest-predicted-first**, one ``submit`` per
-  job, and each free worker pulls the next — LPT scheduling — instead
-  of ``pool.map``'s static contiguous chunks, which lose makespan on
-  the geometrically-skewed grid family (the biggest diagonal sits at
-  the *end* of the paper's loop order).
+* jobs are dispatched **longest-predicted-first**, one job per free
+  worker, and each worker that comes free is handed the next — LPT
+  scheduling — instead of ``pool.map``'s static contiguous chunks,
+  which lose makespan on the geometrically-skewed grid family (the
+  biggest diagonal sits at the *end* of the paper's loop order).
 
 ``warm_pool=False`` and ``operator_cache=False`` reproduce the seed's
 throwaway pool and per-run assembly, so the benchmarks can measure the
@@ -30,37 +30,40 @@ configuration is bitwise identical in its output.
 **Fault tolerance.**  Every run — with or without ``retry``,
 ``deadline``, ``escalation`` or ``faults`` — is driven by the shared
 dispatch core (:mod:`~repro.restructured.dispatch`); there is no other
-way onto a pool worker.  This module only *drives* the core: every job
-is submitted individually (``apply_async``, preserving the greedy LPT
-pull order), and the pool's three signals are translated into core
-calls —
+way onto a pool worker.  This module only *drives* the core, on one
+thread and in the socket reactor's shape: ``place`` takes an idle task
+instance from the pool, ``launch`` sends the attempt down that worker's
+own pipe, ``retire`` gives the worker back or replaces it, and the loop
+blocks in one ``multiprocessing.connection.wait`` over the busy
+workers' pipes with the timer wheel's next due time as the timeout.
+The pool's two signals are translated into core calls —
 
-1. a job's result or exception arrives through its ``apply_async``
-   callback, which only enqueues a wake-up for the dispatch thread;
-2. a **crashed** worker is caught by PID liveness: the heartbeat names
-   the worker holding each job, so a vanished PID convicts exactly one
-   lost job, which is re-dispatched (``multiprocessing`` itself would
-   let its ``AsyncResult`` wait forever) — whichever of the death and
-   the heartbeat is observed first;
-3. a **hung** worker trips the core's per-job deadline; the wedged pool
-   is force-respawned and only the in-flight jobs re-dispatched —
-   completed results are keyed by grid ``(l, m)`` and never recomputed,
-   and because ``subsolve`` is deterministic, replays are idempotent:
-   the combined solution stays bitwise identical to a fault-free run.
+1. a **readable pipe**: the worker's ``("ok", payload)`` is the job's
+   result, its ``("error", text)`` a transient exception, and EOF a
+   **crashed** worker — the master placed the job there, so the death
+   convicts exactly that job the moment the process is gone, and only
+   that process is replaced;
+2. the core's per-job **deadline**: a **hung** worker trips it, is
+   killed and replaced — that one worker, nothing else in flight is
+   touched — and the job re-dispatched.
 
-The dispatch thread blocks on its wake-up queue alone, with the timer
-wheel's next due time as the timeout; it never sleeps.  Escalation is
-the core's: retry → reassign → in-master sequential ``subsolve`` → fail
-the run with a structured :class:`~repro.resilience.policy.FaultReport`
-inside :class:`~repro.resilience.policy.FaultToleranceExhausted`.
+Completed results are keyed by grid ``(l, m)`` and never recomputed,
+and because ``subsolve`` is deterministic, replays are idempotent: the
+combined solution stays bitwise identical to a fault-free run.  A run
+that fails or is interrupted replaces every worker it still holds on
+its way out, so nothing is left queued or running behind it.
+Escalation is the core's: retry → reassign → in-master sequential
+``subsolve`` → fail the run with a structured
+:class:`~repro.resilience.policy.FaultReport` inside
+:class:`~repro.resilience.policy.FaultToleranceExhausted`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Optional, Union
 
 import numpy as np
@@ -70,7 +73,6 @@ from repro.resilience import (
     EscalationPolicy,
     FaultPlan,
     RetryPolicy,
-    resilient_entry,
 )
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
@@ -89,7 +91,6 @@ from .pool import (
     PersistentWorkerPool,
     acquire_pool,
     park_fleet,
-    respawn_pool,
     take_fleet,
 )
 from .worker import SubsolveJobSpec, SubsolvePayload
@@ -101,16 +102,10 @@ __all__ = [
     "run_multiprocessing",
 ]
 
-#: execution substrates: ``pool`` is the fork pool (warm path), ``socket``
-#: dispatches over real TCP to worker daemons
-#: (:mod:`repro.restructured.netengine`)
+#: execution substrates: ``pool`` is the persistent pool of local task
+#: instances (warm path), ``socket`` dispatches over real TCP to worker
+#: daemons (:mod:`repro.restructured.netengine`)
 ENGINES = ("pool", "socket")
-
-#: seconds between the pool driver's heartbeat drain + liveness reap
-_LIVENESS_INTERVAL = 0.02
-
-#: fault kinds that leave a wedged worker in its pool slot
-_WEDGED_KINDS = ("hang", "deadline")
 
 
 def predicted_spec_seconds(spec: SubsolveJobSpec, cost_model=None) -> float:
@@ -178,7 +173,7 @@ class MultiprocessingResult:
     recovered: int = 0
     #: grids completed by the in-master sequential fallback
     fallbacks: int = 0
-    #: pool generations force-respawned to reclaim wedged workers
+    #: wedged pool workers killed and replaced
     pool_respawns: int = 0
     #: the detection-ordered fault history
     fault_events: tuple = ()
@@ -260,31 +255,19 @@ class MultiprocessingResult:
 # the pool driver of the dispatch core
 # ----------------------------------------------------------------------
 class _PoolLease:
-    """The pool a run dispatches into, shared or private, with a
-    uniform respawn path for wedged generations."""
+    """The pool a run dispatches into, shared or private."""
 
     def __init__(self, processes: int, shared: bool) -> None:
-        self.processes = processes
         self.shared = shared
+        #: wedged workers this run had replaced
         self.respawns = 0
         if shared:
             self.pool, self.was_warm = acquire_pool(processes)
-            self.cold_start_seconds = (
-                0.0 if self.was_warm else self.pool.cold_start_seconds
-            )
         else:
-            self.pool = PersistentWorkerPool(processes)
-            self.was_warm = False
-            self.cold_start_seconds = self.pool.cold_start_seconds
-
-    def respawn(self) -> None:
-        """Terminate the wedged generation; fork a fresh one."""
-        self.respawns += 1
-        if self.shared:
-            self.pool = respawn_pool(self.processes)
-        else:
-            self.pool.shutdown(force=True)
-            self.pool = PersistentWorkerPool(self.processes)
+            self.pool, self.was_warm = PersistentWorkerPool(processes), False
+        self.cold_start_seconds = (
+            0.0 if self.was_warm else self.pool.cold_start_seconds
+        )
 
     def release(self) -> None:
         if not self.shared:
@@ -366,54 +349,46 @@ def _run_pool(
     cost_model,
     trace=None,
 ) -> DispatchOutcome:
-    """Drive the dispatch core over the fork pool.
+    """Drive the dispatch core over the pool's task instances.
 
     Nothing of the job lifecycle is decided here: this function only
-    translates the pool's signals — ``apply_async`` callbacks, worker
-    heartbeats, PID deaths — into :class:`DispatchCore` calls, and gives
-    the core the pool's way to launch an attempt and to reclaim a
-    wedged generation.  Its one blocking point is the wake-up queue.
+    translates what a worker's pipe says — a result, an error, EOF —
+    into :class:`DispatchCore` calls, and gives the core the pool's way
+    to launch an attempt and to free its worker.  Its one blocking
+    point is the ``wait`` on the busy workers' pipes.
     """
-    #: (key, attempt, payload, exception) per finished ``AsyncResult``,
-    #: put by the pool's result-handler thread
-    wakeups: queue.SimpleQueue = queue.SimpleQueue()
+    pool = lease.pool
     timers = _TimerWheel()
+    #: a busy worker's pipe → the attempt it was sent
+    busy: dict[Connection, Job] = {}
+
+    def place() -> Optional[Slot]:
+        worker = pool.take()
+        return None if worker is None else Slot(worker, worker.process.pid)
 
     def launch(job: Job) -> None:
-        key, attempt = job.key, job.attempt
-        job.handle = lease.pool.submit(
-            resilient_entry,
-            (job.spec, plan, attempt, use_cache),
-            callback=lambda payload: wakeups.put((key, attempt, payload, None)),
-            error_callback=lambda exc: wakeups.put((key, attempt, None, exc)),
-        )
+        busy[job.worker.channel] = job
+        try:
+            job.worker.channel.send((job.spec, plan, job.attempt, use_cache))
+        except OSError:
+            pass  # died since take(): its pipe reads EOF in the loop
 
     def retire(job: Job, kind: Optional[str]) -> None:
-        if kind == "crash":
-            # the dead worker's job never completes; forget its handle
-            # so the pool can still be drained gracefully later
-            lease.pool.discard(job.handle)
-        elif kind in _WEDGED_KINDS:
-            # a wedged worker occupies its slot forever: reclaim it by
-            # respawning the pool.
-            # Every handle in flight died with the old generation, so
-            # those jobs are collateral; completed results are untouched
-            collateral = list(core.pending.values())
-            lease.respawn()
-            core.dead_holders.clear()
+        del busy[job.worker.channel]
+        if kind is None or kind == "exception":
+            pool.give(job.worker)
+            return
+        # dead, or wedged and killed here: that one worker is replaced
+        wedged = kind != "crash"
+        pool.replace(job.worker, wedged=wedged)
+        if wedged:
+            lease.respawns += 1
             if trace is not None:
-                trace.record(
-                    "respawn",
-                    key=job.key,
-                    attempt=job.attempt,
-                    collateral=len(collateral),
-                )
-            core.requeue_collateral(collateral)
+                trace.record("respawn", key=job.key, attempt=job.attempt)
 
     core = DispatchCore(
         ordered,
-        # the pool queues without bound and its workers pull greedily
-        Driver(place=lambda: Slot(lease.pool), launch=launch, retire=retire),
+        Driver(place=place, launch=launch, retire=retire),
         escalation=escalation,
         timers=timers,
         use_cache=use_cache,
@@ -421,43 +396,39 @@ def _run_pool(
         trace=trace,
     )
 
-    def check_liveness() -> None:
-        # drained immediately before the reap, and the core remembers
-        # the dead: whichever of a worker's ``start`` beat and its death
-        # is seen first, the job it held is convicted
-        for phase, key, attempt, pid in lease.pool.drain_heartbeats():
-            core.held_by(key, attempt, pid if phase == "start" else None)
-        for pid in sorted(lease.pool.reap_dead_workers()):
-            core.holder_died(
-                pid, detected_by="liveness", error=f"worker pid {pid} died"
-            )
-        timers.schedule(_LIVENESS_INTERVAL, check_liveness)
-
-    def next_wakeup(timeout: Optional[float]):
-        try:
-            return wakeups.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    timers.schedule(_LIVENESS_INTERVAL, check_liveness)
-    while not core.done:
-        core.dispatch_ready()
-        item = next_wakeup(timers.next_timeout())
-        while item is not None:
-            key, attempt, payload, exc = item
-            if exc is None:
-                core.result(key, attempt, payload)
-            else:
-                core.fault(
-                    key,
-                    "exception",
-                    detected_by="exception",
-                    error=repr(exc),
-                    attempt=attempt,
+    try:
+        while not core.done:
+            core.dispatch_ready()
+            timeout = timers.next_timeout()
+            if not busy and timeout is None:
+                raise RuntimeError(
+                    "no pool worker is free and none is ours to wait for: "
+                    "another run holds them all"
                 )
-            item = next_wakeup(0.0)
-        timers.fire_due()
-    return core.outcome()
+            for channel in wait(list(busy), timeout):
+                job = busy[channel]
+                try:
+                    status, body = channel.recv()
+                except (EOFError, OSError):
+                    core.fault(
+                        job.key,
+                        "crash",
+                        detected_by="liveness",
+                        error=f"worker pid {job.worker.process.pid} died",
+                    )
+                    continue
+                if status == "ok":
+                    core.result(job.key, job.attempt, body)
+                else:
+                    core.fault(
+                        job.key, "exception", detected_by="exception", error=body
+                    )
+            timers.fire_due()
+        return core.outcome()
+    finally:
+        # a failed or interrupted run leaves nothing running behind it
+        for job in list(busy.values()):
+            pool.replace(job.worker)
 
 
 def run_multiprocessing(

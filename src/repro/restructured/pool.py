@@ -1,41 +1,34 @@
-"""The persistent worker pool — one long-lived fork pool per process.
+"""The persistent worker pool — ``processes`` task instances that
+outlive a run.
 
 The seed's real-parallel path paid a coordination tax the paper warns
 about: every :func:`~repro.restructured.parallel.run_multiprocessing`
-call forked a fresh ``multiprocessing.Pool`` and tore it down again,
-so the five-run averaging protocol re-paid pool start-up five times and
-warm per-process state (the operator cache of
-:mod:`repro.sparsegrid.cache`) was thrown away with the workers.
+call forked fresh workers and tore them down again, so the five-run
+averaging protocol re-paid start-up five times and warm per-process
+state (the operator cache of :mod:`repro.sparsegrid.cache`) was thrown
+away with the workers.
 
-This module keeps **one** fork pool alive for the whole process:
+This module keeps **one** pool alive for the whole process, and the pool
+is nothing but the paper's MLINK ``{task * {perpetual} {load 1}}`` on
+this machine: ``processes`` eagerly forked task instances
+(:class:`~repro.restructured.taskengine._TaskInstance` — one OS process,
+one duplex pipe, one job at a time) and a list of the idle ones.
 
-* levels, runs and engines share it — a second ``run_multiprocessing``
-  call (or a second :class:`~repro.restructured.worker.ProcessPoolEngine`)
+* levels and runs share it — a second ``run_multiprocessing`` call
   finds warm workers whose operator/factor caches survived the previous
   job batch;
-* acquiring with a larger ``processes`` requirement drains the old pool
-  gracefully and grows a new one (never ``terminate()`` on the graceful
-  path — in-flight jobs finish);
-* shutdown is ``close()``/``join()``, and an ``atexit`` hook winds the
-  pool down at interpreter exit.
-
-Beyond the warm path, the pool is the *observable substrate* of the
-fault-tolerant execution layer (:mod:`repro.resilience`):
-
-* every dispatch and the shutdown path are serialized on a lock, so a
-  job submitted while another thread (or the ``atexit`` hook) shuts the
-  pool down raises a clean :class:`PoolClosedError` instead of racing
-  ``multiprocessing`` internals or hanging;
-* a **heartbeat queue** is created *before* the fork, so pool children
-  inherit it and the resilient job wrapper can report which worker PID
-  holds which job;
-* :meth:`PersistentWorkerPool.reap_dead_workers` checks OS process
-  liveness, letting the master attribute a vanished PID to its lost job
-  immediately instead of waiting out the job's deadline;
-* :meth:`PersistentWorkerPool.shutdown` grows a ``force`` mode
-  (``terminate()``) for pools wedged by hung workers, and
-  :func:`respawn_pool` replaces the shared pool with a fresh one
-  without touching results the master already holds.
+* acquiring with a larger ``processes`` requirement stops the old pool
+  gracefully and grows a new one;
+* the master always knows who holds what, because it placed it: a
+  worker is taken (:meth:`PersistentWorkerPool.take`), sent one job on
+  its own pipe, and given back (:meth:`~PersistentWorkerPool.give`) or —
+  dead or wedged — replaced, that one process only
+  (:meth:`~PersistentWorkerPool.replace`).  A death is the EOF of the
+  dead worker's pipe; there is no queue between master and workers, no
+  helper thread, and nothing to poll;
+* taking from a pool that has been (or is being) shut down raises a
+  clean :class:`PoolClosedError`, and an ``atexit`` hook winds the pool
+  down at interpreter exit.
 
 Cold-start cost is recorded so the warm-path observability layer can
 report cold-vs-warm pool timings.
@@ -53,15 +46,16 @@ what it holds, so a pool-only process never imports the socket engine.
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.trace.recorder import emit as trace_emit
+
+from .taskengine import _TaskInstance
 
 __all__ = [
     "PoolClosedError",
@@ -71,9 +65,7 @@ __all__ = [
     "take_fleet",
     "park_fleet",
     "shutdown_pool",
-    "respawn_pool",
     "pool_diagnostics",
-    "child_heartbeat_queue",
 ]
 
 
@@ -85,165 +77,94 @@ class PoolClosedError(RuntimeError):
     """
 
 
-# the queue pool *children* inherit at fork; set immediately before the
-# fork so each pool generation gets its own channel (see resilient_entry
-# in repro.resilience.inject)
-_child_heartbeats = None
-
-
-def child_heartbeat_queue():
-    """The heartbeat queue of the pool this process was forked into.
-
-    In the master process this is the queue of the most recently created
-    pool; in a pool child it is the queue inherited at fork time.
-    Returns ``None`` when no pool has ever been created.
-    """
-    return _child_heartbeats
-
-
-#: monotonically increasing id across every pool this process forks;
-#: respawned generations get fresh ids (the ``worker_spawn`` trace event
-#: and :func:`pool_diagnostics` report them)
-_pool_generations = itertools.count(1)
-
-
 class PersistentWorkerPool:
-    """A fork pool that outlives individual job batches."""
+    """Task instances that outlive individual job batches."""
 
     def __init__(self, processes: int) -> None:
-        global _child_heartbeats
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         started = time.perf_counter()
         self.processes = processes
-        self.generation = next(_pool_generations)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         # start the resource tracker before forking so children inherit
         # it: shared-memory attaches in workers then re-register into
         # the master's tracker (a set no-op) instead of spawning per-
         # child trackers that would report phantom leaks at exit
         resource_tracker.ensure_running()
-        context = multiprocessing.get_context("fork")
-        # created before the fork so pool children inherit it; workers
-        # report ("phase", (l, m), attempt, pid) tuples here
-        self._heartbeats = context.SimpleQueue()
-        _child_heartbeats = self._heartbeats
-        self._pool = context.Pool(processes)
-        self._known_pids: set[int] = {
-            proc.pid for proc in self._pool._pool  # type: ignore[attr-defined]
-        }
-        self.cold_start_seconds = time.perf_counter() - started
-        for pid in sorted(self._known_pids):
-            trace_emit(
-                "worker_spawn",
-                worker=pid,
-                processes=processes,
-                generation=self.generation,
-            )
+        self._context = multiprocessing.get_context("fork")
         self.jobs_dispatched = 0
         self.closed = False
+        #: every live worker, and the ones no run holds
+        self._workers: list[_TaskInstance] = []
+        self._idle = [self._fork() for _ in range(processes)]
+        self.cold_start_seconds = time.perf_counter() - started
+
+    def _fork(self, **how) -> _TaskInstance:
+        worker = _TaskInstance(self._context)
+        self._workers.append(worker)
+        trace_emit(
+            "worker_spawn",
+            worker=worker.process.pid,
+            processes=self.processes,
+            **how,
+        )
+        return worker
+
+    def _bury(self, worker: _TaskInstance) -> None:
+        worker.kill()
+        self._workers.remove(worker)
+        trace_emit("death_worker", worker=worker.process.pid)
 
     # ------------------------------------------------------------------
-    # dispatch
+    # dispatch: take a worker, send it one job, give it back
     # ------------------------------------------------------------------
-    def apply(self, fn: Callable, args: tuple) -> Any:
-        """One synchronous job (the engine path)."""
+    def take(self) -> Optional[_TaskInstance]:
+        """An idle worker — the caller's until it gives it back — or
+        ``None`` when every one is busy."""
         with self._lock:
-            self._require_open()
+            if self.closed:
+                raise PoolClosedError("pool has been shut down")
+            if not self._idle:
+                return None
+            worker = self._idle.pop()
+            if not worker.process.is_alive():
+                # died with nothing on it (an OOM kill between two
+                # runs): never handed out
+                self._bury(worker)
+                worker = self._fork(repopulated=True)
             self.jobs_dispatched += 1
-            handle = self._pool.apply_async(fn, args)
-        return handle.get()
+            return worker
 
-    def submit(
-        self,
-        fn: Callable,
-        item: Any,
-        *,
-        callback: Optional[Callable] = None,
-        error_callback: Optional[Callable] = None,
-    ):
-        """One asynchronous job; returns the ``AsyncResult`` handle.
+    def give(self, worker: _TaskInstance) -> None:
+        """``worker`` has answered and is idle again; a pool shut down
+        in the meantime stops it instead."""
+        with self._lock:
+            if not self.closed:
+                self._idle.append(worker)
+                return
+        worker.stop()
 
-        The pool driver of the dispatch core submits every job this way
-        so it can enforce per-job deadlines and re-dispatch individual
-        lost jobs.  The callbacks run on the pool's result-handler thread
-        the moment the job's result (or exception) arrives: they must
-        only hand it over to the dispatch thread, never block or raise.
+    def replace(self, worker: _TaskInstance, *, wedged: bool = False) -> None:
+        """Kill that one process and fork its successor, idle and cold.
+
+        ``wedged`` says the process was alive and not answering — a
+        hang, as opposed to a death already observed — which is what
+        :func:`pool_diagnostics` counts as a respawn.
         """
+        global _respawns
         with self._lock:
-            self._require_open()
-            self.jobs_dispatched += 1
-            return self._pool.apply_async(
-                fn, (item,), callback=callback, error_callback=error_callback
-            )
-
-    # ------------------------------------------------------------------
-    # observability: heartbeats and process liveness
-    # ------------------------------------------------------------------
-    def drain_heartbeats(self) -> list[tuple]:
-        """All heartbeat tuples workers have sent since the last drain."""
-        beats: list[tuple] = []
-        while not self._heartbeats.empty():
-            beats.append(self._heartbeats.get())
-        return beats
+            self._bury(worker)
+            if wedged:
+                _respawns += 1
+            if not self.closed:
+                self._idle.append(self._fork(repopulated=True))
 
     def worker_pids(self) -> set[int]:
         """PIDs of the pool's current worker processes."""
         with self._lock:
             if self.closed:
                 return set()
-            return {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-            }
-
-    def reap_dead_workers(self) -> set[int]:
-        """PIDs that died since the last check.
-
-        ``multiprocessing.Pool`` quietly repopulates a crashed worker,
-        but the job it was running is lost forever — its ``AsyncResult``
-        never completes.  Comparing the previously seen PID set against
-        the currently *alive* one surfaces exactly those deaths, so the
-        master can re-dispatch the lost job immediately.
-        """
-        with self._lock:
-            if self.closed:
-                return set()
-            alive = {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-                if proc.is_alive()
-            }
-            dead = self._known_pids - alive
-            self._known_pids = alive | (self._known_pids - dead)
-            # repopulated replacements join the watch set
-            current = {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-            }
-            fresh = current - self._known_pids
-            self._known_pids |= current
-            for pid in sorted(dead):
-                trace_emit("death_worker", worker=pid, detected_by="liveness")
-            for pid in sorted(fresh):
-                trace_emit("worker_spawn", worker=pid, repopulated=True)
-            return dead
-
-    def discard(self, handle) -> None:
-        """Forget a lost job's ``AsyncResult``.
-
-        A crashed worker's job never completes, and ``Pool`` keeps its
-        result entry in the internal cache forever — which makes the
-        graceful ``close()``/``join()`` path wait forever too (the
-        worker handler refuses to exit while the cache is non-empty).
-        Dropping the entry lets a pool that survived crashes still shut
-        down gracefully once every *re-dispatched* job has finished.
-        """
-        with self._lock:
-            if not self.closed:
-                self._pool._cache.pop(  # type: ignore[attr-defined]
-                    handle._job, None
-                )
+            return {worker.process.pid for worker in self._workers}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -251,26 +172,24 @@ class PersistentWorkerPool:
     def shutdown(self, *, force: bool = False) -> None:
         """Wind the pool down; idempotent.
 
-        Graceful (default): drain in-flight jobs and join the workers.
-        ``force=True``: ``terminate()`` — the only way out when a hung
-        worker would block ``close()``/``join()`` forever; used by the
-        respawn path after a deadline fault.
+        Graceful (default): stop the idle workers now and each busy one
+        when it is given back, so a job in flight still finishes.
+        ``force=True``: kill every worker, busy or not — the only way
+        out when a hung worker would never be given back.
         """
         with self._lock:
             if self.closed:
                 return
             self.closed = True
+            idle, self._idle = self._idle, []
+            leaving = list(self._workers) if force else idle
+        # outside the lock: takers must fail fast with PoolClosedError
+        # instead of queueing behind a long drain
+        for worker in leaving:
             if force:
-                self._pool.terminate()
+                worker.kill()
             else:
-                self._pool.close()
-        # join outside the lock: submitters must fail fast with
-        # PoolClosedError instead of queueing behind a long drain
-        self._pool.join()
-
-    def _require_open(self) -> None:
-        if self.closed:
-            raise PoolClosedError("pool has been shut down")
+                worker.stop()
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +201,7 @@ _shared_lock = threading.Lock()
 _cold_starts = 0
 #: how many acquisitions found a warm pool
 _warm_acquisitions = 0
-#: how many times a wedged shared pool was force-replaced
+#: how many wedged workers were killed and replaced
 _respawns = 0
 
 
@@ -363,27 +282,6 @@ def shutdown_pool() -> None:
         pool.shutdown()
 
 
-def respawn_pool(processes: Optional[int] = None) -> PersistentWorkerPool:
-    """Force-replace the shared pool with a fresh one.
-
-    The recovery path for a wedged pool: hung workers never drain, so
-    the old pool is ``terminate()``d and a new generation forked.
-    Results the master already collected are untouched — only jobs that
-    were in flight need re-dispatching, which the caller does from its
-    own bookkeeping.
-    """
-    global _shared, _respawns
-    with _shared_lock:
-        old, _shared = _shared, None
-    if old is not None:
-        old.shutdown(force=True)
-    with _shared_lock:
-        needed = processes or (old.processes if old is not None else None)
-        _shared = PersistentWorkerPool(needed or multiprocessing.cpu_count())
-        _respawns += 1
-        return _shared
-
-
 def pool_diagnostics() -> dict[str, float]:
     """Counters for the warm-path report."""
     fleet = _fleet
@@ -396,7 +294,6 @@ def pool_diagnostics() -> dict[str, float]:
         ),
         "alive": _shared is not None and not _shared.closed,
         "processes": _shared.processes if _shared is not None else 0,
-        "generation": _shared.generation if _shared is not None else 0,
         "cold_starts": _cold_starts,
         "warm_acquisitions": _warm_acquisitions,
         "respawns": _respawns,

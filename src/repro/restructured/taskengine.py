@@ -1,8 +1,11 @@
 """Real task instances: one OS process per worker, with perpetual reuse.
 
-:class:`~repro.restructured.worker.ProcessPoolEngine` uses a flat
-``multiprocessing.Pool``; this engine reproduces the MLINK semantics of
-§6 *literally* on this machine:
+The one kind of local worker process in the repo.  A
+:class:`_TaskInstance` is a forked process on a duplex pipe that serves
+one job at a time; the persistent pool of :mod:`pool` is ``processes``
+of them driven by the dispatch core, and :class:`TaskInstanceEngine` —
+the compute engine of ``run_concurrent`` and of every socket daemon —
+reproduces the MLINK semantics of §6 *literally* on this machine:
 
 * each computing worker occupies its **own OS-level process** (a task
   instance with ``{load 1}``);
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Optional
 
-from .worker import ComputeEngine, SubsolveJobSpec, SubsolvePayload, execute_job
+from repro.resilience import resilient_entry
+
+from .worker import ComputeEngine, SubsolveJobSpec, SubsolvePayload
 
 __all__ = ["TaskInstanceDied", "TaskInstanceEngine", "TaskInstanceStats"]
 
@@ -74,12 +79,9 @@ def _task_instance_main(channel: Connection) -> None:
         if message == _STOP:
             channel.close()
             return
-        # a bare spec runs cached; a (spec, use_cache) pair is explicit
-        spec, use_cache = (
-            message if isinstance(message, tuple) else (message, True)
-        )
+        # the one message shape: (spec, plan, attempt, use_cache)
         try:
-            reply = ("ok", execute_job(spec, use_cache=use_cache))
+            reply = ("ok", resilient_entry(message))
         except Exception as exc:  # noqa: BLE001 - marshal the failure back
             reply = ("error", f"{type(exc).__name__}: {exc}")
         try:
@@ -106,7 +108,7 @@ class _TaskInstance:
         self, spec: SubsolveJobSpec, use_cache: bool = True
     ) -> SubsolvePayload:
         try:
-            self.channel.send(spec if use_cache else (spec, False))
+            self.channel.send((spec, None, 1, use_cache))
             status, payload = self.channel.recv()
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise TaskInstanceDied(
@@ -143,6 +145,13 @@ class _TaskInstance:
         if self.process.is_alive():  # pragma: no cover - defensive
             self.process.terminate()
             self.process.join(timeout=1.0)
+
+    def kill(self) -> None:
+        """``SIGKILL`` and reap — for a process that is wedged under a
+        job (no ``_STOP`` would reach it) or already dead."""
+        self.process.kill()
+        self.process.join()
+        self.channel.close()
 
 
 @dataclass

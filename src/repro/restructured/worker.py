@@ -10,11 +10,12 @@ configurations of the paper:
   configuration.  CPython's GIL limits the speedup to what NumPy/SciPy
   release — this is the repro-band caveat; measured honestly in the
   benchmarks.
-* :class:`ProcessPoolEngine` — each job is shipped to a pool of worker
-  OS processes: the "distributed" (one worker per task instance)
-  configuration, and the GIL workaround.  Only the small job spec and
-  the result arrays cross the process boundary, exactly the data the
-  paper's master passes to and from its workers.
+* :class:`~repro.restructured.taskengine.TaskInstanceEngine` — each
+  job is shipped to a worker OS process of its own: the "distributed"
+  (one worker per task instance) configuration, and the GIL workaround.
+  Only the small job spec and the result arrays cross the process
+  boundary, exactly the data the paper's master passes to and from its
+  workers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "execute_job",
     "ComputeEngine",
     "InlineEngine",
-    "ProcessPoolEngine",
     "make_subsolve_worker",
 ]
 
@@ -202,36 +202,6 @@ class InlineEngine(ComputeEngine):
 
     def compute(self, spec: SubsolveJobSpec) -> SubsolvePayload:
         return execute_job(spec)
-
-
-class ProcessPoolEngine(ComputeEngine):
-    """Ship each job to a pool of worker OS processes.
-
-    ``processes`` bounds the pool (defaults to the CPU count); with the
-    paper's configuration of one worker per task instance the natural
-    choice is one process per expected worker, capped by the hardware.
-
-    The engine borrows the process-wide *persistent* pool of
-    :mod:`repro.restructured.pool`: warm workers retain their operator
-    caches between jobs, runs and engines, and ``close()`` merely
-    detaches (the shared pool stays warm for the next engine).
-    """
-
-    def __init__(self, processes: Optional[int] = None) -> None:
-        from .pool import acquire_pool
-
-        self.processes = processes
-        self._pool, self.warm_start = acquire_pool(processes)
-
-    def compute(self, spec: SubsolveJobSpec) -> SubsolvePayload:
-        if self._pool is None:
-            raise RuntimeError("engine has been closed")
-        return self._pool.apply(execute_job, (spec,))
-
-    def close(self) -> None:
-        # the borrowed pool is shared state: detach only, the shared
-        # pool is wound down by pool.shutdown_pool()/atexit
-        self._pool = None
 
 
 def make_subsolve_worker(engine: ComputeEngine) -> AtomicDefinition:

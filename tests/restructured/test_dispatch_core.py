@@ -364,8 +364,8 @@ class TestTime:
 # ----------------------------------------------------------------------
 class TestRetireOrdering:
     """The driver reclaims the faulted attempt's worker *before* the
-    ladder moves: the pool's respawn of a wedged generation has to come
-    before the retry and before the in-master fallback alike."""
+    ladder moves: the kill of a wedged worker has to come before the
+    retry and before the in-master fallback alike."""
 
     def test_retire_precedes_the_retry(self):
         rig = Rig(keys=((1, 1),))
@@ -401,54 +401,3 @@ class TestRetireOrdering:
         assert rig.core.state[(1, 1)] is JobState.FALLBACK
         assert rig.kinds((1, 1))[-4:] == ["fallback", "cache_miss", "job_start", "job_done"]
 
-
-# ----------------------------------------------------------------------
-# late-bound holders: benchmark finding F1
-# ----------------------------------------------------------------------
-class TestHolders:
-    def _died(self, rig, pid):
-        rig.core.holder_died(
-            pid, detected_by="liveness", error=f"worker pid {pid} died"
-        )
-        rig.core.dispatch_ready()
-
-    def test_beat_then_death_convicts_the_held_job_only(self):
-        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
-        rig.core.held_by((1, 1), 1, 4001)
-        rig.core.held_by((0, 2), 1, 4002)
-        self._died(rig, 4001)
-        (event,) = rig.core.log.events()
-        assert (event.key, event.kind, event.action) == ((1, 1), "crash", "reassign")
-        assert event.error == "worker pid 4001 died"
-        assert rig.core.state[(0, 2)] is JobState.IN_FLIGHT
-
-    def test_death_then_beat_convicts_on_arrival(self):
-        """F1: the worker took the job, beat, and died while the master
-        was busy; the reap saw the death before the drain saw the beat."""
-        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
-        self._died(rig, 4001)
-        assert len(rig.core.log) == 0             # nobody known to hold anything
-        rig.core.held_by((1, 1), 1, 4001)         # the beat, at last
-        (event,) = rig.core.log.events()
-        assert (event.key, event.kind, event.detected_by) == ((1, 1), "crash", "liveness")
-        assert rig.core.state[(1, 1)] is JobState.BACKOFF
-        rig.drain()
-        assert not any(e.kind == "deadline" for e in rig.core.outcome().events)
-
-    def test_done_beat_releases_the_holder(self):
-        rig = Rig(keys=((1, 1),))
-        rig.core.held_by((1, 1), 1, 4001)
-        rig.core.held_by((1, 1), 1, None)         # "done": result on its way
-        self._died(rig, 4001)
-        assert len(rig.core.log) == 0
-        rig.finish((1, 1))
-        assert rig.core.done
-
-    def test_beat_for_a_superseded_attempt_is_dropped(self):
-        rig = Rig(keys=((1, 1),))
-        rig.fault((1, 1), "exception")
-        rig.advance(1.0)
-        self._died(rig, 4001)
-        rig.core.held_by((1, 1), 1, 4001)         # attempt 1's beat, late
-        assert len(rig.core.log) == 1
-        assert rig.core.pending[(1, 1)].attempt == 2

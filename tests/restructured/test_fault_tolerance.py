@@ -1,5 +1,5 @@
 """Fault-tolerant ``run_multiprocessing``: real crashes, hangs and
-transient faults against the real fork pool.
+transient faults against the real pool of task instances.
 
 Everything here uses the seeded, deterministic injector of
 :mod:`repro.resilience.inject`, so each test observes the *same* faults
@@ -32,7 +32,8 @@ from repro.resilience import (
 from repro.restructured import (
     PersistentWorkerPool,
     PoolClosedError,
-    execute_job,
+    acquire_pool,
+    pool_diagnostics,
     run_multiprocessing,
     shutdown_pool,
 )
@@ -114,13 +115,45 @@ print(json.dumps({
 """
 
 
+#: each worker of the warm shared pool in turn is SIGKILLed while *idle*
+#: — what an OOM kill between two runs looks like — and the next run
+#: must not notice.  ``waitid(WNOWAIT)`` waits for the death without
+#: reaping it: the corpse is the pool's to find.
+KILL_AN_IDLE_WORKER = """
+import json, os, signal
+import numpy as np
+from repro.resilience import DeadlinePolicy
+from repro.restructured import acquire_pool, run_multiprocessing
+
+def run():
+    return run_multiprocessing(
+        root=2, level=5, tol=1e-3, processes=2,
+        deadline=DeadlinePolicy(floor_seconds=3, default_seconds=3),
+    )
+
+reference = run().combined
+seen = []
+for victim in sorted(acquire_pool(2)[0].worker_pids()):
+    os.kill(victim, signal.SIGKILL)
+    os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+    after = run()
+    seen.append({
+        "warm": after.warm_pool,
+        "victim_gone": victim not in acquire_pool(2)[0].worker_pids(),
+        "bitwise": bool(np.array_equal(after.combined, reference)),
+        "faults": after.faults,
+    })
+print(json.dumps(seen))
+"""
+
+
 class TestDefaultRun:
     """Nothing has to be passed to get the ladder: the default call is
     driven by the dispatch core like every other."""
 
     def test_worker_killed_mid_run(self):
-        # in a subprocess with a timeout: without the core the lost
-        # job's AsyncResult is never completed and the run never returns
+        # in a subprocess with a timeout: a lost job that is never
+        # convicted means a run that never returns
         done = subprocess.run(
             [sys.executable, "-c", KILL_A_WORKER],
             capture_output=True, text=True, timeout=30,
@@ -137,6 +170,43 @@ class TestDefaultRun:
             "after_bitwise": True,
             "after": [0, 0, 0],
         }
+
+    def test_idle_worker_killed_between_runs(self):
+        # in a subprocess with a timeout: on ``multiprocessing.Pool`` the
+        # dead worker held a queue lock and the next run never returned
+        done = subprocess.run(
+            [sys.executable, "-c", KILL_AN_IDLE_WORKER],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == 2 * [
+            {"warm": True, "victim_gone": True, "bitwise": True, "faults": 0}
+        ]
+
+    def test_failed_run_leaves_nothing_behind(self):
+        """A run that fails on its first grid takes its other jobs with
+        it: nothing stays queued or running in the shared pool, so the
+        next run finds every worker idle."""
+        level7 = dict(root=2, level=7, tol=TOL, processes=2)
+        reference = run_multiprocessing(**level7).combined
+        pool, _ = acquire_pool(2)
+        before = pool_diagnostics()["jobs_dispatched"]
+        with pytest.raises(FaultToleranceExhausted):
+            run_multiprocessing(
+                **level7,
+                faults="raise@3,4:attempt=*",
+                escalation=EscalationPolicy(
+                    retry=RetryPolicy(max_attempts=1), sequential_fallback=False
+                ),
+            )
+        assert pool_diagnostics()["jobs_dispatched"] - before <= pool.processes
+        held = [pool.take() for _ in range(pool.processes)]
+        assert None not in held
+        for worker in held:
+            pool.give(worker)
+        after = run_multiprocessing(**level7)
+        assert after.warm_pool is True
+        assert np.array_equal(after.combined, reference)
 
     @pytest.mark.parametrize("engine", ("pool", "socket"))
     def test_deterministic_exception(self, engine):
@@ -266,6 +336,17 @@ class TestHangRecovery:
         assert (1, 1) in result.recovered_keys
         assert np.array_equal(result.combined, fault_free_combined)
 
+    def test_a_hang_costs_one_worker(self, fault_free_combined):
+        _run()  # warm the two-worker pool
+        before = acquire_pool(2)[0].worker_pids()
+        options, _ = CHAOS["hang"]
+        result = _run(**options)
+        after = acquire_pool(2)[0].worker_pids()
+        assert result.warm_pool and len(before) == len(after) == 2
+        assert len(after - before) == 1  # the wedged one, nothing else
+        assert result.pool_respawns == 1
+        assert np.array_equal(result.combined, fault_free_combined)
+
     def test_deadline_scales_with_cost_model(self):
         class Flat:
             def predict_seconds(self, l, m, tol):
@@ -348,9 +429,9 @@ class TestChaosMatrix:
     the same on both substrates: bitwise-equal result, identical counts,
     kinds and actions.  What legitimately differs per engine (who
     detected it, respawn vs reconnect) is asserted in the per-engine
-    suites, not here — but for the pool's one rule that the ladder
-    depends on: a wedged worker costs its generation *before* the next
-    step, be that the retry or the in-master fallback."""
+    suites, not here — but for the one count the pool reports in the
+    result: a wedged worker is replaced once per ``deadline`` fault,
+    before the retry or the in-master fallback."""
 
     @pytest.mark.parametrize("scenario", sorted(CHAOS))
     def test_recovery_reads_the_same(self, engine, scenario, fault_free_combined):
@@ -395,7 +476,7 @@ class TestLevelSixAcceptance:
         [
             # kill the worker holding a heavy top-diagonal grid mid-run
             ({"faults": "crash@3,3"}, 0),
-            # wedge it instead: the whole generation is respawned
+            # wedge it instead: that one worker is killed and replaced
             (
                 {
                     "faults": "hang@3,3:seconds=120",
@@ -424,14 +505,15 @@ class TestLevelSixAcceptance:
 
 class TestShutdownSubmitRace:
     def test_submit_during_graceful_shutdown_fails_fast(self):
-        """Satellite (a): a submission racing ``shutdown()`` gets a
-        clean ``PoolClosedError`` immediately — it must not hang behind
-        the drain — and the in-flight job still completes."""
-        pool = PersistentWorkerPool(1)
+        """Satellite (a): a taker racing ``shutdown()`` gets a clean
+        ``PoolClosedError`` immediately — it must not hang behind the
+        drain — and the in-flight job still completes."""
+        pool = PersistentWorkerPool(2)
         spec = SubsolveJobSpec(
             problem_name="rotating-cone", root=2, l=1, m=1, tol=TOL
         )
-        in_flight = pool.submit(execute_job, spec)
+        worker = pool.take()
+        worker.channel.send((spec, None, 1, True))
         shutter = threading.Thread(target=pool.shutdown)
         shutter.start()
         try:
@@ -439,11 +521,14 @@ class TestShutdownSubmitRace:
                 time.sleep(0.001)
             started = time.monotonic()
             with pytest.raises(PoolClosedError, match="shut down"):
-                pool.submit(execute_job, spec)
+                pool.take()
             # failed fast: did not queue behind the graceful drain
             assert time.monotonic() - started < 1.0
-            payload = in_flight.get(timeout=60)
-            assert (payload.l, payload.m) == (1, 1)
+            assert worker.channel.poll(60)
+            status, payload = worker.channel.recv()
+            assert status == "ok" and (payload.l, payload.m) == (1, 1)
+            pool.give(worker)  # to a closed pool: stopped, not parked
+            assert worker.process.exitcode == 0
         finally:
             shutter.join()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.manifold import ConfigSpec, HostMapper, parse_config
-from repro.restructured import ProcessPoolEngine, run_concurrent
+from repro.restructured import TaskInstanceEngine, run_concurrent
 from repro.restructured.mainprog import DEFAULT_MLINK
 from repro.sparsegrid import SequentialApplication
 
@@ -50,18 +50,8 @@ class TestHostMapping:
 
 
 class TestProcessEngine:
-    def test_process_pool_engine_through_protocol(self):
-        """The full stack: MANIFOLD coordination in threads, computation
-        in worker OS processes (the task-instance story, for real)."""
-        seq = SequentialApplication(root=2, level=1, tol=1e-3).run()
-        with ProcessPoolEngine(processes=2) as engine:
-            result, _ = run_concurrent(
-                root=2, level=1, tol=1e-3, engine=engine, timeout=180
-            )
-        assert np.array_equal(seq.combined, result.combined)
-
     def test_caller_owned_engine_not_closed(self):
-        engine = ProcessPoolEngine(processes=1)
+        engine = TaskInstanceEngine(max_instances=2)
         try:
             run_concurrent(root=2, level=0, tol=1e-3, engine=engine, timeout=120)
             # the engine must still be usable: run_concurrent did not

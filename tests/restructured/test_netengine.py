@@ -382,10 +382,10 @@ class TestReactorInvariants:
         )
 
     def test_one_way_onto_a_pool_worker(self):
-        """``parallel.py`` hands work to a pool at exactly one call site
-        — the pool driver's ``submit`` — and the pool offers no batch
-        method, so a fan-out path round the dispatch core cannot come
-        back unnoticed."""
+        """``parallel.py`` hands work to a pool worker at exactly one
+        call site — the ``channel.send`` in the pool driver's ``launch``
+        — and the pool offers no batch method, so a fan-out path round
+        the dispatch core cannot come back unnoticed."""
         import ast
         import inspect
 
@@ -393,23 +393,79 @@ class TestReactorInvariants:
         from repro.restructured.pool import PersistentWorkerPool
 
         def hands_over(name):
-            return name in ("submit", "apply", "apply_async") or (
+            return name in ("send", "send_bytes", "submit", "apply") or (
                 name.startswith(("map", "imap", "starmap"))
             )
 
-        sites = [
-            node.func.attr
-            for node in ast.walk(ast.parse(inspect.getsource(parallel)))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and hands_over(node.func.attr)
-        ]
-        assert sites == ["submit"]
+        sites = []
+
+        class Visitor(ast.NodeVisitor):
+            def __init__(self):
+                self.stack = []
+
+            def visit_FunctionDef(self, node):
+                self.stack.append(node.name)
+                self.generic_visit(node)
+                self.stack.pop()
+
+            def visit_Call(self, node):
+                f = node.func
+                if isinstance(f, ast.Attribute) and hands_over(f.attr):
+                    sites.append((tuple(self.stack), ast.unparse(f)))
+                self.generic_visit(node)
+
+        Visitor().visit(ast.parse(inspect.getsource(parallel)))
+        assert sites == [(("_run_pool", "launch"), "job.worker.channel.send")]
         assert not [
             name
             for name in vars(PersistentWorkerPool)
             if name.startswith(("map", "imap", "starmap"))
         ]
+
+    def test_one_kind_of_local_worker(self):
+        """A local worker process is a task instance on a pipe and
+        nothing else: no ``multiprocessing.Pool`` (nor its private
+        attributes) anywhere in the execution layer, no late-bound
+        holder in the dispatch core, no second pool engine, and the
+        only functions ever forked into are the task instance's serve
+        loop and the loopback daemon's."""
+        import ast
+        import dataclasses
+        import inspect
+        from pathlib import Path
+
+        import repro
+        import repro.restructured as package
+        from repro.restructured.dispatch import DispatchCore, Job
+
+        src = Path(repro.__file__).parent
+        attributes, targets = set(), set()
+        for path in (*(src / "restructured").glob("*.py"),
+                     *(src / "resilience").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                if (
+                    path.parent.name == "restructured"
+                    and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "Process"
+                ):
+                    targets.update(
+                        ast.unparse(kw.value)
+                        for kw in node.keywords
+                        if kw.arg == "target"
+                    )
+        assert not attributes & {"Pool", "_pool", "_cache", "apply_async"}
+        assert targets == {"_task_instance_main", "_forked_daemon_main"}
+        core_source = inspect.getsource(DispatchCore)
+        for name in ("held_by", "holder_died", "dead_holders"):
+            assert name not in core_source, name
+        assert not {"holder", "handle"} & {
+            f.name for f in dataclasses.fields(Job)
+        }
+        for name in ("ProcessPoolEngine", "respawn_pool", "child_heartbeat_queue"):
+            assert not hasattr(package, name), name
 
     def test_one_way_home_for_a_result(self):
         """A result array comes home pickled and nothing else: no module
@@ -506,24 +562,26 @@ class TestReactorInvariants:
         assert "LISTENING" not in source
 
     def test_master_adds_no_threads(self, pickle_combined):
-        """One selector, zero reader threads: a socket run leaves the
-        master's thread count exactly where it found it."""
+        """One selector, zero reader threads; one ``wait`` over the
+        pool's pipes, zero helper threads: a run on either engine leaves
+        the master's thread count exactly where it found it."""
         samples = []
         stop = threading.Event()
 
         def sample():
-            while not stop.wait(0.02):
+            while not stop.wait(0.005):
                 samples.append(threading.active_count())
 
         before = threading.active_count()
         sampler = threading.Thread(target=sample, daemon=True)
         sampler.start()
         try:
-            result = _run(engine="socket")
+            results = [_run(engine=engine) for engine in ("pool", "socket")]
         finally:
             stop.set()
             sampler.join(timeout=5.0)
-        assert np.array_equal(result.combined, pickle_combined)
+        for result in results:
+            assert np.array_equal(result.combined, pickle_combined)
         assert samples
         assert max(samples) <= before + 1  # + the sampler itself
 

@@ -112,7 +112,7 @@ class TestLifecycleFaults:
         instance = _TaskInstance(multiprocessing.get_context("fork"))
         try:
             # ~130 KB solution — the child's send blocks until drained
-            instance.channel.send(spec(l=5, m=5))
+            instance.channel.send((spec(l=5, m=5), None, 1, True))
             instance.stop()
             assert instance.process.exitcode == 0
         finally:

@@ -9,15 +9,15 @@ last bit.
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
 from repro.restructured import (
     PersistentWorkerPool,
-    ProcessPoolEngine,
     SubsolveJobSpec,
     acquire_pool,
-    execute_job,
     order_longest_first,
     pool_diagnostics,
     predicted_spec_seconds,
@@ -54,27 +54,38 @@ class TestPersistentWorkerPool:
         pool = PersistentWorkerPool(1)
         try:
             assert pool.cold_start_seconds > 0.0
-            handles = [
-                pool.submit(execute_job, _spec(0, 0)),
-                pool.submit(execute_job, _spec(0, 1)),
-            ]
-            out = [handle.get(timeout=60) for handle in handles]
+            out = []
+            for key in ((0, 0), (0, 1)):
+                worker = pool.take()
+                assert pool.take() is None  # its one worker is busy
+                worker.channel.send((_spec(*key), None, 1, True))
+                status, payload = worker.channel.recv()
+                assert status == "ok"
+                out.append(payload)
+                pool.give(worker)
             assert [(p.l, p.m) for p in out] == [(0, 0), (0, 1)]
             assert pool.jobs_dispatched == 2
+            assert pool.worker_pids() == {worker.process.pid}
         finally:
             pool.shutdown()
         pool.shutdown()  # idempotent
+        assert worker.process.exitcode == 0  # stopped, not killed
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.submit(execute_job, _spec(0, 0))
+            pool.take()
 
-    def test_apply_runs_one_job(self):
-        pool = PersistentWorkerPool(1)
-        try:
-            payload = pool.apply(execute_job, (_spec(1, 1),))
-            assert payload.l == 1 and payload.m == 1
-            assert pool.jobs_dispatched == 1
-        finally:
-            pool.shutdown()
+
+    def test_forced_shutdown_kills_a_wedged_worker(self):
+        from repro.resilience import FaultPlan
+
+        pool = PersistentWorkerPool(2)
+        held = pool.take()
+        hang = FaultPlan.parse("hang@0,0:seconds=120")
+        held.channel.send((_spec(0, 0), hang, 1, True))
+        workers = list(pool._workers)
+        pool.shutdown(force=True)
+        assert [w.process.exitcode for w in workers] == 2 * [-signal.SIGKILL]
+        pool.replace(held)  # what its run does on the way out: no successor
+        assert pool.closed and pool.worker_pids() == set()
 
 
 class TestAcquirePool:
@@ -242,37 +253,3 @@ class TestRunMultiprocessing:
         # a cache hit skips assembly entirely
         assert payload.operator_cache_hit
         assert payload.assembly_seconds == 0.0
-
-
-class TestProcessPoolEngine:
-    def test_persistent_engine_borrows_shared_pool(self):
-        engine = ProcessPoolEngine(processes=1)
-        try:
-            assert not engine.warm_start  # fresh state fixture
-            payload = engine.compute(_spec(1, 1))
-            assert payload.l == 1
-        finally:
-            engine.close()
-        # close() detaches only: the shared pool stays warm
-        assert pool_diagnostics()["alive"] is True
-        second = ProcessPoolEngine(processes=1)
-        try:
-            assert second.warm_start
-        finally:
-            second.close()
-
-    def test_persistent_engine_compute_after_close_raises(self):
-        engine = ProcessPoolEngine(processes=1)
-        engine.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.compute(_spec(0, 0))
-
-    def test_close_is_idempotent_and_only_detaches(self):
-        engine = ProcessPoolEngine(processes=1)
-        payload = engine.compute(_spec(1, 0))
-        assert payload.m == 0
-        engine.close()
-        engine.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.compute(_spec(1, 0))
-        assert pool_diagnostics()["alive"] is True

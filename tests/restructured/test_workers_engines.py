@@ -9,7 +9,6 @@ import pytest
 
 from repro.restructured.worker import (
     InlineEngine,
-    ProcessPoolEngine,
     SubsolveJobSpec,
     SubsolvePayload,
     execute_job,
@@ -77,16 +76,6 @@ class TestEngines:
         assert np.array_equal(
             engine.compute(make_spec()).solution, execute_job(make_spec()).solution
         )
-
-    def test_process_pool_engine_matches_direct_call(self):
-        with ProcessPoolEngine(processes=2) as engine:
-            payload = engine.compute(make_spec())
-        assert np.array_equal(payload.solution, execute_job(make_spec()).solution)
-
-    def test_process_pool_engine_close_idempotent(self):
-        engine = ProcessPoolEngine(processes=1)
-        engine.close()
-        engine.close()
 
     def test_worker_definition_uses_engine(self, runtime):
         from repro.manifold import Event, Stream
