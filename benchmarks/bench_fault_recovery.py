@@ -9,7 +9,7 @@ injected crash must cost at most 2x the fault-free run.  The bitwise
 identity of the recovered result is asserted alongside.
 
 Runs in a fast smoke mode inside the tier-1 suite; set
-``REPRO_FAULT_RECOVERY_FULL=1`` for a bigger level and more rounds.
+``REPRO_BENCH_MODE=full`` for a bigger level and more rounds.
 """
 
 from __future__ import annotations

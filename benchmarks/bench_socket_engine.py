@@ -21,16 +21,12 @@ plus spawn cost explain the gap.  Bitwise identity is asserted both
 ways.
 
 Runs in a fast smoke mode inside the tier-1 suite; set
-``REPRO_SOCKET_ENGINE_FULL=1`` for the full measurement.
+``REPRO_BENCH_MODE=full`` for the full measurement.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
 import time
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,48 +34,6 @@ import pytest
 from repro.restructured import run_multiprocessing, shutdown_pool
 
 ROOT = 2
-_BENCH_DIR = Path(__file__).parent
-
-
-def _bench_tools():
-    """The shared bench recorder (``record_bench_run``), loaded by path
-    so it resolves regardless of which conftest owns ``sys.modules``."""
-    spec = importlib.util.spec_from_file_location(
-        "repro_bench_conftest", _BENCH_DIR / "conftest.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _threaded_dispatch_baseline() -> float | None:
-    """The best thread-per-link-era dispatch time (wall minus daemon
-    spawn) recorded in this bench's own trajectory file.  Reactor-era
-    entries carry ``dispatch_model`` in ``extra_info``; the baseline is
-    whatever predates that marker."""
-    path = _BENCH_DIR / "BENCH_socket_engine.json"
-    if not path.exists():
-        return None
-    try:
-        runs = json.loads(path.read_text()).get("runs", [])
-    except (ValueError, OSError):
-        return None
-    best = None
-    for run in runs:
-        for bench in run.get("benchmarks", []):
-            if bench.get("name") != "test_socket_engine_vs_fork_pool":
-                continue
-            info = bench.get("extra_info") or {}
-            if "dispatch_model" in info:
-                continue  # reactor-era entry, not the baseline
-            try:
-                dispatch = float(info["socket_seconds"]) - float(
-                    info["daemon_spawn_seconds"]
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            best = dispatch if best is None else min(best, dispatch)
-    return best
 
 
 def _socket_rounds(benchmark, rounds, *, setup=None, **run_kwargs):
@@ -149,7 +103,6 @@ def test_socket_engine_vs_fork_pool(benchmark, socket_engine_settings):
     wire_seconds = result.net_send_seconds + result.net_recv_seconds
     spawn_seconds = cold.pool_cold_start_seconds
     benchmark.extra_info["level"] = level
-    benchmark.extra_info["dispatch_model"] = "reactor"
     benchmark.extra_info["pool_seconds"] = pool_seconds
     benchmark.extra_info["cold_seconds"] = cold_seconds
     benchmark.extra_info["warm_seconds"] = warm_seconds
@@ -168,71 +121,3 @@ def test_socket_engine_vs_fork_pool(benchmark, socket_engine_settings):
     # generous headroom for noise
     assert cold_seconds <= pool_seconds + spawn_seconds + 2.0
 
-
-@pytest.mark.benchmark(group="socket-engine")
-def test_reactor_vs_threaded_baseline(benchmark, socket_engine_settings):
-    """The reactor rewrite's acceptance bench: dispatch at 4 daemons is
-    no worse than the thread-per-link era, read from this bench's own
-    recorded trajectory.  The comparison is on dispatch time (wall minus
-    daemon spawn) of the cold round, which is what the threaded era
-    measured — every one of its runs spawned its daemons: spawn scales
-    with the daemon count by construction, dispatch is where the reader
-    threads and the blocking sleeps lived.
-    The verdict is persisted to ``BENCH_socket_engine.json`` as a
-    ``reactor_vs_threaded`` record."""
-    level = socket_engine_settings["level"]
-    tol = socket_engine_settings["tol"]
-    rounds = socket_engine_settings["rounds"]
-    daemons = 4
-
-    shutdown_pool()
-    reference = run_multiprocessing(root=ROOT, level=level, tol=tol, processes=2)
-    baseline = _threaded_dispatch_baseline()
-
-    cold_seconds, cold, warm_seconds, result = _socket_rounds(
-        benchmark, rounds,
-        root=ROOT, level=level, tol=tol, processes=daemons,
-        hosts=f"localhost:{daemons}",
-    )
-    assert np.array_equal(cold.combined, reference.combined)
-    assert np.array_equal(result.combined, reference.combined)
-    assert result.daemons == daemons
-    assert result.reconnects == 0
-
-    spawn_seconds = cold.pool_cold_start_seconds
-    dispatch_seconds = cold_seconds - spawn_seconds
-    benchmark.extra_info["dispatch_model"] = "reactor"
-    benchmark.extra_info["daemons"] = daemons
-    benchmark.extra_info["dispatch_seconds"] = dispatch_seconds
-    benchmark.extra_info["warm_seconds"] = warm_seconds
-    benchmark.extra_info["daemon_spawn_seconds"] = spawn_seconds
-    comparison = {
-        "dispatch_model": "reactor",
-        "daemons": daemons,
-        "level": level,
-        "reactor_dispatch_seconds": dispatch_seconds,
-        "reactor_warm_seconds": warm_seconds,
-    }
-    if baseline is not None:
-        comparison["threaded_dispatch_seconds"] = baseline
-        benchmark.extra_info["threaded_dispatch_seconds"] = baseline
-    _bench_tools().record_bench_run(
-        "socket_engine",
-        [SimpleNamespace(
-            name="reactor_vs_threaded",
-            group="socket-engine",
-            extra_info=comparison,
-        )],
-    )
-    print(
-        f"\nreactor dispatch at {daemons} daemons: {dispatch_seconds:.3f}s"
-        + (
-            f" vs threaded baseline {baseline:.3f}s"
-            if baseline is not None
-            else " (no threaded baseline recorded)"
-        )
-    )
-    if baseline is not None:
-        # throughput no worse than the threaded engine, with headroom
-        # for a single-core CI machine's scheduling noise
-        assert dispatch_seconds <= baseline + 1.0

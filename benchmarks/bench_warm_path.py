@@ -12,13 +12,10 @@ Since the dispatch core became the only way onto a pool worker there is
 no executed ``pool.map`` to time: ``cold_seconds`` is "throwaway pool +
 no operator reuse" (dispatched longest-first like every run), and the
 scheduling share of the seed's tax is the *modelled*
-``makespan_static_chunk`` of the second test.  Records written before
-that change timed static chunking inside ``cold_seconds``, so the
-``cold_warm_ratio`` trajectory is not read across it.
+``makespan_static_chunk`` of the second test.
 
-Runs in a fast smoke mode inside the tier-1 suite (so the cold/warm
-ratio lands in every bench JSON trajectory via ``extra_info``); set
-``REPRO_WARM_PATH_FULL=1`` for the full measurement.
+Runs in a fast smoke mode inside the tier-1 suite; set
+``REPRO_BENCH_MODE=full`` for the full measurement.
 """
 
 from __future__ import annotations

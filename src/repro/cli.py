@@ -109,26 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wd = sub.add_parser(
         "worker-daemon",
-        help="host task instances behind a TCP port, for a master on "
-        "another machine to dial (--engine socket --hosts tcp://host:port)",
+        help="host one task instance behind a TCP port, for a master on "
+        "another machine to dial (--engine socket --hosts tcp://host:port); "
+        "start one per job the machine should hold",
     )
     p_wd.add_argument("--host", default="127.0.0.1",
                       help="bind address (default: loopback)")
     p_wd.add_argument("--port", type=int, default=0,
                       help="listen port (0 = ephemeral, announced on stdout)")
-    p_wd.add_argument("--capacity", type=int, default=1,
-                      help="concurrent jobs, each in its own OS task "
-                      "instance (the MLINK {load N})")
     p_wd.add_argument("--heartbeat-interval", type=float, default=0.5,
                       dest="heartbeat_interval",
                       help="seconds between heartbeat frames")
-    p_wd.add_argument("--drain-timeout", type=float, default=5.0,
-                      dest="drain_timeout",
-                      help="seconds granted to in-flight jobs to finish "
-                      "and ship their results on a clean stop")
-    p_wd.add_argument("--no-perpetual", action="store_true",
-                      help="task instances exit after one job instead of "
-                      "welcoming the next worker")
 
     p_val = sub.add_parser(
         "validate-socket",
@@ -354,17 +345,14 @@ def cmd_worker_daemon(args) -> int:
     daemon = WorkerDaemon(
         host=args.host,
         port=args.port,
-        capacity=args.capacity,
-        perpetual=not args.no_perpetual,
         heartbeat_interval=args.heartbeat_interval,
-        drain_timeout=args.drain_timeout,
     )
     # for whoever dials it: tcp://<this host>:<port>
     print(f"LISTENING {daemon.port}", flush=True)
     try:
         daemon.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        daemon.stop()
+    except KeyboardInterrupt:
+        pass  # Ctrl-C: serve_forever stopped its task instance on the way out
     return 0
 
 

@@ -5,14 +5,15 @@ The injector is *data*: a :class:`FaultPlan` is a tuple of
 attempt(s) it applies to, and an optional deterministic sampling rate.
 The same plan object drives two very different backends:
 
-* **in-process, against the real pool** — :func:`resilient_entry` is
-  what every task instance of the pool runs a job through
-  (:mod:`repro.restructured.taskengine`), with the plan the pool driver
-  of :mod:`repro.restructured.parallel` sent along.
+* **in-process, against the real workers** — :func:`resilient_entry`
+  is what every task instance runs a job through
+  (:mod:`repro.restructured.taskengine`), a pool worker's and the one
+  behind a socket daemon alike, with the plan the driver sent along.
   A matched ``crash`` rule really calls ``os._exit`` inside the worker
   OS process, a ``hang`` rule really sleeps through the deadline, so
   the recovery machinery is exercised against genuine process death,
-  not a simulation of it;
+  not a simulation of it (a socket daemon serves those two itself, as
+  faults of the whole machine: :mod:`repro.restructured.netengine`);
 * **the cluster simulator** — :meth:`FaultPlan.action` is consulted by
   :func:`repro.cluster.simulator.simulate_distributed` per (grid,
   attempt), which is how the chaos scenarios of

@@ -22,22 +22,21 @@ What the core owns, identically for every driver:
 * the **escalation ladder** — :meth:`EscalationPolicy.decide` per
   fault: retry/reassign parked on the wheel (never slept), in-master
   ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
-* **collateral** — jobs that shared a replaced worker re-queue at the
-  same attempt and consume no ladder step;
 * the ``FaultLog`` and every trace event of the lifecycle, in the
   per-key order ``fault`` → (driver: ``respawn`` / ``reconnect``) →
   ``retry`` → ``job_submit``.
 
 What a driver is, identically on both substrates: ``place`` names a
-free slot (an idle task instance, a daemon link with capacity),
+free slot (an idle task instance, a daemon link with no job on it),
 ``launch`` sends the attempt there, and ``retire(job, kind)`` gives the
 slot back or replaces its one worker — the contract is only that once
 it returns, the attempt's slot is free again.  A crashed worker is
 already gone when its loss is reported (the EOF of its pipe, the
 daemon's dropped link); only a per-job ``deadline`` on a worker that is
 still alive makes ``retire`` do the kill, before the retry *and* before
-the fallback.  What else a killed daemon was computing (``--capacity
-N``) is collateral of it; a pool worker holds one job, so it has none.
+the fallback.  A worker of either kind holds one job, so replacing it
+costs nobody else anything, and a key is only ever re-submitted at its
+next attempt.
 
 The core never sleeps and never advances the clock: it schedules on the
 injected :class:`_TimerWheel` and the driver's loop — ``dispatch_ready``,
@@ -384,17 +383,6 @@ class DispatchCore:
         else:
             self.state[key] = JobState.FAILED
             self.fail()
-
-    def requeue_collateral(self, jobs: Iterable[Job]) -> None:
-        """Jobs that shared a worker the driver just replaced: not their
-        fault, so they re-queue at the same attempt, ahead of the queue,
-        and no ladder step is consumed."""
-        for job in jobs:
-            if self.pending.get(job.key) is not job:
-                continue
-            del self.pending[job.key]
-            self.ready.appendleft((job.spec, job.attempt))
-            self.state[job.key] = JobState.READY
 
     def _park(self, job: Job, kind: str) -> None:
         """Backoff on the wheel: every other key keeps completing."""

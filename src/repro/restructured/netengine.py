@@ -3,13 +3,13 @@
 The cluster simulator predicts what the paper's MANIFOLD/PVM deployment
 *would* do; this module runs the same master/worker protocol over real
 sockets.  A :class:`WorkerDaemon` is one machine of the paper's testbed:
-an OS process listening on a TCP port, hosting task instances (the
-:class:`~repro.restructured.taskengine.TaskInstanceEngine`) whose
-``{load N}`` capacity and ``{perpetual}`` reuse mirror the MLINK
-pattern attributes, reachable by address exactly like a CONFIG
-``{host}`` entry.  The master side (:class:`SocketTaskEngine`) plays
-the MANIFOLD master: it forks or dials daemons, ships job specs, and
-collects results — every byte crossing a real socket.
+an OS process listening on a TCP port in front of one task instance
+(:class:`~repro.restructured.taskengine._TaskInstance`, the local
+pool's worker process too) that holds one job at a time — the MLINK
+pattern ``{perpetual} {load 1}`` — reachable by address exactly like a
+CONFIG ``{host}`` entry.  The master side (:class:`SocketTaskEngine`)
+plays the MANIFOLD master: it forks or dials daemons, ships job specs,
+and collects results — every byte crossing a real socket.
 
 Spawning: a ``localhost[:N]`` daemon is **forked from the master**, not
 exec'ed.  The master binds the listening socket itself (port 0, so the
@@ -43,7 +43,9 @@ is ``selector.select`` with the wheel's next due time as the timeout.  That is w
 hold dozens (or hundreds) of daemon links without a reader thread per
 link, and it removes a whole class of head-of-line stalls: one grid
 backing off, or one flapping daemon reconnecting, no longer freezes
-completion handling for every healthy daemon.
+completion handling for every healthy daemon.  A daemon is the same
+shape one size down (:class:`WorkerDaemon`): nothing in this module
+starts a thread or sleeps.
 
 Wire protocol: length-prefixed frames.  A frame is an 8-byte header
 (``RPRO`` magic + big-endian payload length) followed by the pickled
@@ -57,16 +59,15 @@ ladder — is the shared dispatch core's
 its socket driver and contributes the detection channels of a network:
 
 * a **dropped connection** (daemon killed, network reset, truncated
-  frame) convicts every job in flight on that daemon as a ``crash``
+  frame) convicts the job in flight on that daemon as a ``crash``
   fault; the master reconnects (re-spawning a local daemon, or
   re-dialing a remote one) with timer-driven exponential backoff,
   recorded as a ``reconnect`` trace event;
 * a **silent daemon** — no frame within ``heartbeat_timeout`` — is a
-  ``hang``: the daemon is killed and replaced, its jobs re-dispatched;
+  ``hang``: the daemon is killed and replaced, its job re-dispatched;
 * the core's **per-job deadline** (cost-model-scaled) catches a wedged
   job on an otherwise healthy daemon; the driver's ``retire`` hook
-  replaces the daemon so the wedged compute cannot outlive the run,
-  and whatever else it was computing re-queues as collateral.
+  replaces the daemon so the wedged compute cannot outlive the run.
 
 Replays are idempotent: results are keyed ``(l, m)`` and the core drops
 a result frame whose attempt does not match the outstanding one, so a
@@ -88,12 +89,12 @@ import pickle
 import selectors
 import socket
 import struct
-import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from typing import Callable, Optional
 
 from repro.sparsegrid.cache import reset_default_operator_cache
@@ -108,7 +109,7 @@ from .dispatch import (
     Slot,
     _TimerWheel,
 )
-from .taskengine import TaskInstanceDied, TaskInstanceEngine
+from .taskengine import _TaskInstance
 from .worker import SubsolveJobSpec
 
 __all__ = [
@@ -154,9 +155,9 @@ def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[b
     Returns ``None`` on a clean EOF at a frame boundary (the peer closed
     between frames); raises :class:`FrameError` on EOF mid-frame (the
     peer died with a frame in flight — e.g. a connection dropped during
-    a result transfer).  The daemon side and the tests use this; the
-    master's reactor decodes incrementally through :class:`_FrameDecoder`
-    instead, because it must never block waiting for one peer.
+    a result transfer).  :meth:`SocketTaskEngine.resume` and the tests
+    use this; the reactor and the daemon's relay decode incrementally
+    through :class:`_FrameDecoder`, because neither may block on one peer.
     """
     chunks: list[bytes] = []
     remaining = n
@@ -173,6 +174,11 @@ def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[b
     return b"".join(chunks)
 
 
+def _pack_frame(kind: str, data: object) -> bytes:
+    body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(MAGIC, len(body)) + body
+
+
 def send_frame(sock: socket.socket, kind: str, data: object) -> tuple[int, float]:
     """Send one ``(kind, data)`` frame; returns ``(bytes, seconds)``.
 
@@ -180,8 +186,7 @@ def send_frame(sock: socket.socket, kind: str, data: object) -> tuple[int, float
     socket buffer that is real backpressure wait, the master-side
     ``send_wait`` of the overhead decomposition.
     """
-    body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
-    frame = _HEADER.pack(MAGIC, len(body)) + body
+    frame = _pack_frame(kind, data)
     t0 = time.perf_counter()
     sock.sendall(frame)
     return len(frame), time.perf_counter() - t0
@@ -214,11 +219,11 @@ def recv_frame(
 class _FrameDecoder:
     """Stateful incremental decoder of one link's ``RPRO`` frame stream.
 
-    The reactor feeds it whatever ``recv`` returned; it hands back every
+    A loop feeds it whatever ``recv`` returned; it hands back every
     frame those bytes completed.  This replaces the blocking
-    ``_recv_exact`` on the master's hot path — the reactor never waits
-    for a specific peer's next byte, it consumes whatever any socket
-    offers.  A frame's ``seconds`` span from its header being parsed to
+    ``_recv_exact`` on both ends of a link — neither the master's
+    reactor nor the daemon's relay waits for a specific peer's next
+    byte.  A frame's ``seconds`` span from its header being parsed to
     its body completing, the incremental analogue of the blocking body
     transfer the threaded reader used to time.
     """
@@ -280,7 +285,7 @@ def arm_heartbeat_deadline(
 
     Re-arms itself at ``last_frame + timeout`` until either the link is
     gone (death or replacement disarms it through the epoch guard), or
-    the deadline passes with jobs in flight — then ``on_silent(link)``
+    the deadline passes with its job in flight — then ``on_silent(link)``
     convicts it.  A silent link with nothing in flight is left alone
     (an idle daemon owes no result) and simply re-checked a timeout
     later.  Single-threaded by construction: ``last_frame`` is written
@@ -296,7 +301,7 @@ def arm_heartbeat_deadline(
         deadline = link.last_frame + timeout
         if now < deadline:
             timers.schedule(deadline - now + _DEADLINE_GRACE, fire)
-        elif link.inflight:
+        elif link.job is not None:
             on_silent(link)
         else:
             timers.schedule(timeout + _DEADLINE_GRACE, fire)
@@ -384,25 +389,41 @@ def parse_hosts(text: str) -> tuple[HostSpec, ...]:
 # the daemon side
 # ----------------------------------------------------------------------
 class WorkerDaemon:
-    """One machine of the testbed: task instances behind a TCP port.
+    """One machine of the testbed: one task instance behind a TCP port.
 
-    ``capacity`` is the MLINK ``{load N}`` limit — how many jobs may
-    compute concurrently, each in its own OS task instance;
-    ``perpetual`` keeps an emptied instance alive to welcome the next
-    worker.  One master connection is served at a time; after a
-    disconnect the daemon returns to ``accept`` so a reconnecting
-    master finds it again.  A ``stop`` frame is a *clean* shutdown:
-    in-flight jobs get ``drain_timeout`` seconds to finish and send
-    their results before the connection closes, instead of being
-    silently dropped mid-compute.  With ``idle_exit`` set, a daemon that
+    MLINK ``{perpetual} {load 1}``: the daemon holds **one job**,
+    computed in the one :class:`~repro.restructured.taskengine._TaskInstance`
+    it forks at its first job and keeps for the next; how many a machine
+    hosts is the ``--hosts`` list's business.  One master connection is
+    served at a time; after a disconnect the daemon returns to
+    ``accept`` so a reconnecting master finds it again.
+
+    It is a **relay on one thread** — the pool driver's loop
+    (``parallel._run_pool``) with a connection where the core was —
+    blocked only in ``wait`` over the connection and, while a job
+    computes, the instance's pipe, with the heartbeat as the timeout.  A
+    ``job`` frame goes down the pipe as ``(spec, plan, attempt,
+    use_cache)``; the pipe's ``("ok" | "error", …)`` goes home as a
+    ``result`` / ``error`` frame, its EOF — the instance died — as an
+    ``error`` with ``fault_kind="death_worker"``, and the next job forks
+    a fresh one.  One job means one sender to the socket and one reader
+    of the pipe, so nothing is locked; a second ``job`` frame while busy
+    is refused with an ``error`` frame, never queued.
+
+    A ``stop`` frame, or :meth:`stop`, is a *clean* shutdown, the same
+    loop with a deadline: the job in flight has ``DRAIN_TIMEOUT``
+    seconds to finish and be delivered.  A master that vanishes mid-job,
+    or a drain that runs out, costs the instance a ``kill()`` — nobody
+    is left to take the result.  With ``idle_exit`` set, a daemon that
     has had no master connected for that many seconds leaves as if
     stopped — the lease of a fleet daemon; the default never leaves.
 
-    Fault injection happens *here*, where the paper's faults happen —
-    on the worker machine: a matched ``crash`` rule kills the whole
-    daemon process unannounced (``os._exit``), ``hang`` wedges the job's
-    serving thread, ``raise`` reports a structured error frame, ``slow``
-    stretches the job to factor × its own duration.
+    Fault injection: what happens to the *machine* happens here — a
+    ``crash`` rule is ``os._exit`` of the whole daemon, a ``hang`` holds
+    the job un-forwarded for its ``seconds`` while heartbeats go on, so
+    a daemon killed over it leaves no sleeping instance behind — and
+    what happens to the *job* (``raise``, ``slow``) travels with it to
+    the :func:`~repro.resilience.resilient_entry` of the instance.
     """
 
     def __init__(
@@ -411,28 +432,20 @@ class WorkerDaemon:
         port: int = 0,
         *,
         listener: Optional[socket.socket] = None,
-        capacity: int = 1,
-        perpetual: bool = True,
         heartbeat_interval: float = 0.5,
-        drain_timeout: float = DRAIN_TIMEOUT,
         idle_exit: Optional[float] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
         self.heartbeat_interval = heartbeat_interval
-        self.drain_timeout = drain_timeout
         self.idle_exit = idle_exit
         #: a forked daemon adopts the listener its master bound for it
         self._listener = listener or socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
-        self._engine = TaskInstanceEngine(
-            perpetual=perpetual, max_instances=capacity
-        )
-        self._stop = threading.Event()
-        self._send_lock = threading.Lock()
-        self._jobs_lock = threading.Lock()
-        self._job_threads: list[threading.Thread] = []
+        self._instance: Optional[_TaskInstance] = None
+        #: ``(key, attempt)`` of the one job this daemon holds
+        self._job: Optional[tuple[tuple[int, int], int]] = None
+        #: ``(due, message)`` while a ``hang`` holds that job back
+        self._held: Optional[tuple[float, tuple]] = None
+        self._stopping = False
         self.jobs_served = 0
         #: chaos hook (tests only): keys whose first result frame is
         #: truncated mid-transfer, the connection hard-closed under it
@@ -443,7 +456,9 @@ class WorkerDaemon:
         return self.address[1]
 
     def stop(self) -> None:
-        self._stop.set()
+        """Drain and leave: the serving thread reads this at its next
+        wake-up, at most one heartbeat interval on."""
+        self._stopping = True
 
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
@@ -454,7 +469,7 @@ class WorkerDaemon:
         # connected before the deadline is always served
         idle_since = time.monotonic()
         try:
-            while not self._stop.is_set():
+            while not self._stopping:
                 try:
                     conn, _ = self._listener.accept()
                 except socket.timeout:
@@ -469,169 +484,178 @@ class WorkerDaemon:
                 try:
                     self._serve_connection(conn)
                 finally:
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover - defensive
-                        pass
+                    conn.close()
                 idle_since = time.monotonic()
         finally:
             self._listener.close()
-            self._engine.close()
+            if self._instance is not None:
+                self._instance.stop()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        self._send(conn, "hello", {
-            "pid": os.getpid(),
-            "capacity": self.capacity,
-            "perpetual": self._engine.perpetual,
-        })
-        beat_stop = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat_loop, args=(conn, beat_stop), daemon=True
-        )
-        beat.start()
+        """Relay between one master and the task instance, until the
+        master leaves or a stop has been drained."""
+        if not self._send(conn, "hello", {"pid": os.getpid()}):
+            return
+        decoder = _FrameDecoder()
+        next_beat = time.monotonic() + self.heartbeat_interval
+        drain_until: Optional[float] = None
         try:
-            while not self._stop.is_set():
-                try:
-                    frame = recv_frame(conn)
-                except (FrameError, OSError):
-                    return  # master gone; back to accept
-                if frame is None:
+            while True:
+                now = time.monotonic()
+                if self._stopping:
+                    if drain_until is None:
+                        drain_until = now + DRAIN_TIMEOUT
+                    if self._job is None or now >= drain_until:
+                        return
+                if self._held is not None and now >= self._held[0]:
+                    self._forward(self._held[1])
+                    self._held = None
+                if now >= next_beat:
+                    if not self._send(conn, "heartbeat", {"pid": os.getpid()}):
+                        return
+                    next_beat = now + self.heartbeat_interval
+                due = next_beat
+                if self._held is not None:
+                    due = min(due, self._held[0])
+                if drain_until is not None:
+                    due = min(due, drain_until)
+                computing = self._job is not None and self._held is None
+                channel = self._instance.channel if computing else None
+                ready = wait(
+                    [conn] if channel is None else [conn, channel],
+                    max(0.0, due - now),
+                )
+                if channel in ready and not self._relay_reply(conn):
                     return
-                kind, data, _, _ = frame
-                if kind == "stop":
-                    self._stop.set()
-                    self._drain_jobs()
+                if conn in ready and not self._read_master(conn, decoder):
                     return
-                if kind == "job":
-                    thread = threading.Thread(
-                        target=self._run_job, args=(conn, data), daemon=True
-                    )
-                    with self._jobs_lock:
-                        self._job_threads = [
-                            t for t in self._job_threads if t.is_alive()
-                        ]
-                        self._job_threads.append(thread)
-                    thread.start()
-                # unknown kinds are ignored: forward compatibility
         finally:
-            beat_stop.set()
-            beat.join(timeout=1.0)
+            if self._job is not None:
+                # nobody is left to take the result: like a failed pool
+                # run, leave nothing computing behind
+                if self._held is None:
+                    self._instance.kill()
+                    self._instance = None
+                self._job = self._held = None
 
-    def _drain_jobs(self) -> None:
-        """Give in-flight job threads ``drain_timeout`` seconds, total,
-        to finish and send their results over the still-open connection.
+    def _read_master(self, conn: socket.socket, decoder: _FrameDecoder) -> bool:
+        """Take what the master sent; ``False`` when it is gone."""
+        try:
+            data = conn.recv(1 << 20)
+            frames = decoder.feed(data)
+        except OSError:  # a reset, or a garbled frame
+            return False
+        if not data:
+            return False
+        for kind, body, _, _ in frames:
+            if kind == "stop":
+                self._stopping = True
+            elif kind == "job":
+                self._take_job(conn, body)
+            # unknown kinds are ignored: forward compatibility
+        return True
 
-        Without this, a ``stop`` frame abandoned whatever ``_run_job``
-        threads were computing: the connection closed under them and
-        their finished results went nowhere.
-        """
-        deadline = time.monotonic() + self.drain_timeout
-        with self._jobs_lock:
-            threads = [t for t in self._job_threads if t.is_alive()]
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        with self._jobs_lock:
-            self._job_threads = [t for t in self._job_threads if t.is_alive()]
-
-    def _heartbeat_loop(self, conn: socket.socket, stop: threading.Event) -> None:
-        while not stop.wait(self.heartbeat_interval):
-            if not self._send(conn, "heartbeat", {"pid": os.getpid()}):
-                return
-
-    def _send(self, conn: socket.socket, kind: str, data: object) -> bool:
-        """Locked send; ``False`` when the master is gone (the job's
-        result is simply lost — the master's re-dispatch recomputes it)."""
-        with self._send_lock:
-            try:
-                send_frame(conn, kind, data)
-                return True
-            except (FrameError, OSError):
-                return False
-
-    # ------------------------------------------------------------------
-    def _run_job(self, conn: socket.socket, data: dict) -> None:
+    def _take_job(self, conn: socket.socket, data: dict) -> None:
         spec: SubsolveJobSpec = data["spec"]
         plan = data.get("plan")
         attempt = int(data.get("attempt", 1))
         use_cache = bool(data.get("use_cache", True))
         key = (spec.l, spec.m)
+        if self._job is not None:
+            self._send_error(
+                conn, key, attempt, "exception",
+                f"daemon busy with grid {self._job[0]}: one job per worker",
+            )
+            return
         action = plan.action(spec.l, spec.m, attempt) if plan is not None else None
         if action is not None and action.kind == "crash":
             # the daemon kill: this machine drops off the network,
-            # task instances and all, exactly as unannounced as a
+            # task instance and all, exactly as unannounced as a
             # power failure looks from the master's side
             os._exit(action.exit_code)
+        self._job = (key, attempt)
         if action is not None and action.kind == "hang":
-            time.sleep(action.seconds)
-        if action is not None and action.kind == "raise":
-            self._send(conn, "error", {
-                "key": key,
-                "attempt": attempt,
-                "fault_kind": "exception",
-                "error": (
-                    f"injected transient fault on grid {key}, "
-                    f"attempt {attempt}"
-                ),
-            })
+            # the stall is this machine's, so the instance is not told
+            # of the plan it has already served
+            self._held = (
+                time.monotonic() + action.seconds,
+                (spec, None, attempt, use_cache),
+            )
             return
-        started = time.perf_counter()
+        self._forward((spec, plan, attempt, use_cache))
+
+    def _forward(self, message: tuple) -> None:
+        if self._instance is None:
+            self._instance = _TaskInstance(_FORK)
         try:
-            payload = self._engine.compute(spec, use_cache=use_cache)
-        except TaskInstanceDied as exc:
-            self._send(conn, "error", {
-                "key": key,
-                "attempt": attempt,
-                "fault_kind": exc.fault_kind,
-                "error": str(exc),
-            })
-            return
-        except Exception as exc:  # noqa: BLE001 - marshal the failure back
-            self._send(conn, "error", {
-                "key": key,
-                "attempt": attempt,
-                "fault_kind": "exception",
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-            return
-        if action is not None and action.kind == "slow":
-            time.sleep((action.factor - 1.0) * (time.perf_counter() - started))
+            self._instance.channel.send(message)
+        except OSError:
+            pass  # died since its last job: its pipe reads EOF in the loop
+
+    def _relay_reply(self, conn: socket.socket) -> bool:
+        """The instance's pipe is readable: send what it says home.
+        ``False`` when the master is gone."""
+        key, attempt = self._job
+        self._job = None
+        try:
+            status, body = self._instance.channel.recv()
+        except (EOFError, OSError):
+            pid = self._instance.process.pid
+            self._instance.kill()  # dead already: this reaps it
+            self._instance = None
+            return self._send_error(
+                conn, key, attempt, "death_worker",
+                f"task instance pid={pid} died",
+            )
+        if status == "error":
+            return self._send_error(conn, key, attempt, "exception", body)
         if key in self._drop_result_keys:
             self._drop_result_keys.discard(key)
-            self._drop_mid_result(conn, key, attempt, payload)
-            return
-        if self._send(conn, "result", {
-            "key": key, "attempt": attempt, "payload": payload,
+            self._drop_mid_result(conn, key, attempt, body)
+            return False
+        if not self._send(conn, "result", {
+            "key": key, "attempt": attempt, "payload": body,
         }):
-            self.jobs_served += 1
+            return False
+        self.jobs_served += 1
+        return True
+
+    def _send_error(
+        self, conn: socket.socket, key, attempt: int, fault_kind: str, error: str
+    ) -> bool:
+        return self._send(conn, "error", {
+            "key": key,
+            "attempt": attempt,
+            "fault_kind": fault_kind,
+            "error": error,
+        })
+
+    def _send(self, conn: socket.socket, kind: str, data: object) -> bool:
+        """``False`` when the master is gone (a result is then simply
+        lost — the master's re-dispatch recomputes it)."""
+        try:
+            send_frame(conn, kind, data)
+            return True
+        except OSError:
+            return False
 
     def _drop_mid_result(
         self, conn: socket.socket, key, attempt: int, payload
     ) -> None:
         """Chaos hook: truncate the result frame and kill the link —
         a connection dropped during the result transfer."""
-        body = pickle.dumps(
-            ("result", {"key": key, "attempt": attempt, "payload": payload}),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        frame = _pack_frame(
+            "result", {"key": key, "attempt": attempt, "payload": payload}
         )
-        frame = _HEADER.pack(MAGIC, len(body)) + body
-        with self._send_lock:
-            try:
-                conn.sendall(frame[: max(_HEADER.size, len(frame) // 2)])
-            except OSError:
-                pass
-            # shutdown, not just close: the serve loop's thread is
-            # blocked in recv() on this fd, and a bare close() would
-            # leave the file description held by that syscall — no FIN
-            # ever goes out and the master waits for body bytes forever.
-            # shutdown() terminates the connection regardless.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+        try:
+            conn.sendall(frame[: max(_HEADER.size, len(frame) // 2)])
+            # shutdown, not just close: the task instance was forked
+            # with this connection open and holds a copy of the
+            # descriptor, so a bare close() would send no FIN and the
+            # master would wait for body bytes forever
+            conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
 
 def _open_fds() -> list[int]:
@@ -681,7 +705,7 @@ def _forked_daemon_main(
         uninstall_recorder()
         reset_default_operator_cache()
         # forked as a daemonic process so an exiting master takes it
-        # down; but it hosts task instances, which daemonic processes
+        # down; but it hosts a task instance, which a daemonic process
         # may not fork
         multiprocessing.current_process().daemon = False
         WorkerDaemon(
@@ -734,9 +758,8 @@ class _DaemonLink:
         self.address = address          # where the daemon listens
         self.sock: Optional[socket.socket] = None
         self.proc: Optional[multiprocessing.Process] = None
-        self.capacity = 0               # learned from the hello frame
-        self.pid: Optional[int] = None
-        self.inflight: dict[tuple[int, int], Job] = {}
+        self.pid: Optional[int] = None  # from this connection's hello
+        self.job: Optional[Job] = None  # the one attempt in flight
         self.last_frame = time.monotonic()
         self.alive = False
         self.reconnects = 0
@@ -756,10 +779,6 @@ class _DaemonLink:
         #: for a stale token is a no-op (timers are never cancelled)
         self.revive_token = 0
 
-    @property
-    def free_slots(self) -> int:
-        return max(0, self.capacity - len(self.inflight))
-
 
 class SocketTaskEngine:
     """The master of the socket-backed distributed configuration.
@@ -775,8 +794,8 @@ class SocketTaskEngine:
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
     master's thread count stays O(1) however many links it holds.
 
-    :meth:`run` may be called again on the same engine; the daemons'
-    task instances keep their operator and factor caches in between.
+    :meth:`run` may be called again on the same engine; each daemon's
+    task instance keeps its operator and factor caches in between.
     Between two runs the engine can be parked — :meth:`park`
     disconnects every link and keeps the daemons, :meth:`resume`
     reconnects — which is how a fleet is leased across
@@ -808,7 +827,6 @@ class SocketTaskEngine:
         self.idle_exit = idle_exit
         self._selector = selectors.DefaultSelector()
         self._closed = False
-        self._parked = False
         #: the last ``run`` returned normally (or none has started)
         self._clean = True
         # the network accounting of the latest run
@@ -896,7 +914,7 @@ class SocketTaskEngine:
         sock.setblocking(False)
         link.sock = sock
         link.alive = True
-        link.capacity = 0  # (re)learned from the fresh hello
+        link.pid = None  # (re)learned from the fresh hello
         link.last_frame = time.monotonic()
         link.epoch += 1
         link.revive_token += 1
@@ -962,7 +980,7 @@ class SocketTaskEngine:
             and self.reconnects == 0
             and all(
                 link.alive
-                and not (link.reviving or link.inflight or link.sendq)
+                and not (link.reviving or link.job or link.sendq)
                 for link in self.links
             )
         )
@@ -976,14 +994,14 @@ class SocketTaskEngine:
             return False
         for link in self.links:
             self._disconnect(link)
-        self._parked = True
         return True
 
     def resume(self) -> bool:
         """Reconnect a parked engine; ``False`` when a daemon is dead or
-        does not answer, and the engine is then only good for
-        :meth:`close`.  Each link's ``hello`` is read here, so no job is
-        ever queued for a daemon that is not serving this connection."""
+        does not answer, and the engine (however many links it got to)
+        is then only good for :meth:`close`.  Each link's ``hello`` is
+        read here, so no job is ever queued for a daemon that is not
+        serving this connection."""
         try:
             for link in self.links:
                 if link.spawned and not link.proc.is_alive():
@@ -996,30 +1014,21 @@ class SocketTaskEngine:
                 link.sock.setblocking(False)
                 if frame is None or frame[0] != "hello":
                     return False
-                link.capacity = int(frame[1]["capacity"])
-                link.pid = frame[1].get("pid")
+                link.pid = frame[1]["pid"]
         except OSError:
             return False
-        self._parked = False
         return True
-
-    @property
-    def total_capacity(self) -> int:
-        known = sum(link.capacity for link in self.links if link.alive)
-        # before the hellos arrive, the spawned count is the best guess
-        return known or sum(
-            s.spawn if s.local else 1 for s in self.host_specs
-        )
 
     def close(self) -> None:
         """Stop the daemons this engine forked, disconnect the rest.
 
-        A forked daemon is sent ``stop`` (a parked one is reconnected
-        for that) and given ``DRAIN_TIMEOUT`` seconds to leave on its
-        own — drain its jobs, stop its task instances — before it is
-        killed: killing it at once would orphan the task instances its
-        ``serve_forever`` closes on the way out.  A dialed daemon is
-        never stopped, only disconnected.
+        A forked daemon is sent ``stop`` (one this engine holds no
+        connection to — parked, or left out by a failed :meth:`resume`
+        — is reconnected for that) and given ``DRAIN_TIMEOUT`` seconds
+        to leave on its own — drain its job, stop its task instance —
+        before it is killed: killing it at once would orphan the task
+        instance its ``serve_forever`` stops on the way out.  A dialed
+        daemon is never stopped, only disconnected.
         """
         if self._closed:
             return
@@ -1028,7 +1037,7 @@ class SocketTaskEngine:
         for link in self.links:
             if not link.spawned or link.proc is None:
                 continue
-            if self._parked:
+            if link.sock is None:
                 try:
                     self._attach(link)
                 except OSError:
@@ -1152,10 +1161,7 @@ class SocketTaskEngine:
             update_write_interest(link)
 
         def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> None:
-            body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
-            link.sendq.append(
-                _OutFrame(_HEADER.pack(MAGIC, len(body)) + body, kind, key)
-            )
+            link.sendq.append(_OutFrame(_pack_frame(kind, data), kind, key))
             flush_sendq(link)
 
         # ------------------------------------------------------------------
@@ -1163,7 +1169,8 @@ class SocketTaskEngine:
         # ------------------------------------------------------------------
         def place() -> Optional[Slot]:
             for link in self.links:
-                if link.alive and link.sock is not None and link.free_slots > 0:
+                # one job per link, and none before its hello
+                if link.alive and link.pid is not None and link.job is None:
                     return Slot(link, link.name)
             return None
 
@@ -1171,8 +1178,7 @@ class SocketTaskEngine:
             link = job.worker
             # registered *before* the queue flush: if the send trips over
             # a dead socket, lose_link convicts and re-routes this job
-            # along with the rest of the link's in-flight work
-            link.inflight[job.key] = job
+            link.job = job
             queue_frame(link, "job", {
                 "spec": job.spec,
                 "plan": plan,
@@ -1182,12 +1188,11 @@ class SocketTaskEngine:
 
         def retire(job: Job, kind: Optional[str]) -> None:
             link = job.worker
-            link.inflight.pop(job.key, None)
+            link.job = None
             if kind == "deadline" and link.alive:
-                # one job wedged on an otherwise healthy daemon: replace
-                # the daemon so the wedged compute cannot outlive the run;
-                # whatever else it was computing is collateral, not at fault
-                core.requeue_collateral(replace_daemon(link, reason=kind))
+                # the job wedged on an otherwise healthy daemon: replace
+                # the daemon so the wedged compute cannot outlive the run
+                replace_daemon(link, reason=kind)
 
         core = DispatchCore(
             ordered,
@@ -1199,23 +1204,21 @@ class SocketTaskEngine:
             trace=trace,
         )
 
-        def replace_daemon(link: _DaemonLink, reason: str) -> list[Job]:
-            """Kill the link's daemon and schedule its revival; returns
-            what was in flight on it."""
+        def replace_daemon(link: _DaemonLink, reason: str) -> None:
+            """Kill the link's daemon and schedule its revival."""
             self._detach(link)
-            lost = list(link.inflight.values())
-            link.inflight.clear()
             schedule_revive(link, reason=reason)
-            return lost
 
         def lose_link(
             link: _DaemonLink, *, kind: str, detected_by: str, error: str
         ) -> None:
-            """A daemon died or went silent: everything in flight on it
-            is faulted."""
+            """A daemon died or went silent: the job in flight on it is
+            faulted."""
             if not link.alive:
                 return
-            for job in replace_daemon(link, reason=kind):
+            job, link.job = link.job, None
+            replace_daemon(link, reason=kind)
+            if job is not None:
                 core.fault(job.key, kind, detected_by=detected_by, error=error)
 
         # ------------------------------------------------------------------
@@ -1341,8 +1344,7 @@ class SocketTaskEngine:
             link: _DaemonLink, kind: str, data, nbytes: int, seconds: float
         ) -> None:
             if kind == "hello":
-                link.capacity = int(data["capacity"])
-                link.pid = data.get("pid")
+                link.pid = data["pid"]
                 if trace is not None:
                     trace.record(
                         "worker_spawn", worker=link.name, pid=link.pid
@@ -1425,7 +1427,7 @@ class SocketTaskEngine:
         for link in self.links:
             if link.alive:
                 arm_heartbeat(link)
-                if trace is not None and link.capacity:
+                if trace is not None and link.pid is not None:
                     # said hello before this run began: name it in this
                     # run's trace too
                     trace.record(

@@ -165,7 +165,7 @@ class MultiprocessingResult:
     # fault tolerance (the dispatch core fills these in; a fault-free
     # run reports attempts == n jobs and nothing else)
     # ------------------------------------------------------------------
-    #: job dispatches, replays and collateral re-dispatches included
+    #: job dispatches, replays included
     attempts: int = 0
     #: observed fault events (crash, hang/deadline, transient exception)
     faults: int = 0
@@ -486,9 +486,9 @@ def run_multiprocessing(
     the fork pool of the warm path; ``"socket"`` dispatches over real
     TCP to worker daemons per ``hosts`` (see
     :func:`repro.restructured.netengine.parse_hosts`; default: one
-    local daemon per process), each of which hosts its jobs in
-    :class:`~repro.restructured.taskengine.TaskInstanceEngine` task
-    instances, and which are leased across calls like the pool
+    local daemon per process), each of which computes its one job at a
+    time in a task instance like the pool's, and which are leased
+    across calls like the pool
     (``docs/distributed.md``, *Warm fleet*).  Both are drivers of the
     one dispatch core (:mod:`~repro.restructured.dispatch`);
     ``engine_options`` passes constructor knobs (heartbeat timeout,
@@ -550,9 +550,9 @@ def run_multiprocessing(
                         cost_model=cost_model,
                         trace=trace,
                     )
-                    n_proc = net.total_capacity
                 finally:
                     lease.release()
+                n_proc = len(net.links)  # one job per daemon
                 net_stats = {
                     "daemons": len(net.links),
                     "reconnects": net.reconnects,

@@ -1,11 +1,12 @@
 """Real task instances: one OS process per worker, with perpetual reuse.
 
-The one kind of local worker process in the repo.  A
-:class:`_TaskInstance` is a forked process on a duplex pipe that serves
-one job at a time; the persistent pool of :mod:`pool` is ``processes``
-of them driven by the dispatch core, and :class:`TaskInstanceEngine` —
-the compute engine of ``run_concurrent`` and of every socket daemon —
-reproduces the MLINK semantics of §6 *literally* on this machine:
+The one kind of worker process in the repo.  A :class:`_TaskInstance`
+is a forked process on a duplex pipe that serves one job at a time; the
+persistent pool of :mod:`pool` is ``processes`` of them driven by the
+dispatch core, a socket daemon (:mod:`netengine`) is one of them behind
+a port, and :class:`TaskInstanceEngine` — the compute engine of
+``run_concurrent`` — reproduces the MLINK semantics of §6 *literally*
+on this machine:
 
 * each computing worker occupies its **own OS-level process** (a task
   instance with ``{load 1}``);

@@ -101,3 +101,24 @@ def calibrated_cost_model() -> CostModel:
         repeats=2,
     )
     return CostModel.fit(records, root=2)
+
+
+def process_children(pid) -> list[int]:
+    """The live child processes of ``pid``, read off ``/proc``."""
+    pids = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{tid}/children") as listing:
+                pids += [int(child) for child in listing.read().split()]
+        except OSError:
+            pass  # a thread that ended under the listing
+    return pids
+
+
+def process_running(pid) -> bool:
+    """Still executing: not gone, and not a zombie awaiting its parent."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

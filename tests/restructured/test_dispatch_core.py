@@ -242,9 +242,6 @@ class TestLedger:
         rig.finish((1, 1))
         rig.fault((0, 2), "exception")
         rig.advance(1.0)                      # both backoffs expire
-        rig.core.requeue_collateral(list(rig.core.pending.values()))
-        rig.free = ["w0", "w1"]               # the "daemon" was replaced
-        rig.core.dispatch_ready()
         rig.drain()
         return rig
 
@@ -267,7 +264,7 @@ class TestLedger:
         assert set(submitted) == set(self.KEYS)
         for attempts in submitted.values():
             assert attempts[0] == 1
-            assert all(b - a in (0, 1) for a, b in zip(attempts, attempts[1:]))
+            assert all(b - a == 1 for a, b in zip(attempts, attempts[1:]))
         assert rig.core.attempts == sum(map(len, submitted.values()))
 
     def test_late_result_for_a_superseded_attempt_is_ignored(self):
@@ -287,21 +284,6 @@ class TestLedger:
         # and a second answer after completion changes nothing
         rig.core.result((1, 1), 2, payload_for(spec_for((1, 1))))
         assert rig.core.outcome().completion_order == ((1, 1),)
-
-    def test_collateral_keeps_its_attempt_and_consumes_no_step(self):
-        rig = Rig(keys=((2, 0), (1, 1), (0, 2)), workers=2)
-        before = rig.core.attempts
-        rig.core.requeue_collateral([rig.core.pending[(1, 1)]])
-        assert rig.core.state[(1, 1)] is JobState.READY
-        assert rig.core.ready[0][1] == 1          # same attempt, head of queue
-        assert len(rig.core.log) == 0             # not a fault
-        assert "retry" not in rig.kinds((1, 1))
-        rig.free.append("w1")
-        rig.core.dispatch_ready()
-        assert rig.core.pending[(1, 1)].attempt == 1
-        assert rig.core.attempts == before + 1    # but it is a dispatch
-        rig.drain()
-        assert rig.core.outcome().recovered_keys == ()
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,8 @@ from repro.sparsegrid import SequentialApplication, nested_loop_grids
 from repro.sparsegrid.registry import make_problem
 from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace import TraceAnalysis, TraceRecorder
+from tests.conftest import process_children as _children
+from tests.conftest import process_running as _running
 
 LEVEL = 2
 TOL = 1.0e-3
@@ -88,7 +90,7 @@ def pickle_combined():
 def local_daemon():
     """One in-process WorkerDaemon on an OS-assigned loopback port,
     served from a thread — the ``tcp://`` dial target of the tests."""
-    daemon = WorkerDaemon(port=0, capacity=1, heartbeat_interval=0.2)
+    daemon = WorkerDaemon(port=0, heartbeat_interval=0.2)
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
     yield daemon
@@ -286,7 +288,7 @@ class TestHeartbeatDeadline:
         clock = {"t": 0.0}
         wheel = _TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
-        link.inflight[(2, 0)] = object()
+        link.job = object()
         convicted = []
         arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
         clock["t"] = 1.0 + 2 * _DEADLINE_GRACE
@@ -297,7 +299,7 @@ class TestHeartbeatDeadline:
         clock = {"t": 0.0}
         wheel = _TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
-        link.inflight[(2, 0)] = object()
+        link.job = object()
         convicted = []
         arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
         # a heartbeat lands just before the deadline: the watch re-arms
@@ -326,7 +328,7 @@ class TestHeartbeatDeadline:
         clock = {"t": 0.0}
         wheel = _TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
-        link.inflight[(2, 0)] = object()
+        link.job = object()
         convicted = []
         arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
         link.epoch += 1  # the connection was replaced: old watch is void
@@ -338,48 +340,30 @@ class TestHeartbeatDeadline:
 
 class TestReactorInvariants:
     def test_no_sleep_outside_worker_daemon(self):
-        """No dispatch thread ever sleeps: the core and the pool driver
-        contain no ``time.sleep`` at all, and every one in this module
-        belongs to the daemon side (fault injection and drain), none to
-        the master's reactor."""
+        """No loop of the execution layer sleeps or owns a thread: the
+        core, the pool driver and the socket engine — master reactor
+        and daemon relay alike — contain no ``time.sleep`` and never
+        mention ``threading``.  Each blocks in one wait on its
+        descriptors, with its next deadline as the timeout."""
         import ast
         import inspect
 
         from repro.restructured import dispatch, netengine, parallel
 
-        def sleep_sites(module):
-            sites = []
-
-            class Visitor(ast.NodeVisitor):
-                def __init__(self):
-                    self.stack = []
-
-                def visit_ClassDef(self, node):
-                    self.stack.append(node.name)
-                    self.generic_visit(node)
-                    self.stack.pop()
-
-                def visit_Call(self, node):
-                    f = node.func
-                    if (
-                        isinstance(f, ast.Attribute)
-                        and f.attr == "sleep"
-                        and isinstance(f.value, ast.Name)
-                        and f.value.id == "time"
-                    ):
-                        sites.append(tuple(self.stack))
-                    self.generic_visit(node)
-
-            Visitor().visit(ast.parse(inspect.getsource(module)))
-            return sites
-
-        assert sleep_sites(dispatch) == []
-        assert sleep_sites(parallel) == []
-        sleeps = sleep_sites(netengine)
-        assert sleeps, "expected the daemon's fault-injection sleeps"
-        assert all(s and s[0] == "WorkerDaemon" for s in sleeps), (
-            f"time.sleep outside WorkerDaemon: {sleeps}"
-        )
+        for module in (dispatch, parallel, netengine):
+            imported, attributes = set(), set()
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                    imported.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(ast.unparse(node))
+            assert not imported & {"threading", "time.sleep"}, module.__name__
+            assert "time.sleep" not in attributes, module.__name__
 
     def test_one_way_onto_a_pool_worker(self):
         """``parallel.py`` hands work to a pool worker at exactly one
@@ -428,7 +412,10 @@ class TestReactorInvariants:
         attributes) anywhere in the execution layer, no late-bound
         holder in the dispatch core, no second pool engine, and the
         only functions ever forked into are the task instance's serve
-        loop and the loopback daemon's."""
+        loop and the loopback daemon's.  And it holds one job, behind a
+        port too: a daemon cannot be told otherwise, its module does
+        not know the many-instance engine, and the core has no way to
+        re-queue what else a replaced worker was computing."""
         import ast
         import dataclasses
         import inspect
@@ -436,6 +423,7 @@ class TestReactorInvariants:
 
         import repro
         import repro.restructured as package
+        from repro.restructured import netengine
         from repro.restructured.dispatch import DispatchCore, Job
 
         src = Path(repro.__file__).parent
@@ -466,6 +454,13 @@ class TestReactorInvariants:
         }
         for name in ("ProcessPoolEngine", "respawn_pool", "child_heartbeat_queue"):
             assert not hasattr(package, name), name
+        assert not hasattr(DispatchCore, "requeue_collateral")
+        assert not {"capacity", "perpetual", "drain_timeout"} & set(
+            inspect.signature(WorkerDaemon.__init__).parameters
+        )
+        daemon_source = inspect.getsource(netengine)
+        for name in ("TaskInstanceEngine", "TaskInstanceDied"):
+            assert name not in daemon_source, name
 
     def test_one_way_home_for_a_result(self):
         """A result array comes home pickled and nothing else: no module
@@ -626,12 +621,12 @@ class TestTaskEngineRun:
 # ----------------------------------------------------------------------
 # forked loopback daemons: isolation and lifecycle
 # ----------------------------------------------------------------------
-def _level_specs():
+def _level_specs(level=LEVEL):
     return [
         SubsolveJobSpec(
             problem_name="rotating-cone", root=2, l=g.l, m=g.m, tol=TOL
         )
-        for g in nested_loop_grids(2, LEVEL)
+        for g in nested_loop_grids(2, level)
     ]
 
 
@@ -645,17 +640,6 @@ def _fd_targets(pid):
         except OSError:
             pass  # the listing's own descriptor
     return targets
-
-
-def _children(pid):
-    pids = []
-    for tid in os.listdir(f"/proc/{pid}/task"):
-        try:
-            with open(f"/proc/{pid}/task/{tid}/children") as listing:
-                pids += [int(child) for child in listing.read().split()]
-        except OSError:
-            pass  # a thread that ended under the listing
-    return pids
 
 
 @pytest.fixture()
@@ -747,7 +731,40 @@ class TestForkedDaemons:
             result = _run(engine="socket", hosts=hosts)
             assert np.array_equal(result.combined, pickle_combined)
             assert result.reconnects == 0
-            assert not local_daemon._stop.is_set()
+            assert not local_daemon._stopping
+
+    def test_daemon_is_one_thread(self):
+        """A daemon is a relay on the thread that serves it — no
+        heartbeat thread, no thread per job: ``Threads: 1`` in
+        ``/proc/<pid>/status`` whenever looked at through a level-5
+        run."""
+        specs = _level_specs(5)
+        samples = []
+        stop = threading.Event()
+
+        def sample(pids):
+            while not stop.wait(0.005):
+                for pid in pids:
+                    with open(f"/proc/{pid}/status") as status:
+                        fields = dict(
+                            line.split(":", 1) for line in status.read().splitlines()
+                        )
+                    samples.append(int(fields["Threads"]))
+
+        with SocketTaskEngine("localhost:2") as engine:
+            sampler = threading.Thread(
+                target=sample,
+                args=([link.proc.pid for link in engine.links],),
+                daemon=True,
+            )
+            sampler.start()
+            try:
+                outcome = engine.run(specs, escalation=EscalationPolicy())
+            finally:
+                stop.set()
+                sampler.join(timeout=5.0)
+        assert len(outcome.payloads) == len(specs)
+        assert len(samples) > 10 and set(samples) == {1}
 
     def test_forked_daemon_starts_cold(self):
         """A fresh daemon's first job misses the operator cache even
@@ -789,15 +806,6 @@ def _parked_pids():
     for link in pool_module._fleet.engine.links:
         pids += [link.proc.pid, *_children(link.proc.pid)]
     return pids
-
-
-def _running(pid) -> bool:
-    """Still executing: not gone, and not a zombie awaiting its parent."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
 
 
 def _wait_until_gone(pids, seconds):
@@ -857,17 +865,23 @@ class TestWarmFleet:
         assert (after.faults, after.reconnects) == (0, 0)
         assert np.array_equal(after.combined, pickle_combined)
 
+    @pytest.mark.parametrize("index", [0, 1])
     def test_daemon_killed_while_parked_is_noticed_before_dispatch(
-        self, pickle_combined
+        self, index, pickle_combined
     ):
         _run(engine="socket")
-        victim = pool_module._fleet.engine.links[0].proc.pid
+        victim = pool_module._fleet.engine.links[index].proc.pid
         os.kill(victim, signal.SIGKILL)
         assert not _wait_until_gone([victim], 5.0)
+        started = time.monotonic()
         after = _run(engine="socket")
+        elapsed = time.monotonic() - started
         assert not after.warm_pool
         assert (after.faults, after.reconnects) == (0, 0)
         assert np.array_equal(after.combined, pickle_combined)
+        # whichever daemon died, the surviving one was told to stop —
+        # not sent a stop it never read and waited out
+        assert elapsed < DRAIN_TIMEOUT / 2
 
     def test_shutdown_pool_leaves_no_process_behind(self):
         _run(engine="socket")
@@ -930,7 +944,6 @@ class TestWarmFleet:
         # what `repro worker-daemon` builds: it never idles out
         daemon = WorkerDaemon(port=0)
         daemon._listener.close()
-        daemon._engine.close()
         assert daemon.idle_exit is None
         lease = _FleetLease("localhost:1", {}, shared=True)
         try:
@@ -1090,7 +1103,7 @@ class TestChaos:
         hang: detected by heartbeat timeout, replaced, re-dispatched."""
         # beats every 30s (never, at test scale) against a 1.2s timeout:
         # the only liveness signal left is result frames themselves
-        daemon = WorkerDaemon(port=0, capacity=1, heartbeat_interval=30.0)
+        daemon = WorkerDaemon(port=0, heartbeat_interval=30.0)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
         try:
@@ -1216,6 +1229,88 @@ class TestDaemonDrain:
         while local_daemon.jobs_served != 1 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert local_daemon.jobs_served == 1
+
+    def test_stop_is_noticed_under_an_idle_master(self):
+        """``stop()`` ends a daemon whose master is connected and has
+        nothing to say: the serving thread looks at its next heartbeat,
+        it does not sit in a read until the master hangs up."""
+        daemon = WorkerDaemon(port=0, heartbeat_interval=0.2)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        sock = socket.create_connection(("127.0.0.1", daemon.port), timeout=10.0)
+        try:
+            # the first heartbeat says the serve loop is under way
+            assert [recv_frame(sock)[0] for _ in range(2)] == [
+                "hello", "heartbeat"
+            ]
+            daemon.stop()
+            thread.join(timeout=2 * daemon.heartbeat_interval)
+            assert not thread.is_alive()
+        finally:
+            sock.close()
+            thread.join(timeout=10.0)
+
+    @staticmethod
+    def _answers(sock, count):
+        """The next ``count`` frames that are not heartbeats."""
+        answers = []
+        while len(answers) < count:
+            frame = recv_frame(sock)
+            assert frame is not None, "the daemon closed the connection"
+            kind, data, _, _ = frame
+            if kind != "heartbeat":
+                answers.append((kind, data))
+        return answers
+
+    def test_second_job_while_busy_is_refused(self, local_daemon):
+        """One job per worker: a ``job`` frame for a busy daemon is
+        answered with an ``error`` frame at once — not queued, not
+        computed beside the first — and the first job is untouched."""
+        sock = socket.create_connection(
+            ("127.0.0.1", local_daemon.port), timeout=10.0
+        )
+        try:
+            assert recv_frame(sock)[0] == "hello"
+            # the hold keeps the daemon busy until the second job is in
+            plan = FaultPlan.parse("hang@2,0:seconds=0.3")
+            specs = {(s.l, s.m): s for s in _level_specs()}
+            first, second = specs[2, 0], specs[1, 1]
+            for spec in (first, second):
+                send_frame(sock, "job", {
+                    "spec": spec, "plan": plan, "attempt": 1,
+                    "use_cache": True,
+                })
+            (kind, refused), (done, result) = self._answers(sock, 2)
+        finally:
+            sock.close()
+        assert (kind, tuple(refused["key"])) == ("error", (second.l, second.m))
+        assert refused["attempt"] == 1 and "busy" in refused["error"]
+        assert (done, tuple(result["key"])) == ("result", (first.l, first.m))
+
+    def test_dead_task_instance_is_reported_and_replaced(self, local_daemon):
+        """The instance's pipe at EOF is a ``death_worker`` fault on the
+        job it was sent, and the next job finds a fresh instance."""
+        spec = _level_specs()[0]
+        job = {"spec": spec, "plan": None, "attempt": 1, "use_cache": True}
+        sock = socket.create_connection(
+            ("127.0.0.1", local_daemon.port), timeout=10.0
+        )
+        try:
+            assert recv_frame(sock)[0] == "hello"
+            send_frame(sock, "job", job)
+            assert self._answers(sock, 1)[0][0] == "result"
+            victim = local_daemon._instance.process.pid
+            os.kill(victim, signal.SIGKILL)
+            send_frame(sock, "job", {**job, "attempt": 2})
+            ((kind, lost),) = self._answers(sock, 1)
+            assert kind == "error" and lost["fault_kind"] == "death_worker"
+            assert (tuple(lost["key"]), lost["attempt"]) == ((spec.l, spec.m), 2)
+            send_frame(sock, "job", {**job, "attempt": 3})
+            ((kind, result),) = self._answers(sock, 1)
+            assert kind == "result" and result["attempt"] == 3
+            assert local_daemon._instance.process.pid != victim
+        finally:
+            sock.close()
 
 
 @pytest.mark.slow

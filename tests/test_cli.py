@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from tests.conftest import synthetic_records
+from tests.conftest import process_children, process_running, synthetic_records
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +174,59 @@ class TestCommands:
         assert "use the bench" in out
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         result = subprocess.run(
             [sys.executable, "-m", "repro", "run-sequential", "--level", "0"],
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0
         assert "grids: 1" in result.stdout
+
+
+class TestWorkerDaemon:
+    """``repro worker-daemon``: the one daemon that is neither forked by
+    a master nor served from a test thread."""
+
+    def test_serves_masters_in_a_row_and_leaves_on_sigint(self):
+        from repro.restructured import run_multiprocessing, shutdown_pool
+
+        run = dict(root=2, level=2, tol=1.0e-3, processes=2)
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker-daemon", "--port", "0"],
+            stdout=subprocess.PIPE, text=True,
+            # a harness that runs the suite in the background hands down
+            # an ignored SIGINT, which Python would leave ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            word, port = daemon.stdout.readline().split()
+            assert word == "LISTENING"
+            reference = run_multiprocessing(**run).combined
+            for _ in range(2):
+                result = run_multiprocessing(
+                    **run, engine="socket", hosts=f"tcp://127.0.0.1:{port}"
+                )
+                assert np.array_equal(result.combined, reference)
+                assert (result.daemons, result.reconnects) == (1, 0)
+            (instance,) = process_children(daemon.pid)
+            daemon.send_signal(signal.SIGINT)
+            deadline = time.monotonic() + 2.0
+            assert daemon.wait(timeout=2.0) == 0
+            while process_running(instance) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not process_running(instance)
+        finally:
+            daemon.kill()
+            daemon.wait()
+            daemon.stdout.close()
+            shutdown_pool()
+
+    @pytest.mark.parametrize(
+        "flag", (["--capacity", "2"], ["--no-perpetual"], ["--drain-timeout", "1"])
+    )
+    def test_a_daemon_holds_one_job_and_says_so(self, flag, capsys):
+        # one task instance per daemon, kept for the next job, drained
+        # for DRAIN_TIMEOUT: none of the three is a choice any more
+        with pytest.raises(SystemExit) as info:
+            main(["worker-daemon", "--port", "0", *flag])
+        assert info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
