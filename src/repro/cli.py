@@ -117,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bind address (default: loopback)")
     p_wd.add_argument("--port", type=int, default=0,
                       help="listen port (0 = ephemeral, announced on stdout)")
-    p_wd.add_argument("--heartbeat-interval", type=float, default=0.5,
-                      dest="heartbeat_interval",
-                      help="seconds between heartbeat frames")
 
     p_val = sub.add_parser(
         "validate-socket",
@@ -265,31 +262,31 @@ def cmd_run_concurrent(args) -> int:
 
 def cmd_run_parallel(args) -> int:
     from repro.perf import CostModel, warm_path_report
+    from repro.resilience import (
+        DeadlinePolicy,
+        EscalationPolicy,
+        FaultPlan,
+        RetryPolicy,
+    )
     from repro.restructured import run_multiprocessing
     from repro.sparsegrid import SequentialApplication
     from repro.sparsegrid.registry import make_problem
 
     model = CostModel.from_json(args.model) if args.model else None
-    plan = retry = deadline = None
+    plan = None
     if args.faults is not None:
-        from repro.resilience import FaultPlan
-
         plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    if args.retry is not None:
-        from repro.resilience import RetryPolicy
 
-        retry = RetryPolicy(max_attempts=args.retry)
-    if args.deadline_factor is not None or args.deadline_seconds is not None:
-        from repro.resilience import DeadlinePolicy
+    def given(**flags):
+        """A flag that was not given keeps its policy field's default."""
+        return {name: v for name, v in flags.items() if v is not None}
 
-        deadline = DeadlinePolicy(
-            factor=args.deadline_factor
-            if args.deadline_factor is not None
-            else DeadlinePolicy.factor,
-            default_seconds=args.deadline_seconds
-            if args.deadline_seconds is not None
-            else DeadlinePolicy.default_seconds,
-        )
+    escalation = EscalationPolicy(
+        retry=RetryPolicy(**given(max_attempts=args.retry)),
+        deadline=DeadlinePolicy(**given(
+            factor=args.deadline_factor, default_seconds=args.deadline_seconds
+        )),
+    )
     result = None
     recorder = None
     for run in range(max(1, args.repeat)):
@@ -306,8 +303,7 @@ def cmd_run_parallel(args) -> int:
             cost_model=model,
             warm_pool=not args.cold,
             operator_cache=not args.cold,
-            retry=retry,
-            deadline=deadline,
+            escalation=escalation,
             faults=plan,
             trace=recorder,
             engine=args.engine,
@@ -342,11 +338,7 @@ def cmd_run_parallel(args) -> int:
 def cmd_worker_daemon(args) -> int:
     from repro.restructured.netengine import WorkerDaemon
 
-    daemon = WorkerDaemon(
-        host=args.host,
-        port=args.port,
-        heartbeat_interval=args.heartbeat_interval,
-    )
+    daemon = WorkerDaemon(host=args.host, port=args.port)
     # for whoever dials it: tcp://<this host>:<port>
     print(f"LISTENING {daemon.port}", flush=True)
     try:

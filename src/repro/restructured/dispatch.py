@@ -85,9 +85,9 @@ class _TimerWheel:
     per-job deadlines — is a scheduled callback here, so a driver's
     only blocking point is its substrate's wait with
     :meth:`next_timeout` as the timeout.  Callbacks validate
-    their subject at fire time (epoch, pending identity, revive token)
-    instead of being cancelled, which keeps scheduling O(log n) with no
-    bookkeeping on the hot path.
+    their subject at fire time (a job's pending identity, a link's
+    generation) instead of being cancelled, which keeps scheduling
+    O(log n) with no bookkeeping on the hot path.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:

@@ -33,19 +33,28 @@ seconds leaves on its own.  Nothing of it is on the wire.
 Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
 reactor — non-blocking sockets with a stateful per-link
-:class:`_FrameDecoder` doing incremental frame decoding, a per-link
-write queue with partial-send handling, and the timer wheel of
-:mod:`~repro.restructured.dispatch` that schedules everything the
-thread-per-link predecessor used to block on: retry backoff, reconnect
-backoff, heartbeat-silence deadlines, per-job deadlines.  No code path
-on the dispatch loop ever calls ``time.sleep``; its only blocking point
-is ``selector.select`` with the wheel's next due time as the timeout.  That is what lets one master
-hold dozens (or hundreds) of daemon links without a reader thread per
-link, and it removes a whole class of head-of-line stalls: one grid
-backing off, or one flapping daemon reconnecting, no longer freezes
-completion handling for every healthy daemon.  A daemon is the same
-shape one size down (:class:`WorkerDaemon`): nothing in this module
-starts a thread or sleeps.
+:class:`_FrameDecoder` doing incremental frame decoding, and the timer
+wheel of :mod:`~repro.restructured.dispatch` that schedules everything
+the thread-per-link predecessor used to block on: retry backoff,
+reconnect backoff, heartbeat-silence deadlines, per-job deadlines.  No
+code path on the dispatch loop ever calls ``time.sleep``; its only
+blocking point is ``selector.select`` with the wheel's next due time as
+the timeout.  That is what lets one master hold dozens (or hundreds) of
+daemon links without a reader thread per link, and it removes a whole
+class of head-of-line stalls: one grid backing off, or one flapping
+daemon reconnecting, no longer freezes completion handling for every
+healthy daemon.  A daemon is the same shape one size down
+(:class:`WorkerDaemon`): nothing in this module starts a thread or
+sleeps.
+
+A link is a **three-state machine** (:class:`_DaemonLink`: ``down``,
+``reviving``, ``up``; ``_LINK_MOVES`` is every legal move) carrying
+**one job**.  There is no write side: a ``job`` frame is a few hundred
+bytes (240 B measured, 640 B with a four-rule fault plan) for a link
+whose previous result has come home, against a kernel send buffer of
+at least 4 KiB — one non-blocking ``send`` takes it whole, and a link
+on which it does not is lost like any other broken connection.  Only a
+revive's non-blocking connect ever waits for a socket to be writable.
 
 Wire protocol: length-prefixed frames.  A frame is an 8-byte header
 (``RPRO`` magic + big-endian payload length) followed by the pickled
@@ -63,7 +72,7 @@ its socket driver and contributes the detection channels of a network:
   fault; the master reconnects (re-spawning a local daemon, or
   re-dialing a remote one) with timer-driven exponential backoff,
   recorded as a ``reconnect`` trace event;
-* a **silent daemon** — no frame within ``heartbeat_timeout`` — is a
+* a **silent daemon** — no frame within ``HEARTBEAT_TIMEOUT`` — is a
   ``hang``: the daemon is killed and replaced, its job re-dispatched;
 * the core's **per-job deadline** (cost-model-scaled) catches a wedged
   job on an otherwise healthy daemon; the driver's ``retire`` hook
@@ -91,7 +100,6 @@ import socket
 import struct
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
@@ -140,6 +148,22 @@ DRAIN_TIMEOUT = 5.0
 #: is at most ``DRAIN_TIMEOUT``, so whoever waits that long for a stopped
 #: daemon has also outwaited an abandoned one
 FLEET_IDLE_EXIT = 2.0
+
+#: seconds between a daemon's heartbeat frames, and the silence — ten
+#: missed beats — after which the master calls a link with a job in
+#: flight hung.  Tied on purpose: a daemon told to beat slower than its
+#: master listens is a healthy machine convicted again and again
+HEARTBEAT_INTERVAL = 0.5
+HEARTBEAT_TIMEOUT = 10 * HEARTBEAT_INTERVAL
+
+#: seconds a connect may take, blocking at start-up or inside a revive
+CONNECT_TIMEOUT = 20.0
+
+#: a lost link's k-th revive starts ``RECONNECT_BACKOFF * 2**(k - 1)``
+#: seconds after the loss (or the failed attempt before it); a link lost
+#: with ``MAX_RECONNECTS`` behind it stays down
+RECONNECT_BACKOFF = 0.05
+MAX_RECONNECTS = 5
 
 #: loopback daemons are forked like pool workers and task instances
 _FORK = multiprocessing.get_context("fork")
@@ -283,19 +307,18 @@ def arm_heartbeat_deadline(
 ) -> None:
     """Watch one link for heartbeat silence on the reactor's timer wheel.
 
-    Re-arms itself at ``last_frame + timeout`` until either the link is
-    gone (death or replacement disarms it through the epoch guard), or
-    the deadline passes with its job in flight — then ``on_silent(link)``
-    convicts it.  A silent link with nothing in flight is left alone
-    (an idle daemon owes no result) and simply re-checked a timeout
-    later.  Single-threaded by construction: ``last_frame`` is written
-    by the same reactor thread that reads it here, so the cross-thread
-    race of the reader-thread model cannot exist.
+    Re-arms itself at ``last_frame + timeout`` until either the link
+    moves (loss, replacement, parking: the watch holds the generation it
+    was armed under), or the deadline passes with its job in flight —
+    then ``on_silent(link)`` convicts it.  A silent link with nothing in
+    flight is left alone (an idle daemon owes no result) and re-checked
+    a timeout later.  ``last_frame`` is written by the same reactor
+    thread that reads it here.
     """
-    epoch = link.epoch
+    generation = link.generation
 
     def fire() -> None:
-        if not link.alive or link.epoch != epoch:
+        if link.generation != generation:
             return
         now = timers.clock()
         deadline = link.last_frame + timeout
@@ -432,10 +455,14 @@ class WorkerDaemon:
         port: int = 0,
         *,
         listener: Optional[socket.socket] = None,
-        heartbeat_interval: float = 0.5,
+        heartbeat_interval: Optional[float] = None,
         idle_exit: Optional[float] = None,
     ) -> None:
-        self.heartbeat_interval = heartbeat_interval
+        #: read when the daemon is built: ``None`` is the interval the
+        #: master's silence window is ten of
+        self.heartbeat_interval = (
+            HEARTBEAT_INTERVAL if heartbeat_interval is None else heartbeat_interval
+        )
         self.idle_exit = idle_exit
         #: a forked daemon adopts the listener its master bound for it
         self._listener = listener or socket.create_server((host, port))
@@ -673,7 +700,6 @@ def _open_fds() -> list[int]:
 def _forked_daemon_main(
     listener: socket.socket,
     inherited: list[int],
-    heartbeat_interval: float,
     idle_exit: Optional[float],
 ) -> None:
     """A forked loopback daemon: isolate, serve, leave — never returns.
@@ -708,11 +734,7 @@ def _forked_daemon_main(
         # down; but it hosts a task instance, which a daemonic process
         # may not fork
         multiprocessing.current_process().daemon = False
-        WorkerDaemon(
-            listener=listener,
-            heartbeat_interval=heartbeat_interval,
-            idle_exit=idle_exit,
-        ).serve_forever()
+        WorkerDaemon(listener=listener, idle_exit=idle_exit).serve_forever()
         status = 0
     except Exception:
         traceback.print_exc()
@@ -723,34 +745,28 @@ def _forked_daemon_main(
 # ----------------------------------------------------------------------
 # the master side
 # ----------------------------------------------------------------------
-class _OutFrame:
-    """One queued outgoing frame with partial-send progress."""
-
-    __slots__ = ("view", "offset", "kind", "key", "nbytes", "seconds")
-
-    def __init__(self, frame: bytes, kind: str, key=None) -> None:
-        self.view = memoryview(frame)
-        self.offset = 0
-        self.kind = kind
-        self.key = key
-        self.nbytes = len(frame)
-        self.seconds = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.offset >= self.nbytes
+#: every legal step of a link's connection state; any other raises.
+#: ``hello`` and ``busy`` are not states but ``pid is None`` and ``job``
+#: on an ``up`` link
+_LINK_MOVES = {
+    ("down", "adopt"): "up",             # blocking connect: init, resume, close
+    ("up", "drop"): "down",              # lost, replaced, parked or closed
+    ("down", "revive"): "reviving",      # lost with budget left: backoff armed
+    ("reviving", "revive"): "reviving",  # that attempt failed: the next armed
+    ("reviving", "adopt"): "up",         # its non-blocking connect completed
+    ("reviving", "give_up"): "down",     # budget spent, or the engine closed
+}
 
 
 class _DaemonLink:
-    """One daemon as the master sees it: a non-blocking socket plus the
-    reactor-side receive/send/reconnect state.  No reader thread: the
-    engine's selector loop is the only thing that ever touches this."""
+    """One daemon as the master sees it: a non-blocking socket, the one
+    job sent down it, and a connection ``state`` — ``down`` (no socket),
+    ``reviving`` (a backoff or a connect is pending) or ``up``.  Only
+    :meth:`move` writes ``state`` and ``generation``; only the engine's
+    loop ever touches a link."""
 
     def __init__(
-        self,
-        name: str,
-        *,
-        spawned: bool,
+        self, name: str, *, spawned: bool,
         address: Optional[tuple[str, int]] = None,
     ) -> None:
         self.name = name
@@ -760,24 +776,25 @@ class _DaemonLink:
         self.proc: Optional[multiprocessing.Process] = None
         self.pid: Optional[int] = None  # from this connection's hello
         self.job: Optional[Job] = None  # the one attempt in flight
-        self.last_frame = time.monotonic()
-        self.alive = False
-        self.reconnects = 0
-        #: bumped on every (re)attach; heartbeat watches from an older
-        #: epoch are void — a dead connection's deadline must not
-        #: convict its successor
-        self.epoch = 0
-        # reactor-side receive/send state
+        self.state = "down"
+        #: bumped by every move.  Timers are never cancelled: each
+        #: captures the generation it was armed under and is void under
+        #: any other, so a dead connection's deadline cannot convict its
+        #: successor and a stale revive cannot start a second connect
+        self.generation = 0
+        self.last_frame = 0.0
         self.decoder = _FrameDecoder()
-        self.sendq: deque[_OutFrame] = deque()
-        self.events_mask = 0            # current selector registration
-        # the timer-driven reconnect state machine (see run())
-        self.reviving = False
+        self.reconnects = 0
         self.revive_reason = ""
         self.revive_t0 = 0.0
-        #: bumped per revive attempt and on attach/detach; a timer fired
-        #: for a stale token is a no-op (timers are never cancelled)
-        self.revive_token = 0
+
+    def move(self, event: str) -> None:
+        """Take the step ``event`` names in ``_LINK_MOVES``."""
+        step = (self.state, event)
+        if step not in _LINK_MOVES:
+            raise RuntimeError(f"{self.name}: no move {event!r} when {self.state}")
+        self.state = _LINK_MOVES[step]
+        self.generation += 1
 
 
 class SocketTaskEngine:
@@ -792,7 +809,9 @@ class SocketTaskEngine:
 
     The engine is a single-threaded reactor: every daemon socket is
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
-    master's thread count stays O(1) however many links it holds.
+    master's thread count stays O(1) however many links it holds.  A
+    link is a three-state machine (:class:`_DaemonLink`); the methods
+    below :meth:`run` are its moves' effects, timed by module constants.
 
     :meth:`run` may be called again on the same engine; each daemon's
     task instance keeps its operator and factor caches in between.
@@ -806,29 +825,20 @@ class SocketTaskEngine:
     """
 
     def __init__(
-        self,
-        hosts="localhost:2",
-        *,
-        heartbeat_timeout: float = 5.0,
-        daemon_heartbeat_interval: float = 0.5,
-        connect_timeout: float = 20.0,
-        reconnect_backoff: float = 0.05,
-        max_reconnects: int = 5,
-        idle_exit: Optional[float] = None,
+        self, hosts="localhost:2", *, idle_exit: Optional[float] = None
     ) -> None:
         self.host_specs = (
             parse_hosts(hosts) if isinstance(hosts, str) else tuple(hosts)
         )
-        self.heartbeat_timeout = heartbeat_timeout
-        self.daemon_heartbeat_interval = daemon_heartbeat_interval
-        self.connect_timeout = connect_timeout
-        self.reconnect_backoff = reconnect_backoff
-        self.max_reconnects = max_reconnects
         self.idle_exit = idle_exit
         self._selector = selectors.DefaultSelector()
         self._closed = False
-        #: the last ``run`` returned normally (or none has started)
-        self._clean = True
+        #: what every timer and ``last_frame`` is read off
+        self._clock = time.monotonic
+        #: the run in progress — or the one that raised; ``None`` once a
+        #: run has returned normally (and before the first)
+        self._core: Optional[DispatchCore] = None
+        self._plan = None
         # the network accounting of the latest run
         self.reconnects = 0
         self.bytes_sent = 0
@@ -838,22 +848,16 @@ class SocketTaskEngine:
         self.links: list[_DaemonLink] = []
         t0 = time.perf_counter()
         try:
-            index = 0
             for spec in self.host_specs:
-                if spec.local:
-                    for _ in range(spec.spawn):
-                        link = _DaemonLink(f"daemon-{index}", spawned=True)
-                        self.links.append(link)
-                        self._spawn(link)
-                        index += 1
-                else:
+                for _ in range(spec.spawn or 1):
                     link = _DaemonLink(
-                        f"daemon-{index}",
-                        spawned=False,
-                        address=(spec.host, spec.port),
+                        f"daemon-{len(self.links)}",
+                        spawned=spec.local,
+                        address=None if spec.local else (spec.host, spec.port),
                     )
                     self.links.append(link)
-                    index += 1
+                    if spec.local:
+                        self._spawn(link)
             for link in self.links:
                 self._attach(link)
         except Exception:
@@ -879,7 +883,6 @@ class SocketTaskEngine:
                 args=(
                     listener,
                     [fd for fd in _open_fds() if fd not in keep],
-                    self.daemon_heartbeat_interval,
                     self.idle_exit,
                 ),
                 name=link.name,
@@ -900,71 +903,57 @@ class SocketTaskEngine:
         proc.join()
         proc.close()
 
+    @staticmethod
+    def _dial(address: tuple[str, int]) -> socket.socket:
+        """Start a non-blocking connect; ``OSError`` if it fails at once."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        err = sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY):
+            sock.close()
+            raise OSError(err, os.strerror(err))
+        return sock
+
     def _attach(self, link: _DaemonLink) -> None:
-        """Connect (blocking; init-time only) and adopt the socket."""
-        sock = socket.create_connection(
-            link.address, timeout=self.connect_timeout
+        """Connect (blocking; never on the dispatch loop) and adopt."""
+        self._adopt(
+            link, socket.create_connection(link.address, timeout=CONNECT_TIMEOUT)
         )
-        self._adopt(link, sock)
 
     def _adopt(self, link: _DaemonLink, sock: socket.socket) -> None:
         """Take a connected socket as the link's live connection: make
-        it non-blocking, reset the per-link receive/send state, and
-        hand it to the selector."""
+        it non-blocking, reset the receive state, and hand it to the
+        selector — whose registration data is the link itself."""
         sock.setblocking(False)
         link.sock = sock
-        link.alive = True
+        link.move("adopt")
         link.pid = None  # (re)learned from the fresh hello
-        link.last_frame = time.monotonic()
-        link.epoch += 1
-        link.revive_token += 1
-        link.reviving = False
+        link.last_frame = self._clock()
         link.decoder = _FrameDecoder()
-        link.sendq.clear()
-        self._register(sock, selectors.EVENT_READ, ("io", link))
-        link.events_mask = selectors.EVENT_READ
+        self._selector.register(sock, selectors.EVENT_READ, link)
 
-    def _register(self, fileobj, events, data) -> None:
+    def _hang_up(self, link: _DaemonLink) -> None:
+        """Close the link's socket, connected or still connecting."""
+        sock, link.sock = link.sock, None
+        if sock is None:
+            return
+        self._selector.unregister(sock)
+        # shutdown before close: deterministically sends the FIN/RST
+        # whatever state the connection is in, so a dialed daemon's
+        # serve loop (blocked in recv on its end) wakes and returns
+        # to accept instead of serving a dead connection
         try:
-            self._selector.register(fileobj, events, data)
-        except KeyError:  # pragma: no cover - defensive re-register
-            self._selector.modify(fileobj, events, data)
-
-    def _unregister(self, fileobj) -> None:
-        try:
-            self._selector.unregister(fileobj)
-        except (KeyError, ValueError):
-            pass  # not registered, or the selector is already closed
-
-    def _detach(self, link: _DaemonLink) -> None:
-        """Tear down everything the link holds — socket, queued writes,
-        half-done reconnect, daemon process.  No reader thread to join:
-        the reactor was the only reader, and it is the caller."""
-        self._disconnect(link)
-        self._reap(link)
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
 
     def _disconnect(self, link: _DaemonLink) -> None:
-        """Drop the link's connection and leave its daemon running."""
-        link.alive = False
-        link.reviving = False
-        link.revive_token += 1
-        link.sendq.clear()
-        link.events_mask = 0
-        if link.sock is not None:
-            self._unregister(link.sock)
-            # shutdown before close: deterministically sends the FIN/RST
-            # whatever state the connection is in, so a dialed daemon's
-            # serve loop (blocked in recv on its end) wakes and returns
-            # to accept instead of serving a dead connection
-            try:
-                link.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            link.sock = None
+        """Drop the link's connection — or the revive it was in the
+        middle of — and leave its daemon running."""
+        if link.state != "down":
+            link.move("drop" if link.state == "up" else "give_up")
+        self._hang_up(link)
 
     # ------------------------------------------------------------------
     # between two runs
@@ -972,17 +961,12 @@ class SocketTaskEngine:
     @property
     def reusable(self) -> bool:
         """The last run left nothing behind: it returned normally, never
-        reconnected, and every link is up with nothing in flight, queued
-        or reviving."""
+        reconnected, and every link is up with nothing in flight."""
         return (
             not self._closed
-            and self._clean
+            and self._core is None
             and self.reconnects == 0
-            and all(
-                link.alive
-                and not (link.reviving or link.job or link.sendq)
-                for link in self.links
-            )
+            and all(l.state == "up" and l.job is None for l in self.links)
         )
 
     def park(self) -> bool:
@@ -1000,7 +984,7 @@ class SocketTaskEngine:
         """Reconnect a parked engine; ``False`` when a daemon is dead or
         does not answer, and the engine (however many links it got to)
         is then only good for :meth:`close`.  Each link's ``hello`` is
-        read here, so no job is ever queued for a daemon that is not
+        read here, so no job is ever sent to a daemon that is not
         serving this connection."""
         try:
             for link in self.links:
@@ -1009,7 +993,7 @@ class SocketTaskEngine:
                 self._attach(link)
             # every daemon is accepting by now: the waits overlap
             for link in self.links:
-                link.sock.settimeout(self.connect_timeout)
+                link.sock.settimeout(CONNECT_TIMEOUT)
                 frame = recv_frame(link.sock)
                 link.sock.setblocking(False)
                 if frame is None or frame[0] != "hello":
@@ -1037,20 +1021,18 @@ class SocketTaskEngine:
         for link in self.links:
             if not link.spawned or link.proc is None:
                 continue
-            if link.sock is None:
+            if link.state == "down":
                 try:
                     self._attach(link)
                 except OSError:
                     # not accepting any more: it is leaving by itself
                     stopping.append(link)
-            # a half-sent frame ahead of the stop would garble it
-            if link.alive and not link.sendq:
+            if link.state == "up":
                 try:
-                    link.sock.setblocking(True)
                     link.sock.settimeout(2.0)
                     send_frame(link.sock, "stop", {})
                     stopping.append(link)
-                except (FrameError, OSError):
+                except OSError:
                     pass
         deadline = time.monotonic() + DRAIN_TIMEOUT
         for link in stopping:
@@ -1058,7 +1040,8 @@ class SocketTaskEngine:
             # this returns once the whole subtree has exited
             link.proc.join(max(0.0, deadline - time.monotonic()))
         for link in self.links:
-            self._detach(link)
+            self._disconnect(link)
+            self._reap(link)
         self._selector.close()
 
     def __enter__(self) -> "SocketTaskEngine":
@@ -1084,381 +1067,263 @@ class SocketTaskEngine:
 
         The job lifecycle — deadlines, the escalation ladder, idempotent
         completion keyed ``(l, m)`` — is the dispatch core's
-        (:mod:`~repro.restructured.dispatch`); this method is its socket
-        driver: frame I/O, write queues, link loss and revival, and
-        heartbeat silence, translated into core calls.  The loop is a
-        single-threaded selectors reactor: reads, writes, retries,
-        reconnects and every deadline all multiplex through one
-        ``select``, so a fault or a flapping daemon on one link never
-        blocks completion handling on another.  The network accounting
-        (``reconnects``, ``bytes_sent``/``bytes_received``,
+        (:mod:`~repro.restructured.dispatch`); the engine is its socket
+        driver (:meth:`_place`, :meth:`_launch`, :meth:`_retire`) and
+        this method the loop around both: reads, retries, reconnects
+        and every deadline multiplex through one ``select`` with the
+        wheel's next due time as the timeout, so a fault or a flapping
+        daemon on one link never blocks completion handling on another.
+        A ready descriptor's link says what it means — readable bytes
+        when ``up``, a finished connect when ``reviving``.  The network
+        accounting (``reconnects``, ``bytes_sent``/``bytes_received``,
         ``net_send_seconds``/``net_recv_seconds``) is left on the engine
         and describes this run alone.
         """
-        timers = _TimerWheel()
-        self._clean = False
         self.reconnects = self.bytes_sent = self.bytes_received = 0
         self.net_send_seconds = self.net_recv_seconds = 0.0
-
-        def record_net(kind: str, key, nbytes: int, seconds: float, **extra) -> None:
-            if kind == "net_send":
-                self.bytes_sent += nbytes
-                self.net_send_seconds += seconds
-            else:
-                self.bytes_received += nbytes
-                self.net_recv_seconds += seconds
-            if trace is not None:
-                trace.record(
-                    kind, key=key, frame_bytes=nbytes, seconds=seconds, **extra
-                )
-
-        # ------------------------------------------------------------------
-        # the write side: per-link queues with partial-send handling
-        # ------------------------------------------------------------------
-        def update_write_interest(link: _DaemonLink) -> None:
-            if link.sock is None or not link.alive:
-                return
-            mask = selectors.EVENT_READ | (
-                selectors.EVENT_WRITE if link.sendq else 0
-            )
-            if mask != link.events_mask:
-                self._selector.modify(link.sock, mask, ("io", link))
-                link.events_mask = mask
-
-        def flush_sendq(link: _DaemonLink) -> None:
-            """Drain the link's write queue as far as the socket buffer
-            allows; a connection that breaks under it loses the link
-            (and re-routes its jobs) right here."""
-            while link.sendq and link.alive:
-                out = link.sendq[0]
-                t0 = time.perf_counter()
-                try:
-                    sent = link.sock.send(out.view[out.offset :])
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError as exc:
-                    lose_link(
-                        link,
-                        kind="crash",
-                        detected_by="connection",
-                        error=repr(exc),
-                    )
-                    return
-                out.seconds += time.perf_counter() - t0
-                if sent == 0:  # pragma: no cover - defensive
-                    break
-                out.offset += sent
-                if out.done:
-                    link.sendq.popleft()
-                    if out.kind == "job":
-                        record_net(
-                            "net_send",
-                            out.key,
-                            out.nbytes,
-                            out.seconds,
-                            frame_kind="job",
-                        )
-            update_write_interest(link)
-
-        def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> None:
-            link.sendq.append(_OutFrame(_pack_frame(kind, data), kind, key))
-            flush_sendq(link)
-
-        # ------------------------------------------------------------------
-        # the dispatch core's driver: place, launch, retire
-        # ------------------------------------------------------------------
-        def place() -> Optional[Slot]:
-            for link in self.links:
-                # one job per link, and none before its hello
-                if link.alive and link.pid is not None and link.job is None:
-                    return Slot(link, link.name)
-            return None
-
-        def launch(job: Job) -> None:
-            link = job.worker
-            # registered *before* the queue flush: if the send trips over
-            # a dead socket, lose_link convicts and re-routes this job
-            link.job = job
-            queue_frame(link, "job", {
-                "spec": job.spec,
-                "plan": plan,
-                "attempt": job.attempt,
-                "use_cache": use_cache,
-            }, key=job.key)
-
-        def retire(job: Job, kind: Optional[str]) -> None:
-            link = job.worker
-            link.job = None
-            if kind == "deadline" and link.alive:
-                # the job wedged on an otherwise healthy daemon: replace
-                # the daemon so the wedged compute cannot outlive the run
-                replace_daemon(link, reason=kind)
-
-        core = DispatchCore(
+        self._plan = plan
+        timers = _TimerWheel(self._clock)
+        self._core = core = DispatchCore(
             ordered,
-            Driver(place=place, launch=launch, retire=retire),
+            Driver(place=self._place, launch=self._launch, retire=self._retire),
             escalation=escalation,
             timers=timers,
             use_cache=use_cache,
             cost_model=cost_model,
             trace=trace,
         )
-
-        def replace_daemon(link: _DaemonLink, reason: str) -> None:
-            """Kill the link's daemon and schedule its revival."""
-            self._detach(link)
-            schedule_revive(link, reason=reason)
-
-        def lose_link(
-            link: _DaemonLink, *, kind: str, detected_by: str, error: str
-        ) -> None:
-            """A daemon died or went silent: the job in flight on it is
-            faulted."""
-            if not link.alive:
-                return
-            job, link.job = link.job, None
-            replace_daemon(link, reason=kind)
-            if job is not None:
-                core.fault(job.key, kind, detected_by=detected_by, error=error)
-
-        # ------------------------------------------------------------------
-        # the timer-driven reconnect state machine — the iterative
-        # replacement for _revive's blocking sleep + self-recursion
-        # ------------------------------------------------------------------
-        def schedule_revive(link: _DaemonLink, reason: str) -> None:
-            """Arm the next reconnect attempt's backoff timer; a spent
-            budget leaves the link permanently dead (the loop-top guard
-            fails the run once no link is alive or reviving)."""
-            if self._closed or link.reconnects >= self.max_reconnects:
-                link.reviving = False
-                link.revive_token += 1
-                return
-            link.reconnects += 1
-            self.reconnects += 1
-            link.reviving = True
-            link.revive_reason = reason
-            link.revive_t0 = time.perf_counter()
-            link.revive_token += 1
-            token = link.revive_token
-            backoff = self.reconnect_backoff * (2 ** (link.reconnects - 1))
-            timers.schedule(backoff, lambda: begin_revive(link, token))
-
-        def begin_revive(link: _DaemonLink, token: int) -> None:
-            if link.revive_token != token or not link.reviving or self._closed:
-                return
-            if link.spawned:
-                try:
-                    self._spawn(link)
-                except OSError:
-                    schedule_revive(link, link.revive_reason)
-                    return
-            begin_connect(link, token)
-
-        def begin_connect(link: _DaemonLink, token: int) -> None:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setblocking(False)
-            err = sock.connect_ex(link.address)
-            if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY):
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-                abort_revive_attempt(link)
-                schedule_revive(link, link.revive_reason)
-                return
-            link.sock = sock  # held for cleanup; the link is not alive yet
-            self._register(sock, selectors.EVENT_WRITE, ("connect", link))
-            timers.schedule(
-                self.connect_timeout, lambda: revive_timed_out(link, token)
-            )
-
-        def abort_revive_attempt(link: _DaemonLink) -> None:
-            """Release whatever this attempt half-built (connecting
-            socket, daemon process)."""
-            if link.sock is not None:
-                self._unregister(link.sock)
-                try:
-                    link.sock.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-                link.sock = None
-            self._reap(link)
-
-        def revive_timed_out(link: _DaemonLink, token: int) -> None:
-            if link.revive_token != token or not link.reviving:
-                return
-            abort_revive_attempt(link)
-            schedule_revive(link, link.revive_reason)
-
-        def on_connect_ready(link: _DaemonLink) -> None:
-            sock = link.sock
-            if sock is None or not link.reviving:
-                return
-            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            self._unregister(sock)
-            if err != 0:
-                abort_revive_attempt(link)
-                schedule_revive(link, link.revive_reason)
-                return
-            finish_revive(link, sock)
-
-        def finish_revive(link: _DaemonLink, sock: socket.socket) -> None:
-            reason = link.revive_reason
-            attempt = link.reconnects
-            t0 = link.revive_t0
-            link.sock = None  # _adopt re-takes it with fresh state
-            self._adopt(link, sock)
-            arm_heartbeat(link)
-            if trace is not None:
-                trace.record(
-                    "reconnect",
-                    worker=link.name,
-                    attempt=attempt,
-                    reason=reason,
-                    seconds=time.perf_counter() - t0,
-                )
-
-        # ------------------------------------------------------------------
-        # deadlines on the wheel
-        # ------------------------------------------------------------------
-        def on_silent(link: _DaemonLink) -> None:
-            lose_link(
-                link,
-                kind="hang",
-                detected_by="heartbeat",
-                error=(
-                    f"no frame from {link.name} within "
-                    f"{self.heartbeat_timeout:.1f}s"
-                ),
-            )
-
-        def arm_heartbeat(link: _DaemonLink) -> None:
-            arm_heartbeat_deadline(
-                timers, link, self.heartbeat_timeout, on_silent
-            )
-
-        # ------------------------------------------------------------------
-        # the read side
-        # ------------------------------------------------------------------
-        def handle_frame(
-            link: _DaemonLink, kind: str, data, nbytes: int, seconds: float
-        ) -> None:
-            if kind == "hello":
-                link.pid = data["pid"]
-                if trace is not None:
-                    trace.record(
-                        "worker_spawn", worker=link.name, pid=link.pid
-                    )
-                return
-            if kind == "heartbeat":
-                return  # last_frame was already bumped by on_readable
-            if kind == "result":
-                key = tuple(data["key"])
-                record_net(
-                    "net_recv", key, nbytes, seconds, frame_kind="result"
-                )
-                core.result(key, int(data["attempt"]), data["payload"])
-                return
-            if kind == "error":
-                key = tuple(data["key"])
-                record_net(
-                    "net_recv", key, nbytes, seconds, frame_kind="error"
-                )
-                core.fault(
-                    key,
-                    data.get("fault_kind", "exception"),
-                    detected_by="daemon",
-                    error=data.get("error", ""),
-                    attempt=int(data["attempt"]),
-                )
-            # unknown kinds are ignored: forward compatibility
-
-        def on_readable(link: _DaemonLink) -> None:
-            if not link.alive or link.sock is None:
-                return
-            try:
-                data = link.sock.recv(1 << 20)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError as exc:
-                lose_link(
-                    link,
-                    kind="crash",
-                    detected_by="connection",
-                    error=repr(exc),
-                )
-                return
-            if not data:
-                error = (
-                    "connection closed mid-frame "
-                    f"({link.decoder.describe_partial()})"
-                    if link.decoder.mid_frame
-                    else "daemon closed the connection"
-                )
-                lose_link(
-                    link, kind="crash", detected_by="connection", error=error
-                )
-                return
-            link.last_frame = timers.clock()
-            try:
-                frames = link.decoder.feed(data)
-            except FrameError as exc:
-                lose_link(
-                    link,
-                    kind="crash",
-                    detected_by="connection",
-                    error=repr(exc),
-                )
-                return
-            for kind, payload, nbytes, seconds in frames:
-                handle_frame(link, kind, payload, nbytes, seconds)
-                if not link.alive:
-                    break  # a handler convicted the link mid-batch
-
-        def on_io(link: _DaemonLink, mask: int) -> None:
-            if mask & selectors.EVENT_READ:
-                on_readable(link)
-            if link.alive and (mask & selectors.EVENT_WRITE):
-                flush_sendq(link)
-
-        # ------------------------------------------------------------------
-        # the loop
-        # ------------------------------------------------------------------
         for link in self.links:
-            if link.alive:
-                arm_heartbeat(link)
+            if link.state == "up":
+                self._watch(link)
                 if trace is not None and link.pid is not None:
                     # said hello before this run began: name it in this
                     # run's trace too
                     trace.record(
-                        "worker_spawn",
-                        worker=link.name,
-                        pid=link.pid,
-                        reused=True,
+                        "worker_spawn", worker=link.name, pid=link.pid, reused=True
                     )
-
         # the loop also drains in-progress revives: the outcome's
         # reconnect count must describe daemons that actually came back
         # (and traced their ``reconnect`` event)
-        while not core.done or any(l.reviving for l in self.links):
-            if not any(l.alive or l.reviving for l in self.links):
+        while not core.done or any(l.state == "reviving" for l in self.links):
+            if all(l.state == "down" for l in self.links):
                 core.fail(
                     RuntimeError(
-                        "every worker daemon is lost and out of "
-                        "reconnect budget"
+                        "every worker daemon is lost and out of reconnect budget"
                         if self.reconnects
                         else "no worker daemon is alive"
                     )
                 )
             core.dispatch_ready()
-            # never None: a live or reviving link always has a timer armed
-            for sel_key, mask in self._selector.select(timers.next_timeout()):
-                tag, link = sel_key.data
-                if tag == "io":
-                    on_io(link, mask)
-                elif tag == "connect":
-                    on_connect_ready(link)
+            # never None: an up or reviving link always has a timer armed
+            for key, _ in self._selector.select(timers.next_timeout()):
+                link = key.data
+                if link.sock is not key.fileobj:
+                    continue  # dropped earlier in this batch
+                if link.state == "up":
+                    self._read(link)
+                else:
+                    self._connect_done(link)
             timers.fire_due()
-
-        self._clean = True
+        self._core = None
         return core.outcome()
+
+    # ------------------------------------------------------------------
+    # the dispatch core's driver: place, launch, retire
+    # ------------------------------------------------------------------
+    def _place(self) -> Optional[Slot]:
+        for link in self.links:
+            # one job per link, and none before its hello
+            if link.state == "up" and link.pid is not None and link.job is None:
+                return Slot(link, link.name)
+        return None
+
+    def _launch(self, job: Job) -> None:
+        """One non-blocking ``send``.  A ``job`` frame is a few hundred
+        bytes and goes to a link whose last result has come home, so the
+        kernel takes it whole; a link on which it does not — an error,
+        or a short count — is lost like any other broken connection and
+        the job re-dispatched.  Nothing is ever queued for a link."""
+        link = job.worker
+        link.job = job
+        frame = _pack_frame("job", {
+            "spec": job.spec,
+            "plan": self._plan,
+            "attempt": job.attempt,
+            "use_cache": self._core.use_cache,
+        })
+        t0 = time.perf_counter()
+        try:
+            sent = link.sock.send(frame)
+        except OSError as exc:  # a full buffer included: nothing waits for room
+            self._lose(link, "crash", "connection", repr(exc))
+            return
+        if sent < len(frame):
+            error = f"short send: {sent}/{len(frame)} bytes of a job frame"
+            self._lose(link, "crash", "connection", error)
+            return
+        self._record_net(
+            "net_send", job.key, len(frame), time.perf_counter() - t0, "job"
+        )
+
+    def _retire(self, job: Job, kind: Optional[str]) -> None:
+        job.worker.job = None
+        if kind == "deadline":
+            # the job wedged on an otherwise healthy daemon: replace
+            # the daemon so the wedged compute cannot outlive the run
+            self._replace(job.worker, kind)
+
+    # ------------------------------------------------------------------
+    # losing a link and getting it back
+    # ------------------------------------------------------------------
+    def _lose(self, link: _DaemonLink, kind: str, detected_by: str, error: str) -> None:
+        """A daemon died or went silent: the job in flight on it — that
+        one, there is no other — is faulted."""
+        job, link.job = link.job, None
+        self._replace(link, kind)
+        if job is not None:
+            self._core.fault(job.key, kind, detected_by=detected_by, error=error)
+
+    def _replace(self, link: _DaemonLink, reason: str) -> None:
+        """Drop the connection, kill the daemon, schedule its revival."""
+        link.move("drop")
+        link.revive_reason = reason
+        self._revive_later(link)
+
+    def _arm(self, link: _DaemonLink, delay: float, callback) -> None:
+        """``callback(link)`` in ``delay`` seconds, unless the link has
+        moved by then."""
+        generation = link.generation
+
+        def fire() -> None:
+            if link.generation == generation:
+                callback(link)
+
+        self._core.timers.schedule(delay, fire)
+
+    def _revive_later(self, link: _DaemonLink) -> None:
+        """Release whatever the link or its last revive attempt still
+        holds (socket, daemon process), then arm the next attempt's
+        backoff — or give up: a spent budget leaves the link ``down``,
+        and the loop fails the run once every link is."""
+        self._hang_up(link)
+        self._reap(link)
+        if link.reconnects >= MAX_RECONNECTS:
+            if link.state == "reviving":
+                link.move("give_up")
+            return
+        link.reconnects += 1
+        self.reconnects += 1
+        link.move("revive")
+        link.revive_t0 = time.perf_counter()
+        self._arm(
+            link, RECONNECT_BACKOFF * 2 ** (link.reconnects - 1), self._begin_revive
+        )
+
+    def _begin_revive(self, link: _DaemonLink) -> None:
+        try:
+            if link.spawned:
+                self._spawn(link)
+            link.sock = self._dial(link.address)
+        except OSError:
+            self._revive_later(link)
+            return
+        # the module's only write interest: a connect must not block the
+        # loop, or a black-holed tcp:// host would stall healthy links
+        self._selector.register(link.sock, selectors.EVENT_WRITE, link)
+        self._arm(link, CONNECT_TIMEOUT, self._revive_later)
+
+    def _connect_done(self, link: _DaemonLink) -> None:
+        if link.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            self._revive_later(link)
+            return
+        self._selector.unregister(link.sock)
+        self._adopt(link, link.sock)
+        self._watch(link)
+        if self._core.trace is not None:
+            self._core.trace.record(
+                "reconnect",
+                worker=link.name,
+                attempt=link.reconnects,
+                reason=link.revive_reason,
+                seconds=time.perf_counter() - link.revive_t0,
+            )
+
+    # ------------------------------------------------------------------
+    # heartbeat silence
+    # ------------------------------------------------------------------
+    def _watch(self, link: _DaemonLink) -> None:
+        arm_heartbeat_deadline(
+            self._core.timers, link, HEARTBEAT_TIMEOUT, self._on_silent
+        )
+
+    def _on_silent(self, link: _DaemonLink) -> None:
+        error = f"no frame from {link.name} within {HEARTBEAT_TIMEOUT:.1f}s"
+        self._lose(link, "hang", "heartbeat", error)
+
+    # ------------------------------------------------------------------
+    # the read side
+    # ------------------------------------------------------------------
+    def _read(self, link: _DaemonLink) -> None:
+        try:
+            data = link.sock.recv(1 << 20)
+            frames = link.decoder.feed(data)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:  # a reset, or a garbled frame
+            self._lose(link, "crash", "connection", repr(exc))
+            return
+        if not data:
+            self._lose(
+                link,
+                "crash",
+                "connection",
+                f"connection closed mid-frame ({link.decoder.describe_partial()})"
+                if link.decoder.mid_frame
+                else "daemon closed the connection",
+            )
+            return
+        link.last_frame = self._clock()
+        for kind, payload, nbytes, seconds in frames:
+            self._handle_frame(link, kind, payload, nbytes, seconds)
+            if link.state != "up":
+                break  # a handler convicted the link mid-batch
+
+    def _handle_frame(
+        self, link: _DaemonLink, kind: str, data, nbytes: int, seconds: float
+    ) -> None:
+        core = self._core
+        if kind == "hello":
+            link.pid = data["pid"]
+            if core.trace is not None:
+                core.trace.record("worker_spawn", worker=link.name, pid=link.pid)
+        elif kind == "result":
+            key = tuple(data["key"])
+            self._record_net("net_recv", key, nbytes, seconds, kind)
+            core.result(key, int(data["attempt"]), data["payload"])
+        elif kind == "error":
+            key = tuple(data["key"])
+            self._record_net("net_recv", key, nbytes, seconds, kind)
+            core.fault(
+                key,
+                data.get("fault_kind", "exception"),
+                detected_by="daemon",
+                error=data.get("error", ""),
+                attempt=int(data["attempt"]),
+            )
+        # a heartbeat has done its work by arriving (``last_frame``);
+        # unknown kinds are ignored: forward compatibility
+
+    def _record_net(
+        self, kind: str, key, nbytes: int, seconds: float, frame_kind: str
+    ) -> None:
+        if kind == "net_send":
+            self.bytes_sent += nbytes
+            self.net_send_seconds += seconds
+        else:
+            self.bytes_received += nbytes
+            self.net_recv_seconds += seconds
+        if self._core.trace is not None:
+            self._core.trace.record(
+                kind, key=key, frame_bytes=nbytes, seconds=seconds,
+                frame_kind=frame_kind,
+            )

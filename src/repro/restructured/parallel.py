@@ -27,10 +27,10 @@ cold/warm gap; the seed's chunking is scored on the run's measured
 durations (:func:`repro.perf.warmpath.static_chunk_makespan`).  Every
 configuration is bitwise identical in its output.
 
-**Fault tolerance.**  Every run — with or without ``retry``,
-``deadline``, ``escalation`` or ``faults`` — is driven by the shared
-dispatch core (:mod:`~repro.restructured.dispatch`); there is no other
-way onto a pool worker.  This module only *drives* the core, on one
+**Fault tolerance.**  Every run — with or without ``escalation`` or
+``faults`` — is driven by the shared dispatch core
+(:mod:`~repro.restructured.dispatch`); there is no other way onto a
+pool worker.  This module only *drives* the core, on one
 thread and in the socket reactor's shape: ``place`` takes an idle task
 instance from the pool, ``launch`` sends the attempt down that worker's
 own pipe, ``retire`` gives the worker back or replaces it, and the loop
@@ -68,12 +68,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.resilience import (
-    DeadlinePolicy,
-    EscalationPolicy,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import EscalationPolicy, FaultPlan
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
 from repro.trace.recorder import recording, trace_span
@@ -289,26 +284,21 @@ class _FleetLease:
     not; a private one is always closed.
     """
 
-    def __init__(
-        self, hosts: str, options: dict, shared: bool, clock=time.monotonic
-    ) -> None:
+    def __init__(self, hosts: str, shared: bool, clock=time.monotonic) -> None:
         # lazy: keeps the socket machinery out of pool-only runs
         from .netengine import FLEET_IDLE_EXIT, SocketTaskEngine
 
         self.shared = shared
         self.clock = clock
-        key = (hosts, tuple(sorted(options.items())))
-        fleet = take_fleet(key) if shared else None
+        fleet = take_fleet(hosts) if shared else None
         self.was_warm = fleet is not None and self._reenter(
             fleet, FLEET_IDLE_EXIT / 2
         )
         if not self.was_warm:
             engine = SocketTaskEngine(
-                hosts,
-                idle_exit=FLEET_IDLE_EXIT if shared else None,
-                **options,
+                hosts, idle_exit=FLEET_IDLE_EXIT if shared else None
             )
-            fleet = ParkedFleet(key, engine, released_at=0.0, runs_served=0)
+            fleet = ParkedFleet(hosts, engine, released_at=0.0, runs_served=0)
         self.fleet = fleet
         self.engine = fleet.engine
         self.cold_start_seconds = (
@@ -445,14 +435,11 @@ def run_multiprocessing(
     cost_model=None,
     warm_pool: bool = True,
     operator_cache: bool = True,
-    retry=None,
-    deadline=None,
     escalation=None,
     faults: Union[str, object, None] = None,
     trace=None,
     engine: str = "pool",
     hosts: Optional[str] = None,
-    engine_options: Optional[dict] = None,
 ) -> MultiprocessingResult:
     """Run the whole application with a process pool over the grids.
 
@@ -466,12 +453,11 @@ def run_multiprocessing(
     hung or transiently failing worker costs a re-dispatch, not the
     run, and an error that survives every retry and the in-master
     fallback surfaces as :class:`~repro.resilience.FaultToleranceExhausted`
-    with the worker's exception as its ``__cause__``.  ``retry``
-    (:class:`~repro.resilience.RetryPolicy`) and ``deadline``
-    (:class:`~repro.resilience.DeadlinePolicy`) replace the ladder's
-    parts, ``escalation`` (:class:`~repro.resilience.EscalationPolicy`)
-    the whole of it; ``faults`` (a :class:`~repro.resilience.FaultPlan`
-    or its spec string) injects failures into the workers.
+    with the worker's exception as its ``__cause__``.  ``escalation``
+    (:class:`~repro.resilience.EscalationPolicy`, whose ``retry`` and
+    ``deadline`` fields default) replaces the ladder; ``faults`` (a
+    :class:`~repro.resilience.FaultPlan` or its spec string) injects
+    failures into the workers.
 
     ``trace`` (a :class:`~repro.trace.TraceRecorder`) records the run's
     structured event timeline: job lifecycle, faults and recovery
@@ -490,10 +476,7 @@ def run_multiprocessing(
     time in a task instance like the pool's, and which are leased
     across calls like the pool
     (``docs/distributed.md``, *Warm fleet*).  Both are drivers of the
-    one dispatch core (:mod:`~repro.restructured.dispatch`);
-    ``engine_options`` passes constructor knobs (heartbeat timeout,
-    reconnect budget) through to
-    :class:`~repro.restructured.netengine.SocketTaskEngine`.
+    one dispatch core (:mod:`~repro.restructured.dispatch`).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -501,14 +484,9 @@ def run_multiprocessing(
         )
     if hosts is not None and engine != "socket":
         raise ValueError("hosts requires engine='socket'")
-    if engine_options is not None and engine != "socket":
-        raise ValueError("engine_options requires engine='socket'")
     plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
     if escalation is None:
-        escalation = EscalationPolicy(
-            retry=retry if retry is not None else RetryPolicy(),
-            deadline=deadline if deadline is not None else DeadlinePolicy(),
-        )
+        escalation = EscalationPolicy()
 
     t_start = time.perf_counter()
     kw_pairs = tuple(sorted((problem_kwargs or {}).items()))
@@ -537,9 +515,7 @@ def run_multiprocessing(
         with trace_span("fanout"):
             if engine == "socket":
                 hosts = hosts or f"localhost:{n_proc}"
-                lease = _FleetLease(
-                    hosts, engine_options or {}, shared=warm_pool
-                )
+                lease = _FleetLease(hosts, shared=warm_pool)
                 net = lease.engine
                 try:
                     outcome = net.run(

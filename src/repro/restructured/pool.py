@@ -209,8 +209,8 @@ _respawns = 0
 class ParkedFleet:
     """A socket fleet between two runs, as the slot holds it."""
 
-    #: ``(hosts, engine options)`` it was built for
-    key: tuple
+    #: the resolved ``hosts`` string it was built for
+    key: str
     #: the parked ``SocketTaskEngine``; only ever ``close()``d here
     engine: Any
     #: the releasing lease's clock reading, taken before it disconnected
@@ -247,7 +247,7 @@ def acquire_pool(processes: Optional[int] = None) -> tuple[PersistentWorkerPool,
         return _shared, False
 
 
-def take_fleet(key: tuple) -> Optional[ParkedFleet]:
+def take_fleet(key: str) -> Optional[ParkedFleet]:
     """Empty the fleet slot; returns what was parked there under
     ``key``.  A fleet parked under another key is closed: one fleet at
     a time, like one pool.  The caller owns what it gets — to park it
@@ -286,7 +286,7 @@ def pool_diagnostics() -> dict[str, float]:
     """Counters for the warm-path report."""
     fleet = _fleet
     return {
-        "fleet_hosts": fleet.key[0] if fleet is not None else "",
+        "fleet_hosts": fleet.key if fleet is not None else "",
         "fleet_daemons": len(fleet.engine.links) if fleet is not None else 0,
         "fleet_runs_served": fleet.runs_served if fleet is not None else 0,
         "fleet_idle_s": (

@@ -70,7 +70,7 @@ class TestResilientFaultFree:
     def test_no_faults_means_clean_counters_and_identical_result(
         self, fault_free_combined
     ):
-        result = _run(retry=RetryPolicy())
+        result = _run(escalation=EscalationPolicy(retry=RetryPolicy()))
         assert result.faults == 0
         assert result.recovered == 0
         assert result.fallbacks == 0
@@ -83,7 +83,7 @@ class TestResilientFaultFree:
         assert result.fault_events == ()
 
 
-#: a *default* level-7 run (no ``faults``, no ``retry``) on the warm
+#: a *default* level-7 run (no ``faults``, no ``escalation``) on the warm
 #: shared pool, one of whose workers is SIGKILLed 50 ms in — mid-run,
 #: a warm run takes about 0.2 s.  Prints what the parent test asserts.
 KILL_A_WORKER = """
@@ -122,13 +122,15 @@ print(json.dumps({
 KILL_AN_IDLE_WORKER = """
 import json, os, signal
 import numpy as np
-from repro.resilience import DeadlinePolicy
+from repro.resilience import DeadlinePolicy, EscalationPolicy
 from repro.restructured import acquire_pool, run_multiprocessing
 
 def run():
     return run_multiprocessing(
         root=2, level=5, tol=1e-3, processes=2,
-        deadline=DeadlinePolicy(floor_seconds=3, default_seconds=3),
+        escalation=EscalationPolicy(
+            deadline=DeadlinePolicy(floor_seconds=3, default_seconds=3)
+        ),
     )
 
 reference = run().combined
@@ -264,7 +266,9 @@ class TestTransientFaults:
     def test_single_transient_exception_is_retried(self, fault_free_combined):
         result = _run(
             faults="raise@1,1",
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.01),
+            escalation=EscalationPolicy(
+                retry=RetryPolicy(max_attempts=3, backoff_seconds=0.01)
+            ),
         )
         assert result.faults == 1
         assert result.recovered == 1
@@ -284,7 +288,11 @@ class TestTransientFaults:
 
         policy = RetryPolicy(backoff_seconds=0.05, jitter=0.0)
         recorder = TraceRecorder()
-        result = _run(faults="raise@1,1", retry=policy, trace=recorder)
+        result = _run(
+            faults="raise@1,1",
+            escalation=EscalationPolicy(retry=policy),
+            trace=recorder,
+        )
         assert result.faults == 1 and result.recovered == 1
         (retry,) = (e for e in recorder.events() if e.kind == "retry")
         assert retry.data["backoff_seconds"] == policy.delay_seconds(1, (1, 1))
@@ -297,7 +305,9 @@ class TestTransientFaults:
     ):
         result = _run(
             faults="raise@1,1:attempt=*",
-            retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+            escalation=EscalationPolicy(
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01)
+            ),
         )
         assert result.faults == 2  # both attempts raised
         assert result.fallbacks == 1
@@ -327,7 +337,9 @@ class TestHangRecovery:
     ):
         result = _run(
             faults="hang@1,1:seconds=120",
-            deadline=DeadlinePolicy(floor_seconds=1.5, default_seconds=1.5),
+            escalation=EscalationPolicy(
+                deadline=DeadlinePolicy(floor_seconds=1.5, default_seconds=1.5)
+            ),
         )
         assert result.faults >= 1
         kinds = {e.kind for e in result.fault_events}
@@ -354,7 +366,7 @@ class TestHangRecovery:
 
         # factor 8 x 10s predicted: the deadline is far away, so a
         # *fault-free* run under a cost model finishes untroubled
-        result = _run(retry=RetryPolicy(), cost_model=Flat())
+        result = _run(escalation=EscalationPolicy(), cost_model=Flat())
         assert result.faults == 0
 
 
@@ -376,7 +388,7 @@ class TestColdPoolCrash:
             tol=TOL,
             processes=2,
             faults="crash@2,2;raise@1,3",
-            deadline=DeadlinePolicy(default_seconds=3),
+            escalation=EscalationPolicy(deadline=DeadlinePolicy(default_seconds=3)),
         )
         assert {e.kind for e in result.fault_events} == {"exception", "crash"}
         assert (result.faults, result.recovered, result.fallbacks) == (2, 2, 0)
@@ -397,7 +409,9 @@ CHAOS = {
     "hang": (
         {
             "faults": "hang@1,1:seconds=120",
-            "deadline": DeadlinePolicy(floor_seconds=1.5, default_seconds=1.5),
+            "escalation": EscalationPolicy(
+                deadline=DeadlinePolicy(floor_seconds=1.5, default_seconds=1.5)
+            ),
         },
         (1, 1, 0, ("deadline",), ("reassign",)),
     ),
@@ -408,15 +422,19 @@ CHAOS = {
     "hang-to-fallback": (
         {
             "faults": "hang@1,1:attempt=*,seconds=120",
-            "retry": RetryPolicy(max_attempts=2, backoff_seconds=0.01),
-            "deadline": DeadlinePolicy(floor_seconds=1.0, default_seconds=1.0),
+            "escalation": EscalationPolicy(
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+                deadline=DeadlinePolicy(floor_seconds=1.0, default_seconds=1.0),
+            ),
         },
         (2, 1, 1, ("deadline", "deadline"), ("reassign", "fallback")),
     ),
     "fallback": (
         {
             "faults": "raise@1,1:attempt=*",
-            "retry": RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+            "escalation": EscalationPolicy(
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01)
+            ),
         },
         (2, 1, 1, ("exception", "exception"), ("retry", "fallback")),
     ),
@@ -480,9 +498,9 @@ class TestLevelSixAcceptance:
             (
                 {
                     "faults": "hang@3,3:seconds=120",
-                    "deadline": DeadlinePolicy(
+                    "escalation": EscalationPolicy(deadline=DeadlinePolicy(
                         floor_seconds=2.0, default_seconds=2.0
-                    ),
+                    )),
                 },
                 1,
             ),

@@ -38,15 +38,13 @@ from repro.restructured import (
     shutdown_pool,
 )
 from repro.restructured import netengine, pool as pool_module
-from repro.restructured.dispatch import _DEADLINE_GRACE, _TimerWheel
+from repro.restructured.dispatch import _TimerWheel
 from repro.restructured.netengine import (
     DRAIN_TIMEOUT,
     FLEET_IDLE_EXIT,
     FrameError,
     HostSpec,
-    _DaemonLink,
     _FrameDecoder,
-    arm_heartbeat_deadline,
     recv_frame,
     send_frame,
 )
@@ -272,72 +270,6 @@ class TestTimerWheel:
         assert fired == ["a", "b", "c"]
 
 
-class TestHeartbeatDeadline:
-    """Satellite of the reactor rewrite: heartbeat-silence detection is
-    now a timer on the wheel reading ``link.last_frame`` from the same
-    thread that writes it — assert its conviction logic with an
-    injected clock, no sockets and no wall time involved."""
-
-    def _link(self, clock):
-        link = _DaemonLink("d0", spawned=True)
-        link.alive = True
-        link.last_frame = clock["t"]
-        return link
-
-    def test_convicts_silent_link_with_jobs_in_flight(self):
-        clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
-        link = self._link(clock)
-        link.job = object()
-        convicted = []
-        arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
-        clock["t"] = 1.0 + 2 * _DEADLINE_GRACE
-        wheel.fire_due()
-        assert convicted == [link]
-
-    def test_frames_postpone_the_deadline(self):
-        clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
-        link = self._link(clock)
-        link.job = object()
-        convicted = []
-        arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
-        # a heartbeat lands just before the deadline: the watch re-arms
-        # at last_frame + timeout instead of convicting
-        clock["t"] = 0.9
-        link.last_frame = 0.9
-        clock["t"] = 1.0 + 2 * _DEADLINE_GRACE
-        wheel.fire_due()
-        assert convicted == []
-        clock["t"] = 1.9 + 2 * _DEADLINE_GRACE
-        wheel.fire_due()
-        assert convicted == [link]
-
-    def test_idle_silence_is_not_a_hang(self):
-        clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
-        link = self._link(clock)  # nothing in flight: owes no result
-        convicted = []
-        arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
-        clock["t"] = 10.0
-        wheel.fire_due()
-        assert convicted == []
-        assert len(wheel) == 1  # still watching, re-armed
-
-    def test_stale_epoch_watch_is_void(self):
-        clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
-        link = self._link(clock)
-        link.job = object()
-        convicted = []
-        arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
-        link.epoch += 1  # the connection was replaced: old watch is void
-        clock["t"] = 5.0
-        wheel.fire_due()
-        assert convicted == []
-        assert len(wheel) == 0  # and it does not re-arm
-
-
 class TestReactorInvariants:
     def test_no_sleep_outside_worker_daemon(self):
         """No loop of the execution layer sleeps or owns a thread: the
@@ -555,6 +487,72 @@ class TestReactorInvariants:
                 imported.add(node.module)
         assert "subprocess" not in imported
         assert "LISTENING" not in source
+
+    def test_the_socket_master_one_size_down(self):
+        """A link is a state machine and ``run`` is a loop: the loop
+        holds no closure, only ``move`` writes a link's state, nothing
+        of the write queue or the six flags it replaced is named, the
+        one write interest left is the revive's connect, and nothing a
+        caller never set can be set."""
+        import ast
+        import inspect
+
+        source = inspect.getsource(netengine)
+        tree = ast.parse(source)
+        (engine,) = (
+            n for n in tree.body
+            if isinstance(n, ast.ClassDef) and n.name == "SocketTaskEngine"
+        )
+        (run,) = (
+            n for n in engine.body
+            if isinstance(n, ast.FunctionDef) and n.name == "run"
+        )
+        assert not [
+            n for n in ast.walk(run)
+            if n is not run and isinstance(n, (ast.FunctionDef, ast.Lambda))
+        ]
+        assert run.end_lineno - run.lineno + 1 <= 80
+
+        writers = set()
+
+        class Visitor(ast.NodeVisitor):
+            def __init__(self):
+                self.stack = []
+
+            def scoped(self, node):
+                self.stack.append(node.name)
+                self.generic_visit(node)
+                self.stack.pop()
+
+            visit_ClassDef = visit_FunctionDef = scoped
+
+            def written(self, node):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Attribute) and leaf.attr in (
+                            "state", "generation"
+                        ):
+                            writers.add(tuple(self.stack))
+                self.generic_visit(node)
+
+            visit_Assign = visit_AugAssign = visit_AnnAssign = written
+
+        Visitor().visit(tree)
+        assert writers == {("_DaemonLink", "__init__"), ("_DaemonLink", "move")}
+
+        assert source.count("EVENT_WRITE") == 1
+        for name in (
+            "_OutFrame", "sendq", "events_mask", "revive_token",
+            ".epoch", ".alive", ".reviving",
+        ):
+            assert name not in source, name
+        assert list(inspect.signature(SocketTaskEngine.__init__).parameters) == [
+            "self", "hosts", "idle_exit"
+        ]
+        assert not {"retry", "deadline", "engine_options"} & set(
+            inspect.signature(run_multiprocessing).parameters
+        )
 
     def test_master_adds_no_threads(self, pickle_combined):
         """One selector, zero reader threads; one ``wait`` over the
@@ -945,7 +943,7 @@ class TestWarmFleet:
         daemon = WorkerDaemon(port=0)
         daemon._listener.close()
         assert daemon.idle_exit is None
-        lease = _FleetLease("localhost:1", {}, shared=True)
+        lease = _FleetLease("localhost:1", shared=True)
         try:
             assert lease.engine.idle_exit == FLEET_IDLE_EXIT
         finally:
@@ -959,7 +957,7 @@ class TestWarmFleet:
         specs = _level_specs()
 
         def leased_run():
-            lease = _FleetLease("localhost:2", {}, shared=True, clock=clock)
+            lease = _FleetLease("localhost:2", shared=True, clock=clock)
             try:
                 lease.engine.run(specs, escalation=EscalationPolicy())
             finally:
@@ -977,7 +975,7 @@ class TestWarmFleet:
         sentinels = [os.dup(link.proc.sentinel) for link in stale.links]
         try:
             clock.value += FLEET_IDLE_EXIT / 2
-            third = _FleetLease("localhost:2", {}, shared=True, clock=clock)
+            third = _FleetLease("localhost:2", shared=True, clock=clock)
             try:
                 # the stale fleet was stopped inside the constructor,
                 # without a job: the new daemons are other processes
@@ -992,11 +990,7 @@ class TestWarmFleet:
                 os.close(fd)
         assert pool_module._fleet.engine is third.engine
 
-    @pytest.mark.parametrize(
-        "other",
-        [{"hosts": "localhost:4"},
-         {"engine_options": {"heartbeat_timeout": 4.0}}],
-    )
+    @pytest.mark.parametrize("other", [{"hosts": "localhost:4"}])
     def test_another_key_closes_the_old_fleet_first(self, other):
         _run(engine="socket", hosts="localhost:2")
         old = pool_module._fleet
@@ -1006,7 +1000,7 @@ class TestWarmFleet:
         assert old.engine._closed
         assert not [p for p in pids if os.path.exists(f"/proc/{p}")]
         assert pool_module._fleet.key != old.key
-        assert pool_module._fleet.key[0] == result.hosts
+        assert pool_module._fleet.key == result.hosts
 
     def test_cold_runs_never_touch_the_slot(self, pickle_combined):
         cold = _run(engine="socket", warm_pool=False)
@@ -1020,19 +1014,20 @@ class TestWarmFleet:
         assert pool_module._fleet is parked and parked.runs_served == 1
         assert _run(engine="socket").warm_pool
 
-    def test_the_gap_between_runs_is_not_a_hang(self, pickle_combined):
-        """A link that was quiet for longer than ``heartbeat_timeout``
+    def test_the_gap_between_runs_is_not_a_hang(self, monkeypatch, pickle_combined):
+        """A link that was quiet for longer than ``HEARTBEAT_TIMEOUT``
         between two runs owes nothing: the watch armed by the second run
         first looks one timeout later."""
-        options = {"heartbeat_timeout": 0.3, "daemon_heartbeat_interval": 0.1}
+        monkeypatch.setattr(netengine, "HEARTBEAT_TIMEOUT", 0.3)
+        monkeypatch.setattr(netengine, "HEARTBEAT_INTERVAL", 0.1)
         specs = _level_specs()
-        with SocketTaskEngine("localhost:2", **options) as engine:
+        with SocketTaskEngine("localhost:2") as engine:
             engine.run(specs, escalation=EscalationPolicy())
             time.sleep(0.5)
             outcome = engine.run(specs, escalation=EscalationPolicy())
             assert not outcome.events and engine.reconnects == 0
         for expect_warm in (False, True):
-            result = _run(engine="socket", engine_options=options)
+            result = _run(engine="socket")
             assert result.warm_pool is expect_warm
             assert (result.faults, result.reconnects) == (0, 0)
             assert np.array_equal(result.combined, pickle_combined)
@@ -1098,11 +1093,12 @@ class TestChaos:
         assert (2, 0) in result.recovered_keys
         assert not local_daemon._drop_result_keys
 
-    def test_heartbeat_silence_past_deadline(self, pickle_combined):
+    def test_heartbeat_silence_past_deadline(self, monkeypatch, pickle_combined):
         """A daemon that stops talking while a job is in flight is a
         hang: detected by heartbeat timeout, replaced, re-dispatched."""
         # beats every 30s (never, at test scale) against a 1.2s timeout:
         # the only liveness signal left is result frames themselves
+        monkeypatch.setattr(netengine, "HEARTBEAT_TIMEOUT", 1.2)
         daemon = WorkerDaemon(port=0, heartbeat_interval=30.0)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
@@ -1113,7 +1109,6 @@ class TestChaos:
                 hosts=f"tcp://127.0.0.1:{daemon.port}",
                 faults="hang@2,0:seconds=45",
                 trace=recorder,
-                engine_options={"heartbeat_timeout": 1.2},
             )
             assert np.array_equal(result.combined, pickle_combined)
             assert result.faults == 1
@@ -1156,9 +1151,9 @@ class TestRetryNoHeadOfLine:
         result = _run(
             engine="socket",
             faults="raise@2,0",
-            retry=RetryPolicy(
+            escalation=EscalationPolicy(retry=RetryPolicy(
                 backoff_seconds=1.5, backoff_factor=1.0, jitter=0.0
-            ),
+            )),
             trace=recorder,
         )
         assert np.array_equal(result.combined, pickle_combined)

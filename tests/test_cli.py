@@ -221,11 +221,18 @@ class TestWorkerDaemon:
             shutdown_pool()
 
     @pytest.mark.parametrize(
-        "flag", (["--capacity", "2"], ["--no-perpetual"], ["--drain-timeout", "1"])
+        "flag",
+        (
+            ["--capacity", "2"],
+            ["--no-perpetual"],
+            ["--drain-timeout", "1"],
+            ["--heartbeat-interval", "10"],
+        ),
     )
     def test_a_daemon_holds_one_job_and_says_so(self, flag, capsys):
         # one task instance per daemon, kept for the next job, drained
-        # for DRAIN_TIMEOUT: none of the three is a choice any more
+        # for DRAIN_TIMEOUT, beating at a tenth of the master's silence
+        # window: none of the four is a choice any more
         with pytest.raises(SystemExit) as info:
             main(["worker-daemon", "--port", "0", *flag])
         assert info.value.code == 2

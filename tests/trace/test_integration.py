@@ -13,7 +13,7 @@ import pytest
 
 from repro.manifold import Runtime
 from repro.manifold.events import Event, EventOccurrence
-from repro.resilience import RetryPolicy
+from repro.resilience import EscalationPolicy, RetryPolicy
 from repro.restructured import run_multiprocessing
 from repro.trace import (
     TraceAnalysis,
@@ -42,7 +42,9 @@ def traced_faulted_run():
     result = run_multiprocessing(
         root=2, level=LEVEL, tol=1e-3, processes=2,
         faults="raise@1,1",
-        retry=RetryPolicy(backoff_seconds=0.0, jitter=0.0),
+        escalation=EscalationPolicy(
+            retry=RetryPolicy(backoff_seconds=0.0, jitter=0.0)
+        ),
         trace=rec,
     )
     return result, rec
