@@ -1,18 +1,14 @@
-"""Warm-path execution layer: the cold/warm ratio and dispatch makespan.
+"""Warm-path execution layer: the cold/warm ratio.
 
-The seed's real-parallel path (E8) paid three coordination taxes on
-every call: a fresh fork pool, from-scratch operator assembly in every
-worker, and ``pool.map`` static chunking that dispatches the heavy
-diagonal last.  This bench measures what the warm execution layer —
-persistent pool + process-local operator/factor cache + cost-ordered
-one-job-at-a-time dispatch — buys back, and asserts the paper-grade
-invariant that none of it changes a single bit of the answer.
-
-Since the dispatch core became the only way onto a pool worker there is
-no executed ``pool.map`` to time: ``cold_seconds`` is "throwaway pool +
-no operator reuse" (dispatched longest-first like every run), and the
-scheduling share of the seed's tax is the *modelled*
-``makespan_static_chunk`` of the second test.
+The seed's real-parallel path (E8) paid two coordination taxes on every
+call that can still be switched back on: a fresh fork pool and
+from-scratch operator assembly in every worker (``warm_pool=False``).
+This bench measures what the warm execution layer — persistent pool +
+process-local operator/factor cache — buys back, and asserts the
+paper-grade invariant that none of it changes a single bit of the
+answer.  Both sides are dispatched longest-first through the one
+dispatch core; the seed's third tax, ``pool.map``'s static chunking,
+went with ``pool.map`` and is no longer scored.
 
 Runs in a fast smoke mode inside the tier-1 suite; set
 ``REPRO_BENCH_MODE=full`` for the full measurement.
@@ -23,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf.warmpath import dispatch_makespan
 from repro.restructured import run_multiprocessing, shutdown_pool
 from repro.sparsegrid import SequentialApplication
 
@@ -32,10 +27,7 @@ ROOT = 2
 
 def _cold_run(level: float, tol: float):
     """The seed's throwaway pool and per-run assembly: no reuse."""
-    return run_multiprocessing(
-        root=ROOT, level=level, tol=tol,
-        warm_pool=False, operator_cache=False,
-    )
+    return run_multiprocessing(root=ROOT, level=level, tol=tol, warm_pool=False)
 
 
 def _warm_run(level: float, tol: float):
@@ -95,43 +87,6 @@ def test_cold_vs_warm_ratio(benchmark, warm_path_settings):
     assert ratio >= 1.5, (
         f"warm path must be >= 1.5x faster than the seed cold path, "
         f"got {ratio:.2f}x"
-    )
-
-
-@pytest.mark.benchmark(group="warm-path")
-def test_longest_first_beats_static_chunk_makespan(benchmark, warm_path_settings):
-    """The dispatch-order makespan metric on the level->=6 grid family:
-    longest-predicted-first greedy dispatch vs ``pool.map`` static
-    chunking, scored on the run's own measured per-grid durations."""
-    level = warm_path_settings["makespan_level"]
-    tol = warm_path_settings["makespan_tol"]
-    workers = warm_path_settings["makespan_workers"]
-
-    # one worker, in a pool of its own: caches are per worker, so with
-    # two a grid can still miss after any number of warm-ups — most
-    # often the last ones dispatched — and the inflated durations of
-    # those misses, not the dispatch order, decide the comparison
-    def run():
-        return run_multiprocessing(root=ROOT, level=level, tol=tol, processes=1)
-
-    shutdown_pool()
-    run()  # warm the caches so durations are steady
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
-    # longest-predicted-first: the heavy diagonal leads
-    assert sum(result.dispatch_order[0]) == level
-
-    span = dispatch_makespan(result, n_workers=workers)
-    benchmark.extra_info["makespan_dispatched"] = span.dispatched_seconds
-    benchmark.extra_info["makespan_static_chunk"] = span.static_chunk_seconds
-    benchmark.extra_info["makespan_gain"] = span.gain_over_static
-    print(f"\nmakespan @{workers} workers: longest-first "
-          f"{span.dispatched_seconds:.3f}s vs static chunk "
-          f"{span.static_chunk_seconds:.3f}s "
-          f"(gain {span.gain_over_static:.2f}x)")
-    assert span.dispatched_seconds < span.static_chunk_seconds, (
-        "longest-first dispatch must beat pool.map static chunking on "
-        f"makespan: {span.dispatched_seconds:.4f}s vs "
-        f"{span.static_chunk_seconds:.4f}s"
     )
 
 

@@ -34,21 +34,17 @@ FULL = os.environ.get("REPRO_BENCH_MODE", "smoke") == "full"
 @pytest.fixture(scope="session")
 def warm_path_settings() -> dict:
     """Configuration of the warm-path bench: mid-size level either way,
-    the full mode just runs more rounds and a tighter makespan tol."""
+    the full mode just runs more rounds."""
     if FULL:
         return {
             "full": True,
             "level": 5, "tol": 1.0e-3,
             "cold_rounds": 3, "warm_rounds": 5,
-            "makespan_level": 6, "makespan_tol": 1.0e-4,
-            "makespan_workers": 8,
         }
     return {
         "full": False,
         "level": 5, "tol": 1.0e-3,
         "cold_rounds": 2, "warm_rounds": 3,
-        "makespan_level": 6, "makespan_tol": 1.0e-3,
-        "makespan_workers": 8,
     }
 
 

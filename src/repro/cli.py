@@ -302,7 +302,6 @@ def cmd_run_parallel(args) -> int:
             processes=args.processes,
             cost_model=model,
             warm_pool=not args.cold,
-            operator_cache=not args.cold,
             escalation=escalation,
             faults=plan,
             trace=recorder,

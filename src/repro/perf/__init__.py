@@ -35,7 +35,6 @@ from .warmpath import (
     WarmPathReport,
     dispatch_makespan,
     simulate_makespan,
-    static_chunk_makespan,
     warm_path_report,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "replay_on_cluster",
     "simulate_makespan",
     "speedup",
-    "static_chunk_makespan",
     "summarize_runs",
     "time_callable",
     "warm_path_report",

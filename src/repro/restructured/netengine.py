@@ -60,7 +60,9 @@ Wire protocol: length-prefixed frames.  A frame is an 8-byte header
 (``RPRO`` magic + big-endian payload length) followed by the pickled
 ``(kind, data)`` body.  Kinds: ``hello``/``heartbeat``/``result``/
 ``error`` from the daemon, ``job``/``stop`` from the master.  The magic
-check rejects cross-talk from a non-daemon peer before any unpickling.
+check rejects cross-talk from a non-daemon peer before any unpickling,
+and a body that is not such a pair is a :class:`FrameError` like a
+truncated one: whichever end reads it drops that connection and goes on.
 
 Failure model.  The job lifecycle — attempts, deadlines, the escalation
 ladder — is the shared dispatch core's
@@ -68,7 +70,7 @@ ladder — is the shared dispatch core's
 its socket driver and contributes the detection channels of a network:
 
 * a **dropped connection** (daemon killed, network reset, truncated
-  frame) convicts the job in flight on that daemon as a ``crash``
+  or undecodable frame) convicts the job in flight on that daemon as a ``crash``
   fault; the master reconnects (re-spawning a local daemon, or
   re-dialing a remote one) with timer-driven exponential backoff,
   recorded as a ``reconnect`` trace event;
@@ -170,7 +172,8 @@ _FORK = multiprocessing.get_context("fork")
 
 
 class FrameError(ConnectionError):
-    """The framed stream broke: bad magic, truncation, oversize."""
+    """The framed stream broke: bad magic, truncation, oversize, or a
+    body that is not a pickled ``(kind, data)`` pair."""
 
 
 def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[bytes]:
@@ -201,6 +204,20 @@ def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[b
 def _pack_frame(kind: str, data: object) -> bytes:
     body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
     return _HEADER.pack(MAGIC, len(body)) + body
+
+
+def _unpack_body(body: bytes) -> tuple[str, object]:
+    """The ``(kind, data)`` pair of a frame body.  Anything else is a
+    broken stream, which both ends survive as they do a reset: garbage
+    raises whatever its bytes happen to spell, hence the broad catch.
+    (Unpickling still runs what a hostile peer sends — ROADMAP 4.)"""
+    try:
+        frame = pickle.loads(body)
+    except Exception as exc:
+        raise FrameError(f"frame body does not unpickle: {exc!r}") from exc
+    if not (isinstance(frame, tuple) and len(frame) == 2):
+        raise FrameError(f"frame body is not a (kind, data) pair: {type(frame)}")
+    return frame
 
 
 def send_frame(sock: socket.socket, kind: str, data: object) -> tuple[int, float]:
@@ -236,7 +253,7 @@ def recv_frame(
     t0 = time.perf_counter()
     body = _recv_exact(sock, length, at_boundary=False)
     seconds = time.perf_counter() - t0
-    kind, data = pickle.loads(body)
+    kind, data = _unpack_body(body)
     return kind, data, _HEADER.size + length, seconds
 
 
@@ -294,7 +311,7 @@ class _FrameDecoder:
             nbytes = _HEADER.size + self._body_len
             seconds = time.perf_counter() - self._body_t0
             self._body_len = None
-            kind, payload = pickle.loads(body)
+            kind, payload = _unpack_body(body)
             frames.append((kind, payload, nbytes, seconds))
         return frames
 
@@ -455,14 +472,11 @@ class WorkerDaemon:
         port: int = 0,
         *,
         listener: Optional[socket.socket] = None,
-        heartbeat_interval: Optional[float] = None,
         idle_exit: Optional[float] = None,
     ) -> None:
-        #: read when the daemon is built: ``None`` is the interval the
-        #: master's silence window is ten of
-        self.heartbeat_interval = (
-            HEARTBEAT_INTERVAL if heartbeat_interval is None else heartbeat_interval
-        )
+        #: read when the daemon is built; the master's silence window is
+        #: ten of it
+        self.heartbeat_interval = HEARTBEAT_INTERVAL
         self.idle_exit = idle_exit
         #: a forked daemon adopts the listener its master bound for it
         self._listener = listener or socket.create_server((host, port))
@@ -577,23 +591,27 @@ class WorkerDaemon:
         for kind, body, _, _ in frames:
             if kind == "stop":
                 self._stopping = True
-            elif kind == "job":
-                self._take_job(conn, body)
+            elif kind == "job" and not self._take_job(conn, body):
+                return False
             # unknown kinds are ignored: forward compatibility
         return True
 
-    def _take_job(self, conn: socket.socket, data: dict) -> None:
-        spec: SubsolveJobSpec = data["spec"]
-        plan = data.get("plan")
-        attempt = int(data.get("attempt", 1))
-        use_cache = bool(data.get("use_cache", True))
-        key = (spec.l, spec.m)
+    def _take_job(self, conn: socket.socket, data: object) -> bool:
+        """Start, hold or refuse one job; ``False`` — drop this master —
+        for a ``job`` frame without the four fields every master sends."""
+        try:
+            spec, plan, attempt, use_cache = (
+                data[field] for field in ("spec", "plan", "attempt", "use_cache")
+            )
+            key = (spec.l, spec.m)
+        except (KeyError, TypeError, AttributeError):
+            return False
         if self._job is not None:
             self._send_error(
                 conn, key, attempt, "exception",
                 f"daemon busy with grid {self._job[0]}: one job per worker",
             )
-            return
+            return True
         action = plan.action(spec.l, spec.m, attempt) if plan is not None else None
         if action is not None and action.kind == "crash":
             # the daemon kill: this machine drops off the network,
@@ -608,8 +626,9 @@ class WorkerDaemon:
                 time.monotonic() + action.seconds,
                 (spec, None, attempt, use_cache),
             )
-            return
+            return True
         self._forward((spec, plan, attempt, use_cache))
+        return True
 
     def _forward(self, message: tuple) -> None:
         if self._instance is None:

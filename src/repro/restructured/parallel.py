@@ -21,11 +21,9 @@ overhead in three ways:
   which lose makespan on the geometrically-skewed grid family (the
   biggest diagonal sits at the *end* of the paper's loop order).
 
-``warm_pool=False`` and ``operator_cache=False`` reproduce the seed's
-throwaway pool and per-run assembly, so the benchmarks can measure the
-cold/warm gap; the seed's chunking is scored on the run's measured
-durations (:func:`repro.perf.warmpath.static_chunk_makespan`).  Every
-configuration is bitwise identical in its output.
+``warm_pool=False`` reproduces the seed's throwaway pool and per-run
+assembly, so the benchmarks can measure the cold/warm gap.  Both
+configurations are bitwise identical in their output.
 
 **Fault tolerance.**  Every run — with or without ``escalation`` or
 ``faults`` — is driven by the shared dispatch core
@@ -434,7 +432,6 @@ def run_multiprocessing(
     target_cap: int | None = 8,
     cost_model=None,
     warm_pool: bool = True,
-    operator_cache: bool = True,
     escalation=None,
     faults: Union[str, object, None] = None,
     trace=None,
@@ -443,10 +440,10 @@ def run_multiprocessing(
 ) -> MultiprocessingResult:
     """Run the whole application with a process pool over the grids.
 
-    The defaults are the warm path; ``warm_pool=False`` forks a
-    throwaway pool — on the socket engine, throwaway daemons — (the
-    seed behaviour) and ``operator_cache=False`` disables worker-side
-    operator/factor reuse, for cold measurements.
+    The defaults are the warm path; ``warm_pool=False`` is the one
+    cold switch, for cold measurements: a throwaway pool — on the
+    socket engine, throwaway daemons — whose workers reuse no operator
+    or factor (the seed behaviour).
 
     Every run is driven by the dispatch core under the default ladder
     ``EscalationPolicy(RetryPolicy(), DeadlinePolicy())``: a crashed,
@@ -522,7 +519,7 @@ def run_multiprocessing(
                         ordered,
                         escalation=escalation,
                         plan=plan,
-                        use_cache=operator_cache,
+                        use_cache=warm_pool,
                         cost_model=cost_model,
                         trace=trace,
                     )
@@ -543,7 +540,7 @@ def run_multiprocessing(
                     outcome = _run_pool(
                         lease,
                         ordered,
-                        use_cache=operator_cache,
+                        use_cache=warm_pool,
                         plan=plan,
                         escalation=escalation,
                         cost_model=cost_model,

@@ -221,28 +221,26 @@ class ParkedFleet:
 _fleet: Optional[ParkedFleet] = None
 
 
-def acquire_pool(processes: Optional[int] = None) -> tuple[PersistentWorkerPool, bool]:
+def acquire_pool(processes: int) -> tuple[PersistentWorkerPool, bool]:
     """Return ``(pool, was_warm)`` — the shared pool, creating or
     growing it only when needed.
 
-    ``processes=None`` accepts any live pool (defaulting to the CPU
-    count on a cold start); an explicit requirement larger than the
-    current pool drains it and grows a replacement.  Serialized against
-    concurrent ``acquire_pool``/``shutdown_pool`` callers.
+    A requirement larger than the current pool drains it and grows a
+    replacement.  Serialized against concurrent
+    ``acquire_pool``/``shutdown_pool`` callers.
     """
     global _shared, _cold_starts, _warm_acquisitions
-    needed = processes or multiprocessing.cpu_count()
     with _shared_lock:
         if (
             _shared is not None
             and not _shared.closed
-            and (processes is None or _shared.processes >= needed)
+            and _shared.processes >= processes
         ):
             _warm_acquisitions += 1
             return _shared, True
         if _shared is not None:
             _shared.shutdown()
-        _shared = PersistentWorkerPool(needed)
+        _shared = PersistentWorkerPool(processes)
         _cold_starts += 1
         return _shared, False
 

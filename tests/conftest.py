@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import random
+import socket
+import struct
 
 import pytest
 
@@ -122,3 +125,32 @@ def process_running(pid) -> bool:
             return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
     except OSError:
         return False
+
+
+def _framed(body: bytes) -> bytes:
+    return struct.pack("!4sI", b"RPRO", len(body)) + body
+
+
+#: what no master sends, each behind a valid header: a body that is no
+#: pickle, a pickle that is no ``(kind, data)`` pair, a ``job`` without
+#: its ``spec``
+HOSTILE_FRAMES = {
+    "garbage": _framed(b"not a pickle at all"),
+    "no-pair": _framed(pickle.dumps(5)),
+    "no-spec": _framed(
+        pickle.dumps(("job", {"plan": None, "attempt": 1, "use_cache": True}))
+    ),
+}
+
+
+def daemon_hangs_up_on(port: int, wire: bytes) -> bool:
+    """Send ``wire`` to the daemon on ``port`` after its ``hello``;
+    ``True`` once the daemon has closed that connection."""
+    from repro.restructured.netengine import recv_frame
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        assert recv_frame(sock)[0] == "hello"
+        sock.sendall(wire)
+        while (frame := recv_frame(sock)) is not None:
+            assert frame[0] == "heartbeat"
+    return True

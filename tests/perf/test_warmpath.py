@@ -1,9 +1,7 @@
 """The deterministic scheduling metric and the warm-path report.
 
-Hand-checkable examples pin down the simulator (greedy list schedule)
-and the ``pool.map`` chunk formula; the LPT-beats-static property is
-then asserted on a synthetic geometrically-skewed duration family like
-the grid family's, and on a real (tiny) run.
+Hand-checkable examples pin down the simulator (greedy list schedule);
+the metric and the report are then checked on a real (tiny) run.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import pytest
 from repro.perf.warmpath import (
     dispatch_makespan,
     simulate_makespan,
-    static_chunk_makespan,
-    static_chunks,
     warm_path_report,
 )
 from repro.restructured import run_multiprocessing, shutdown_pool
@@ -49,30 +45,6 @@ class TestSimulateMakespan:
             simulate_makespan([-1.0], 2)
 
 
-class TestStaticChunks:
-    def test_pool_map_formula(self):
-        # divmod(13, 8*4) = (0, 13) -> chunksize 1: every job its own unit
-        assert static_chunks(13, 8) == [1] * 13
-        # divmod(13, 2*4) = (1, 5) -> chunksize 2
-        assert static_chunks(13, 2) == [2, 2, 2, 2, 2, 2, 1]
-
-    def test_explicit_chunksize(self):
-        assert static_chunks(5, 4, chunksize=3) == [3, 2]
-
-    def test_empty(self):
-        assert static_chunks(0, 4) == []
-
-    def test_chunking_penalty_on_skewed_tail(self):
-        # the paper loop puts the heavy diagonal last; with chunksize 2
-        # the two heaviest jobs land in one chunk on one worker
-        durations = [1, 1, 1, 1, 4, 4]  # sum 12
-        chunked = static_chunk_makespan(durations, 2, chunksize=2)
-        per_job = simulate_makespan(sorted(durations, reverse=True), 2)
-        assert chunked == 10.0  # chunk sums [2, 2, 8] -> worker A: 2+8
-        assert per_job == 6.0  # LPT balances both workers at the bound
-        assert chunked > per_job
-
-
 class TestDispatchMakespan:
     @pytest.fixture(scope="class")
     def result(self):
@@ -85,26 +57,12 @@ class TestDispatchMakespan:
         finally:
             shutdown_pool()
 
-    def test_geometric_family_lpt_beats_static(self):
-        # synthetic stand-in for the grid family: two diagonals, the
-        # heavier one ~2x, near-square grids heaviest within a diagonal,
-        # loop order puts the heavy diagonal last
-        light = [1.0, 1.6, 2.0, 1.6, 1.0]
-        heavy = [2.0, 3.2, 4.0, 3.2, 2.0]
-        loop_order = light + heavy
-        lpt = sorted(loop_order, reverse=True)
-        assert simulate_makespan(lpt, 4) < static_chunk_makespan(loop_order, 4)
-
     def test_real_run_metric_is_consistent(self, result):
         span = dispatch_makespan(result, n_workers=8)
         assert span.n_workers == 8
         assert span.lower_bound_seconds <= span.longest_first_seconds
         assert span.lower_bound_seconds <= span.dispatched_seconds
         assert span.dispatched_seconds > 0.0
-        assert span.static_chunk_seconds > 0.0
-        assert span.gain_over_static == pytest.approx(
-            span.static_chunk_seconds / span.dispatched_seconds
-        )
 
     def test_default_worker_count_floor(self, result):
         span = dispatch_makespan(result)
@@ -115,6 +73,6 @@ class TestDispatchMakespan:
         text = "\n".join(report.lines())
         assert "operator cache" in text
         assert "makespan @8 workers" in text
-        assert report.warm_pool
-        assert report.operator_cache_hit_ratio == 1.0
-        assert report.level == 3 and report.tol == 1.0e-3
+        assert report.result.warm_pool
+        assert report.result.operator_cache_hit_ratio == 1.0
+        assert report.result.level == 3 and report.result.tol == 1.0e-3

@@ -47,6 +47,7 @@ from repro.restructured.netengine import (
     arm_heartbeat_deadline,
 )
 from repro.trace import TraceRecorder
+from tests.conftest import HOSTILE_FRAMES
 from tests.restructured.test_dispatch_core import (  # noqa: F401 - autouse fixture
     FakeClock,
     no_substrate,
@@ -685,6 +686,8 @@ class Daemons:
             sock.say("heartbeat", {"pid": 1})
         elif action == "eof":
             sock.eof = True
+        elif action == "garbage":
+            sock.inbox += HOSTILE_FRAMES["garbage"]
         else:
             return []
         return [sock]
@@ -711,6 +714,37 @@ class TestRun:
         assert [link.state for link in rig.links] == ["up", "up"]
         assert rig.engine.reconnects == 1
         assert not rig.engine.reusable and not rig.engine.park()
+
+    @pytest.mark.parametrize("frame", ["garbage", "no-pair"])
+    def test_undecodable_body_convicts_its_link(self, frame):
+        """A frame whose body is not a pickled ``(kind, data)`` pair is
+        a broken stream: that link is lost, its job re-dispatched, and
+        the run returns — it does not end on an ``UnpicklingError``."""
+        rig = Rig(links=2)
+        rig.dial_limit = 0  # the garbled link never comes back
+        behave = Daemons(rig)
+        garbled = rig.links[0].sock
+
+        def script(timeout):
+            if garbled.closed:
+                return behave(timeout)
+            garbled.inbox += HOSTILE_FRAMES[frame]
+            return [garbled]
+
+        rig.selector.script = script
+        outcome = rig.run(self.KEYS)
+        assert [(e.key, e.kind, e.detected_by) for e in outcome.events] == [
+            ((2, 0), "crash", "connection")
+        ]
+        assert "frame body" in outcome.events[0].error
+        assert sorted(outcome.completion_order) == sorted(self.KEYS)
+        assert outcome.recovered_keys == ((2, 0),)
+        resubmitted = [
+            e.worker for e in rig.trace.events()
+            if e.kind == "job_submit" and e.key == (2, 0)
+        ]
+        assert resubmitted == ["daemon-0", "daemon-1"]
+        assert [link.state for link in rig.links] == ["down", "up"]
 
     def test_a_descriptor_dropped_earlier_in_its_batch_is_skipped(self):
         rig = Rig(links=2)
@@ -766,7 +800,7 @@ class TestRun:
 
 ACTIONS = (
     "hello", "result", "error", "eof", "silence", "connect-ok",
-    "connect-fail", "advance", "heartbeat", "late",
+    "connect-fail", "advance", "heartbeat", "late", "garbage",
 )
 TERMINAL = {JobState.DONE, JobState.FALLBACK}
 

@@ -53,6 +53,7 @@ from repro.sparsegrid import SequentialApplication, nested_loop_grids
 from repro.sparsegrid.registry import make_problem
 from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace import TraceAnalysis, TraceRecorder
+from tests.conftest import HOSTILE_FRAMES, daemon_hangs_up_on
 from tests.conftest import process_children as _children
 from tests.conftest import process_running as _running
 
@@ -85,10 +86,11 @@ def pickle_combined():
 
 
 @pytest.fixture()
-def local_daemon():
+def local_daemon(monkeypatch):
     """One in-process WorkerDaemon on an OS-assigned loopback port,
     served from a thread — the ``tcp://`` dial target of the tests."""
-    daemon = WorkerDaemon(port=0, heartbeat_interval=0.2)
+    monkeypatch.setattr(netengine, "HEARTBEAT_INTERVAL", 0.2)
+    daemon = WorkerDaemon(port=0)
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
     yield daemon
@@ -155,6 +157,18 @@ class TestFraming:
         try:
             a.sendall(struct.pack("!4sI", b"RPRO", (1 << 30) + 1))
             with pytest.raises(FrameError, match="cap"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+
+    @pytest.mark.parametrize("frame", ["garbage", "no-pair"])
+    def test_body_that_is_no_pair_raises(self, frame):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(HOSTILE_FRAMES[frame])
+            with pytest.raises(FrameError, match="frame body"):
                 recv_frame(b)
         finally:
             a.close()
@@ -233,6 +247,11 @@ class TestFrameDecoder:
         decoder = _FrameDecoder()
         with pytest.raises(FrameError, match="cap"):
             decoder.feed(struct.pack("!4sI", b"RPRO", (1 << 30) + 1))
+
+    @pytest.mark.parametrize("frame", ["garbage", "no-pair"])
+    def test_body_that_is_no_pair_raises(self, frame):
+        with pytest.raises(FrameError, match="frame body"):
+            _FrameDecoder().feed(HOSTILE_FRAMES[frame])
 
     def test_describe_partial_names_the_break_point(self):
         decoder = _FrameDecoder()
@@ -393,6 +412,34 @@ class TestReactorInvariants:
         daemon_source = inspect.getsource(netengine)
         for name in ("TaskInstanceEngine", "TaskInstanceDied"):
             assert name not in daemon_source, name
+
+    def test_no_option_serves_a_deleted_layer(self):
+        """``warm_pool`` is the one cold switch, a daemon's beat is the
+        module's, a pool is acquired for a size, the combination is one
+        function, nothing scores ``Pool.map``'s chunking, and the
+        warm-path report holds the result it reports on."""
+        import dataclasses
+        import inspect
+
+        from repro.perf import warmpath
+        from repro.sparsegrid import combination
+
+        def parameters(function):
+            return inspect.signature(function).parameters
+
+        assert "operator_cache" not in parameters(run_multiprocessing)
+        assert "heartbeat_interval" not in parameters(WorkerDaemon.__init__)
+        assert (
+            parameters(acquire_pool)["processes"].default is inspect.Parameter.empty
+        )
+        assert not [
+            name for name, value in vars(combination).items()
+            if inspect.isclass(value) and value.__module__ == combination.__name__
+        ]
+        assert not [name for name in vars(warmpath) if name.startswith("static_")]
+        assert {f.name for f in dataclasses.fields(warmpath.WarmPathReport)} == {
+            "result", "makespan", "trace"
+        }
 
     def test_one_way_home_for_a_result(self):
         """A result array comes home pickled and nothing else: no module
@@ -1099,7 +1146,8 @@ class TestChaos:
         # beats every 30s (never, at test scale) against a 1.2s timeout:
         # the only liveness signal left is result frames themselves
         monkeypatch.setattr(netengine, "HEARTBEAT_TIMEOUT", 1.2)
-        daemon = WorkerDaemon(port=0, heartbeat_interval=30.0)
+        monkeypatch.setattr(netengine, "HEARTBEAT_INTERVAL", 30.0)
+        daemon = WorkerDaemon(port=0)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
         try:
@@ -1225,11 +1273,12 @@ class TestDaemonDrain:
             time.sleep(0.01)
         assert local_daemon.jobs_served == 1
 
-    def test_stop_is_noticed_under_an_idle_master(self):
+    def test_stop_is_noticed_under_an_idle_master(self, monkeypatch):
         """``stop()`` ends a daemon whose master is connected and has
         nothing to say: the serving thread looks at its next heartbeat,
         it does not sit in a read until the master hangs up."""
-        daemon = WorkerDaemon(port=0, heartbeat_interval=0.2)
+        monkeypatch.setattr(netengine, "HEARTBEAT_INTERVAL", 0.2)
+        daemon = WorkerDaemon(port=0)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
         sock = socket.create_connection(("127.0.0.1", daemon.port), timeout=10.0)
@@ -1281,6 +1330,18 @@ class TestDaemonDrain:
         assert (kind, tuple(refused["key"])) == ("error", (second.l, second.m))
         assert refused["attempt"] == 1 and "busy" in refused["error"]
         assert (done, tuple(result["key"])) == ("result", (first.l, first.m))
+
+    @pytest.mark.parametrize("frame", sorted(HOSTILE_FRAMES))
+    def test_hostile_frame_drops_the_sender(
+        self, frame, local_daemon, pickle_combined
+    ):
+        """A body that does not decode, or a ``job`` without its fields,
+        is a broken stream: the daemon hangs up on whoever sent it and
+        is back in ``accept`` for the next master."""
+        assert daemon_hangs_up_on(local_daemon.port, HOSTILE_FRAMES[frame])
+        result = _run(engine="socket", hosts=f"tcp://127.0.0.1:{local_daemon.port}")
+        assert np.array_equal(result.combined, pickle_combined)
+        assert (result.faults, result.reconnects) == (0, 0)
 
     def test_dead_task_instance_is_reported_and_replaced(self, local_daemon):
         """The instance's pipe at EOF is a ``death_worker`` fault on the

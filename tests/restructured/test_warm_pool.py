@@ -103,11 +103,6 @@ class TestAcquirePool:
         assert grown.processes == 2
         assert small.closed  # the old pool was drained, not abandoned
 
-    def test_none_accepts_any_live_pool(self):
-        pool, _ = acquire_pool(1)
-        again, warm = acquire_pool(None)
-        assert warm and again is pool
-
     def test_diagnostics_reflect_state(self):
         assert pool_diagnostics()["alive"] is False
         acquire_pool(1)
@@ -220,10 +215,7 @@ class TestRunMultiprocessing:
 
     def test_warm_and_cold_match_sequential_bitwise(self):
         sequential = SequentialApplication(root=2, level=LEVEL, tol=TOL).run()
-        cold = run_multiprocessing(
-            root=2, level=LEVEL, tol=TOL,
-            warm_pool=False, operator_cache=False,
-        )
+        cold = run_multiprocessing(root=2, level=LEVEL, tol=TOL, warm_pool=False)
         warm = run_multiprocessing(root=2, level=LEVEL, tol=TOL)
         warm2 = run_multiprocessing(root=2, level=LEVEL, tol=TOL)
         assert np.array_equal(cold.combined, sequential.combined)

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from tests.conftest import process_children, process_running, synthetic_records
+from tests.conftest import (
+    HOSTILE_FRAMES,
+    daemon_hangs_up_on,
+    process_children,
+    process_running,
+    synthetic_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,10 +192,13 @@ class TestWorkerDaemon:
     """``repro worker-daemon``: the one daemon that is neither forked by
     a master nor served from a test thread."""
 
-    def test_serves_masters_in_a_row_and_leaves_on_sigint(self):
-        from repro.restructured import run_multiprocessing, shutdown_pool
+    RUN = dict(root=2, level=2, tol=1.0e-3, processes=2)
 
-        run = dict(root=2, level=2, tol=1.0e-3, processes=2)
+    @pytest.fixture()
+    def exec_daemon(self):
+        """An exec'ed daemon and the port it printed."""
+        from repro.restructured import shutdown_pool
+
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "worker-daemon", "--port", "0"],
             stdout=subprocess.PIPE, text=True,
@@ -200,25 +209,48 @@ class TestWorkerDaemon:
         try:
             word, port = daemon.stdout.readline().split()
             assert word == "LISTENING"
-            reference = run_multiprocessing(**run).combined
-            for _ in range(2):
-                result = run_multiprocessing(
-                    **run, engine="socket", hosts=f"tcp://127.0.0.1:{port}"
-                )
-                assert np.array_equal(result.combined, reference)
-                assert (result.daemons, result.reconnects) == (1, 0)
-            (instance,) = process_children(daemon.pid)
-            daemon.send_signal(signal.SIGINT)
-            deadline = time.monotonic() + 2.0
-            assert daemon.wait(timeout=2.0) == 0
-            while process_running(instance) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert not process_running(instance)
+            yield daemon, int(port)
         finally:
             daemon.kill()
             daemon.wait()
             daemon.stdout.close()
             shutdown_pool()
+
+    def test_serves_masters_in_a_row_and_leaves_on_sigint(self, exec_daemon):
+        from repro.restructured import run_multiprocessing
+
+        daemon, port = exec_daemon
+        reference = run_multiprocessing(**self.RUN).combined
+        for _ in range(2):
+            result = run_multiprocessing(
+                **self.RUN, engine="socket", hosts=f"tcp://127.0.0.1:{port}"
+            )
+            assert np.array_equal(result.combined, reference)
+            assert (result.daemons, result.reconnects) == (1, 0)
+        (instance,) = process_children(daemon.pid)
+        daemon.send_signal(signal.SIGINT)
+        deadline = time.monotonic() + 2.0
+        assert daemon.wait(timeout=2.0) == 0
+        while process_running(instance) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not process_running(instance)
+
+    def test_hostile_frames_drop_the_sender_only(self, exec_daemon):
+        """A garbled body, a body that is no ``(kind, data)`` pair and a
+        ``job`` without its ``spec`` each cost whoever sent them the
+        connection, not the next master its daemon."""
+        from repro.restructured import run_multiprocessing
+
+        daemon, port = exec_daemon
+        reference = run_multiprocessing(**self.RUN).combined
+        for wire in HOSTILE_FRAMES.values():
+            assert daemon_hangs_up_on(port, wire)
+            assert daemon.poll() is None
+            result = run_multiprocessing(
+                **self.RUN, engine="socket", hosts=f"tcp://127.0.0.1:{port}"
+            )
+            assert np.array_equal(result.combined, reference)
+            assert (result.faults, result.reconnects) == (0, 0)
 
     @pytest.mark.parametrize(
         "flag",

@@ -15,12 +15,7 @@ from repro.cluster.host import uniform_cluster
 from repro.cluster.trace import MachinePoint, machines_timeline, weighted_average_machines
 from repro.manifold import Event, EventMemory, EventOccurrence
 from repro.manifold.mlink import parse_mlink
-from repro.sparsegrid.combination import (
-    IncrementalCombiner,
-    combine,
-    resample_1d,
-    resample_2d,
-)
+from repro.sparsegrid.combination import combine, resample_1d, resample_2d
 from repro.sparsegrid.grid import Grid, combination_grids, nested_loop_grids
 
 # ----------------------------------------------------------------------
@@ -89,21 +84,23 @@ def test_combination_reproduces_bilinear_fields(root, level, a, b, c, target_cap
 )
 @settings(max_examples=40, deadline=None)
 def test_folded_combination_is_arrival_order_independent(level, target_cap, data):
-    """The folded combiner fixes every operand and every ``+``/``-`` by
-    key: any arrival order gives the same bits as the nested-loop order,
-    and those bits are the direct formula ``sum c * P u`` up to rounding
-    (a cap below the level exercises restriction and many grids per row)."""
+    """The fold fixes every operand and every ``+``/``-`` by key: the
+    order results landed in the dict (a parallel run's completion order)
+    does not reach the bits, and those bits are the direct formula
+    ``sum c * P u`` up to rounding (a cap below the level exercises
+    restriction and many grids per row)."""
     root = 2
     rng = np.random.default_rng(level * 31 + (target_cap or 0))
     family = list(combination_grids(root, level))
     solutions = {(g.l, g.m): rng.uniform(-1, 1, g.shape) for g, _ in family}
     target, reference = combine(solutions, root, level, target_cap=target_cap)
 
-    combiner = IncrementalCombiner(root, level, target_cap=target_cap)
-    for key in data.draw(st.permutations(combiner.expected_keys())):
-        combiner.add(key, solutions[key])
-    assert combiner.complete and not combiner.remaining
-    assert np.array_equal(combiner.result()[1], reference)
+    arrived = {
+        key: solutions[key] for key in data.draw(st.permutations(list(solutions)))
+    }
+    assert np.array_equal(
+        combine(arrived, root, level, target_cap=target_cap)[1], reference
+    )
 
     direct = sum(
         c * resample_2d(solutions[(g.l, g.m)], g, target) for g, c in family
