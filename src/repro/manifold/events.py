@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import EventError
 
@@ -51,7 +53,7 @@ class Event:
     the event a unique namespace.
     """
 
-    __slots__ = ("name", "namespace")
+    __slots__ = ("name", "namespace", "_hash")
 
     _local_counter = itertools.count()
 
@@ -60,6 +62,7 @@ class Event:
             raise EventError(f"event name must be a non-empty string, got {name!r}")
         self.name = name
         self.namespace = namespace
+        self._hash = hash((name, namespace))
 
     @classmethod
     def local(cls, name: str) -> "Event":
@@ -74,7 +77,7 @@ class Event:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.namespace))
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.namespace:
@@ -114,6 +117,10 @@ class EventOccurrence:
         return True
 
 
+#: What a consumer hands the memory to choose among pending occurrences.
+Matcher = Union[Mapping[Event, int], Callable[[EventOccurrence], Optional[int]]]
+
+
 class EventMemory:
     """Thread-safe store of event occurrences for one coordinator.
 
@@ -122,25 +129,50 @@ class EventMemory:
     coordinator picks the one whose label has the highest declared
     priority, breaking ties by arrival order (matching the paper's
     ``priority create_worker > rendezvous`` declaration).
+
+    Occurrences are kept in one queue per event, each entry stamped
+    with its arrival number.  A *matcher* is either a ``{event: rank}``
+    mapping — the form the runtime uses: only the head of each labelled
+    queue is looked at, so occurrences nobody has a label for (a pool's
+    saved ``death`` events) cost nothing — or a callable mapping an
+    occurrence to a rank or ``None``, which ranks every pending
+    occurrence of the same store.  Higher rank wins; among equal ranks
+    the earliest arrival.
     """
 
     def __init__(self, owner_name: str = "?") -> None:
         self._owner_name = owner_name
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._occurrences: list[EventOccurrence] = []
+        self._queues: dict[Event, deque[tuple[int, EventOccurrence]]] = {}
+        self._arrivals = 0
+        #: what each blocked waiter can be woken by: its label mapping,
+        #: or ``None`` for any delivery (a callable matcher or predicate)
+        self._waiters: list[Optional[Mapping[Event, int]]] = []
         self._closed = False
 
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
     def deliver(self, occurrence: EventOccurrence) -> None:
-        """Record an occurrence (called when an observed process raises)."""
+        """Record an occurrence (called when an observed process raises).
+
+        Wakes a waiter only if it can take the occurrence or has to
+        re-evaluate a predicate.
+        """
+        event = occurrence.event
         with self._cond:
             if self._closed:
                 return
-            self._occurrences.append(occurrence)
-            self._cond.notify_all()
+            queue = self._queues.get(event)
+            if queue is None:
+                queue = self._queues[event] = deque()
+            queue.append((self._arrivals, occurrence))
+            self._arrivals += 1
+            for labels in self._waiters:
+                if labels is None or event in labels:
+                    self._cond.notify_all()
+                    break
 
     def post(self, event: Event, source: Optional["ProcessBase"] = None) -> None:
         """Post an occurrence directly (MANIFOLD's ``post`` primitive)."""
@@ -152,75 +184,90 @@ class EventMemory:
     def snapshot(self) -> list[EventOccurrence]:
         """A copy of the pending occurrences, in arrival order."""
         with self._lock:
-            return list(self._occurrences)
+            # arrival numbers are unique: the sort never compares occurrences
+            entries = sorted(itertools.chain.from_iterable(self._queues.values()))
+        return [occurrence for _, occurrence in entries]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._occurrences)
+            return self._pending_locked()
 
-    def take_match(
-        self,
-        matcher: Callable[[EventOccurrence], Optional[int]],
-    ) -> Optional[EventOccurrence]:
-        """Remove and return the best pending occurrence, if any.
+    def _pending_locked(self) -> int:
+        return sum(map(len, self._queues.values()))
 
-        ``matcher`` maps an occurrence to a priority rank (higher wins)
-        or ``None`` when the occurrence does not match any label.  Among
-        equal ranks the earliest arrival wins.
-        """
+    def take_match(self, matcher: Matcher) -> Optional[EventOccurrence]:
+        """Remove and return the best pending occurrence, if any."""
         with self._lock:
-            best: Optional[EventOccurrence] = None
-            best_rank = None
-            for occ in self._occurrences:
-                rank = matcher(occ)
-                if rank is None:
-                    continue
-                if best_rank is None or rank > best_rank:
-                    best, best_rank = occ, rank
-            if best is not None:
-                self._occurrences.remove(best)
-            return best
+            return self._take_match_locked(matcher)
 
     def wait_for_match(
         self,
-        matcher: Callable[[EventOccurrence], Optional[int]],
+        matcher: Matcher,
         timeout: Optional[float] = None,
         extra_predicate: Optional[Callable[[], bool]] = None,
     ) -> Optional[EventOccurrence]:
         """Block until a matching occurrence arrives (or return ``None``).
 
-        ``extra_predicate``, when given, also wakes the waiter; this is
-        how blocking primitives such as ``terminated(p)`` share the wait:
-        the call returns ``None`` when the predicate fired first.
+        ``timeout`` is one deadline for the whole call, however often
+        unrelated deliveries wake it.  ``extra_predicate``, when given,
+        also ends the wait; this is how blocking primitives such as
+        ``terminated(p)`` share the wait: the call returns ``None`` when
+        the predicate fired first.  A waiter with a predicate is woken
+        by every delivery and by :meth:`notify`.
         """
-        deadline = None if timeout is None else threading.TIMEOUT_MAX
+        deadline = None if timeout is None else time.monotonic() + timeout
+        labels = (
+            matcher
+            if extra_predicate is None and not callable(matcher)
+            else None
+        )
         with self._cond:
-            while True:
-                best = self._take_match_locked(matcher)
-                if best is not None:
-                    return best
-                if extra_predicate is not None and extra_predicate():
-                    return None
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout if timeout is not None else deadline):
-                    if timeout is not None:
+            self._waiters.append(labels)
+            try:
+                while True:
+                    best = self._take_match_locked(matcher)
+                    if best is not None:
+                        return best
+                    if extra_predicate is not None and extra_predicate():
                         return None
+                    if self._closed:
+                        return None
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            return None
+                    self._cond.wait(remaining)
+            finally:
+                self._waiters.remove(labels)
 
-    def _take_match_locked(
-        self, matcher: Callable[[EventOccurrence], Optional[int]]
-    ) -> Optional[EventOccurrence]:
-        best: Optional[EventOccurrence] = None
-        best_rank = None
-        for occ in self._occurrences:
-            rank = matcher(occ)
-            if rank is None:
-                continue
-            if best_rank is None or rank > best_rank:
-                best, best_rank = occ, rank
-        if best is not None:
-            self._occurrences.remove(best)
-        return best
+    def _take_match_locked(self, matcher: Matcher) -> Optional[EventOccurrence]:
+        best_key: Optional[tuple[int, int]] = None
+        best_queue = best_index = None
+        if callable(matcher):
+            for queue in self._queues.values():
+                for index, (arrival, occurrence) in enumerate(queue):
+                    rank = matcher(occurrence)
+                    if rank is not None and (
+                        best_key is None or (rank, -arrival) > best_key
+                    ):
+                        best_key = (rank, -arrival)
+                        best_queue, best_index = queue, index
+        else:
+            for event, rank in matcher.items():
+                queue = self._queues.get(event)
+                if queue and (
+                    best_key is None or (rank, -queue[0][0]) > best_key
+                ):
+                    best_key = (rank, -queue[0][0])
+                    best_queue, best_index = queue, 0
+        if best_queue is None:
+            return None
+        occurrence = best_queue[best_index][1]
+        del best_queue[best_index]
+        if not best_queue:
+            del self._queues[occurrence.event]
+        return occurrence
 
     def notify(self) -> None:
         """Wake any waiter so it can re-evaluate its extra predicate."""
@@ -237,24 +284,21 @@ class EventMemory:
         occurrences are removed from memory on departure from the block.
         Returns the number of occurrences dropped.
         """
-        targets = set(events)
         with self._lock:
-            before = len(self._occurrences)
-            self._occurrences = [
-                occ for occ in self._occurrences if occ.event not in targets
-            ]
-            return before - len(self._occurrences)
+            return sum(len(self._queues.pop(event, ())) for event in set(events))
 
     def discard_where(
         self, predicate: Callable[[EventOccurrence], bool]
     ) -> int:
         """Drop all pending occurrences satisfying ``predicate``."""
         with self._lock:
-            before = len(self._occurrences)
-            self._occurrences = [
-                occ for occ in self._occurrences if not predicate(occ)
-            ]
-            return before - len(self._occurrences)
+            before = self._pending_locked()
+            self._queues = {
+                event: kept
+                for event, queue in self._queues.items()
+                if (kept := deque(e for e in queue if not predicate(e[1])))
+            }
+            return before - self._pending_locked()
 
     def close(self) -> None:
         """Shut the memory down; pending and future waiters return ``None``."""

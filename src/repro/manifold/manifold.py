@@ -105,6 +105,13 @@ class Coordinator(ProcessBase):
     def deadline_exceeded(self) -> bool:
         return self._deadline_at is not None and time.monotonic() > self._deadline_at
 
+    def wait_slice(self) -> float:
+        """How long a blocking primitive may sleep before it looks at
+        its predicate and the deadline again."""
+        if self._deadline_at is None:
+            return self.poll_interval
+        return max(0.0, min(self.poll_interval, self._deadline_at - time.monotonic()))
+
     def _thread_main(self) -> None:
         ctx = StateContext(self)
         try:

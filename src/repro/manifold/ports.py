@@ -6,7 +6,10 @@ ports is done from the outside by a coordinator.  This module implements
 that contract:
 
 * an **input port** merges the units arriving over all streams currently
-  attached to it, in global FIFO (unit sequence) order;
+  attached to it, in global FIFO (unit sequence) order — every stream
+  announces each unit it buffers to its sink port, which keeps the
+  announcements in a heap, so a read costs O(log ready) however many
+  streams are attached;
 * an **output port** replicates every written unit into all streams
   currently attached to it, and blocks when nothing is attached yet (the
   producer cannot know — or care — whether its coordinator has wired it
@@ -18,7 +21,9 @@ that contract:
 from __future__ import annotations
 
 import enum
+import heapq
 import threading
+import time
 from typing import TYPE_CHECKING, Optional
 
 from .errors import PortError
@@ -65,6 +70,10 @@ class Port:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._streams: list["Stream"] = []
+        #: ``(unit seq, stream id, stream)`` of every unit buffered for
+        #: this input port; an entry whose stream has since been broken
+        #: at its sink is skipped when it surfaces
+        self._ready: list[tuple[int, int, "Stream"]] = []
         self._interrupted = False
         self._closed = False
 
@@ -77,15 +86,15 @@ class Port:
             if self._closed:
                 raise PortError(f"{self!r} is closed")
             self._streams.append(stream)
+            if self.direction is PortDirection.IN:
+                for seq in stream.buffered_seqs():
+                    heapq.heappush(self._ready, (seq, stream.id, stream))
             self._cond.notify_all()
 
     def detach(self, stream: "Stream") -> None:
         """Detach a stream end from this port (coordination layer only)."""
         with self._cond:
-            try:
-                self._streams.remove(stream)
-            except ValueError:
-                pass
+            self._drop_locked(stream)
             self._cond.notify_all()
 
     def attached_streams(self) -> list["Stream"]:
@@ -93,9 +102,11 @@ class Port:
         with self._lock:
             return list(self._streams)
 
-    def notify(self) -> None:
-        """Wake blocked readers/writers to re-check state."""
+    def unit_ready(self, seq: int, stream: "Stream") -> None:
+        """``stream`` has buffered unit ``seq`` for this port (called by
+        :meth:`Stream.push`)."""
         with self._cond:
+            heapq.heappush(self._ready, (seq, stream.id, stream))
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -111,13 +122,14 @@ class Port:
         if self.direction is not PortDirection.OUT:
             raise PortError(f"cannot write to {self.direction.value} port {self!r}")
         unit = Unit(payload)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
                 self._check_interrupt()
                 open_streams = [s for s in self._streams if s.accepts_input()]
                 if open_streams:
                     break
-                if not self._cond.wait(timeout):
+                if not self._wait_until(deadline):
                     raise PortError(
                         f"write on {self!r} timed out with no stream attached"
                     )
@@ -128,52 +140,59 @@ class Port:
     def read(self, timeout: Optional[float] = None) -> object:
         """Read the earliest available unit across all attached streams.
 
-        Blocks until a unit is available.  When a stream has been broken
-        at its source and drained, it is garbage-collected off the port.
+        Blocks until a unit is available.
         """
         if self.direction is not PortDirection.IN:
             raise PortError(f"cannot read from {self.direction.value} port {self!r}")
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
                 self._check_interrupt()
-                self._collect_dead_streams_locked()
-                best_stream = None
-                best_seq = None
-                for stream in self._streams:
-                    seq = stream.peek_seq()
-                    if seq is None:
-                        continue
-                    if best_seq is None or seq < best_seq:
-                        best_stream, best_seq = stream, seq
-                if best_stream is not None:
-                    unit = best_stream.pop()
+                unit = self._take_ready_locked()
+                if unit is not None:
                     return unit.payload
-                if not self._cond.wait(timeout):
+                if not self._wait_until(deadline):
                     raise PortError(f"read on {self!r} timed out")
 
     def try_read(self) -> Optional[object]:
         """Non-blocking read; ``None`` when no unit is available."""
         with self._cond:
-            self._collect_dead_streams_locked()
-            best_stream = None
-            best_seq = None
-            for stream in self._streams:
-                seq = stream.peek_seq()
-                if seq is None:
-                    continue
-                if best_seq is None or seq < best_seq:
-                    best_stream, best_seq = stream, seq
-            if best_stream is None:
-                return None
-            return best_stream.pop().payload
+            unit = self._take_ready_locked()
+            return None if unit is None else unit.payload
 
     def pending(self) -> int:
         """Total units currently readable across attached streams."""
         with self._lock:
             return sum(s.pending() for s in self._streams)
 
-    def _collect_dead_streams_locked(self) -> None:
-        self._streams = [s for s in self._streams if not s.is_dead()]
+    def _take_ready_locked(self) -> Optional[Unit]:
+        """Pop the earliest announced unit that is still deliverable; a
+        stream that it was the last unit of leaves the port."""
+        while self._ready:
+            seq, _, stream = heapq.heappop(self._ready)
+            unit = stream.take(seq)
+            if unit is not None:
+                if stream.is_dead():
+                    self._drop_locked(stream)
+                return unit
+        return None
+
+    def _drop_locked(self, stream: "Stream") -> None:
+        try:
+            self._streams.remove(stream)
+        except ValueError:
+            pass
+
+    def _wait_until(self, deadline: Optional[float]) -> bool:
+        """Wait on the port's condition; ``False`` once ``deadline`` passed."""
+        if deadline is None:
+            self._cond.wait()
+            return True
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        self._cond.wait(remaining)
+        return True
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -72,7 +72,7 @@ class Runtime:
         proc = definition.instantiate(self, *args, **kwargs)
         with self._lock:
             self._processes.append(proc)
-        self._emit(f"create {proc.name}")
+        self._emit("create %s", proc.name)
         return proc
 
     def spawn(self, definition: AtomicDefinition, *args: object, **kwargs: object) -> AtomicProcess:
@@ -92,7 +92,7 @@ class Runtime:
         with self._lock:
             if proc not in self._processes:
                 self._processes.append(proc)
-        self._emit(f"activate {proc.name}")
+        self._emit("activate %s", proc.name)
         trace_emit("process_activate", worker=proc.name)
         with self._lock:
             self._activity += 1
@@ -130,7 +130,7 @@ class Runtime:
             self._event_log.append(occurrence)
             self._activity += 1
         source = occurrence.source.name if occurrence.source else "<runtime>"
-        self._emit(f"event {occurrence.event.name} raised by {source}")
+        self._emit("event %s raised by %s", occurrence.event.name, source)
         name = occurrence.event.name
         if name != "death":  # process death is traced in on_process_death
             trace_emit(
@@ -155,7 +155,7 @@ class Runtime:
     # ------------------------------------------------------------------
     def on_process_death(self, proc: ProcessBase) -> None:
         """Called by every process when it reaches a final state."""
-        self._emit(f"death {proc.name} ({proc.state.value})")
+        self._emit("death %s (%s)", proc.name, proc.state.value)
         trace_emit("process_death", worker=proc.name, state=proc.state.value)
         with self._lock:
             self._activity += 1
@@ -215,10 +215,11 @@ class Runtime:
     # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
-    def _emit(self, message: str) -> None:
+    def _emit(self, message: str, *args: object) -> None:
+        """Send ``message % args`` to the trace sink; built only if one is set."""
         if self._trace is not None:
             elapsed = time.monotonic() - self._started_at
-            self._trace(f"[{self.name} +{elapsed:8.4f}s] {message}")
+            self._trace(f"[{self.name} +{elapsed:8.4f}s] {message % args}")
 
     def __enter__(self) -> "Runtime":
         return self

@@ -45,8 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Block", "StateContext", "Preempted", "HaltBlock", "BlockExit"]
 
-#: Rank assigned to the predefined ``begin`` event ("high-priority").
-_BEGIN_RANK = 1_000_000
+#: A label's rank in the event memory is ``depth * _DEPTH_STRIDE +
+#: priority``: inner blocks dominate, then the declared priority, with
+#: the predefined ``begin`` event ("high-priority") at the top of its block.
+_DEPTH_STRIDE = 1_000_000
+_BEGIN_PRIORITY = _DEPTH_STRIDE - 1
 
 
 class Preempted(Exception):
@@ -118,13 +121,15 @@ class Block:
     def states(self) -> Dict[Event, Callable[["StateContext"], None]]:
         return dict(self._states)
 
-    def label_rank(self, occurrence: EventOccurrence) -> Optional[int]:
-        """Rank of the label matching ``occurrence`` (None = no match)."""
-        if occurrence.event not in self._states:
-            return None
-        if occurrence.event == BEGIN:
-            return _BEGIN_RANK
-        return self.priority.get(occurrence.event, 0)
+    def label_priorities(self) -> Dict[Event, int]:
+        """The declared priority of every state label of this block."""
+        priorities = {
+            event: min(self.priority.get(event, 0), _BEGIN_PRIORITY)
+            for event in self._states
+        }
+        if BEGIN in priorities:
+            priorities[BEGIN] = _BEGIN_PRIORITY
+        return priorities
 
     def validate(self) -> None:
         if BEGIN not in self._states:
@@ -139,11 +144,19 @@ class Block:
 class _Frame:
     """Runtime data for one active block on the executor stack."""
 
-    def __init__(self, block: Block, depth: int) -> None:
+    def __init__(self, block: Block, outer: Optional["_Frame"]) -> None:
         self.block = block
-        self.depth = depth
+        self.depth = 0 if outer is None else outer.depth + 1
         self.locals: Dict[str, object] = {}
         self.current_streams: list[Stream] = []
+        #: ``{event: rank}`` of every label an occurrence can reach from
+        #: this frame: innermost block first, and a ``save_all`` block
+        #: shields everything beneath it on the stack
+        self.labels: Dict[Event, int] = (
+            {} if outer is None or block.save_all else dict(outer.labels)
+        )
+        for event, priority in block.label_priorities().items():
+            self.labels[event] = self.depth * _DEPTH_STRIDE + priority
 
 
 class StateContext:
@@ -270,7 +283,7 @@ class StateContext:
     # ------------------------------------------------------------------
     def idle(self) -> None:
         """``terminated(void)``: block until an event preempts the state."""
-        self._wait(lambda: False)
+        self._wait(None)
         raise StateMachineError("idle() returned without preemption")  # pragma: no cover
 
     def terminated(self, proc: ProcessBase) -> None:
@@ -281,39 +294,10 @@ class StateContext:
         """Block until ``predicate`` is true, unless preempted."""
         self._wait(predicate)
 
-    def _matcher(self) -> Callable[[EventOccurrence], Optional[tuple[int, int]]]:
-        """Build a rank function over the current block stack.
-
-        Innermost blocks win; a ``save_all`` block shields everything
-        beneath it on the stack.  Returned rank is ``(depth_bonus,
-        label_rank)`` so inner matches dominate, then declared priority.
-        """
-        visible: list[_Frame] = []
-        for frame in reversed(self._stack):
-            visible.append(frame)
-            if frame.block.save_all:
-                break
-
-        def match(occ: EventOccurrence) -> Optional[tuple[int, int]]:
-            for frame in visible:
-                rank = frame.block.label_rank(occ)
-                if rank is not None:
-                    return (frame.depth, rank)
-            return None
-
-        return match
-
-    def _wait(self, predicate: Callable[[], bool]) -> None:
+    def _wait(self, predicate: Optional[Callable[[], bool]]) -> None:
         """Shared wait: returns normally when ``predicate`` fires, raises
         :class:`Preempted` when a matching event occurrence arrives."""
-        matcher = self._matcher()
-
-        def ranked(occ: EventOccurrence) -> Optional[int]:
-            r = matcher(occ)
-            if r is None:
-                return None
-            return r[0] * 1_000_000 + min(r[1], 999_999)
-
+        labels = self.frame.labels
         while True:
             if self.memory.closed:
                 # runtime shutdown: unwind all blocks of this coordinator
@@ -323,13 +307,11 @@ class StateContext:
                     f"{self.coordinator.name} exceeded its deadline while waiting"
                 )
             occ = self.memory.wait_for_match(
-                ranked, timeout=self.coordinator.poll_interval, extra_predicate=predicate
+                labels, timeout=self.coordinator.wait_slice(), extra_predicate=predicate
             )
             if occ is not None:
-                result = matcher(occ)
-                assert result is not None
-                raise Preempted(occ, depth=result[0])
-            if predicate():
+                raise Preempted(occ, depth=labels[occ.event] // _DEPTH_STRIDE)
+            if predicate is not None and predicate():
                 return
 
     def halt(self) -> None:
@@ -343,7 +325,7 @@ class StateContext:
         """Run a nested block (a state body that is itself a block, or a
         manner's body) to completion within this coordinator."""
         block.validate()
-        frame = _Frame(block, depth=len(self._stack))
+        frame = _Frame(block, self._stack[-1] if self._stack else None)
         self._stack.append(frame)
         try:
             if block.setup is not None:
@@ -358,7 +340,6 @@ class StateContext:
             self._stack.pop()
 
     def _event_loop(self, frame: _Frame) -> None:
-        matcher_for_frame = frame.block.label_rank
         pending_occ: Optional[EventOccurrence] = None
         while True:
             if pending_occ is None:
@@ -373,10 +354,6 @@ class StateContext:
             except Preempted as p:
                 if p.depth != frame.depth:
                     raise  # outer block's label matched: unwind further
-                if matcher_for_frame(p.occurrence) is None:  # pragma: no cover
-                    raise StateMachineError(
-                        f"preemption for unknown label {p.occurrence.event!r}"
-                    )
                 pending_occ = p.occurrence
             except HaltBlock:
                 return

@@ -149,20 +149,20 @@ class Stream:
             self._buffer.append(unit)
             sink = self._sink
         if sink is not None:
-            sink.notify()
+            sink.unit_ready(unit.seq, self)
 
-    def peek_seq(self) -> Optional[int]:
-        """Sequence number of the next deliverable unit, or ``None``."""
+    def buffered_seqs(self) -> list[int]:
+        """Sequence numbers of the deliverable units, in FIFO order."""
         with self._lock:
-            if self._sink_broken or not self._buffer:
-                return None
-            return self._buffer[0].seq
+            return [unit.seq for unit in self._buffer]
 
-    def pop(self) -> Unit:
+    def take(self, seq: int) -> Optional[Unit]:
+        """Pop the next unit if it is unit ``seq`` (``None`` when the
+        units in transit were discarded since it was announced)."""
         with self._lock:
-            if not self._buffer:
-                raise StreamError(f"{self.name} has no unit to deliver")
-            return self._buffer.popleft()
+            if self._buffer and self._buffer[0].seq == seq:
+                return self._buffer.popleft()
+            return None
 
     def pending(self) -> int:
         with self._lock:
@@ -196,12 +196,12 @@ class Stream:
                 return
             self._source_broken = True
             source, sink = self._source, self._sink
+            drained = not self._buffer
         if source is not None:
             source.detach(self)
-        if sink is not None:
-            # Wake the reader: a drained source-broken stream is dead and
-            # must not keep a reader waiting on it.
-            sink.notify()
+        if sink is not None and drained:
+            # dead: nothing in transit and nothing can be written any more
+            sink.detach(self)
 
     def break_sink(self) -> None:
         """Disconnect from the consumer; in-transit units are discarded."""

@@ -24,6 +24,7 @@ defaulting to BK exactly like the language.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -76,6 +77,12 @@ class WireElement:
 
 def parse_wire_spec(spec: str) -> list[WireElement]:
     """Parse a chain like ``&a -> b.dataport -> c`` into elements."""
+    return list(_parse(spec))
+
+
+@functools.lru_cache(maxsize=128)
+def _parse(spec: str) -> tuple[WireElement, ...]:
+    # a state body wires the same literal for every worker it creates
     parts = [part.strip() for part in spec.split("->")]
     if len(parts) < 2:
         raise StreamError(f"wire spec needs at least one arrow: {spec!r}")
@@ -100,7 +107,7 @@ def parse_wire_spec(spec: str) -> list[WireElement]:
         raise StreamError(
             f"only the first element of a chain may be a reference: {spec!r}"
         )
-    return elements
+    return tuple(elements)
 
 
 def wire(
@@ -115,8 +122,8 @@ def wire(
     recorded against the current state (dismantled per type on
     preemption), exactly as :meth:`StateContext.connect` would.
     """
-    elements = parse_wire_spec(spec)
-    types = dict(types or {})
+    elements = _parse(spec)
+    types = types or {}
     streams: list[Stream] = []
     for index, (left, right) in enumerate(zip(elements, elements[1:])):
         stream_type = types.get(index, StreamType.BK)

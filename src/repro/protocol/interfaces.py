@@ -88,6 +88,20 @@ class WorkerPoolError(RuntimeError):
         self.failures = failures
 
 
+class _ClientMemory(EventMemory):
+    """The master client's event memory: it keeps ``a_rendezvous``, the
+    one event the protocol sends a master, and lets every other
+    broadcast of the application pass."""
+
+    def __init__(self, owner_name: str, a_rendezvous: Event) -> None:
+        super().__init__(owner_name)
+        self._a_rendezvous = a_rendezvous
+
+    def deliver(self, occurrence: EventOccurrence) -> None:
+        if occurrence.event == self._a_rendezvous:
+            super().deliver(occurrence)
+
+
 class MasterProtocolClient:
     """Drives the master side of the master/worker protocol.
 
@@ -118,7 +132,7 @@ class MasterProtocolClient:
         # protocols cannot steal each other's occurrences.  The master
         # observes coordinator events through its own memory.
         self.events = events_for(proc)
-        self._memory = EventMemory(owner_name=f"{proc.name}.client")
+        self._memory = _ClientMemory(f"{proc.name}.client", self.events.a_rendezvous)
         proc.runtime.subscribe(self._memory)
         #: pools run so far (for traces and tests)
         self.pools_run = 0
@@ -196,15 +210,22 @@ class MasterProtocolClient:
     def finished(self) -> None:
         """Inform the coordinator the master needs no more workers."""
         self.proc.raise_event(self.events.finished)
+        self.proc.runtime.unsubscribe(self._memory)
 
     # ------------------------------------------------------------------
     # event plumbing
     # ------------------------------------------------------------------
     def wait_for(self, event: Event) -> EventOccurrence:
-        """Block until an occurrence of ``event`` is observed."""
-        occ = self._memory.wait_for_match(
-            lambda o: 0 if o.event == event else None, timeout=self.timeout
-        )
+        """Block until an occurrence of ``event`` is observed.
+
+        The client observes the protocol's acknowledgement only.
+        """
+        if event != self.events.a_rendezvous:
+            raise ProcessError(
+                f"{self.proc.name} cannot wait for {event.name!r}: the master "
+                "client observes a_rendezvous only"
+            )
+        occ = self._memory.wait_for_match({event: 0}, timeout=self.timeout)
         if occ is None:
             raise ProcessError(
                 f"{self.proc.name} timed out waiting for event {event.name!r}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -123,6 +124,87 @@ class TestCoordinatorLifecycle:
         runtime.raise_event(surprise)
         coordinator.activate()
         assert coordinator.join(timeout=5)
+        assert coordinator.failure is None
+
+
+class TestCoordinatorWaits:
+    """What ends a blocking primitive, and when."""
+
+    def test_deadline_holds_under_unrelated_events(self, runtime):
+        """Broadcasts the coordinator has no label for must not keep
+        postponing the look at its deadline."""
+
+        def factory():
+            block = Block("hang")
+
+            @block.state(BEGIN)
+            def begin(ctx):
+                ctx.sleep_until(lambda: False)  # woken by every delivery
+
+            return block
+
+        coordinator = Coordinator(runtime, "C", factory, deadline=0.2)
+        stop = threading.Event()
+
+        def noise():
+            while not stop.wait(0.005):
+                runtime.raise_event(Event("noise"))
+
+        thread = threading.Thread(target=noise)
+        thread.start()
+        try:
+            start = time.monotonic()
+            coordinator.activate()
+            assert coordinator.join(timeout=1.5)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join()
+        assert isinstance(coordinator.failure, StateMachineError)
+        assert elapsed < 0.5
+
+    def test_terminated_is_woken_by_the_death_not_the_poll(self, runtime):
+        ended: list[float] = []
+
+        def body(proc):
+            time.sleep(0.05)
+            ended.append(time.monotonic())
+
+        def factory():
+            block = Block("wait")
+
+            @block.state(BEGIN)
+            def begin(ctx):
+                ctx.terminated(ctx.spawn(AtomicDefinition("p", body)))
+                ctx.halt()
+
+            return block
+
+        coordinator = Coordinator(runtime, "C", factory, poll_interval=30)
+        coordinator.activate()
+        assert coordinator.join(timeout=5)
+        assert time.monotonic() - ended[0] < 0.1
+        assert coordinator.failure is None
+
+    def test_sleep_until_is_woken_by_notify_not_the_poll(self, runtime):
+        flag = threading.Event()
+
+        def factory():
+            block = Block("wait")
+
+            @block.state(BEGIN)
+            def begin(ctx):
+                ctx.sleep_until(flag.is_set)
+                ctx.halt()
+
+            return block
+
+        coordinator = Coordinator(runtime, "C", factory, poll_interval=30)
+        coordinator.activate()
+        time.sleep(0.05)
+        flag.set()
+        coordinator.event_memory.notify()
+        assert coordinator.join(timeout=0.1)
         assert coordinator.failure is None
 
 

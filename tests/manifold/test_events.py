@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.manifold import BEGIN, Event, EventMemory, EventOccurrence
 from repro.manifold.errors import EventError
@@ -184,3 +186,160 @@ class TestEventMemory:
 
     def test_begin_is_predefined(self):
         assert BEGIN == Event("begin")
+
+
+def _noise(memory: EventMemory, seconds: float) -> threading.Thread:
+    """Post an event nobody takes every 20 ms for ``seconds``."""
+
+    def run():
+        end = time.monotonic() + seconds
+        while time.monotonic() < end:
+            memory.post(Event("noise"))
+            time.sleep(0.02)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestWaitDeadline:
+    """A timeout is one deadline, not a quiet period."""
+
+    @pytest.mark.parametrize(
+        "matcher",
+        [{Event("go"): 0}, lambda occ: 0 if occ.event == Event("go") else None],
+        ids=["mapping", "callable"],
+    )
+    def test_unrelated_traffic_does_not_postpone_timeout(self, matcher):
+        memory = EventMemory()
+        noise = _noise(memory, 1.0)
+        start = time.monotonic()
+        assert memory.wait_for_match(matcher, timeout=0.05) is None
+        elapsed = time.monotonic() - start
+        noise.join()
+        assert elapsed < 0.2
+
+
+class TestWakeRules:
+    """Who a delivery wakes: a waiter that has a label for the event, or
+    one that waits on a predicate."""
+
+    def waits(self, memory: EventMemory, **kwargs) -> tuple[threading.Thread, list]:
+        wakeups: list[int] = []
+        original = memory._cond.wait
+
+        def counting_wait(timeout=None):
+            woken = original(timeout)
+            wakeups.append(1)
+            return woken
+
+        memory._cond.wait = counting_wait
+        thread = threading.Thread(
+            target=memory.wait_for_match, args=({Event("go"): 0},), kwargs=kwargs
+        )
+        thread.start()
+        while not memory._waiters:
+            time.sleep(0.001)
+        return thread, wakeups
+
+    def test_unlabelled_event_does_not_wake_a_label_waiter(self):
+        memory = EventMemory()
+        thread, wakeups = self.waits(memory, timeout=5.0)
+        for _ in range(10):
+            memory.post(Event("death"))
+        time.sleep(0.05)
+        assert wakeups == []
+        memory.post(Event("go"))
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert wakeups == [1]
+        assert len(memory) == 10
+
+    def test_any_event_wakes_a_predicate_waiter(self):
+        memory = EventMemory()
+        flag = threading.Event()
+        thread, wakeups = self.waits(
+            memory, timeout=5.0, extra_predicate=flag.is_set
+        )
+        flag.set()
+        memory.post(Event("death"))
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert wakeups == [1]
+
+    def test_close_wakes_a_label_waiter(self):
+        memory = EventMemory()
+        thread, _ = self.waits(memory)
+        memory.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# the indexed memory against a plain list
+# ----------------------------------------------------------------------
+
+_EVENTS = [Event(name) for name in "abcd"]
+_ranks = st.dictionaries(st.sampled_from(_EVENTS), st.integers(0, 3), max_size=4)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), st.sampled_from(_EVENTS)),
+        st.tuples(st.just("redeliver"), st.integers(0, 50)),
+        st.tuples(st.just("take_mapping"), _ranks),
+        st.tuples(st.just("take_callable"), _ranks),
+        st.tuples(st.just("discard"), st.lists(st.sampled_from(_EVENTS), max_size=2)),
+        st.tuples(st.just("discard_where"), st.integers(0, 2)),
+    ),
+    max_size=40,
+)
+
+
+def _reference_take(pending: list, ranks: dict):
+    """Highest rank, then earliest arrival — the list scan the memory
+    used to be."""
+    best = None
+    for occ in pending:
+        rank = ranks.get(occ.event)
+        if rank is not None and (best is None or rank > ranks[best.event]):
+            best = occ
+    if best is not None:
+        del pending[next(i for i, occ in enumerate(pending) if occ is best)]
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_steps)
+def test_indexed_memory_agrees_with_a_plain_list(steps):
+    memory = EventMemory()
+    pending: list[EventOccurrence] = []
+    delivered: list[EventOccurrence] = []
+    for op, arg in steps:
+        if op == "post":
+            occ = EventOccurrence(arg, source=None)
+            delivered.append(occ)
+            memory.deliver(occ)
+            pending.append(occ)
+        elif op == "redeliver" and delivered:
+            # an old occurrence arriving again: arrival order is the
+            # memory's, not the occurrence's own ``seq``
+            occ = delivered[arg % len(delivered)]
+            memory.deliver(occ)
+            pending.append(occ)
+        elif op == "take_mapping":
+            assert memory.take_match(arg) is _reference_take(pending, arg)
+        elif op == "take_callable":
+            taken = memory.take_match(lambda occ: arg.get(occ.event))
+            assert taken is _reference_take(pending, arg)
+        elif op == "discard":
+            before = len(pending)
+            pending = [occ for occ in pending if occ.event not in arg]
+            assert memory.discard(arg) == before - len(pending)
+        elif op == "discard_where":
+            before = len(pending)
+            pending = [occ for occ in pending if occ.seq % 3 != arg]
+            dropped = memory.discard_where(lambda occ: occ.seq % 3 == arg)
+            assert dropped == before - len(pending)
+        assert len(memory) == len(pending)
+        snapshot = memory.snapshot()
+        assert len(snapshot) == len(pending)
+        assert all(a is b for a, b in zip(snapshot, pending))

@@ -193,6 +193,31 @@ class TestMultiplePools:
         assert total == [5 * (2 + 3)]
 
 
+    def test_client_memory_holds_nothing_between_pools(self, runtime):
+        """The client keeps no event it cannot wait for (deaths, its own
+        requests), and stops observing the application once finished."""
+        worker_defn = make_worker_definition("Worker", lambda x: x)
+        pending, subscribers = [], []
+
+        def master_body(proc):
+            subscribers.append(len(runtime._subscribers))
+            client = MasterProtocolClient(proc, timeout=20)
+            for _ in range(5):
+                client.run_pool([WorkerJob(0, 0)])
+                pending.append(len(client._memory))
+            client.finished()
+            subscribers.append(len(runtime._subscribers))
+            with pytest.raises(ProcessError):
+                client.wait_for(client.events.rendezvous)
+
+        master_defn = AtomicDefinition(
+            "Master", master_body, in_ports=("input", "dataport")
+        )
+        run_master_with_protocol(runtime, master_defn, worker_defn)
+        assert pending == [0] * 5
+        assert subscribers[0] == subscribers[1]
+
+
 class TestProtocolEvents:
     def test_event_sequence_for_one_pool(self, runtime):
         worker_defn = make_worker_definition("Worker", lambda x: x)
