@@ -34,17 +34,20 @@ FULL = os.environ.get("REPRO_BENCH_MODE", "smoke") == "full"
 @pytest.fixture(scope="session")
 def warm_path_settings() -> dict:
     """Configuration of the warm-path bench: mid-size level either way,
-    the full mode just runs more rounds."""
+    the full mode just runs more rounds.  The ratio is a min over each
+    side's rounds, taken one phase after the other, so a load burst on
+    a shared host during the warm phase alone reads as a lost ratio
+    (1.40× once, against ≈2.2× quiet): the rounds are what absorbs it."""
     if FULL:
         return {
             "full": True,
             "level": 5, "tol": 1.0e-3,
-            "cold_rounds": 3, "warm_rounds": 5,
+            "cold_rounds": 5, "warm_rounds": 10,
         }
     return {
         "full": False,
         "level": 5, "tol": 1.0e-3,
-        "cold_rounds": 2, "warm_rounds": 3,
+        "cold_rounds": 3, "warm_rounds": 6,
     }
 
 

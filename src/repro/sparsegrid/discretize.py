@@ -12,11 +12,36 @@ The semi-discretization of the transport equation on grid ``(l, m)``
   time-dependent Dirichlet data enters through a cheap matvec;
 * ``s(t)`` — the source sampled on interior nodes.
 
-Assembly is fully vectorized: 1-D difference stencils are built with
-``scipy.sparse.diags`` and composed with Kronecker products, then the
-variable-coefficient velocity enters as diagonal scalings.  Building
-this operator "takes a lot of time" in the original program; here it is
-one of the calibrated cost-model components.
+Building this operator "takes a lot of time" in the original program.
+Here each interior row is written straight from its 5-point stencil:
+five coefficient arrays over the interior nodes, one per neighbour,
+scattered into ``J`` (interior neighbours) and ``C`` (boundary
+neighbours) by one builder for both advection schemes.  Each entry is
+the float expression the Kronecker-product formulation of the operator
+evaluates (``tests/sparsegrid/test_discretize.py`` keeps that
+formulation as the reference and requires equal ``indptr``, ``indices``
+and ``data``):
+
+* diffusion ``D·((−2/hx²) + (−2/hy²))`` on the diagonal and ``D/h²`` on
+  a neighbour;
+* upwind advection ``((T1 + T2) + T3) + T4`` on the diagonal, where the
+  four terms are the backward/forward x and y differences scaled by
+  ``max(a, 0)`` / ``min(a, 0)``;
+* the entry is ``diffusion − advection``, and an exact zero is not
+  stored.
+
+The order a row stores its entries in is part of the bits too: SciPy's
+CSR matvec sums a row in stored order, so the same coefficients stored
+in another order can round ``J u`` differently.  Rows are stored in
+*descending* column order — the ``(i+1, j)``, ``(i, j+1)``, ``(i, j)``,
+``(i, j−1)``, ``(i−1, j)`` neighbours, in the flat node numbering
+``i·(ny+1) + j`` — because that is what the Kronecker formulation's
+sparse sums and column selection left behind for a field that advects
+in both directions, which covers every registry problem at the default
+root.  Where the field vanishes in one direction (the rotation on a
+root-1 grid one interior node wide, a field with a zero component) that
+formulation left rows ascending, and so does this one:
+:func:`_descending` is the rule.
 """
 
 from __future__ import annotations
@@ -35,52 +60,80 @@ __all__ = ["SpatialOperator"]
 Scheme = Literal["upwind", "central"]
 
 
-def _interior_diags(
-    n_nodes: int, diagonals: dict[int, float]
-) -> sp.spmatrix:
-    """Assemble ``sp.diags`` directly on interior rows only.
+def _stencil(
+    grid: Grid,
+    diffusion: float,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    scheme: Scheme,
+) -> list[np.ndarray]:
+    """The five stencil coefficients of every interior row.
 
-    ``diagonals`` maps an offset to its constant coefficient.  The first
-    and last row (the Dirichlet boundary nodes) are zero; instead of
-    building the full stencil and zeroing those rows through a LIL
-    round-trip, each diagonal is constructed with its boundary-row
-    entries already absent, then explicit zeros are pruned so the CSR
-    structure matches the old row-deleted form exactly.
+    ``a1``/``a2`` are the velocity components on the interior nodes.
+    Returned in descending column order: ``(i+1, j)``,
+    ``(i, j+1)``, ``(i, j)``, ``(i, j−1)``, ``(i−1, j)``.
     """
-    arrays, offsets = [], []
-    for offset, value in diagonals.items():
-        length = n_nodes - abs(offset)
-        diag = np.full(length, value)
-        # diagonal element k of offset d lives at row (k - min(d, 0));
-        # blank the entries that would land on row 0 or row n_nodes-1
-        rows = np.arange(length) - min(offset, 0)
-        diag[(rows == 0) | (rows == n_nodes - 1)] = 0.0
-        arrays.append(diag)
-        offsets.append(offset)
-    mat = sp.diags(arrays, offsets, format="csr")
-    mat.eliminate_zeros()
-    return mat
+    cx = 1.0 / (grid.hx * grid.hx)
+    cy = 1.0 / (grid.hy * grid.hy)
+    lap_centre = diffusion * ((-2.0 * cx) + (-2.0 * cy))
+    lap_x, lap_y = diffusion * cx, diffusion * cy
+    if scheme == "upwind":
+        inv_hx, inv_hy = 1.0 / grid.hx, 1.0 / grid.hy
+        neg_inv_hx, neg_inv_hy = -1.0 / grid.hx, -1.0 / grid.hy
+        a1p, a1m = np.maximum(a1, 0.0), np.minimum(a1, 0.0)
+        a2p, a2m = np.maximum(a2, 0.0), np.minimum(a2, 0.0)
+        adv_xp, adv_xm = a1m * inv_hx, a1p * neg_inv_hx
+        adv_yp, adv_ym = a2m * inv_hy, a2p * neg_inv_hy
+        adv_centre = (
+            ((a1p * inv_hx + a1m * neg_inv_hx) + a2p * inv_hy) + a2m * neg_inv_hy
+        )
+    else:
+        adv_xp, adv_xm = a1 * (0.5 / grid.hx), a1 * (-0.5 / grid.hx)
+        adv_yp, adv_ym = a2 * (0.5 / grid.hy), a2 * (-0.5 / grid.hy)
+        adv_centre = np.zeros_like(a1)
+    return [
+        lap_x - adv_xp,
+        lap_y - adv_yp,
+        lap_centre - adv_centre,
+        lap_y - adv_ym,
+        lap_x - adv_xm,
+    ]
 
 
-def _second_difference(n_nodes: int, h: float) -> sp.spmatrix:
-    """(u[i-1] - 2 u[i] + u[i+1]) / h^2 on interior rows; zero elsewhere."""
-    c = 1.0 / (h * h)
-    return _interior_diags(n_nodes, {-1: c, 0: -2.0 * c, 1: c})
+def _descending(a1: np.ndarray, a2: np.ndarray, scheme: Scheme) -> bool:
+    """Whether a row stores its columns descending (else ascending).
 
-
-def _difference(n_nodes: int, h: float, kind: str) -> sp.spmatrix:
-    """1-D first-difference operator on interior rows.
-
-    ``kind``: ``minus`` = backward ``(u[i] - u[i-1])/h``; ``plus`` =
-    forward ``(u[i+1] - u[i])/h``; ``central`` = ``(u[i+1] - u[i-1])/(2h)``.
+    ``a1``/``a2`` are the velocity components on all nodes.  The order
+    is what the Kronecker formulation's sparse sums left behind: SciPy
+    adds two CSR matrices with sorted rows by a merge (rows stay
+    ascending) and any other pair by a linked list that emits a row's
+    columns in reverse order of first appearance.  Its diffusion term is
+    sorted, so the final ``lap − adv`` stores rows descending exactly
+    when some row of the advection sum is unsorted — worked out per
+    scheme below from which difference rows carry a nonzero velocity,
+    the boundary lines included.
     """
-    if kind == "minus":
-        return _interior_diags(n_nodes, {-1: -1.0 / h, 0: 1.0 / h})
-    if kind == "plus":
-        return _interior_diags(n_nodes, {0: -1.0 / h, 1: 1.0 / h})
-    if kind == "central":
-        return _interior_diags(n_nodes, {-1: -0.5 / h, 1: 0.5 / h})
-    raise ValueError(f"unknown difference kind {kind!r}")  # pragma: no cover
+    if scheme == "central":
+        # an interior node advected in x and y both
+        inner = (slice(1, -1), slice(1, -1))
+        return bool(np.any((a1[inner] != 0.0) & (a2[inner] != 0.0)))
+    # upwind: unsorted iff two of these three terms are present
+    in_x = np.any(a1[1:-1, :] != 0.0)
+    up_y = np.any(a2[:, 1:-1] > 0.0)
+    down_y = np.any(a2[:, 1:-1] < 0.0)
+    return int(in_x) + int(up_y) + int(down_y) >= 2
+
+
+def _csr(
+    values: np.ndarray, columns: np.ndarray, stored: np.ndarray, n_cols: int
+) -> sp.csr_matrix:
+    """Row-major ``(rows, 5)`` stencil arrays → CSR of the ``stored`` entries."""
+    start = np.zeros(values.shape[0] + 1, dtype=np.int64)
+    np.cumsum(stored.sum(axis=1), out=start[1:])
+    return sp.csr_matrix(
+        (values[stored], columns[stored], start),
+        shape=(values.shape[0], n_cols),
+    )
 
 
 class SpatialOperator:
@@ -101,33 +154,15 @@ class SpatialOperator:
 
         nx, ny = grid.nx, grid.ny
         xx, yy = grid.meshgrid()
-        a1 = np.asarray(problem.velocity_x(xx, yy), dtype=float).reshape(-1)
-        a2 = np.asarray(problem.velocity_y(xx, yy), dtype=float).reshape(-1)
-
-        ix = sp.identity(nx + 1, format="csr")
-        iy = sp.identity(ny + 1, format="csr")
-        lap = problem.diffusion * (
-            sp.kron(_second_difference(nx + 1, grid.hx), iy, format="csr")
-            + sp.kron(ix, _second_difference(ny + 1, grid.hy), format="csr")
+        a1 = np.asarray(problem.velocity_x(xx, yy), dtype=float).reshape(xx.shape)
+        a2 = np.asarray(problem.velocity_y(xx, yy), dtype=float).reshape(xx.shape)
+        stencil = _stencil(
+            grid, problem.diffusion, a1[1:-1, 1:-1], a2[1:-1, 1:-1], scheme
         )
-
-        if scheme == "upwind":
-            dxm = sp.kron(_difference(nx + 1, grid.hx, "minus"), iy, format="csr")
-            dxp = sp.kron(_difference(nx + 1, grid.hx, "plus"), iy, format="csr")
-            dym = sp.kron(ix, _difference(ny + 1, grid.hy, "minus"), format="csr")
-            dyp = sp.kron(ix, _difference(ny + 1, grid.hy, "plus"), format="csr")
-            adv = (
-                sp.diags(np.maximum(a1, 0.0)) @ dxm
-                + sp.diags(np.minimum(a1, 0.0)) @ dxp
-                + sp.diags(np.maximum(a2, 0.0)) @ dym
-                + sp.diags(np.minimum(a2, 0.0)) @ dyp
-            )
-        else:
-            dxc = sp.kron(_difference(nx + 1, grid.hx, "central"), iy, format="csr")
-            dyc = sp.kron(ix, _difference(ny + 1, grid.hy, "central"), format="csr")
-            adv = sp.diags(a1) @ dxc + sp.diags(a2) @ dyc
-
-        full = (lap - adv).tocsr()
+        offsets = np.array([ny + 1, 1, 0, -1, -(ny + 1)])
+        if not _descending(a1, a2, scheme):
+            stencil, offsets = stencil[::-1], offsets[::-1]
+        values = np.stack(stencil, axis=-1).reshape(-1, 5)
 
         interior_mask = np.zeros((nx + 1, ny + 1), dtype=bool)
         interior_mask[1:-1, 1:-1] = True
@@ -135,9 +170,21 @@ class SpatialOperator:
         self.interior_idx = np.flatnonzero(flat_mask)
         self.boundary_idx = np.flatnonzero(~flat_mask)
 
-        selected = full[self.interior_idx, :]
-        self.J: sp.csr_matrix = selected[:, self.interior_idx].tocsr()
-        self.C: sp.csr_matrix = selected[:, self.boundary_idx].tocsr()
+        # the flat node number of each stencil neighbour, and where that
+        # node sits among the interior (J's columns) or boundary (C's)
+        neighbours = self.interior_idx[:, None] + offsets
+        column = np.empty(flat_mask.size, dtype=np.int64)
+        column[self.interior_idx] = np.arange(self.interior_idx.size)
+        column[self.boundary_idx] = np.arange(self.boundary_idx.size)
+        columns = column[neighbours]
+        nonzero = values != 0.0
+        inside = flat_mask[neighbours]
+        self.J: sp.csr_matrix = _csr(
+            values, columns, nonzero & inside, self.interior_idx.size
+        )
+        self.C: sp.csr_matrix = _csr(
+            values, columns, nonzero & ~inside, self.boundary_idx.size
+        )
 
         xs, ys = xx.reshape(-1), yy.reshape(-1)
         self._xi = xs[self.interior_idx]

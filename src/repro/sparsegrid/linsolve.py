@@ -43,6 +43,18 @@ exactly; the timings do not).  NATURAL ordering is no alternative
 (242 170 nnz at (3,4), a million at (0,7)), and issue 16 measured
 banded LAPACK slower on every near-square grid, which is where the
 time is.
+
+A stage matrix is built on a fixed pattern.  ``J`` never changes, so
+the CSC pattern of ``I − J`` — ``J``'s own plus the diagonal — is
+computed once (:class:`ShiftedOperator`, on a solver's first
+factorization), with ``J``'s values laid out on it and a ``base`` that
+is 1 on the diagonal and 0 elsewhere.  Each factorization then writes
+``data = base − c·values`` (``c = γh``) into one new CSC matrix.  That is
+the float operation the sparse difference ``I − c·J`` performs entry by
+entry — ``1 − c·x`` on the diagonal, ``0 − c·x`` off it — on the same
+sorted pattern, with the same exact zeros left out, so SuperLU receives
+the same three arrays and returns the same factor.  The θ-method's
+implicit and explicit matrices are built by the same class.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["FactorCache", "RosenbrockSystemSolver", "factorize"]
+__all__ = ["FactorCache", "RosenbrockSystemSolver", "ShiftedOperator", "factorize"]
 
 
 def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
@@ -66,6 +78,52 @@ def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
     with a fresh one.
     """
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+class ShiftedOperator:
+    """``I − c·J`` for any scalar ``c``, on one CSC pattern fixed per ``J``
+    (see the module docstring)."""
+
+    def __init__(self, J: sp.spmatrix) -> None:
+        J = J.tocsc()  # from CSR: each column's rows ascending
+        n = J.shape[0]
+        columns = np.arange(n, dtype=J.indices.dtype)
+        column_of = np.repeat(columns, np.diff(J.indptr))
+        # a diagonal entry J lacks is stored as an explicit zero, after
+        # the rows above it in its column
+        lacking = np.ones(n, dtype=bool)
+        lacking[J.indices[J.indices == column_of]] = False
+        above = np.zeros(J.nnz + 1, dtype=J.indptr.dtype)
+        np.cumsum(J.indices < column_of, out=above[1:])
+        at = (J.indptr[:-1] + above[J.indptr[1:]] - above[J.indptr[:-1]])[lacking]
+        self.shape = J.shape
+        self._indices = np.insert(J.indices, at, columns[lacking])
+        self._values = np.insert(J.data, at, 0.0)
+        self._indptr = J.indptr.copy()
+        np.cumsum(lacking, out=self._indptr[1:])
+        self._indptr += J.indptr
+        column_of = np.repeat(columns, np.diff(self._indptr))
+        self._base = (self._indices == column_of).astype(float)
+
+    def matrix(self, c: float) -> sp.csc_matrix:
+        """``I − c·J`` as a new CSC matrix, exact zeros left out.
+
+        Without a zero the matrix shares the pattern's index arrays:
+        it is read, never sorted or pruned in place (``splu`` does
+        neither to a matrix in canonical order).
+        """
+        data = self._base - c * self._values
+        if data.all():
+            return sp.csc_matrix(
+                (data, self._indices, self._indptr), shape=self.shape
+            )
+        stored = data != 0.0
+        start = np.zeros(stored.size + 1, dtype=self._indptr.dtype)
+        np.cumsum(stored, out=start[1:])
+        return sp.csc_matrix(
+            (data[stored], self._indices[stored], start[self._indptr]),
+            shape=self.shape,
+        )
 
 
 class FactorCache:
@@ -124,10 +182,12 @@ class RosenbrockSystemSolver:
     ) -> None:
         if gamma <= 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        self.J = J.tocsc()
+        self.J = J
         self.gamma = gamma
         self.n = J.shape[0]
-        self._identity = sp.identity(self.n, format="csc")
+        #: the stage-matrix pattern, built by the first factorization
+        #: (a run served wholly from ``factor_cache`` never needs it)
+        self._shifted: Optional[ShiftedOperator] = None
         self._lu: Optional[spla.SuperLU] = None
         self._h: Optional[float] = None
         #: optional cross-run factor store (the warm path); ``None``
@@ -167,7 +227,9 @@ class RosenbrockSystemSolver:
                 self.factor_cache_hits += 1
                 return
         started = time.perf_counter()
-        self._lu = factorize(self._identity - (self.gamma * h) * self.J)
+        if self._shifted is None:
+            self._shifted = ShiftedOperator(self.J)
+        self._lu = factorize(self._shifted.matrix(self.gamma * h))
         self._h = h
         self.factorizations += 1
         self.factor_seconds += time.perf_counter() - started

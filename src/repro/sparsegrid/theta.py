@@ -25,10 +25,9 @@ import math
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import SpatialOperator
-from .linsolve import factorize
+from .linsolve import ShiftedOperator, factorize
 from .rosenbrock import Ros2Integrator, StepStats
 
 __all__ = ["ThetaIntegrator", "make_integrator", "steps_for_tolerance"]
@@ -61,19 +60,17 @@ class ThetaIntegrator:
             raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
         started = time.perf_counter()
         stats = StepStats(assembly_seconds=self.operator.assembly_seconds)
-        J = self.operator.J.tocsc()
-        n = J.shape[0]
+        shifted = ShiftedOperator(self.operator.J)
         h = (t_end - t0) / self.n_steps
-        identity = sp.identity(n, format="csc")
 
         solve = None
         factor_started = time.perf_counter()
         if self.theta > 0.0:
-            solve = factorize(identity - (self.theta * h) * J).solve
+            solve = factorize(shifted.matrix(self.theta * h)).solve
             stats.factorizations = 1
         stats.factor_seconds = time.perf_counter() - factor_started
 
-        explicit = (identity + ((1.0 - self.theta) * h) * J).tocsr()
+        explicit = shifted.matrix(-((1.0 - self.theta) * h)).tocsr()
         u = np.asarray(u0, dtype=float).copy()
         t = t0
         b_old = self.operator.forcing(t)

@@ -3,6 +3,9 @@ results "are exactly the same as in the sequential version"."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,16 @@ from repro.restructured.mainprog import DEFAULT_MLINK
 from repro.sparsegrid import SequentialApplication
 
 ROOT, LEVEL, TOL = 2, 2, 1.0e-3
+
+#: a root-0 family: four of its five grids have no interior node
+ROOT_ZERO = """
+import numpy as np
+from repro.restructured import run_multiprocessing
+from repro.sparsegrid import SequentialApplication
+mp = run_multiprocessing(root=0, level=2, tol=1e-3, processes=2)
+seq = SequentialApplication(root=0, level=2, tol=1e-3).run()
+print(bool(np.array_equal(seq.combined, mp.combined)), mp.faults, mp.fallbacks)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +39,17 @@ class TestBitwiseEquivalence:
     def test_multiprocessing_identical(self, sequential_result):
         mp = run_multiprocessing(root=ROOT, level=LEVEL, tol=TOL, processes=2)
         assert np.array_equal(sequential_result.combined, mp.combined)
+
+    def test_root_zero_family_identical(self):
+        # in a subprocess with a timeout: a grid with no unknowns once
+        # kept the integrator stepping forever, in a worker and in the
+        # master's fallback alike
+        done = subprocess.run(
+            [sys.executable, "-c", ROOT_ZERO],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "0", "0"]
 
     def test_per_grid_solutions_identical(self, sequential_result):
         concurrent, _ = run_concurrent(root=ROOT, level=LEVEL, tol=TOL, timeout=120)

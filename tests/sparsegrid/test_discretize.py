@@ -4,9 +4,156 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.sparsegrid import Grid, inhomogeneous_problem, manufactured_problem
 from repro.sparsegrid.discretize import SpatialOperator
+from repro.sparsegrid.problem import AdvectionDiffusionProblem
+from repro.sparsegrid.registry import PROBLEMS, make_problem
+
+
+# ----------------------------------------------------------------------
+# The reference: the operator assembled by 1-D difference stencils,
+# Kronecker products, diagonal velocity scalings and a row/column
+# selection of the full-grid matrix — the formulation the stencil
+# builder replaced, kept here verbatim so the builder is held to its
+# bits (values *and* the order a row stores them in).
+# ----------------------------------------------------------------------
+def _interior_diags(n_nodes: int, diagonals: dict[int, float]) -> sp.spmatrix:
+    arrays, offsets = [], []
+    for offset, value in diagonals.items():
+        length = n_nodes - abs(offset)
+        diag = np.full(length, value)
+        # diagonal element k of offset d lives at row (k - min(d, 0));
+        # blank the entries that would land on row 0 or row n_nodes-1
+        rows = np.arange(length) - min(offset, 0)
+        diag[(rows == 0) | (rows == n_nodes - 1)] = 0.0
+        arrays.append(diag)
+        offsets.append(offset)
+    mat = sp.diags(arrays, offsets, format="csr")
+    mat.eliminate_zeros()
+    return mat
+
+
+def _second_difference(n_nodes: int, h: float) -> sp.spmatrix:
+    c = 1.0 / (h * h)
+    return _interior_diags(n_nodes, {-1: c, 0: -2.0 * c, 1: c})
+
+
+def _difference(n_nodes: int, h: float, kind: str) -> sp.spmatrix:
+    if kind == "minus":
+        return _interior_diags(n_nodes, {-1: -1.0 / h, 0: 1.0 / h})
+    if kind == "plus":
+        return _interior_diags(n_nodes, {0: -1.0 / h, 1: 1.0 / h})
+    return _interior_diags(n_nodes, {-1: -0.5 / h, 1: 0.5 / h})
+
+
+def reference_operator(grid, problem, scheme):
+    """``(J, C)`` by the Kronecker formulation."""
+    nx, ny = grid.nx, grid.ny
+    xx, yy = grid.meshgrid()
+    a1 = np.asarray(problem.velocity_x(xx, yy), dtype=float).reshape(-1)
+    a2 = np.asarray(problem.velocity_y(xx, yy), dtype=float).reshape(-1)
+
+    ix = sp.identity(nx + 1, format="csr")
+    iy = sp.identity(ny + 1, format="csr")
+    lap = problem.diffusion * (
+        sp.kron(_second_difference(nx + 1, grid.hx), iy, format="csr")
+        + sp.kron(ix, _second_difference(ny + 1, grid.hy), format="csr")
+    )
+
+    if scheme == "upwind":
+        dxm = sp.kron(_difference(nx + 1, grid.hx, "minus"), iy, format="csr")
+        dxp = sp.kron(_difference(nx + 1, grid.hx, "plus"), iy, format="csr")
+        dym = sp.kron(ix, _difference(ny + 1, grid.hy, "minus"), format="csr")
+        dyp = sp.kron(ix, _difference(ny + 1, grid.hy, "plus"), format="csr")
+        adv = (
+            sp.diags(np.maximum(a1, 0.0)) @ dxm
+            + sp.diags(np.minimum(a1, 0.0)) @ dxp
+            + sp.diags(np.maximum(a2, 0.0)) @ dym
+            + sp.diags(np.minimum(a2, 0.0)) @ dyp
+        )
+    else:
+        dxc = sp.kron(_difference(nx + 1, grid.hx, "central"), iy, format="csr")
+        dyc = sp.kron(ix, _difference(ny + 1, grid.hy, "central"), format="csr")
+        adv = sp.diags(a1) @ dxc + sp.diags(a2) @ dyc
+
+    full = (lap - adv).tocsr()
+
+    interior_mask = np.zeros((nx + 1, ny + 1), dtype=bool)
+    interior_mask[1:-1, 1:-1] = True
+    flat_mask = interior_mask.reshape(-1)
+    interior_idx = np.flatnonzero(flat_mask)
+    boundary_idx = np.flatnonzero(~flat_mask)
+
+    selected = full[interior_idx, :]
+    J = selected[:, interior_idx].tocsr()
+    C = selected[:, boundary_idx].tocsr()
+    return J, C
+
+
+def assert_same_csr(built, reference, label):
+    assert built.shape == reference.shape, label
+    assert np.array_equal(built.indptr, reference.indptr), label
+    # stored order included: the matvec sums a row in this order
+    assert np.array_equal(built.indices, reference.indices), label
+    assert np.array_equal(built.data, reference.data), label
+
+
+def family(roots, max_level):
+    """Every grid ``(l, m)`` with ``l + m <= max_level`` at each root."""
+    return [
+        Grid(root, l, diagonal - l)
+        for root in roots
+        for diagonal in range(max_level + 1)
+        for l in range(diagonal + 1)
+    ]
+
+
+class TestAgainstKroneckerReference:
+    @pytest.mark.parametrize("scheme", ["upwind", "central"])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_registry_problems_bitwise(self, name, scheme):
+        problem = make_problem(name)
+        for grid in family(roots=(0, 1, 2, 3), max_level=6):
+            J, C = reference_operator(grid, problem, scheme)
+            op = SpatialOperator(grid, problem, scheme=scheme)
+            assert_same_csr(op.J, J, f"J {grid} {scheme}")
+            assert_same_csr(op.C, C, f"C {grid} {scheme}")
+
+    FIELDS = {
+        "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
+        "positive": lambda x, y: np.full(np.broadcast(x, y).shape, 0.7),
+        "negative": lambda x, y: np.full(np.broadcast(x, y).shape, -0.3),
+        # positive on the x = 0, 1 lines, negative on y = 0, 1 only
+        "rim": lambda x, y: np.where(
+            (y == 0) | (y == 1), -1.0, ((x == 0) | (x == 1)) * 1.0
+        ),
+        "signs": lambda x, y: np.sign(np.sin(7.0 * x + 3.0 * y)),
+    }
+
+    @pytest.mark.parametrize("scheme", ["upwind", "central"])
+    @pytest.mark.parametrize("vy", sorted(FIELDS))
+    @pytest.mark.parametrize("vx", sorted(FIELDS))
+    def test_velocity_fields_with_zeros_bitwise(self, vx, vy, scheme):
+        """Fields that vanish in a direction, on the rim only, or
+        changing sign node by node: the stored order then depends on
+        which advection terms are present (``discretize._descending``)."""
+        zero = self.FIELDS["zero"]
+        for diffusion in (0.0, 0.01):
+            problem = AdvectionDiffusionProblem(
+                name="fields",
+                velocity_x=self.FIELDS[vx],
+                velocity_y=self.FIELDS[vy],
+                diffusion=diffusion,
+                initial=zero,
+                boundary=lambda x, y, t: zero(x, y),
+            )
+            for grid in family(roots=(0, 1, 2), max_level=2):
+                J, C = reference_operator(grid, problem, scheme)
+                op = SpatialOperator(grid, problem, scheme=scheme)
+                assert_same_csr(op.J, J, f"J {grid} D={diffusion}")
+                assert_same_csr(op.C, C, f"C {grid} D={diffusion}")
 
 
 class TestStructure:

@@ -16,6 +16,7 @@ from repro.sparsegrid.grid import nested_loop_grids
 from repro.sparsegrid.linsolve import (
     FactorCache,
     RosenbrockSystemSolver,
+    ShiftedOperator,
     factorize,
 )
 from repro.sparsegrid.rosenbrock import GAMMA
@@ -62,6 +63,23 @@ def test_cached_and_fresh_factor_solve_identically(jacobians):
     fresh = factorize(stage_matrix(J))
     assert np.array_equal(second.solve(rhs), fresh.solve(rhs))
     assert np.array_equal(first.solve(rhs), fresh.solve(rhs))
+
+
+@pytest.mark.parametrize("c", [GAMMA * H, 0.3, -0.25, 0.0, -0.0])
+def test_shifted_operator_is_the_sparse_difference(jacobians, c):
+    """``I − c·J`` on the fixed pattern stores what the sparse algebra
+    stores — a diagonal J lacks included, exact zeros left out."""
+    lacking = sp.csr_matrix(
+        np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 4.0]])
+    )
+    empty, no_unknowns = sp.csr_matrix((3, 3)), sp.csr_matrix((0, 0))
+    for J in (jacobians[(3, 4)], lacking, empty, no_unknowns):
+        expected = (sp.identity(J.shape[0], format="csc") - c * J.tocsc()).tocsc()
+        built = ShiftedOperator(J).matrix(c)
+        assert built.shape == expected.shape
+        assert np.array_equal(built.indptr, expected.indptr)
+        assert np.array_equal(built.indices, expected.indices)
+        assert np.array_equal(built.data, expected.data)
 
 
 def test_factorize_is_the_only_splu_call_in_the_package():

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.sparsegrid import Grid, manufactured_problem
+from repro.sparsegrid import Grid, inhomogeneous_problem, manufactured_problem
 from repro.sparsegrid.discretize import SpatialOperator
 from repro.sparsegrid.linsolve import RosenbrockSystemSolver
 from repro.sparsegrid.rosenbrock import GAMMA, Ros2Integrator
+
+#: the SciPy methods sparse-sparse and sparse-scalar arithmetic runs through
+SPARSE_ARITHMETIC = {
+    "_binopt", "_add_sparse", "_sub_sparse", "_mul_scalar", "_matmul_sparse",
+    "__add__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+}
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +60,33 @@ class TestSystemSolver:
     def test_invalid_gamma_rejected(self, operator):
         with pytest.raises(ValueError):
             RosenbrockSystemSolver(operator.J, 0.0)
+
+    def test_factorization_builds_one_sparse_matrix(self, operator):
+        """A stage matrix is written onto the fixed pattern: no sparse
+        arithmetic (scaled copy, difference) and one new matrix."""
+        solver = RosenbrockSystemSolver(operator.J, GAMMA)
+        solver.prepare(0.01)  # the first one also lays out the pattern
+        built, arithmetic = [], []
+
+        def watch(frame, event, arg):
+            if event != "call" or "scipy" not in frame.f_code.co_filename:
+                return
+            name = frame.f_code.co_name
+            if name == "__init__" and isinstance(
+                frame.f_locals.get("self"), sp.spmatrix
+            ):
+                built.append(frame.f_locals["self"])
+            elif name in SPARSE_ARITHMETIC:
+                arithmetic.append(name)
+
+        sys.setprofile(watch)
+        try:
+            solver.prepare(0.02)
+        finally:
+            sys.setprofile(None)
+        assert solver.factorizations == 2
+        assert arithmetic == []
+        assert len({id(matrix) for matrix in built}) == 1
 
     def test_counters_track_solves(self, operator):
         solver = RosenbrockSystemSolver(operator.J, GAMMA)
@@ -159,6 +195,25 @@ class TestIntegration:
             return u
 
         assert np.array_equal(run(), run())
+
+    def test_forcing_once_per_distinct_time(self):
+        """Stage 2's ``t + h`` is the next step's ``t``: one forcing
+        evaluation per time the integration visits, rejected attempts
+        included, and none twice."""
+        problem = inhomogeneous_problem()  # boundary and source depend on t
+        op = SpatialOperator(Grid(2, 1, 1), problem)
+        forcing, seen = op.forcing, []
+
+        def counting(t):
+            seen.append(t)
+            return forcing(t)
+
+        op.forcing = counting
+        _, stats = Ros2Integrator(op, 1e-4).integrate(
+            op.initial_interior(), 0.0, problem.t_end
+        )
+        assert stats.steps_rejected > 0
+        assert len(seen) == len(set(seen)) == stats.steps_total + 1
 
     def test_step_holding_limits_factorizations(self):
         """The controller holds h when the change would not pay for a
