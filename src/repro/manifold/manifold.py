@@ -40,6 +40,7 @@ from .ports import STANDARD_ERR, STANDARD_IN, STANDARD_OUT
 from .process import ProcessBase
 from .scheduler import Runtime
 from .states import Block, BlockExit, HaltBlock, Preempted, StateContext
+from .threads import start_thread
 
 __all__ = ["Coordinator", "Manner"]
 
@@ -84,7 +85,6 @@ class Coordinator(ProcessBase):
         self.poll_interval = poll_interval
         self._deadline_seconds = deadline
         self._deadline_at: Optional[float] = None
-        self._thread: Optional[threading.Thread] = None
         self.failure_traceback: Optional[str] = None
         self._trace_lines: list[str] = []
         self._trace_lock = threading.Lock()
@@ -97,10 +97,7 @@ class Coordinator(ProcessBase):
     def _start(self) -> None:
         if self._deadline_seconds is not None:
             self._deadline_at = time.monotonic() + self._deadline_seconds
-        self._thread = threading.Thread(
-            target=self._thread_main, name=self.name, daemon=True
-        )
-        self._thread.start()
+        start_thread(self._thread_main, self.name)
 
     def deadline_exceeded(self) -> bool:
         return self._deadline_at is not None and time.monotonic() > self._deadline_at

@@ -5,7 +5,8 @@ A *process instance* is the unit of activity.  Following the paper:
 * **Atomic (worker) processes** perform computation only.  They read
   from their own input ports, write to their own output ports, and raise
   events — they know nothing about who is connected to them.  Atomic
-  processes here are plain Python callables run on a dedicated thread.
+  processes here are plain Python callables, each run on a thread of
+  its own (:mod:`repro.manifold.threads`).
 * **Coordinator processes** (manifolds, :mod:`repro.manifold.manifold`)
   do no computation; they react to event occurrences by rewiring streams
   between other processes' ports.
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 from .errors import PortError, ProcessError
 from .events import Event, EventOccurrence
 from .ports import Port, PortDirection, STANDARD_ERR, STANDARD_IN, STANDARD_OUT
+from .threads import start_thread
 from .units import ProcessReference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -216,7 +218,6 @@ class AtomicProcess(ProcessBase):
         self._body = body
         self._args = tuple(args)
         self._kwargs = dict(kwargs or {})
-        self._thread: Optional[threading.Thread] = None
         #: last traceback text on failure, for diagnostics
         self.failure_traceback: Optional[str] = None
 
@@ -226,10 +227,7 @@ class AtomicProcess(ProcessBase):
         return self._args
 
     def _start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._thread_main, name=self.name, daemon=True
-        )
-        self._thread.start()
+        start_thread(self._thread_main, self.name)
 
     def _thread_main(self) -> None:
         try:

@@ -39,6 +39,7 @@ from .events import BEGIN, Event, EventMemory, EventOccurrence
 from .ports import Port
 from .process import AtomicDefinition, AtomicProcess, ProcessBase
 from .streams import Stream, StreamType
+from .wiring import wire as wire_chain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .manifold import Coordinator
@@ -263,9 +264,7 @@ class StateContext:
 
         See :mod:`repro.manifold.wiring` for the notation.
         """
-        from .wiring import wire as _wire
-
-        return _wire(self, spec, env, types)
+        return wire_chain(self, spec, env, types)
 
     # ------------------------------------------------------------------
     # events

@@ -29,13 +29,11 @@ import enum
 import itertools
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import StreamError
+from .ports import Port, PortDirection
 from .units import Unit
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .ports import Port
 
 __all__ = ["StreamType", "Stream"]
 
@@ -79,8 +77,6 @@ class Stream:
     # ------------------------------------------------------------------
     def connect(self, source: "Port", sink: "Port") -> "Stream":
         """Attach both ends; returns self for chaining."""
-        from .ports import PortDirection
-
         if source.direction is not PortDirection.OUT:
             raise StreamError(f"stream source must be an output port, got {source!r}")
         if sink.direction is not PortDirection.IN:
@@ -109,8 +105,6 @@ class Stream:
         master.  The stream is born with the unit buffered and its source
         side already broken, so it disappears once the unit is read.
         """
-        from .ports import PortDirection
-
         if sink.direction is not PortDirection.IN:
             raise StreamError(f"literal stream sink must be an input port, got {sink!r}")
         stream = cls(type, name=name or "literal")

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .process import ProcessState
 from .scheduler import Runtime
+from .threads import start_thread
 
 __all__ = ["StallReport", "Watchdog"]
 
@@ -65,26 +66,33 @@ class Watchdog:
         self.timeout = timeout
         self.on_stall = on_stall
         self.poll_interval = poll_interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        #: (stop, stopped) of the running sampler; None while stopped
+        self._running: Optional[tuple[threading.Event, threading.Event]] = None
         self._reports: list[StallReport] = []
         self._reports_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def start(self) -> "Watchdog":
-        if self._thread is not None:
+        if self._running is not None:
             raise RuntimeError("watchdog already started")
-        self._thread = threading.Thread(
-            target=self._run, name="watchdog", daemon=True
-        )
-        self._thread.start()
+        # a fresh pair per start, so a stopped watchdog can start again
+        stop, stopped = self._running = threading.Event(), threading.Event()
+
+        def sample() -> None:
+            try:
+                self._run(stop)
+            finally:
+                stopped.set()
+
+        start_thread(sample, "watchdog")
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        if self._running is not None:
+            stop, stopped = self._running
+            stop.set()
+            stopped.wait(timeout=2.0)
+            self._running = None
 
     def __enter__(self) -> "Watchdog":
         return self.start()
@@ -115,11 +123,11 @@ class Watchdog:
             activity_count=self.runtime.activity_count,
         )
 
-    def _run(self) -> None:
+    def _run(self, stop: threading.Event) -> None:
         last_count = self.runtime.activity_count
         last_change = time.monotonic()
         reported = False
-        while not self._stop.wait(self.poll_interval):
+        while not stop.wait(self.poll_interval):
             count = self.runtime.activity_count
             now = time.monotonic()
             if count != last_count:

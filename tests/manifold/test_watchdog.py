@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -96,6 +97,22 @@ class TestWatchdog:
                 dog.start()
         finally:
             dog.stop()
+
+    def test_reports_again_after_a_restart(self, runtime):
+        """``stop()`` around a known-quiet phase, then ``start()``: the
+        restarted watchdog reports the next stall too."""
+        make_void(runtime)
+        stalled = threading.Event()
+        dog = Watchdog(runtime, timeout=0.2, on_stall=lambda r: stalled.set(),
+                       poll_interval=0.02)
+        for episode in range(2):
+            dog.start()
+            try:
+                assert stalled.wait(timeout=5.0), f"stall {episode} unreported"
+            finally:
+                dog.stop()
+            stalled.clear()
+        assert len(dog.reports()) == 2
 
     def test_invalid_timeout_rejected(self, runtime):
         with pytest.raises(ValueError):
