@@ -8,7 +8,7 @@ to a state whose label matches.
 
 This module implements:
 
-* :class:`Event` — an interned event name.
+* :class:`Event` — an event name, compared and hashed by value.
 * :class:`EventOccurrence` — an event together with the process that
   raised it.
 * :class:`EventMemory` — the thread-safe occurrence store owned by each
@@ -21,6 +21,7 @@ This module implements:
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import time
 from collections import deque
@@ -41,43 +42,40 @@ __all__ = [
 ]
 
 
-class Event:
+class Event(tuple):
     """An event name.
 
-    Events are interned: constructing two events with the same name in
-    the same namespace yields objects that compare (and hash) equal, so
-    the protocol source and the worker wrappers can both say
-    ``Event("death_worker")`` and mean the same thing.  Distinct *local*
-    events (such as the ``death_worker`` event declared locally in
-    ``Create_Worker_Pool``) are created with :meth:`local`, which gives
-    the event a unique namespace.
+    Events are values: two events with the same name in the same
+    namespace compare (and hash) equal, so the protocol source and the
+    worker wrappers can both say ``Event("death_worker")`` and mean the
+    same thing.  Distinct *local* events (such as the ``death_worker``
+    event declared locally in ``Create_Worker_Pool``) are created with
+    :meth:`local`, which gives the event a unique namespace.
+
+    An event is the pair ``(name, namespace)``, so hashing and comparing
+    one runs no Python code: a coordinator does both for every label it
+    matches and every occurrence it stores.
     """
 
-    __slots__ = ("name", "namespace", "_hash")
+    __slots__ = ()
 
     _local_counter = itertools.count()
 
-    def __init__(self, name: str, namespace: str = "") -> None:
+    def __new__(cls, name: str, namespace: str = "") -> "Event":
         if not name or not isinstance(name, str):
             raise EventError(f"event name must be a non-empty string, got {name!r}")
-        self.name = name
-        self.namespace = namespace
-        self._hash = hash((name, namespace))
+        return tuple.__new__(cls, (name, namespace))
+
+    name = property(operator.itemgetter(0))
+    namespace = property(operator.itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
 
     @classmethod
     def local(cls, name: str) -> "Event":
         """Create a fresh event distinct from any other event of the same name."""
         return cls(name, namespace=f"local#{next(cls._local_counter)}")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Event)
-            and self.name == other.name
-            and self.namespace == other.namespace
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.namespace:
@@ -138,6 +136,15 @@ class EventMemory:
     occurrence to a rank or ``None``, which ranks every pending
     occurrence of the same store.  Higher rank wins; among equal ranks
     the earliest arrival.
+
+    While a coordinator's innermost block runs inline (generator state
+    bodies, :mod:`repro.manifold.states`), that coordinator is the
+    memory's *driver*, and the thread that delivers an occurrence the
+    driver can take runs the transition before :meth:`deliver` returns.
+    One thread drives at a time: the one that set ``_driving`` under the
+    lock.  A delivery that finds it set only enqueues; the holder takes
+    what is queued before it clears the flag, and decides that nothing
+    is left under the same lock as the append, so no delivery is missed.
     """
 
     def __init__(self, owner_name: str = "?") -> None:
@@ -150,6 +157,10 @@ class EventMemory:
         #: or ``None`` for any delivery (a callable matcher or predicate)
         self._waiters: list[Optional[Mapping[Event, int]]] = []
         self._closed = False
+        #: the inline coordinator's ``StateContext``, or ``None``
+        self._driver = None
+        #: set while a thread runs the driver's transitions
+        self._driving = False
 
     # ------------------------------------------------------------------
     # producer side
@@ -158,10 +169,11 @@ class EventMemory:
         """Record an occurrence (called when an observed process raises).
 
         Wakes a waiter only if it can take the occurrence or has to
-        re-evaluate a predicate.
+        re-evaluate a predicate; drives an inline coordinator's
+        transition under the same rule.
         """
         event = occurrence.event
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             queue = self._queues.get(event)
@@ -169,10 +181,17 @@ class EventMemory:
                 queue = self._queues[event] = deque()
             queue.append((self._arrivals, occurrence))
             self._arrivals += 1
-            for labels in self._waiters:
-                if labels is None or event in labels:
-                    self._cond.notify_all()
-                    break
+            driver = self._driver
+            if driver is None:
+                for labels in self._waiters:
+                    if labels is None or event in labels:
+                        self._cond.notify_all()
+                        break
+                return
+            if self._driving or not driver._wants(event):
+                return
+            self._driving = True
+        driver._drive()
 
     def post(self, event: Event, source: Optional["ProcessBase"] = None) -> None:
         """Post an occurrence directly (MANIFOLD's ``post`` primitive)."""
@@ -221,7 +240,7 @@ class EventMemory:
             if extra_predicate is None and not callable(matcher)
             else None
         )
-        with self._cond:
+        with self._lock:
             self._waiters.append(labels)
             try:
                 while True:
@@ -270,9 +289,23 @@ class EventMemory:
         return occurrence
 
     def notify(self) -> None:
-        """Wake any waiter so it can re-evaluate its extra predicate."""
-        with self._cond:
-            self._cond.notify_all()
+        """Wake any waiter so it can re-evaluate its extra predicate; an
+        idle inline coordinator re-evaluates its wait in the calling
+        thread."""
+        with self._lock:
+            if self._waiters:
+                self._cond.notify_all()
+            driver = self._claim_driver_locked()
+        if driver is not None:
+            driver._drive()
+
+    def _claim_driver_locked(self):
+        """Set the driving flag for the caller if an inline coordinator
+        is idle; return that coordinator's context (else ``None``)."""
+        if self._driver is None or self._driving:
+            return None
+        self._driving = True
+        return self._driver
 
     # ------------------------------------------------------------------
     # block-scope maintenance
@@ -301,10 +334,15 @@ class EventMemory:
             return before - self._pending_locked()
 
     def close(self) -> None:
-        """Shut the memory down; pending and future waiters return ``None``."""
-        with self._cond:
+        """Shut the memory down; pending and future waiters return ``None``,
+        and an inline coordinator's blocks are torn down."""
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
+            driver = self._claim_driver_locked()
+        if driver is not None:
+            driver._drive()
 
     @property
     def closed(self) -> bool:

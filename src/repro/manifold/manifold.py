@@ -24,11 +24,13 @@ Usage sketch, mirroring ``mainprog.m``::
     coordinator.activate()
 
 A manner is simply a function returning a :class:`Block`; the caller
-runs it with ``ctx.run_block(manner(...))``.
+runs it with ``ctx.run_block(manner(...))`` (``yield ctx.run_block(...)``
+from a generator body).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import traceback
@@ -49,7 +51,13 @@ Manner = Callable[..., Block]
 
 
 class Coordinator(ProcessBase):
-    """A manifold instance: runs a state block on its own thread.
+    """A manifold instance: runs a state block.
+
+    A block of plain state bodies runs on the coordinator's own thread.
+    A block of generator bodies runs inline (:mod:`repro.manifold.states`):
+    :meth:`activate` enters its ``begin`` state before it returns, later
+    transitions run in the threads that deliver the events, and the
+    coordinator keeps a thread only if it has a ``deadline`` to enforce.
 
     Parameters
     ----------
@@ -57,9 +65,9 @@ class Coordinator(ProcessBase):
         Either a ready :class:`Block` or a callable ``(*args) -> Block``
         (the manifold definition; ``args`` are the manifold parameters).
     poll_interval:
-        How often blocking primitives re-check non-event predicates
-        (process termination, deadlines).  Purely an implementation
-        knob; event arrivals wake waiters immediately.
+        How often a waiting coordinator thread re-checks non-event
+        predicates (process termination, deadlines).  Purely an
+        implementation knob; event arrivals wake waiters immediately.
     deadline:
         Optional wall-clock budget in seconds; exceeded ⇒ the
         coordinator fails with :class:`StateMachineError` instead of
@@ -97,7 +105,20 @@ class Coordinator(ProcessBase):
     def _start(self) -> None:
         if self._deadline_seconds is not None:
             self._deadline_at = time.monotonic() + self._deadline_seconds
-        start_thread(self._thread_main, self.name)
+        ctx = StateContext(self)
+        try:
+            block = self._body if isinstance(self._body, Block) else self._body(*self._args)
+            block.validate()
+        except Exception as exc:  # noqa: BLE001 - report coordinator failure
+            self.failure_traceback = traceback.format_exc()
+            self._finish(exc)
+            return
+        if block.inline:
+            # begin runs here; a thread is kept only to enforce the deadline
+            ctx._enter_inline(block, waited=self._deadline_at is not None)
+            if self._deadline_at is None:
+                return
+        start_thread(functools.partial(self._thread_main, ctx, block), self.name)
 
     def deadline_exceeded(self) -> bool:
         return self._deadline_at is not None and time.monotonic() > self._deadline_at
@@ -109,11 +130,12 @@ class Coordinator(ProcessBase):
             return self.poll_interval
         return max(0.0, min(self.poll_interval, self._deadline_at - time.monotonic()))
 
-    def _thread_main(self) -> None:
-        ctx = StateContext(self)
+    def _thread_main(self, ctx: StateContext, block: Block) -> None:
         try:
-            block = self._body if isinstance(self._body, Block) else self._body(*self._args)
-            ctx.run_block(block)
+            if block.inline:
+                ctx._await_inline()  # entered by activate()
+            else:
+                ctx.run_block(block)
         except (HaltBlock, BlockExit):
             self._finish(None)
         except Preempted as exc:
@@ -125,7 +147,8 @@ class Coordinator(ProcessBase):
             )
             self._finish(None)
         except BaseException as exc:  # noqa: BLE001 - report coordinator failure
-            self.failure_traceback = traceback.format_exc()
+            if self.failure_traceback is None:  # else an inline body's, kept
+                self.failure_traceback = traceback.format_exc()
             self._finish(exc)
         else:
             self._finish(None)

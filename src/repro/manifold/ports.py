@@ -68,7 +68,10 @@ class Port:
         self.name = name
         self.direction = direction
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        #: made by the first wait: most ports never block anyone
+        self._cond: Optional[threading.Condition] = None
+        #: threads blocked in ``_cond.wait``: nobody waiting, nothing to notify
+        self._waiting = 0
         self._streams: list["Stream"] = []
         #: ``(unit seq, stream id, stream)`` of every unit buffered for
         #: this input port; an entry whose stream has since been broken
@@ -82,20 +85,20 @@ class Port:
     # ------------------------------------------------------------------
     def attach(self, stream: "Stream") -> None:
         """Attach a stream end to this port (coordination layer only)."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise PortError(f"{self!r} is closed")
             self._streams.append(stream)
             if self.direction is PortDirection.IN:
                 for seq in stream.buffered_seqs():
                     heapq.heappush(self._ready, (seq, stream.id, stream))
-            self._cond.notify_all()
+            self._wake_locked()
 
     def detach(self, stream: "Stream") -> None:
         """Detach a stream end from this port (coordination layer only)."""
-        with self._cond:
+        with self._lock:
             self._drop_locked(stream)
-            self._cond.notify_all()
+            self._wake_locked()
 
     def attached_streams(self) -> list["Stream"]:
         """Snapshot of the streams currently attached (for tests/traces)."""
@@ -105,9 +108,9 @@ class Port:
     def unit_ready(self, seq: int, stream: "Stream") -> None:
         """``stream`` has buffered unit ``seq`` for this port (called by
         :meth:`Stream.push`)."""
-        with self._cond:
+        with self._lock:
             heapq.heappush(self._ready, (seq, stream.id, stream))
-            self._cond.notify_all()
+            self._wake_locked()
 
     # ------------------------------------------------------------------
     # I/O (worker side)
@@ -123,7 +126,7 @@ class Port:
             raise PortError(f"cannot write to {self.direction.value} port {self!r}")
         unit = Unit(payload)
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while True:
                 self._check_interrupt()
                 open_streams = [s for s in self._streams if s.accepts_input()]
@@ -145,7 +148,7 @@ class Port:
         if self.direction is not PortDirection.IN:
             raise PortError(f"cannot read from {self.direction.value} port {self!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while True:
                 self._check_interrupt()
                 unit = self._take_ready_locked()
@@ -156,7 +159,7 @@ class Port:
 
     def try_read(self) -> Optional[object]:
         """Non-blocking read; ``None`` when no unit is available."""
-        with self._cond:
+        with self._lock:
             unit = self._take_ready_locked()
             return None if unit is None else unit.payload
 
@@ -185,34 +188,44 @@ class Port:
 
     def _wait_until(self, deadline: Optional[float]) -> bool:
         """Wait on the port's condition; ``False`` once ``deadline`` passed."""
-        if deadline is None:
-            self._cond.wait()
-            return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        self._cond.wait(remaining)
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+        if self._cond is None:
+            self._cond = threading.Condition(self._lock)
+        self._waiting += 1
+        try:
+            self._cond.wait(remaining)
+        finally:
+            self._waiting -= 1
         return True
+
+    def _wake_locked(self) -> None:
+        """Wake the port's blocked reader or writer, if there is one."""
+        if self._waiting:
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def interrupt(self) -> None:
         """Make all current blocking calls raise :class:`PortError`."""
-        with self._cond:
+        with self._lock:
             self._interrupted = True
-            self._cond.notify_all()
+            self._wake_locked()
 
     def clear_interrupt(self) -> None:
-        with self._cond:
+        with self._lock:
             self._interrupted = False
 
     def close(self) -> None:
         """Permanently close the port; blocked calls raise."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._interrupted = True
-            self._cond.notify_all()
+            self._wake_locked()
 
     def _check_interrupt(self) -> None:
         if self._interrupted or self._closed:

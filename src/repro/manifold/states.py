@@ -4,10 +4,12 @@ A MANIFOLD coordinator (or *manner*, a parameterized subprogram run in
 the caller's process) is a set of **blocks**.  A block has
 
 * a *local declaration part* — run once on entry (create local processes
-  and events, declare ``save``/``ignore``/``priority``/``hold``);
-* a set of labelled **states**; upon entry the runtime posts the
-  predefined high-priority ``begin`` event, so the mandatory ``begin``
-  state is always visited first;
+  and events, declare ``save``/``ignore``/``priority``/``hold``); the
+  processes it returns among its locals are ``auto`` processes, scoped
+  to the block: they end when it exits;
+* a set of labelled **states**; the mandatory ``begin`` state is entered
+  first, as if the predefined high-priority ``begin`` event had been
+  posted and taken at once;
 * transition semantics: whenever an event occurrence in the process's
   event memory matches a state label, the current state is *preempted* —
   its streams are dismantled according to their BK/KK types — and the
@@ -23,6 +25,18 @@ begin state *inside* ``create_worker`` is preempted by the next
 while ``Create_Worker_Pool`` itself declares ``save *`` so the caller's
 labels stay dormant until the manner returns.
 
+Where a transition runs.  A block whose state bodies are all generator
+functions runs *inline*: protocol code owns no thread.  Its transitions
+run in the thread that delivers the occurrence (a master's or worker's
+``raise_event``, a ``post``) and finish before that delivery returns.
+Such a body yields its waits — ``yield ctx.idle()``,
+``yield ctx.terminated(p)``, ``yield ctx.sleep_until(pred)``,
+``yield ctx.run_block(inner)`` — and resumes when the wait ends; a wait
+for an event ends with the next transition instead.  A block of plain
+functions blocks on its coordinator's own thread, and a plain body that
+runs a generator block waits there until the block halts.  The kind of
+body decides; a block may not mix them.
+
 Simplification relative to the full language (documented deviation):
 unconsumed occurrences always remain in the event memory — i.e. every
 event behaves as if saved.  The protocol only relies on ``save`` being
@@ -32,6 +46,8 @@ required garbage collection for ``death`` events.
 
 from __future__ import annotations
 
+import inspect
+import traceback
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional
 
 from .errors import StateMachineError
@@ -81,7 +97,8 @@ class Block:
     ``setup`` runs the local declaration part and returns the block's
     locals mapping (processes, counters, local events).  States are
     registered with :meth:`state`; each body is a callable taking a
-    :class:`StateContext`.
+    :class:`StateContext`, either a plain function or a generator
+    function (then the block runs inline, see the module docstring).
     """
 
     def __init__(
@@ -99,6 +116,9 @@ class Block:
         self.priority = dict(priority or {})
         self.setup = setup
         self._states: Dict[Event, Callable[["StateContext"], None]] = {}
+        #: whether the state bodies are generator functions (``None``
+        #: until the first is registered)
+        self.inline: Optional[bool] = None
 
     def state(
         self, event: Event
@@ -110,6 +130,15 @@ class Block:
                 raise StateMachineError(
                     f"block {self.name!r} already has a state for {event!r}"
                 )
+            inline = inspect.isgeneratorfunction(body)
+            if self.inline is None:
+                self.inline = inline
+            elif inline is not self.inline:
+                kind = "a generator function" if inline else "a plain function"
+                raise StateMachineError(
+                    f"block {self.name!r} mixes generator and plain state "
+                    f"bodies: state {event.name!r} is {kind}"
+                )
             self._states[event] = body
             return body
 
@@ -117,10 +146,6 @@ class Block:
 
     def add_state(self, event: Event, body: Callable[["StateContext"], None]) -> None:
         self.state(event)(body)
-
-    @property
-    def states(self) -> Dict[Event, Callable[["StateContext"], None]]:
-        return dict(self._states)
 
     def label_priorities(self) -> Dict[Event, int]:
         """The declared priority of every state label of this block."""
@@ -145,10 +170,18 @@ class Block:
 class _Frame:
     """Runtime data for one active block on the executor stack."""
 
+    __slots__ = (
+        "block", "inline", "depth", "locals", "auto", "current_streams",
+        "labels", "state", "body", "until",
+    )
+
     def __init__(self, block: Block, outer: Optional["_Frame"]) -> None:
         self.block = block
+        self.inline = block.inline
         self.depth = 0 if outer is None else outer.depth + 1
         self.locals: Dict[str, object] = {}
+        #: the processes the declaration part returned among its locals
+        self.auto: list[ProcessBase] = []
         self.current_streams: list[Stream] = []
         #: ``{event: rank}`` of every label an occurrence can reach from
         #: this frame: innermost block first, and a ``save_all`` block
@@ -158,6 +191,26 @@ class _Frame:
         )
         for event, priority in block.label_priorities().items():
             self.labels[event] = self.depth * _DEPTH_STRIDE + priority
+        #: the label of the current state
+        self.state = BEGIN
+        #: the current state's generator, while it can resume (inline)
+        self.body = None
+        #: what the suspended body waits for besides an event (inline)
+        self.until: Optional[Callable[[], bool]] = None
+
+
+class _Wait:
+    """What a generator body yields: a predicate to wait for, or a block
+    to run (neither: ``idle``)."""
+
+    __slots__ = ("until", "block")
+
+    def __init__(self, until: Optional[Callable[[], bool]], block: Optional[Block]) -> None:
+        self.until = until
+        self.block = block
+
+
+_IDLE = _Wait(None, None)
 
 
 class StateContext:
@@ -167,18 +220,28 @@ class StateContext:
     active block.  All primitives of the paper's protocol source are
     available: process creation, stream connection with explicit types,
     ``post``, ``raise``, ``terminated``, IDLE, ``halt`` and nested block
-    entry (for states whose body is itself a block).
+    entry (for states whose body is itself a block).  In a generator
+    body the blocking primitives return what the body yields.
     """
 
     def __init__(self, coordinator: "Coordinator") -> None:
         self.coordinator = coordinator
         self._stack: list[_Frame] = []
-        self._halt_requested = False
         #: the occurrence that caused the transition into the currently
-        #: executing state (None while in a begin state entered via the
-        #: automatic runtime posting); lets state bodies react to the
-        #: event's source, MANIFOLD's ``e.p`` label form
+        #: executing state (None in a begin state, which is entered
+        #: directly); lets state bodies react to the event's source,
+        #: MANIFOLD's ``e.p`` label form
         self.current_occurrence: Optional[EventOccurrence] = None
+        #: a wait a generator body was handed and has not yielded yet
+        self._unyielded: Optional[_Wait] = None
+        #: why the inline blocks must be torn down (a failure, the deadline)
+        self._stop: Optional[BaseException] = None
+        #: how the inline blocks ended (``HaltBlock`` when they returned);
+        #: handed to the thread waiting for them
+        self._ended: Optional[BaseException] = None
+        #: whether a thread waits for the inline blocks to end; if none
+        #: does, they are the coordinator's and their end is its end
+        self._waited = False
 
     # ------------------------------------------------------------------
     # stack introspection
@@ -278,25 +341,28 @@ class StateContext:
         self.coordinator.raise_event(event)
 
     # ------------------------------------------------------------------
-    # blocking primitives (all preemptible)
+    # waits (all preemptible)
     # ------------------------------------------------------------------
-    def idle(self) -> None:
-        """``terminated(void)``: block until an event preempts the state."""
-        self._wait(None)
-        raise StateMachineError("idle() returned without preemption")  # pragma: no cover
+    def idle(self):
+        """``terminated(void)``: stay in the state until an event preempts it."""
+        return self._wait(None)
 
-    def terminated(self, proc: ProcessBase) -> None:
-        """Block until ``proc`` terminates, unless an event preempts first."""
-        self._wait(proc.is_terminated)
+    def terminated(self, proc: ProcessBase):
+        """Wait until ``proc`` terminates, unless an event preempts first."""
+        return self._wait(proc.is_terminated)
 
-    def sleep_until(self, predicate: Callable[[], bool]) -> None:
-        """Block until ``predicate`` is true, unless preempted."""
-        self._wait(predicate)
+    def sleep_until(self, predicate: Callable[[], bool]):
+        """Wait until ``predicate`` is true, unless preempted."""
+        return self._wait(predicate)
 
-    def _wait(self, predicate: Optional[Callable[[], bool]]) -> None:
-        """Shared wait: returns normally when ``predicate`` fires, raises
-        :class:`Preempted` when a matching event occurrence arrives."""
-        labels = self.frame.labels
+    def _wait(self, until: Optional[Callable[[], bool]]):
+        """In a generator body, the wait to yield.  In a plain body, block:
+        return when ``until`` fires, raise :class:`Preempted` when a
+        matching event occurrence arrives."""
+        frame = self.frame
+        if frame.inline:
+            return self._handed(frame, _IDLE if until is None else _Wait(until, None))
+        labels = frame.labels
         while True:
             if self.memory.closed:
                 # runtime shutdown: unwind all blocks of this coordinator
@@ -306,72 +372,277 @@ class StateContext:
                     f"{self.coordinator.name} exceeded its deadline while waiting"
                 )
             occ = self.memory.wait_for_match(
-                labels, timeout=self.coordinator.wait_slice(), extra_predicate=predicate
+                labels, timeout=self.coordinator.wait_slice(), extra_predicate=until
             )
             if occ is not None:
                 raise Preempted(occ, depth=labels[occ.event] // _DEPTH_STRIDE)
-            if predicate is not None and predicate():
+            if until is not None and until():
                 return
 
     def halt(self) -> None:
-        """Return from the current block (MANIFOLD ``halt``)."""
+        """Return from the current block (MANIFOLD ``halt``).  It raises
+        at once; a generator body whose only act is to halt may write
+        ``yield ctx.halt()`` to be a generator."""
         raise HaltBlock()
+
+    def _handed(self, frame: _Frame, wait: _Wait) -> _Wait:
+        if self._unyielded is not None:
+            raise self._misuse(frame)
+        self._unyielded = wait
+        return wait
+
+    def _misuse(self, frame: _Frame) -> StateMachineError:
+        self._unyielded = None
+        return StateMachineError(
+            f"block {frame.block.name!r}, state {frame.state.name!r}: a "
+            "generator body must yield each wait it calls, and yield only those"
+        )
 
     # ------------------------------------------------------------------
     # nested blocks / manners
     # ------------------------------------------------------------------
-    def run_block(self, block: Block) -> None:
+    def run_block(self, block: Block):
         """Run a nested block (a state body that is itself a block, or a
-        manner's body) to completion within this coordinator."""
+        manner's body) to completion within this coordinator.  In a
+        generator body, the wait to yield."""
         block.validate()
+        if self._stack and self._stack[-1].inline:
+            if not block.inline:
+                raise StateMachineError(
+                    f"block {self._stack[-1].block.name!r} runs inline and "
+                    f"cannot run block {block.name!r}, whose bodies are plain"
+                )
+            return self._handed(self._stack[-1], _Wait(None, block))
+        if block.inline:
+            self._enter_inline(block, waited=True)
+            self._await_inline()
+            return
+        frame = self._push(block)
+        try:
+            self._event_loop(frame)
+        finally:
+            self._pop(frame)
+
+    def _push(self, block: Block) -> _Frame:
+        """Enter a block: its declaration part, then (inline) its begin
+        state's body, ready to run."""
         frame = _Frame(block, self._stack[-1] if self._stack else None)
         self._stack.append(frame)
         try:
             if block.setup is not None:
-                frame.locals.update(block.setup(self) or {})
-            # the runtime posts the predefined high-priority begin event
-            self.post(BEGIN)
-            self._event_loop(frame)
+                declared = block.setup(self) or {}
+                frame.locals.update(declared)
+                frame.auto = [
+                    proc for proc in declared.values() if isinstance(proc, ProcessBase)
+                ]
+        except BaseException:
+            self._pop(frame)
+            raise
+        if frame.inline:
+            self.current_occurrence = None
+            frame.body = block._states[BEGIN](self)
+        return frame
+
+    def _pop(self, frame: _Frame) -> None:
+        """Leave a block: end its state body, dismantle its streams, end
+        its ``auto`` processes — before the ``ignore`` discard, so their
+        ``death`` occurrences go with the others — and pop it."""
+        try:
+            self._leave_state(frame)
+            for proc in frame.auto:
+                proc.kill()
+            if frame.block.ignore:
+                self.memory.discard(frame.block.ignore)
         finally:
-            self._dismantle_current(frame)
-            if block.ignore:
-                self.memory.discard(block.ignore)
             self._stack.pop()
 
-    def _event_loop(self, frame: _Frame) -> None:
-        pending_occ: Optional[EventOccurrence] = None
-        while True:
-            if pending_occ is None:
-                occ = self._wait_for_transition(frame)
-            else:
-                occ, pending_occ = pending_occ, None
-            body = frame.block.states[occ.event]
-            self._dismantle_current(frame)
-            self.current_occurrence = occ
-            try:
-                body(self)
-            except Preempted as p:
-                if p.depth != frame.depth:
-                    raise  # outer block's label matched: unwind further
-                pending_occ = p.occurrence
-            except HaltBlock:
-                return
-
-    def _wait_for_transition(self, frame: _Frame) -> EventOccurrence:
-        """Between states: wait until *some* visible label matches."""
-        try:
-            self.idle()
-        except Preempted as p:
-            if p.depth != frame.depth:
-                self._dismantle_current(frame)
-                raise
-            return p.occurrence
-        raise StateMachineError("unreachable")  # pragma: no cover
-
-    def _dismantle_current(self, frame: _Frame) -> None:
+    def _leave_state(self, frame: _Frame) -> None:
+        """End the state's body and dismantle its streams."""
+        if frame.body is not None:
+            body, frame.body = frame.body, None
+            body.close()
+        frame.until = None
         streams, frame.current_streams = frame.current_streams, []
         for stream in streams:
             stream.dismantle()
+
+    def _transition(
+        self, frame: _Frame, event: Event, occ: Optional[EventOccurrence]
+    ) -> None:
+        """The one transition routine: leave the blocks above ``frame``
+        and its current state, then run the body labelled ``event``.
+
+        Plain bodies reach it with the blocks above already unwound by
+        :class:`Preempted`; an inline body runs until its first wait."""
+        while self._stack[-1] is not frame:
+            self._pop(self._stack[-1])
+        self._leave_state(frame)
+        frame.state = event
+        self.current_occurrence = occ
+        body = frame.block._states[event]
+        if frame.inline:
+            frame.body = body(self)
+            self._run(frame)
+        else:
+            body(self)
+
+    def _event_loop(self, frame: _Frame) -> None:
+        """A plain block's states, on the coordinator's thread."""
+        event, occ = BEGIN, None
+        while True:
+            try:
+                self._transition(frame, event, occ)
+                self.idle()  # the body returned: wait in its state
+            except Preempted as p:
+                if p.depth != frame.depth:
+                    raise  # outer block's label matched: unwind further
+                event, occ = p.occurrence.event, p.occurrence
+            except HaltBlock:
+                return
+
+    # ------------------------------------------------------------------
+    # inline blocks
+    # ------------------------------------------------------------------
+    def _run(self, frame: _Frame) -> None:
+        """Resume ``frame``'s body until it waits, entering the blocks it
+        runs and resuming the bodies that ran the blocks it halts."""
+        while True:
+            try:
+                wait = frame.body.send(None)
+            except (StopIteration, HaltBlock) as end:
+                frame.body = None
+                if self._unyielded is not None:
+                    raise self._misuse(frame) from None
+                if isinstance(end, StopIteration):
+                    return  # the state stays, waiting for an event
+                self._pop(frame)
+                if not (self._stack and self._stack[-1].inline):
+                    self._ended = HaltBlock()
+                    return
+                frame = self._stack[-1]
+                continue
+            if wait is None or wait is not self._unyielded:
+                raise self._misuse(frame)
+            self._unyielded = None
+            if wait.block is None:
+                frame.until = wait.until
+                return
+            frame = self._push(wait.block)
+
+    def _enter_inline(self, block: Block, waited: bool) -> None:
+        """Take the driving flag, enter ``block`` (its begin state runs in
+        the calling thread) and drive until nothing is left to do."""
+        memory = self.memory
+        with memory._lock:
+            memory._driver = self
+            memory._driving = True
+        self._waited, self._stop = waited, None
+        try:
+            self._run(self._push(block))
+        except BaseException as exc:  # fails the coordinator; see _drive
+            self._fail(exc)
+            if not isinstance(exc, Exception):
+                self._drive()
+                raise
+        self._drive()
+
+    def _wants(self, event: Event) -> bool:
+        """Whether a delivery of ``event`` gives the idle inline blocks
+        something to do (called under the memory's lock)."""
+        frame = self._stack[-1]
+        return event in frame.labels or frame.until is not None
+
+    def _drive(self) -> None:
+        """Run the inline blocks' transitions in the calling thread, which
+        holds the memory's driving flag, until none is left; then give
+        the flag back under the lock that decided it."""
+        memory = self.memory
+        interrupt = None
+        while True:
+            with memory._lock:
+                if self._ended is not None:
+                    memory._driver = None
+                    memory._driving = False
+                    waited = self._waited
+                    if waited:
+                        memory._cond.notify_all()
+                    break
+                stop = self._stop
+                if stop is None and memory._closed:
+                    stop = BlockExit()
+                if stop is None:
+                    frame = self._stack[-1]
+                    occ = memory._take_match_locked(frame.labels)
+                    if occ is None and (frame.until is None or not frame.until()):
+                        memory._driving = False
+                        return
+            try:
+                if stop is not None:
+                    self._end_inline(stop)
+                elif occ is None:
+                    frame.until = None
+                    self._run(frame)
+                else:
+                    target = self._stack[frame.labels[occ.event] // _DEPTH_STRIDE]
+                    if target.inline:
+                        self._transition(target, occ.event, occ)
+                    else:  # a plain body's label: its thread makes the transition
+                        self._end_inline(Preempted(occ, target.depth))
+            except BaseException as exc:  # fails the coordinator; re-raised below
+                self._ended = None  # tear down again, for the failure
+                self._fail(exc)
+                if not isinstance(exc, Exception):
+                    interrupt = exc
+        if not waited:
+            ended, self._ended = self._ended, None
+            failure = None if isinstance(ended, (HaltBlock, BlockExit)) else ended
+            self.coordinator._finish(failure)
+        if interrupt is not None:
+            raise interrupt  # an interrupt or exit belongs to the driving thread
+
+    def _end_inline(self, result: BaseException) -> None:
+        """Leave every inline block, innermost first; ``result`` is what
+        the thread waiting for them gets."""
+        self._ended = result
+        while self._stack and self._stack[-1].inline:
+            self._pop(self._stack[-1])
+
+    def _fail(self, exc: BaseException) -> None:
+        """A body failed: the first failure is the coordinator's."""
+        if self._stop is None:
+            self.coordinator.failure_traceback = traceback.format_exc()
+            self._stop = exc
+
+    def _await_inline(self) -> None:
+        """Wait in the calling thread until the inline blocks end: return
+        when they halt, raise anything else.  Woken by their end, the
+        thread otherwise wakes each poll slice to enforce the deadline
+        and re-check what the innermost body waits for."""
+        memory, coordinator = self.memory, self.coordinator
+        poll = False
+        while True:
+            with memory._lock:
+                ended = self._ended
+                if ended is not None and not memory._driving:
+                    self._ended = None
+                    break
+                if self._stop is None and coordinator.deadline_exceeded():
+                    self._stop = StateMachineError(
+                        f"{coordinator.name} exceeded its deadline while waiting"
+                    )
+                if memory._driving or not (
+                    self._stop is not None
+                    or memory._closed
+                    or (poll and self._stack[-1].until is not None)
+                ):
+                    memory._cond.wait(coordinator.wait_slice() or coordinator.poll_interval)
+                    poll = True
+                    continue
+                memory._driving = True
+            poll = False
+            self._drive()
+        if not isinstance(ended, HaltBlock):
+            raise ended
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -46,13 +46,10 @@ class StreamType(enum.Enum):
     BB = "BB"
     KB = "KB"
 
-    @property
-    def breaks_source(self) -> bool:
-        return self.value[0] == "B"
-
-    @property
-    def breaks_sink(self) -> bool:
-        return self.value[1] == "B"
+    def __init__(self, value: str) -> None:
+        # plain attributes: a state's every stream is dismantled by type
+        self.breaks_source = value[0] == "B"
+        self.breaks_sink = value[1] == "B"
 
 
 _stream_counter = itertools.count()

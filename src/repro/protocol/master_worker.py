@@ -6,6 +6,13 @@ can be audited.  Both manners are *generic*: the master process instance
 and the worker manifold definition are parameters; the protocol knows
 nothing about the computation they perform.
 
+Every state body is a generator function, so the manners own no thread:
+a transition runs in the thread whose ``raise`` delivered its event (the
+master's for ``create_pool``, ``create_worker``, ``rendezvous`` and
+``finished``; a worker's for a late ``death_worker``) and is done when
+that ``raise`` returns.  The MANIFOLD waits (IDLE, ``terminated``, a
+nested block) are yielded (:mod:`repro.manifold.states`).
+
 Protocol summary (§4.1):
 
 1. The coordinator waits on the running ``master``.
@@ -70,6 +77,8 @@ def create_worker_pool(
 
     def setup(ctx: StateContext) -> dict:
         # lines 18-19: `auto process now is variable(0).` / `... t is variable(0).`
+        # Returned among the locals, they are scoped to the block: both
+        # end when the manner returns.
         runtime = ctx.coordinator.runtime
         now = make_variable(runtime, 0, name="now")
         t = make_variable(runtime, 0, name="t")
@@ -85,13 +94,13 @@ def create_worker_pool(
     )
 
     @block.state(BEGIN)
-    def begin(ctx: StateContext) -> None:
+    def begin(ctx: StateContext):
         # line 25: `begin: (MES("begin"), preemptall, IDLE).`
         ctx.message("begin")
-        ctx.idle()
+        yield ctx.idle()
 
     @block.state(ev.create_worker)
-    def create_worker_state(ctx: StateContext) -> None:
+    def create_worker_state(ctx: StateContext):
         # lines 27-37: the create_worker state is itself a block.
         inner = Block("create_worker")
 
@@ -100,7 +109,7 @@ def create_worker_pool(
             registry.register(worker, master, death_worker)
 
         @inner.state(BEGIN)
-        def inner_begin(inner_ctx: StateContext) -> None:
+        def inner_begin(inner_ctx: StateContext):
             # line 34: `begin: now = now + 1;`
             inner_ctx.local("now").increment()
             inner_ctx.message("create_worker: begin")
@@ -111,22 +120,22 @@ def create_worker_pool(
                 env={"worker": worker, "master": master},
                 types={2: StreamType.KK},
             )
-            inner_ctx.idle()  # IDLE until the next create_worker/rendezvous
+            yield inner_ctx.idle()  # IDLE until the next create_worker/rendezvous
 
-        ctx.run_block(inner)
+        yield ctx.run_block(inner)
 
     @block.state(ev.rendezvous)
-    def rendezvous_state(ctx: StateContext) -> None:
+    def rendezvous_state(ctx: StateContext):
         # lines 39-48: the rendezvous state, with begin and death_worker
         # (sub)states.
         inner = Block("rendezvous")
 
         @inner.state(BEGIN)
-        def inner_begin(inner_ctx: StateContext) -> None:
-            inner_ctx.idle()  # line 40: wait for death_worker events
+        def inner_begin(inner_ctx: StateContext):
+            yield inner_ctx.idle()  # line 40: wait for death_worker events
 
         @inner.state(death_worker)
-        def on_death_worker(inner_ctx: StateContext) -> None:
+        def on_death_worker(inner_ctx: StateContext):
             # lines 42-47
             t = inner_ctx.local("t")
             now = inner_ctx.local("now")
@@ -134,15 +143,16 @@ def create_worker_pool(
                 inner_ctx.post(BEGIN)
             else:
                 inner_ctx.post(END)
+            yield inner_ctx.idle()
 
-        ctx.run_block(inner)
+        yield ctx.run_block(inner)
 
     @block.state(END)
-    def end(ctx: StateContext) -> None:
+    def end(ctx: StateContext):
         # line 50: `end: (MES("rendezvous acknowledged"), raise(a_rendezvous)).`
         ctx.message("rendezvous acknowledged")
         ctx.raise_event(ev.a_rendezvous)
-        ctx.halt()  # the Create_Worker_Pool manner returns
+        yield ctx.halt()  # the Create_Worker_Pool manner returns
 
     return block
 
@@ -181,15 +191,15 @@ def protocol_mw(
     block = Block("ProtocolMW", save_all=True, setup=setup)  # line 57: `save *.`
 
     @block.state(BEGIN)
-    def begin(ctx: StateContext) -> None:
+    def begin(ctx: StateContext):
         # line 59: `begin: terminated(master).` — wait on the master;
         # mentioning it also makes this state sensitive to its events.
-        ctx.terminated(master)
+        yield ctx.terminated(master)
 
     @block.state(ev.create_pool)
-    def create_pool(ctx: StateContext) -> None:
+    def create_pool(ctx: StateContext):
         # line 61: `create_pool: Create_Worker_Pool(master, Worker); post(begin).`
-        ctx.run_block(
+        yield ctx.run_block(
             create_worker_pool(
                 master, worker_defn, registry=ctx.local("protocol_registry")
             )
@@ -197,8 +207,8 @@ def protocol_mw(
         ctx.post(BEGIN)
 
     @block.state(ev.finished)
-    def finished(ctx: StateContext) -> None:
+    def finished(ctx: StateContext):
         # line 63: `finished: halt.`
-        ctx.halt()
+        yield ctx.halt()
 
     return block

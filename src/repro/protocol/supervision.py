@@ -123,33 +123,33 @@ def make_supervisor(
 
     It idles until a ``death`` occurrence arrives; failed registered
     workers are converted into a dataport failure unit plus a
-    ``death_worker`` raise.  The supervisor lives until the runtime
-    shuts down.
+    ``death_worker`` raise.  Its bodies are generators, so it owns no
+    thread: ``on_death`` runs in the thread that broadcast the death.
+    The supervisor lives until the runtime shuts down.
     """
     block = Block(name)
 
     @block.state(BEGIN)
-    def begin(ctx: StateContext) -> None:
-        ctx.idle()
+    def begin(ctx: StateContext):
+        yield ctx.idle()
 
     @block.state(DEATH)
-    def on_death(ctx: StateContext) -> None:
+    def on_death(ctx: StateContext):
         occ = ctx.current_occurrence
         proc = occ.source if occ is not None else None
-        if proc is None:
-            return
-        registration = registry.claim_failure(proc)
-        if registration is None:
-            return  # clean death, or not a pool worker of ours
-        ctx.message(f"supervision: {proc.name} failed; closing its slot")
-        ctx.send(
-            FailedWorkerResult(
-                worker_name=proc.name, error=repr(proc.failure)
-            ),
-            registration.master.port("dataport"),
-            type=StreamType.KK,
-        )
-        ctx.raise_event(registration.death_worker)
+        # None: a clean death, or not a pool worker of ours
+        registration = None if proc is None else registry.claim_failure(proc)
+        if registration is not None:
+            ctx.message(f"supervision: {proc.name} failed; closing its slot")
+            ctx.send(
+                FailedWorkerResult(
+                    worker_name=proc.name, error=repr(proc.failure)
+                ),
+                registration.master.port("dataport"),
+                type=StreamType.KK,
+            )
+            ctx.raise_event(registration.death_worker)
+        yield ctx.idle()
 
     supervisor = Coordinator(runtime, name, block)
     supervisor.activate()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
 import threading
 import time
 
@@ -45,6 +47,30 @@ class TestEvent:
     def test_usable_as_dict_key(self):
         table = {Event("a"): 1, Event("b"): 2}
         assert table[Event("a")] == 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_survives_a_pickle_round_trip(self, protocol):
+        event = pickle.loads(pickle.dumps(Event("go"), protocol=protocol))
+        assert event == Event("go") and hash(event) == hash(Event("go"))
+        assert type(event) is Event and event.name == "go"
+        local = Event.local("go")
+        assert pickle.loads(pickle.dumps(local, protocol=protocol)) == local
+
+    def test_hashes_and_compares_without_python_code(self):
+        """Every label match hashes and compares events: no Python frame."""
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        a, b, local = Event("go"), Event("go"), Event.local("go")
+        sys.setprofile(profile)
+        try:
+            hash(a), a == b, a != local, {a: 1}[b]
+        finally:
+            sys.setprofile(None)
+        assert frames == []
 
 
 class TestEventOccurrence:

@@ -5,7 +5,9 @@ Counted, not timed: every Python and C call each thread makes while one
 A coordination primitive that looks at everything pending (every saved
 occurrence in the event memory, every stream attached to the master's
 ``dataport``) shows up as calls per worker growing with the pool; the
-clock would show the same thing later and less reliably.
+clock would show the same thing later and less reliably.  The
+coordinator ``Main`` owns no transition of the pool, so its count is
+per pool, not per worker.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import random
 import sys
 import threading
 from collections import Counter
-
-import pytest
 
 from repro.manifold import AtomicDefinition, Runtime, Stream, StreamType
 from repro.protocol import MasterProtocolClient, WorkerJob, make_worker_definition
@@ -62,12 +62,22 @@ def calls_per_worker(workers: int) -> dict[str, float]:
     return {role: calls[role] / workers for role in ROLES}
 
 
+#: ``Main``'s calls per pool: entering ``ProtocolMW`` and a wake-up per
+#: 20 ms poll slice while it waits (≈300–400 on a quiet machine).  It
+#: made a pool's transitions itself before they ran inline: ≈14 500 at
+#: 31 workers, ≈55 000 at 124.
+MAIN_CALLS_PER_POOL = 2_000
+
+
 def test_calls_per_worker_do_not_grow_with_the_pool():
+    """Summed over the roles, because a transition runs in whichever
+    thread delivers its event: the master's or, in the rendezvous, a
+    late worker's."""
     run_noop_pool(4)  # imports and caches are not a per-worker cost
     small, large = calls_per_worker(31), calls_per_worker(124)
-    for role in ("Main", "Master"):
-        assert large[role] <= 1.15 * small[role], (role, small, large)
-    assert large["Worker"] == pytest.approx(small["Worker"], rel=0.02)
+    assert sum(large.values()) <= 1.15 * sum(small.values()), (small, large)
+    for workers, calls in ((31, small), (124, large)):
+        assert calls["Main"] * workers < MAIN_CALLS_PER_POOL, (small, large)
 
 
 def test_a_248_worker_pool_completes():

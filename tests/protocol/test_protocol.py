@@ -14,6 +14,7 @@ from repro.manifold import (
     Coordinator,
     ProcessError,
     Runtime,
+    Variable,
     run_application,
 )
 from repro.protocol import (
@@ -216,6 +217,36 @@ class TestMultiplePools:
         run_master_with_protocol(runtime, master_defn, worker_defn)
         assert pending == [0] * 5
         assert subscribers[0] == subscribers[1]
+
+
+class TestAutoScope:
+    def test_pools_leave_no_variable_or_thread_behind(self, runtime):
+        """``now`` and ``t`` are ``auto`` processes of their pool: they end
+        when ``Create_Worker_Pool`` returns, and threads are reused, so
+        running more pools leaves neither more variables nor more
+        threads (a pool's two variables used to live until shutdown)."""
+        worker_defn = make_worker_definition("Worker", lambda x: x)
+        seen = {}
+
+        def master_body(proc):
+            client = MasterProtocolClient(proc, timeout=20)
+            for pools in range(1, 13):
+                client.run_pool([WorkerJob(0, pools)])
+                if pools in (3, 12):
+                    variables = [
+                        p for p in runtime.live_processes() if isinstance(p, Variable)
+                    ]
+                    seen[pools] = (len(variables), threading.active_count())
+            client.finished()
+
+        master_defn = AtomicDefinition(
+            "Master", master_body, in_ports=("input", "dataport")
+        )
+        run_master_with_protocol(runtime, master_defn, worker_defn)
+        (variables_3, threads_3), (variables_12, threads_12) = seen[3], seen[12]
+        assert variables_3 == variables_12 == 0
+        # nine more pools: the variables alone once kept 18 more threads
+        assert threads_12 - threads_3 < 9, seen
 
 
 class TestProtocolEvents:
