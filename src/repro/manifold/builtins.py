@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from .process import AtomicDefinition, AtomicProcess
+from .process import AtomicDefinition, AtomicProcess, ProcessState
 from .scheduler import Runtime
 
 __all__ = [
@@ -40,12 +40,38 @@ class Variable(AtomicProcess):
     interface is also live: any unit written into the variable's input
     port replaces the value, and the variable echoes each new value on
     its output port when connected, so streams can observe updates.
+
+    The port is served by a thread that starts with the first stream
+    attached to the input port (or at activation, if one was attached
+    before).  Until then the variable is an active process with no
+    thread: ``kill`` ends it as it would end the thread, and so does
+    runtime shutdown.  A pool's ``now`` and ``t`` are never wired.
     """
 
     def __init__(self, runtime: Runtime, name: str, initial: object = None) -> None:
-        super().__init__(runtime, name, lambda proc: _variable_body(proc))
+        super().__init__(runtime, name, _variable_body)
         self._value = initial
         self._value_lock = threading.Lock()
+        #: whether the port-serving thread was started
+        self._serving = False
+        self.input.on_attach = self._serve
+
+    def _start(self) -> None:
+        if self.input.attached_streams():
+            self._serve()
+
+    def _serve(self) -> None:
+        """Start the port-serving thread, once, while the variable is active."""
+        with self._state_lock:
+            if self._serving or self._state is not ProcessState.ACTIVE:
+                return
+            self._serving = True
+        super()._start()
+
+    def interrupt(self) -> None:
+        super().interrupt()
+        if not self._serving:  # no thread to unwind: end here, as it would
+            self._finish(None)
 
     def get(self) -> object:
         with self._value_lock:

@@ -25,7 +25,6 @@ import operator
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import EventError
@@ -89,18 +88,35 @@ BEGIN = Event("begin")
 END = Event("end")
 
 
-@dataclass(frozen=True)
+_occurrence_counter = itertools.count()
+
+
 class EventOccurrence:
     """An event together with the process instance that raised it.
 
     ``source`` is ``None`` for occurrences posted by the runtime itself
     (notably the automatic ``begin`` posting on block entry) and for
     self-posted transitions (``post(...)`` in the paper's notation).
+    Equal and hashed by ``(event, source)``; ``seq`` only numbers them.
     """
 
-    event: Event
-    source: Optional["ProcessBase"] = None
-    seq: int = field(default_factory=itertools.count().__next__, compare=False)
+    __slots__ = ("event", "source", "seq")
+
+    def __init__(self, event: Event, source: Optional["ProcessBase"] = None) -> None:
+        self.event = event
+        self.source = source
+        self.seq = next(_occurrence_counter)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.event, self.source) == (other.event, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.event, self.source))
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"EventOccurrence({self.event!r}, {self.source!r}, seq={self.seq})"
 
     def matches(self, event: Event, source: Optional["ProcessBase"] = None) -> bool:
         """True when this occurrence matches a state label.

@@ -24,7 +24,7 @@ import enum
 import heapq
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import PortError
 from .units import Unit
@@ -56,7 +56,16 @@ class Port:
     waiter with a :class:`PortError`, which the runtime uses to unwind
     worker threads at shutdown, and which the state machinery uses to
     preempt a coordinator blocked on a port operation.
+
+    ``on_attach``, when set, is called after each stream is attached
+    (outside the port's lock): a process that serves its port only once
+    something is wired to it starts there.
     """
+
+    __slots__ = (
+        "owner", "name", "direction", "on_attach", "_lock", "_cond",
+        "_waiting", "_streams", "_ready", "_interrupted", "_closed",
+    )
 
     def __init__(
         self,
@@ -67,6 +76,7 @@ class Port:
         self.owner = owner
         self.name = name
         self.direction = direction
+        self.on_attach: Optional[Callable[[], None]] = None
         self._lock = threading.Lock()
         #: made by the first wait: most ports never block anyone
         self._cond: Optional[threading.Condition] = None
@@ -89,10 +99,13 @@ class Port:
             if self._closed:
                 raise PortError(f"{self!r} is closed")
             self._streams.append(stream)
-            if self.direction is PortDirection.IN:
+            # a unit pushed after this test is announced by unit_ready
+            if self.direction is PortDirection.IN and stream._buffer:
                 for seq in stream.buffered_seqs():
                     heapq.heappush(self._ready, (seq, stream.id, stream))
             self._wake_locked()
+        if self.on_attach is not None:
+            self.on_attach()
 
     def detach(self, stream: "Stream") -> None:
         """Detach a stream end from this port (coordination layer only)."""

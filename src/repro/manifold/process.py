@@ -76,7 +76,10 @@ class ProcessBase:
         self.definition_name = name
         self._state = ProcessState.CREATED
         self._state_lock = threading.Lock()
-        self._terminated_evt = threading.Event()
+        #: set once the ports are interrupted; ``_joined`` is made by the
+        #: first :meth:`join`, as most processes are never joined
+        self._terminated = False
+        self._joined: Optional[threading.Condition] = None
         self._failure: Optional[BaseException] = None
         #: set by a supervisor when it converts this process's failure
         #: into protocol-visible units; handled failures are not
@@ -149,7 +152,7 @@ class ProcessBase:
         return self._failure
 
     def is_terminated(self) -> bool:
-        return self._terminated_evt.is_set()
+        return self._terminated
 
     def activate(self) -> "ProcessBase":
         """Start the process; idempotent activation is an error."""
@@ -174,12 +177,26 @@ class ProcessBase:
             )
         for port in self.ports.values():
             port.interrupt()
-        self._terminated_evt.set()
+        with self._state_lock:
+            self._terminated = True
+            if self._joined is not None:
+                self._joined.notify_all()
         self.runtime.on_process_death(self)
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for the process to reach a final state."""
-        return self._terminated_evt.wait(timeout)
+        with self._state_lock:
+            if self._terminated:
+                return True
+            if self._joined is None:
+                self._joined = threading.Condition(self._state_lock)
+            return self._joined.wait_for(self.is_terminated, timeout)
+
+    def interrupt(self) -> None:
+        """Make every blocking port call of the process raise (runtime
+        shutdown): its thread unwinds at its next port operation."""
+        for port in self.ports.values():
+            port.interrupt()
 
     def kill(self) -> None:
         """Forcefully mark the process finished and interrupt its ports.

@@ -50,8 +50,11 @@ class Runtime:
     def __init__(self, name: str = "app", trace: Optional[Callable[[str], None]] = None) -> None:
         self.name = name
         self._lock = threading.Lock()
-        self._processes: list[ProcessBase] = []
-        self._subscribers: list[EventMemory] = []
+        #: every registered process, in registration order (a dict: O(1)
+        #: membership for :meth:`adopt` and :meth:`register_active`)
+        self._processes: dict[ProcessBase, None] = {}
+        #: replaced, never mutated: a broadcast iterates it without a copy
+        self._subscribers: tuple[EventMemory, ...] = ()
         self._event_log: list[EventOccurrence] = []
         self._trace = trace
         self._shutdown = False
@@ -71,7 +74,7 @@ class Runtime:
         """Create (but do not activate) a process from a definition."""
         proc = definition.instantiate(self, *args, **kwargs)
         with self._lock:
-            self._processes.append(proc)
+            self._processes[proc] = None
         self._emit("create %s", proc.name)
         return proc
 
@@ -84,20 +87,18 @@ class Runtime:
     def adopt(self, proc: ProcessBase) -> ProcessBase:
         """Register a process constructed outside :meth:`create`."""
         with self._lock:
-            if proc not in self._processes:
-                self._processes.append(proc)
+            self._processes.setdefault(proc)
         return proc
 
     def register_active(self, proc: ProcessBase) -> None:
         with self._lock:
-            if proc not in self._processes:
-                self._processes.append(proc)
+            self._processes.setdefault(proc)
+            self._activity += 1
         self._emit("activate %s", proc.name)
         trace_emit("process_activate", worker=proc.name)
-        with self._lock:
-            self._activity += 1
-        for hook in list(self.on_activate_hooks):
-            hook(proc)
+        if self.on_activate_hooks:
+            for hook in list(self.on_activate_hooks):
+                hook(proc)
 
     def processes(self) -> list[ProcessBase]:
         with self._lock:
@@ -114,19 +115,18 @@ class Runtime:
         """Register an event memory to receive all broadcasts."""
         with self._lock:
             if memory not in self._subscribers:
-                self._subscribers.append(memory)
+                self._subscribers += (memory,)
 
     def unsubscribe(self, memory: EventMemory) -> None:
         with self._lock:
-            try:
-                self._subscribers.remove(memory)
-            except ValueError:
-                pass
+            self._subscribers = tuple(
+                m for m in self._subscribers if m is not memory
+            )
 
     def broadcast(self, occurrence: EventOccurrence) -> None:
         """Deliver an occurrence to every subscribed event memory."""
         with self._lock:
-            subscribers = list(self._subscribers)
+            subscribers = self._subscribers
             self._event_log.append(occurrence)
             self._activity += 1
         source = occurrence.source.name if occurrence.source else "<runtime>"
@@ -155,12 +155,14 @@ class Runtime:
     # ------------------------------------------------------------------
     def on_process_death(self, proc: ProcessBase) -> None:
         """Called by every process when it reaches a final state."""
-        self._emit("death %s (%s)", proc.name, proc.state.value)
-        trace_emit("process_death", worker=proc.name, state=proc.state.value)
+        state = proc.state.value
+        self._emit("death %s (%s)", proc.name, state)
+        trace_emit("process_death", worker=proc.name, state=state)
         with self._lock:
             self._activity += 1
-        for hook in list(self.on_death_hooks):
-            hook(proc)
+        if self.on_death_hooks:
+            for hook in list(self.on_death_hooks):
+                hook(proc)
         if not self._shutdown:
             self.broadcast(EventOccurrence(DEATH, proc))
 
@@ -186,10 +188,9 @@ class Runtime:
         self._shutdown = True
         with self._lock:
             procs = list(self._processes)
-            subs = list(self._subscribers)
+            subs = self._subscribers
         for proc in procs:
-            for port in proc.ports.values():
-                port.interrupt()
+            proc.interrupt()
         for memory in subs:
             memory.close()
         self._emit("shutdown")

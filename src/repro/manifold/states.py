@@ -116,6 +116,8 @@ class Block:
         self.priority = dict(priority or {})
         self.setup = setup
         self._states: Dict[Event, Callable[["StateContext"], None]] = {}
+        #: ``{label: declared priority}``, kept as states are registered
+        self._priorities: Dict[Event, int] = {}
         #: whether the state bodies are generator functions (``None``
         #: until the first is registered)
         self.inline: Optional[bool] = None
@@ -130,7 +132,8 @@ class Block:
                 raise StateMachineError(
                     f"block {self.name!r} already has a state for {event!r}"
                 )
-            inline = inspect.isgeneratorfunction(body)
+            code = getattr(body, "__code__", None)
+            inline = code is not None and bool(code.co_flags & inspect.CO_GENERATOR)
             if self.inline is None:
                 self.inline = inline
             elif inline is not self.inline:
@@ -140,22 +143,17 @@ class Block:
                     f"bodies: state {event.name!r} is {kind}"
                 )
             self._states[event] = body
+            self._priorities[event] = (
+                _BEGIN_PRIORITY
+                if event == BEGIN
+                else min(self.priority.get(event, 0), _BEGIN_PRIORITY)
+            )
             return body
 
         return register
 
     def add_state(self, event: Event, body: Callable[["StateContext"], None]) -> None:
         self.state(event)(body)
-
-    def label_priorities(self) -> Dict[Event, int]:
-        """The declared priority of every state label of this block."""
-        priorities = {
-            event: min(self.priority.get(event, 0), _BEGIN_PRIORITY)
-            for event in self._states
-        }
-        if BEGIN in priorities:
-            priorities[BEGIN] = _BEGIN_PRIORITY
-        return priorities
 
     def validate(self) -> None:
         if BEGIN not in self._states:
@@ -189,8 +187,9 @@ class _Frame:
         self.labels: Dict[Event, int] = (
             {} if outer is None or block.save_all else dict(outer.labels)
         )
-        for event, priority in block.label_priorities().items():
-            self.labels[event] = self.depth * _DEPTH_STRIDE + priority
+        base = self.depth * _DEPTH_STRIDE
+        for event, priority in block._priorities.items():
+            self.labels[event] = base + priority
         #: the label of the current state
         self.state = BEGIN
         #: the current state's generator, while it can resume (inline)

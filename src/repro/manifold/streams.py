@@ -58,10 +58,15 @@ _stream_counter = itertools.count()
 class Stream:
     """A FIFO channel between a source (output) port and a sink (input) port."""
 
+    __slots__ = (
+        "type", "id", "_name", "_lock", "_buffer", "_source", "_sink",
+        "_source_broken", "_sink_broken",
+    )
+
     def __init__(self, type: StreamType = StreamType.BK, name: str = "") -> None:
         self.type = type
         self.id = next(_stream_counter)
-        self.name = name or f"stream#{self.id}"
+        self._name = name
         self._lock = threading.Lock()
         self._buffer: deque[Unit] = deque()
         self._source: Optional["Port"] = None
@@ -110,6 +115,11 @@ class Stream:
         stream._source_broken = True
         sink.attach(stream)
         return stream
+
+    @property
+    def name(self) -> str:
+        """The given name, else ``stream#<id>`` (formatted when asked for)."""
+        return self._name or f"stream#{self.id}"
 
     @property
     def source(self) -> Optional["Port"]:

@@ -40,10 +40,14 @@ class _Slot:
 
     The doorbell is held while the slot is parked, so a release before
     the thread reaches ``acquire`` is not lost.  Rung with no body, the
-    thread ends.
+    thread ends.  ``affinity`` is the CPU affinity the next body runs
+    with, ``applied`` the one the thread was last given (a new thread
+    inherits its starter's); the thread sets its affinity only when the
+    two differ, so a body that changes its own thread's affinity leaves
+    that to the next body started with the same affinity.
     """
 
-    __slots__ = ("thread", "doorbell", "body", "affinity")
+    __slots__ = ("thread", "doorbell", "body", "affinity", "applied")
 
     def __init__(self, body: Callable[[], None], name: str) -> None:
         self.thread = threading.Thread(
@@ -52,7 +56,8 @@ class _Slot:
         self.doorbell = threading.Lock()
         self.doorbell.acquire()
         self.body: Optional[Callable[[], None]] = body
-        self.affinity: Optional[set] = None
+        self.affinity: Optional[set] = _getaffinity(0) if _getaffinity else None
+        self.applied = self.affinity
 
 
 #: parked threads, the most recently parked last
@@ -97,8 +102,9 @@ def _serve(slot: _Slot) -> None:
         slot.doorbell.acquire()
         if slot.body is None:
             return
-        if slot.affinity is not None:
+        if slot.affinity != slot.applied:
             os.sched_setaffinity(0, slot.affinity)
+            slot.applied = slot.affinity
         # what Thread._bootstrap_inner installs for a new thread
         sys.settrace(threading.gettrace())
         sys.setprofile(threading.getprofile())

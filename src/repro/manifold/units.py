@@ -14,7 +14,6 @@ FIFO accounting in tests and traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -25,12 +24,26 @@ __all__ = ["Unit", "ProcessReference"]
 _unit_counter = itertools.count()
 
 
-@dataclass(frozen=True)
 class Unit:
-    """One unit of data flowing through a stream."""
+    """One unit of data flowing through a stream.
 
-    payload: Any
-    seq: int = field(default_factory=_unit_counter.__next__)
+    Equal and hashed by ``(payload, seq)``.  A plain slotted class, not
+    a frozen dataclass, because every write builds one.
+    """
+
+    __slots__ = ("payload", "seq")
+
+    def __init__(self, payload: Any) -> None:
+        self.payload = payload
+        self.seq = next(_unit_counter)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.payload, self.seq) == (other.payload, other.seq)
+
+    def __hash__(self) -> int:
+        return hash((self.payload, self.seq))
 
     def is_reference(self) -> bool:
         """True when the payload is a process reference (``&p``)."""
@@ -40,16 +53,27 @@ class Unit:
         return f"Unit#{self.seq}({self.payload!r})"
 
 
-@dataclass(frozen=True)
 class ProcessReference:
     """The ``&p`` construct: a first-class reference to a process instance.
 
     The master receives one of these for every worker the coordinator
     creates (behaviour-interface step 3(c) in the paper) and uses it to
-    activate the worker and to label the data it writes for it.
+    activate the worker and to label the data it writes for it.  Two
+    references to one process are equal.
     """
 
-    process: "ProcessBase"
+    __slots__ = ("process",)
+
+    def __init__(self, process: "ProcessBase") -> None:
+        self.process = process
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.process == other.process
+
+    def __hash__(self) -> int:
+        return hash((self.process,))
 
     @property
     def name(self) -> str:

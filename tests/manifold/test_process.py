@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -15,11 +17,13 @@ from repro.manifold import (
     ProcessState,
     Runtime,
     Stream,
+    Variable,
     make_printer,
     make_sink,
     make_variable,
     make_void,
 )
+from repro.manifold import process as process_module
 
 
 class TestLifecycle:
@@ -168,6 +172,64 @@ class TestBuiltins:
         while var.get() != 42 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert var.get() == 42
+
+    def test_shutdown_ends_an_unwired_variable(self, runtime):
+        var = make_variable(runtime, 0)
+        runtime.shutdown()
+        assert var.join(timeout=2.0)
+        assert var.state is ProcessState.TERMINATED
+
+    def test_a_stream_wired_before_activation_is_served_at_activation(
+        self, runtime
+    ):
+        producer = runtime.create(AtomicDefinition("p", lambda p: None))
+        var = Variable(runtime, "variable", 0)
+        runtime.adopt(var)
+        Stream().connect(producer.output, var.input)
+        producer.output.write(42)
+        assert var.get() == 0
+        var.activate()
+        deadline = time.monotonic() + 2.0
+        while var.get() != 42 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert var.get() == 42
+
+    def test_a_stream_attached_after_kill_starts_no_thread(
+        self, runtime, monkeypatch
+    ):
+        started: list[str] = []
+        monkeypatch.setattr(
+            process_module, "start_thread", lambda body, name: started.append(name)
+        )
+        producer = runtime.create(AtomicDefinition("p", lambda p: None))
+        var = make_variable(runtime, 0)
+        var.kill()
+        assert var.join(timeout=2.0)
+        Stream().connect(producer.output, var.input)
+        assert started == []
+        assert var.state is ProcessState.TERMINATED
+
+    def test_variable_increments_from_two_threads(self, runtime):
+        var = make_variable(runtime, 0)
+        seen: list[list[int]] = [[], []]
+
+        def count(into: list[int]) -> None:
+            for _ in range(5_000):
+                into.append(var.increment())
+
+        threads = [threading.Thread(target=count, args=(s,)) for s in seen]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert var.get() == 10_000
+        assert sorted(seen[0] + seen[1]) == list(range(1, 10_001))
 
     def test_void_never_terminates(self, runtime):
         void = make_void(runtime)

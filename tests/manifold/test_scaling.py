@@ -7,7 +7,8 @@ occurrence in the event memory, every stream attached to the master's
 ``dataport``) shows up as calls per worker growing with the pool; the
 clock would show the same thing later and less reliably.  The
 coordinator ``Main`` owns no transition of the pool, so its count is
-per pool, not per worker.
+per pool, not per worker.  The one clock reading here compares the
+runtime's registry with itself at two sizes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from collections import Counter
 
-from repro.manifold import AtomicDefinition, Runtime, Stream, StreamType
+from repro.manifold import AtomicDefinition, ProcessBase, Runtime, Stream, StreamType
 from repro.protocol import MasterProtocolClient, WorkerJob, make_worker_definition
 from tests.protocol.test_protocol import run_master_with_protocol
 
@@ -78,6 +80,46 @@ def test_calls_per_worker_do_not_grow_with_the_pool():
     assert sum(large.values()) <= 1.15 * sum(small.values()), (small, large)
     for workers, calls in ((31, small), (124, large)):
         assert calls["Main"] * workers < MAIN_CALLS_PER_POOL, (small, large)
+
+
+#: calls of one one-worker pool, summed over the roles: 1 249–1 266 when
+#: each of the pool's two ``variable`` processes took a thread and every
+#: process, unit and occurrence was built the slower way; 1 086–1 090
+#: since (30 runs each, pinned and not)
+ONE_WORKER_POOL_CALLS = 1_170
+
+
+def test_a_one_worker_pool_pays_for_its_worker_not_its_bookkeeping():
+    """What a pool costs besides its workers: creating, wiring and
+    burying its processes, counted on whichever thread does it."""
+    run_noop_pool(4)
+    calls = calls_per_worker(1)
+    assert sum(calls.values()) < ONE_WORKER_POOL_CALLS, calls
+
+
+def test_registering_a_process_does_not_slow_with_the_runtime():
+    """Per-process cost of ``adopt`` then ``register_active`` at 16 000
+    processes against 1 000 (≈14× when membership scanned a list)."""
+
+    def per_process(count: int) -> float:
+        best = float("inf")
+        for _ in range(3):
+            runtime = Runtime("registry")
+            procs = [
+                ProcessBase(runtime, "p", in_ports=(), out_ports=())
+                for _ in range(count)
+            ]
+            start = time.perf_counter()
+            for proc in procs:
+                runtime.adopt(proc)
+            for proc in procs:
+                runtime.register_active(proc)
+            best = min(best, time.perf_counter() - start)
+            assert runtime.processes() == procs
+        return best / count
+
+    small, large = per_process(1_000), per_process(16_000)
+    assert large <= 3 * small, (small, large)
 
 
 def test_a_248_worker_pool_completes():

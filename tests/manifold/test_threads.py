@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.manifold import AtomicDefinition, ProcessState, Runtime, make_void
+from repro.manifold import process as process_module
 from repro.manifold import threads
 from tests.manifold.test_scaling import run_noop_pool
 
@@ -72,6 +73,24 @@ def test_warm_pools_start_no_thread(monkeypatch):
         assert len(run_noop_pool(1)) == 1
     assert len(run_noop_pool(31)) == 31
     assert started == []
+
+
+@pytest.mark.parametrize("workers", [1, 31])
+def test_a_pool_starts_one_body_per_worker(monkeypatch, workers):
+    """A k-worker pool starts k process bodies: its workers'.  Its
+    ``variable`` processes ``now`` and ``t`` are never wired and start
+    none (they each started one, k + 2 in all).  ``Master`` is the
+    application's; ``Main`` runs a coordinator, started elsewhere."""
+    started: list[str] = []
+    start = process_module.start_thread
+
+    def counting(body, name):
+        started.append(name.partition("#")[0])
+        start(body, name)
+
+    monkeypatch.setattr(process_module, "start_thread", counting)
+    assert len(run_noop_pool(workers)) == workers
+    assert sorted(started) == ["Master"] + ["Worker"] * workers
 
 
 def test_a_child_forked_after_a_pool_runs_a_pool():

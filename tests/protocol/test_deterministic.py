@@ -6,7 +6,8 @@ master and never activates it; the protocol creates three workers, which
 are never activated either.  The test thread raises the master's and the
 workers' events, moves the units a master and its workers would, and
 checks the protocol after every raise: no sleep, no timeout, no thread
-of its own (the two ``variable`` processes have theirs).
+of its own (the two ``variable`` processes take none, as nothing wires
+them).
 """
 
 from __future__ import annotations
