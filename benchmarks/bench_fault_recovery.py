@@ -73,7 +73,7 @@ def test_recovered_run_within_2x_of_fault_free(benchmark, fault_recovery_setting
 
     analysis = TraceAnalysis(recorder.events())
     assert analysis.n_faults == traced_result.faults
-    assert analysis.recovered_keys == set(traced_result.recovered_keys)
+    assert analysis.recovered_keys == set(traced_result.fault_report.recovered_keys)
     assert analysis.recovery_overhead_seconds > 0.0
 
     clean = min(clean_samples)

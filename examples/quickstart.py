@@ -45,7 +45,7 @@ def main() -> int:
     print(f"workers used: {conc.n_workers}")
     print(f"total: {conc.total_seconds:.3f}s "
           f"(pool {conc.pool_seconds:.3f}s, "
-          f"prolongation {conc.prolongation_seconds:.3f}s)")
+          f"combine {conc.combine_seconds:.3f}s)")
     if tasks is not None:
         print(f"task instances ever forked: {len(tasks.instances())}, "
               f"peak alive: {tasks.peak_instances()}")

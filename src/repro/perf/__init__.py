@@ -8,7 +8,8 @@
 * :mod:`metrics` — speedup and machine-usage summary statistics;
 * :mod:`overhead` — the §7 overhead decomposition (multi-user effects,
   concurrency overhead, coordination-layer overhead);
-* :mod:`warmpath` — warm-path observability: operator/factorization
+* :mod:`warmpath` — warm-path observability of one
+  :class:`~repro.restructured.parallel.RunResult`: operator/factorization
   cache effectiveness, cold-vs-warm pool timings, and the
   dispatch-order makespan metric;
 * :mod:`dataplane` — a shared-memory arena (pooled
@@ -17,7 +18,6 @@
   ``dataplane.*`` probes of ``benchmarks/e2e`` (ROADMAP 1(a)).
 """
 
-from .bridge import costs_from_run, records_from_run, replay_on_cluster
 from .costmodel import CalibrationError, CostModel, CostRecord, measure_costs
 from .dataplane import (
     DataPlane,
@@ -52,12 +52,9 @@ __all__ = [
     "ShmLease",
     "TimingResult",
     "WarmPathReport",
-    "costs_from_run",
     "decompose_run",
     "dispatch_makespan",
     "measure_costs",
-    "records_from_run",
-    "replay_on_cluster",
     "simulate_makespan",
     "speedup",
     "summarize_runs",

@@ -6,7 +6,7 @@ took the authors ~2000-4000 s.  Re-running that for real is neither
 possible in a benchmark harness nor necessary: the timing *structure*
 is what matters.  We therefore
 
-1. **measure** real ``subsolve`` wall times *and solver counters* on
+1. **measure** real ``subsolve`` CPU times *and solver counters* on
    every grid of the calibration levels (both tolerances) with the
    actual solver;
 2. **fit** the linear-solve count ``S`` with a log-linear model
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -72,6 +73,8 @@ class CostRecord:
     l: int
     m: int
     tol: float
+    #: seconds of one solve (from :func:`measure_costs`: the solving
+    #: thread's CPU seconds, its wall time when it has a CPU to itself)
     wall_seconds: float
     solves: int
     steps_accepted: int
@@ -94,9 +97,14 @@ def measure_costs(
 ) -> list[CostRecord]:
     """Run the real solver on every grid of the given levels/tolerances.
 
-    With ``repeats > 1`` each grid is solved that many times and the
-    fastest wall time kept: the minimum is the standard load-robust
-    estimator for wall clocks (background load only ever *adds* time),
+    A record's seconds are the CPU seconds the calling thread spent in
+    ``subsolve``: a solve is single-threaded, so on an idle machine this
+    is its wall time, but time spent descheduled while other processes
+    hold the CPU is not charged to it.  A wall clock is not robust here:
+    on a shared host sustained contention inflated individual large-grid
+    timings two- to three-fold and pulled the fit's R^2 from ~0.9 to
+    ~0.6.  With ``repeats > 1`` each grid is solved that many times and
+    the cheapest kept (cache and frequency noise only ever *add* time),
     while the solve counts are deterministic across repeats.
     """
     if repeats < 1:
@@ -111,19 +119,17 @@ def measure_costs(
                 if key in seen:
                     continue
                 seen.add(key)
-                result = min(
-                    (
-                        subsolve(problem, grid, tol, t_end=t_end)
-                        for _ in range(repeats)
-                    ),
-                    key=lambda r: r.wall_seconds,
-                )
+                seconds = math.inf
+                for _ in range(repeats):
+                    started = time.thread_time()
+                    result = subsolve(problem, grid, tol, t_end=t_end)
+                    seconds = min(seconds, time.thread_time() - started)
                 records.append(
                     CostRecord(
                         l=grid.l,
                         m=grid.m,
                         tol=tol,
-                        wall_seconds=result.wall_seconds,
+                        wall_seconds=seconds,
                         solves=result.stats.solves,
                         steps_accepted=result.stats.steps_accepted,
                         n_interior=grid.n_interior,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.restructured.parallel import MultiprocessingResult
+from repro.restructured.parallel import RunResult
 from repro.trace.analysis import TraceAnalysis
 
 __all__ = [
@@ -70,7 +70,7 @@ class DispatchMakespan:
 
 
 def dispatch_makespan(
-    result: MultiprocessingResult, n_workers: Optional[int] = None
+    result: RunResult, n_workers: Optional[int] = None
 ) -> DispatchMakespan:
     """Score a run's dispatch order against longest-first and the
     no-overhead bound, using its own measured per-grid durations."""
@@ -92,7 +92,7 @@ class WarmPathReport:
     """One run, what its dispatch order was worth, and — when it was
     traced — what the trace says."""
 
-    result: MultiprocessingResult
+    result: RunResult
     makespan: DispatchMakespan
     #: trace-derived metrics of the run (None when it was not traced)
     trace: Optional[TraceAnalysis] = None
@@ -122,13 +122,13 @@ class WarmPathReport:
             resilience.append(
                 f"resilience: {r.faults} faults over {r.attempts} "
                 f"attempts, {r.recovered} recovered, "
-                f"{r.fallbacks} sequential fallbacks, "
-                f"{r.pool_respawns} pool respawns"
+                f"{r.fallbacks} sequential fallbacks"
             )
         transport = []
-        if r.transport_pickle_bytes:
+        pickled = sum(int(p.solution.nbytes) for p in r.payloads.values())
+        if pickled:
             transport.append(
-                f"result transport: {r.transport_pickle_bytes} bytes "
+                f"result transport: {pickled} bytes "
                 f"through the pickle channel, combine "
                 f"{r.combine_seconds * 1e3:.1f} ms"
             )
@@ -170,7 +170,7 @@ class WarmPathReport:
 
 
 def warm_path_report(
-    result: MultiprocessingResult,
+    result: RunResult,
     n_workers: Optional[int] = None,
     *,
     trace=None,

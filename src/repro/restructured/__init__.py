@@ -25,11 +25,11 @@ generic master/worker protocol.
   retain their process-local operator caches between jobs.
 """
 
-from .master import ConcurrentResult, make_master_definition
+from .master import make_master_definition
 from .mainprog import run_concurrent
 from .netengine import HostSpec, SocketTaskEngine, WorkerDaemon, parse_hosts
 from .parallel import (
-    MultiprocessingResult,
+    RunResult,
     order_longest_first,
     predicted_spec_seconds,
     run_multiprocessing,
@@ -53,14 +53,13 @@ from .worker import (
 
 __all__ = [
     "ComputeEngine",
-    "ConcurrentResult",
     "HostSpec",
     "InlineEngine",
-    "MultiprocessingResult",
     "SocketTaskEngine",
     "WorkerDaemon",
     "PersistentWorkerPool",
     "PoolClosedError",
+    "RunResult",
     "SubsolveJobSpec",
     "SubsolvePayload",
     "TaskInstanceDied",

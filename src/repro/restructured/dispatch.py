@@ -58,6 +58,7 @@ from repro.resilience import (
     EscalationStep,
     FaultEvent,
     FaultLog,
+    FaultReport,
     FaultToleranceExhausted,
 )
 
@@ -212,9 +213,7 @@ class DispatchOutcome:
     payloads: dict[tuple[int, int], SubsolvePayload]
     completion_order: tuple[tuple[int, int], ...]
     attempts: int
-    events: tuple
-    recovered_keys: tuple[tuple[int, int], ...]
-    fallback_keys: tuple[tuple[int, int], ...]
+    report: FaultReport
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +268,14 @@ class DispatchCore:
             payloads=self.completed,
             completion_order=tuple(self.completion_order),
             attempts=self.attempts,
-            events=tuple(self.log.events()),
-            recovered_keys=tuple(self.recovered_keys),
-            fallback_keys=tuple(self.fallback_keys),
+            report=self._report(),
+        )
+
+    def _report(self, failed_key: Optional[tuple] = None) -> FaultReport:
+        return self.log.report(
+            recovered_keys=self.recovered_keys,
+            fallback_keys=self.fallback_keys,
+            failed_key=failed_key,
         )
 
     # ------------------------------------------------------------------
@@ -438,9 +442,5 @@ class DispatchCore:
 
     def fail(self, cause: Optional[BaseException] = None) -> None:
         """Fail the run with its structured failure history."""
-        report = self.log.report(
-            recovered_keys=self.recovered_keys,
-            fallback_keys=self.fallback_keys,
-            failed_key=self.log.events()[-1].key if len(self.log) else None,
-        )
-        raise FaultToleranceExhausted(report) from cause
+        failed_key = self.log.events()[-1].key if len(self.log) else None
+        raise FaultToleranceExhausted(self._report(failed_key)) from cause

@@ -35,7 +35,8 @@ from repro.manifold import (
 )
 from repro.protocol import protocol_mw
 
-from .master import ConcurrentResult, make_master_definition
+from .master import make_master_definition
+from .parallel import RunResult
 from .worker import ComputeEngine, InlineEngine, make_subsolve_worker
 
 __all__ = ["DEFAULT_MLINK", "run_concurrent"]
@@ -71,7 +72,7 @@ def run_concurrent(
     link_spec_text: Optional[str] = None,
     host_mapper: Optional[HostMapper] = None,
     timeout: float = 600.0,
-) -> tuple[ConcurrentResult, Optional[TaskManager]]:
+) -> tuple[RunResult, Optional[TaskManager]]:
     """Run the restructured application once.
 
     Returns the master's result and, when a link spec was supplied, the
@@ -105,7 +106,7 @@ def run_concurrent(
     )
     worker_defn = make_subsolve_worker(engine)
 
-    holder: dict[str, ConcurrentResult] = {}
+    holder: dict[str, RunResult] = {}
 
     def main_body() -> Block:
         block = Block("Main")

@@ -11,10 +11,7 @@ prolongation work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.manifold import AtomicDefinition, AtomicProcess
 from repro.protocol import MasterProtocolClient, WorkerJob
@@ -22,29 +19,10 @@ from repro.trace.recorder import trace_span
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid
 
+from .parallel import RunResult
 from .worker import SubsolveJobSpec, SubsolvePayload
 
-__all__ = ["ConcurrentResult", "make_master_definition"]
-
-
-@dataclass
-class ConcurrentResult:
-    """What a restructured run produces — mirrors ``SequentialResult``."""
-
-    root: int
-    level: int
-    tol: float
-    payloads: dict[tuple[int, int], SubsolvePayload]
-    target_grid: Grid
-    combined: np.ndarray
-    total_seconds: float
-    pool_seconds: float
-    prolongation_seconds: float
-    n_workers: int
-
-    @property
-    def grid_seconds(self) -> dict[tuple[int, int], float]:
-        return {k: p.wall_seconds for k, p in self.payloads.items()}
+__all__ = ["make_master_definition"]
 
 
 def make_master_definition(
@@ -58,7 +36,6 @@ def make_master_definition(
     scheme: str = "upwind",
     target_cap: int | None = 8,
     pool_per_diagonal: bool = False,
-    on_result: Optional[Callable[[ConcurrentResult], None]] = None,
 ) -> AtomicDefinition:
     """Build the ``Master`` manifold for one run configuration.
 
@@ -69,8 +46,8 @@ def make_master_definition(
     ... wants to introduce another workers-pool"), and the ablation
     benchmark compares them.
 
-    ``on_result`` receives the final :class:`ConcurrentResult`; the
-    master also publishes it as ``proc.result`` for the driver.
+    The master publishes its :class:`~repro.restructured.parallel.RunResult`
+    as ``proc.result`` for the driver.
     """
     kw_pairs = tuple(sorted((problem_kwargs or {}).items()))
 
@@ -92,7 +69,7 @@ def make_master_definition(
 
         # step 3 (+4): delegate each grid's subsolve to a pool worker
         t_pool = time.perf_counter()
-        n_workers = 0
+        processes = 0
         with trace_span("master_fanout"):
             for pool_grids in grids_by_pool():
                 jobs = [
@@ -111,7 +88,7 @@ def make_master_definition(
                     )
                     for g in pool_grids
                 ]
-                n_workers += len(jobs)
+                processes = max(processes, len(jobs))
                 for result in client.run_pool(jobs):
                     payload = result.payload
                     payloads[(payload.l, payload.m)] = payload
@@ -119,29 +96,28 @@ def make_master_definition(
         pool_seconds = time.perf_counter() - t_pool
 
         # step 5: final sequential computation — the prolongation work
-        t_prol = time.perf_counter()
+        t_combine = time.perf_counter()
         with trace_span("prolongation"):
             solutions = {key: p.solution for key, p in payloads.items()}
             target_grid, combined = combine(
                 solutions, root, level, target_cap=target_cap
             )
-        prolongation_seconds = time.perf_counter() - t_prol
+        combine_seconds = time.perf_counter() - t_combine
 
-        outcome = ConcurrentResult(
+        proc.result = RunResult(  # type: ignore[attr-defined]
             root=root,
             level=level,
             tol=tol,
+            processes=processes,
             payloads=payloads,
             target_grid=target_grid,
             combined=combined,
             total_seconds=time.perf_counter() - t_start,
             pool_seconds=pool_seconds,
-            prolongation_seconds=prolongation_seconds,
-            n_workers=n_workers,
+            combine_seconds=combine_seconds,
+            engine="manifold",
+            attempts=len(payloads),
         )
-        proc.result = outcome  # type: ignore[attr-defined]
-        if on_result is not None:
-            on_result(outcome)
 
     return AtomicDefinition(
         "Master",

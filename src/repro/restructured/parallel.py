@@ -66,7 +66,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.resilience import EscalationPolicy, FaultPlan
+from repro.resilience import EscalationPolicy, FaultPlan, FaultReport
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
 from repro.trace.recorder import recording, trace_span
@@ -89,7 +89,7 @@ from .pool import (
 from .worker import SubsolveJobSpec, SubsolvePayload
 
 __all__ = [
-    "MultiprocessingResult",
+    "RunResult",
     "predicted_spec_seconds",
     "order_longest_first",
     "run_multiprocessing",
@@ -131,16 +131,26 @@ def order_longest_first(
 
 
 @dataclass
-class MultiprocessingResult:
+class RunResult:
+    """What one run of the restructured application produced, however
+    it was deployed: the MANIFOLD master/worker protocol
+    (:func:`~repro.restructured.mainprog.run_concurrent`), the fork
+    pool or the socket fleet (:func:`run_multiprocessing`)."""
+
     root: int
     level: int
     tol: float
+    #: workers a pool had at once
     processes: int
     payloads: dict[tuple[int, int], SubsolvePayload]
     target_grid: Grid
     combined: np.ndarray
     total_seconds: float
     pool_seconds: float
+    #: master-side seconds resampling/folding grids into the target
+    combine_seconds: float = 0.0
+    #: execution substrate of this run ("manifold", "pool" or "socket")
+    engine: str = "pool"
     # ------------------------------------------------------------------
     # warm-path observability
     # ------------------------------------------------------------------
@@ -155,39 +165,16 @@ class MultiprocessingResult:
     #: grids in the order their results arrived
     completion_order: tuple[tuple[int, int], ...] = ()
     # ------------------------------------------------------------------
-    # fault tolerance (the dispatch core fills these in; a fault-free
-    # run reports attempts == n jobs and nothing else)
+    # fault tolerance (a fault-free run reports attempts == n jobs and
+    # an empty report)
     # ------------------------------------------------------------------
     #: job dispatches, replays included
     attempts: int = 0
-    #: observed fault events (crash, hang/deadline, transient exception)
-    faults: int = 0
-    #: grids that faulted at least once but ultimately completed
-    recovered: int = 0
-    #: grids completed by the in-master sequential fallback
-    fallbacks: int = 0
-    #: wedged pool workers killed and replaced
-    pool_respawns: int = 0
-    #: the detection-ordered fault history
-    fault_events: tuple = ()
-    #: grids behind the ``recovered`` / ``fallbacks`` counters
-    recovered_keys: tuple[tuple[int, int], ...] = ()
-    fallback_keys: tuple[tuple[int, int], ...] = ()
-
+    #: the detection-ordered fault history and the grids it recovered
+    fault_report: FaultReport = FaultReport()
     # ------------------------------------------------------------------
-    # result transport: every payload comes home pickled, and the
-    # combination runs after the last one landed
+    # the socket engine (zero on the other engines)
     # ------------------------------------------------------------------
-    #: solution bytes that crossed the pickle channel
-    transport_pickle_bytes: int = 0
-    #: master-side seconds resampling/folding grids into the target
-    combine_seconds: float = 0.0
-
-    # ------------------------------------------------------------------
-    # the socket engine (zero on the in-machine engines)
-    # ------------------------------------------------------------------
-    #: execution substrate of this run ("pool" or "socket")
-    engine: str = "pool"
     #: the resolved ``--hosts`` spec ("" off the socket engine)
     hosts: str = ""
     #: worker daemons the master talked to
@@ -202,15 +189,16 @@ class MultiprocessingResult:
     net_recv_seconds: float = 0.0
 
     @property
-    def fault_report(self):
-        """The run's failure history as a structured report."""
-        from repro.resilience import FaultReport
+    def faults(self) -> int:
+        return self.fault_report.faults
 
-        return FaultReport(
-            events=tuple(self.fault_events),
-            recovered_keys=self.recovered_keys,
-            fallback_keys=self.fallback_keys,
-        )
+    @property
+    def recovered(self) -> int:
+        return self.fault_report.recovered
+
+    @property
+    def fallbacks(self) -> int:
+        return self.fault_report.fallbacks
 
     @property
     def n_workers(self) -> int:
@@ -252,8 +240,6 @@ class _PoolLease:
 
     def __init__(self, processes: int, shared: bool) -> None:
         self.shared = shared
-        #: wedged workers this run had replaced
-        self.respawns = 0
         if shared:
             self.pool, self.was_warm = acquire_pool(processes)
         else:
@@ -369,10 +355,8 @@ def _run_pool(
         # dead, or wedged and killed here: that one worker is replaced
         wedged = kind != "crash"
         pool.replace(job.worker, wedged=wedged)
-        if wedged:
-            lease.respawns += 1
-            if trace is not None:
-                trace.record("respawn", key=job.key, attempt=job.attempt)
+        if wedged and trace is not None:
+            trace.record("respawn", key=job.key, attempt=job.attempt)
 
     core = DispatchCore(
         ordered,
@@ -437,7 +421,7 @@ def run_multiprocessing(
     trace=None,
     engine: str = "pool",
     hosts: Optional[str] = None,
-) -> MultiprocessingResult:
+) -> RunResult:
     """Run the whole application with a process pool over the grids.
 
     The defaults are the warm path; ``warm_pool=False`` is the one
@@ -503,7 +487,6 @@ def run_multiprocessing(
     n_proc = processes or min(len(specs), multiprocessing.cpu_count())
     ordered = order_longest_first(specs, cost_model)
 
-    respawns = 0
     #: the socket engine's counters (zero on the fork pool)
     net_stats: dict = {}
 
@@ -549,7 +532,6 @@ def run_multiprocessing(
                 finally:
                     lease.release()
                 n_proc = lease.pool.processes
-                respawns = lease.respawns
             payloads = outcome.payloads
         pool_seconds = time.perf_counter() - t_pool
 
@@ -561,7 +543,7 @@ def run_multiprocessing(
             )
         combine_seconds = time.perf_counter() - t_combine
 
-    return MultiprocessingResult(
+    return RunResult(
         root=root,
         level=level,
         tol=tol,
@@ -576,16 +558,7 @@ def run_multiprocessing(
         dispatch_order=tuple((s.l, s.m) for s in ordered),
         completion_order=outcome.completion_order,
         attempts=outcome.attempts,
-        faults=len(outcome.events),
-        recovered=len(outcome.recovered_keys),
-        fallbacks=len(outcome.fallback_keys),
-        pool_respawns=respawns,
-        fault_events=outcome.events,
-        recovered_keys=outcome.recovered_keys,
-        fallback_keys=outcome.fallback_keys,
-        transport_pickle_bytes=sum(
-            int(p.solution.nbytes) for p in payloads.values()
-        ),
+        fault_report=outcome.report,
         combine_seconds=combine_seconds,
         engine=engine,
         hosts=hosts or "",

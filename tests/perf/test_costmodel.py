@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,6 +197,48 @@ class TestPersistence:
         )
         path.write_text(json.dumps(payload))
         assert CostModel.from_json(path) == loaded
+
+
+class TestMeasurement:
+    """What ``measure_costs`` charges a solve, on a stand-in solver."""
+
+    @staticmethod
+    def _stand_in(monkeypatch, body):
+        calls = []
+
+        def subsolve(problem, grid, tol, t_end=None):
+            body(len(calls))
+            calls.append(grid)
+            return SimpleNamespace(
+                stats=SimpleNamespace(solves=3, steps_accepted=2)
+            )
+
+        monkeypatch.setattr("repro.perf.costmodel.subsolve", subsolve)
+        return calls
+
+    @staticmethod
+    def _burn(seconds):
+        started = time.thread_time()
+        while time.thread_time() - started < seconds:
+            pass
+
+    def test_time_descheduled_is_not_charged(self, monkeypatch):
+        """A solve that waits 50 ms off the CPU — as one does when other
+        processes hold it — is charged its CPU time, not its wall time."""
+        self._stand_in(monkeypatch, lambda call: time.sleep(0.05))
+        (record,) = measure_costs("rotating-cone", root=2, levels=[0],
+                                  tols=[1e-3])
+        assert 0.0 <= record.wall_seconds < 0.025
+        assert (record.solves, record.steps_accepted) == (3, 2)
+
+    def test_cheapest_repeat_is_kept(self, monkeypatch):
+        calls = self._stand_in(
+            monkeypatch, lambda call: self._burn(0.04 if call == 0 else 0.0)
+        )
+        (record,) = measure_costs("rotating-cone", root=2, levels=[0],
+                                  tols=[1e-3], repeats=3)
+        assert len(calls) == 3
+        assert record.wall_seconds < 0.02
 
 
 class TestRealCalibration:

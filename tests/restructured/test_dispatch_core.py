@@ -174,8 +174,8 @@ class TestLadder:
         assert rig.core.state[(1, 1)] is JobState.FALLBACK
         assert rig.core.done
         outcome = rig.core.outcome()
-        assert outcome.fallback_keys == ((1, 1),)
-        assert outcome.recovered_keys == ((1, 1),)
+        assert outcome.report.fallback_keys == ((1, 1),)
+        assert outcome.report.recovered_keys == ((1, 1),)
         assert outcome.attempts == 3
 
     @pytest.mark.parametrize("kind", sorted({k for k, _ in DEFAULT_LADDER}))
@@ -280,7 +280,7 @@ class TestLedger:
         assert rig.core.pending[(1, 1)].attempt == 2
         assert len(rig.core.log) == 1
         rig.finish((1, 1))
-        assert rig.core.outcome().recovered_keys == ((1, 1),)
+        assert rig.core.outcome().report.recovered_keys == ((1, 1),)
         # and a second answer after completion changes nothing
         rig.core.result((1, 1), 2, payload_for(spec_for((1, 1))))
         assert rig.core.outcome().completion_order == ((1, 1),)

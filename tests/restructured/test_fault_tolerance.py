@@ -80,7 +80,7 @@ class TestResilientFaultFree:
     def test_default_run_one_attempt_each(self):
         result = _run()
         assert result.attempts == result.n_workers
-        assert result.fault_events == ()
+        assert result.fault_report.events == ()
 
 
 #: a *default* level-7 run (no ``faults``, no ``escalation``) on the warm
@@ -107,7 +107,7 @@ print(json.dumps({
     "victim_gone": victim not in acquire_pool(2)[0].worker_pids(),
     "hit_bitwise": bool(np.array_equal(hit.combined, reference)),
     "hit": [hit.faults, hit.recovered, hit.fallbacks],
-    "hit_kinds": [e.kind for e in hit.fault_events],
+    "hit_kinds": [e.kind for e in hit.fault_report.events],
     "after_warm": after.warm_pool,
     "after_bitwise": bool(np.array_equal(after.combined, reference)),
     "after": [after.faults, after.recovered, after.fallbacks],
@@ -242,11 +242,11 @@ class TestCrashRecovery:
         assert result.recovered == 1
         assert result.fallbacks == 0
         assert result.attempts == result.n_workers + 1
-        event = result.fault_events[0]
+        event = result.fault_report.events[0]
         assert event.kind == "crash"
         assert event.detected_by == "liveness"
         assert event.action == "reassign"
-        assert (1, 1) in result.recovered_keys
+        assert (1, 1) in result.fault_report.recovered_keys
         assert np.array_equal(result.combined, fault_free_combined)
 
     def test_recovery_report_survives(self):
@@ -273,7 +273,7 @@ class TestTransientFaults:
         assert result.faults == 1
         assert result.recovered == 1
         assert result.fallbacks == 0
-        event = result.fault_events[0]
+        event = result.fault_report.events[0]
         assert event.kind == "exception"
         assert event.action == "retry"
         assert "injected transient fault" in event.error
@@ -311,8 +311,8 @@ class TestTransientFaults:
         )
         assert result.faults == 2  # both attempts raised
         assert result.fallbacks == 1
-        assert (1, 1) in result.fallback_keys
-        assert result.fault_events[-1].action == "fallback"
+        assert (1, 1) in result.fault_report.fallback_keys
+        assert result.fault_report.events[-1].action == "fallback"
         # graceful degradation preserves the answer exactly
         assert np.array_equal(result.combined, fault_free_combined)
 
@@ -335,6 +335,7 @@ class TestHangRecovery:
     def test_hung_worker_trips_deadline_and_pool_respawns(
         self, fault_free_combined
     ):
+        respawns = pool_diagnostics()["respawns"]
         result = _run(
             faults="hang@1,1:seconds=120",
             escalation=EscalationPolicy(
@@ -342,21 +343,22 @@ class TestHangRecovery:
             ),
         )
         assert result.faults >= 1
-        kinds = {e.kind for e in result.fault_events}
+        kinds = {e.kind for e in result.fault_report.events}
         assert "deadline" in kinds
-        assert result.pool_respawns >= 1
-        assert (1, 1) in result.recovered_keys
+        assert pool_diagnostics()["respawns"] - respawns >= 1
+        assert (1, 1) in result.fault_report.recovered_keys
         assert np.array_equal(result.combined, fault_free_combined)
 
     def test_a_hang_costs_one_worker(self, fault_free_combined):
         _run()  # warm the two-worker pool
         before = acquire_pool(2)[0].worker_pids()
+        respawns = pool_diagnostics()["respawns"]
         options, _ = CHAOS["hang"]
         result = _run(**options)
         after = acquire_pool(2)[0].worker_pids()
         assert result.warm_pool and len(before) == len(after) == 2
         assert len(after - before) == 1  # the wedged one, nothing else
-        assert result.pool_respawns == 1
+        assert pool_diagnostics()["respawns"] - respawns == 1
         assert np.array_equal(result.combined, fault_free_combined)
 
     def test_deadline_scales_with_cost_model(self):
@@ -390,7 +392,9 @@ class TestColdPoolCrash:
             faults="crash@2,2;raise@1,3",
             escalation=EscalationPolicy(deadline=DeadlinePolicy(default_seconds=3)),
         )
-        assert {e.kind for e in result.fault_events} == {"exception", "crash"}
+        assert {e.kind for e in result.fault_report.events} == {
+            "exception", "crash"
+        }
         assert (result.faults, result.recovered, result.fallbacks) == (2, 2, 0)
         assert np.array_equal(result.combined, reference)
 
@@ -447,25 +451,27 @@ class TestChaosMatrix:
     the same on both substrates: bitwise-equal result, identical counts,
     kinds and actions.  What legitimately differs per engine (who
     detected it, respawn vs reconnect) is asserted in the per-engine
-    suites, not here — but for the one count the pool reports in the
-    result: a wedged worker is replaced once per ``deadline`` fault,
-    before the retry or the in-master fallback."""
+    suites, not here — but for the one count the pool keeps itself: a
+    wedged worker is replaced once per ``deadline`` fault, before the
+    retry or the in-master fallback."""
 
     @pytest.mark.parametrize("scenario", sorted(CHAOS))
     def test_recovery_reads_the_same(self, engine, scenario, fault_free_combined):
         options, expected = CHAOS[scenario]
+        respawns = pool_diagnostics()["respawns"]
         result = _run(engine=engine, **options)
+        events = result.fault_report.events
         assert np.array_equal(result.combined, fault_free_combined)
         assert (
             result.faults,
             result.recovered,
             result.fallbacks,
-            tuple(e.kind for e in result.fault_events),
-            tuple(e.action for e in result.fault_events),
+            tuple(e.kind for e in events),
+            tuple(e.action for e in events),
         ) == expected
         if engine == "pool":
-            assert result.pool_respawns == sum(
-                e.kind == "deadline" for e in result.fault_events
+            assert pool_diagnostics()["respawns"] - respawns == sum(
+                e.kind == "deadline" for e in events
             )
 
     def test_exhausted_ladder_raises_with_the_report(self, engine):
@@ -511,13 +517,14 @@ class TestLevelSixAcceptance:
         self, options, respawns
     ):
         baseline = run_multiprocessing(root=2, level=6, tol=TOL, processes=4)
+        before = pool_diagnostics()["respawns"]
         result = run_multiprocessing(
             root=2, level=6, tol=TOL, processes=4, **options
         )
         assert result.faults == 1
         assert result.recovered == 1
         assert result.fallbacks == 0
-        assert result.pool_respawns == respawns
+        assert pool_diagnostics()["respawns"] - before == respawns
         assert np.array_equal(result.combined, baseline.combined)
 
 

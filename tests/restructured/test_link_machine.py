@@ -479,7 +479,7 @@ class TestOneSendOrLost:
         good.sock.answer()
         rig.deliver(good)
         assert core.done
-        assert core.outcome().recovered_keys == ((2, 0),)
+        assert core.outcome().report.recovered_keys == ((2, 0),)
         assert rig.faults() == [((2, 0), "crash", "connection")]
         submits = [
             (e.key, e.attempt, e.worker)
@@ -701,7 +701,7 @@ class TestRun:
         rig.selector.script = Daemons(rig)
         outcome = rig.run(self.KEYS)
         assert sorted(outcome.completion_order) == sorted(self.KEYS)
-        assert outcome.attempts == len(self.KEYS) and not outcome.events
+        assert outcome.attempts == len(self.KEYS) and not outcome.report.events
         assert rig.engine.reusable and rig.engine.park()
         assert [link.state for link in rig.links] == ["down", "down"]
         assert rig.selector.registered == {}
@@ -710,7 +710,8 @@ class TestRun:
         rig = Rig(links=2)
         rig.selector.script = Daemons(rig, [("eof", 0, 0.0)])
         outcome = rig.run(self.KEYS)
-        assert len(outcome.events) == 1 and outcome.recovered_keys == ((2, 0),)
+        assert len(outcome.report.events) == 1
+        assert outcome.report.recovered_keys == ((2, 0),)
         assert [link.state for link in rig.links] == ["up", "up"]
         assert rig.engine.reconnects == 1
         assert not rig.engine.reusable and not rig.engine.park()
@@ -733,12 +734,12 @@ class TestRun:
 
         rig.selector.script = script
         outcome = rig.run(self.KEYS)
-        assert [(e.key, e.kind, e.detected_by) for e in outcome.events] == [
+        assert [(e.key, e.kind, e.detected_by) for e in outcome.report.events] == [
             ((2, 0), "crash", "connection")
         ]
-        assert "frame body" in outcome.events[0].error
+        assert "frame body" in outcome.report.events[0].error
         assert sorted(outcome.completion_order) == sorted(self.KEYS)
-        assert outcome.recovered_keys == ((2, 0),)
+        assert outcome.report.recovered_keys == ((2, 0),)
         resubmitted = [
             e.worker for e in rig.trace.events()
             if e.kind == "job_submit" and e.key == (2, 0)
@@ -768,7 +769,7 @@ class TestRun:
 
         rig.selector.script = script
         outcome = rig.run(self.KEYS)
-        assert [(e.key, e.kind) for e in outcome.events] == [((1, 1), "deadline")]
+        assert [(e.key, e.kind) for e in outcome.report.events] == [((1, 1), "deadline")]
         assert stale.closed and stale.inbox  # never read again
         assert (second.state, second.reconnects) == ("up", 1)
         assert sorted(outcome.completion_order) == sorted(self.KEYS)

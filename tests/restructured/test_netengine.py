@@ -489,7 +489,7 @@ class TestReactorInvariants:
         from repro.perf.costmodel import CostRecord
         from repro.perf.warmpath import WarmPathReport
         from repro.restructured import run_multiprocessing
-        from repro.restructured.parallel import MultiprocessingResult
+        from repro.restructured.parallel import RunResult
         from repro.restructured.worker import SubsolveJobSpec, SubsolvePayload
         from repro.sparsegrid.rosenbrock import Ros2Integrator, StepStats
         from repro.sparsegrid.subsolve import subsolve
@@ -506,7 +506,7 @@ class TestReactorInvariants:
         )
         for record in (
             SubsolveJobSpec, SubsolvePayload, StepStats, CostRecord,
-            MultiprocessingResult, WarmPathReport,
+            RunResult, WarmPathReport,
         ):
             names = {f.name for f in dataclasses.fields(record)}
             names |= set(vars(record))
@@ -732,7 +732,7 @@ class TestForkedDaemons:
     def test_kill_mid_job_revives_by_fork(self, revived_engine):
         engine, outcome, specs, _ = revived_engine
         assert engine.reconnects == 1
-        (event,) = outcome.events
+        (event,) = outcome.report.events
         assert (event.kind, event.key) == ("crash", (2, 0))
         for spec in specs:
             assert np.array_equal(
@@ -1072,7 +1072,7 @@ class TestWarmFleet:
             engine.run(specs, escalation=EscalationPolicy())
             time.sleep(0.5)
             outcome = engine.run(specs, escalation=EscalationPolicy())
-            assert not outcome.events and engine.reconnects == 0
+            assert not outcome.report.events and engine.reconnects == 0
         for expect_warm in (False, True):
             result = _run(engine="socket")
             assert result.warm_pool is expect_warm
@@ -1107,7 +1107,7 @@ class TestChaos:
         assert result.faults == 1
         assert result.recovered == 1
         assert result.reconnects == 1
-        (event,) = result.fault_events
+        (event,) = result.fault_report.events
         assert event.kind == "crash"
         assert event.key == (2, 0)
         assert event.detected_by == "connection"
@@ -1135,9 +1135,9 @@ class TestChaos:
         assert result.reconnects >= 1
         assert any(
             e.kind == "crash" and e.detected_by == "connection"
-            for e in result.fault_events
+            for e in result.fault_report.events
         )
-        assert (2, 0) in result.recovered_keys
+        assert (2, 0) in result.fault_report.recovered_keys
         assert not local_daemon._drop_result_keys
 
     def test_heartbeat_silence_past_deadline(self, monkeypatch, pickle_combined):
@@ -1161,7 +1161,7 @@ class TestChaos:
             assert np.array_equal(result.combined, pickle_combined)
             assert result.faults == 1
             assert result.reconnects == 1
-            (event,) = result.fault_events
+            (event,) = result.fault_report.events
             assert event.kind == "hang"
             assert event.detected_by == "heartbeat"
             assert event.seconds_lost >= 1.2
@@ -1179,8 +1179,10 @@ class TestChaos:
         assert np.array_equal(result.combined, pickle_combined)
         analysis = TraceAnalysis.from_recorder(recorder)
         assert analysis.n_faults == result.faults == 2
-        assert len(result.fault_events) == 2
-        assert result.recovered == len(result.recovered_keys) == 2
+        report = result.fault_report
+        assert {e.key for e in report.events} == {(2, 0), (1, 1)}
+        assert result.recovered == 2
+        assert analysis.recovered_keys == set(report.recovered_keys)
         assert analysis.recovery_overhead_seconds > 0
         # one fault killed the daemon (reconnect), one did not
         assert analysis.n_reconnects == result.reconnects == 1
