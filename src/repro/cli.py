@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "or factorization reuse")
     p_par.add_argument("--repeat", type=int, default=1,
                        help="repeat the run to show the warm-up trajectory")
-    p_par.add_argument("--model", default=None,
-                       help="calibration JSON for dispatch ordering "
-                       "(default: structural proxy)")
     p_par.add_argument("--verify", action="store_true",
                        help="also run sequentially and compare bitwise")
     p_par.add_argument("--faults", default=None, metavar="SPEC",
@@ -88,12 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "fallback (default policy: 3)")
     p_par.add_argument("--deadline-factor", type=float, default=None,
                        metavar="X",
-                       help="declare a job hung after X times its "
-                       "cost-model-predicted seconds (default policy: "
-                       "8.0)")
+                       help="declare a job hung after X times the "
+                       "seconds its unknowns took at the slowest rate a "
+                       "worker has reported (default policy: 8.0)")
     p_par.add_argument("--deadline-seconds", type=float, default=None,
-                       help="flat per-job deadline when no cost model "
-                       "is given (default policy: 60s)")
+                       help="per-job deadline before the first result "
+                       "is in (default policy: 60s)")
     p_par.add_argument("--trace", default=None, metavar="OUT.jsonl",
                        help="record the run's structured event timeline "
                        "and write it as JSONL (inspect with analyze-trace)")
@@ -261,7 +258,7 @@ def cmd_run_concurrent(args) -> int:
 
 
 def cmd_run_parallel(args) -> int:
-    from repro.perf import CostModel, warm_path_report
+    from repro.perf import warm_path_report
     from repro.resilience import (
         DeadlinePolicy,
         EscalationPolicy,
@@ -272,7 +269,6 @@ def cmd_run_parallel(args) -> int:
     from repro.sparsegrid import SequentialApplication
     from repro.sparsegrid.registry import make_problem
 
-    model = CostModel.from_json(args.model) if args.model else None
     plan = None
     if args.faults is not None:
         plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
@@ -300,7 +296,6 @@ def cmd_run_parallel(args) -> int:
             root=args.root, level=args.level, tol=args.tol,
             problem_name=args.problem,
             processes=args.processes,
-            cost_model=model,
             warm_pool=not args.cold,
             escalation=escalation,
             faults=plan,

@@ -12,9 +12,9 @@ failure-handling decision of this repository lives here, as data:
   *deterministic* jitter, so two runs with the same seed replay the
   same schedule);
 * :class:`DeadlinePolicy` — when a silent job is declared hung.  The
-  per-job budget scales with the PR-1 cost model's predicted seconds
-  where a calibration exists, so a deliberately heavy grid is not
-  mistaken for a stuck one;
+  per-job budget scales with the seconds the run itself predicts for
+  the grid, from the rate its earlier results were computed at, so a
+  deliberately heavy grid is not mistaken for a stuck one;
 * :class:`EscalationPolicy` — the ladder: retry → reassign to a new
   worker (respawning the pool if the old one is wedged) → fall back to
   an in-master sequential subsolve → fail the run with a structured
@@ -105,9 +105,11 @@ class RetryPolicy:
 class DeadlinePolicy:
     """When a silent job is declared hung.
 
-    With a calibrated cost model the budget is ``factor`` times the
-    predicted wall seconds of the specific grid (a heavy diagonal gets
-    a proportionally long leash); without a prediction the flat
+    The dispatch core predicts a grid's wall seconds from its own run:
+    the largest seconds per interior unknown a worker has reported,
+    times the grid's unknowns.  The budget is ``factor`` times that
+    prediction (a heavy diagonal gets a proportionally long leash);
+    before the first result there is no prediction and the flat
     ``default_seconds`` applies.  ``floor_seconds`` guards against a
     prediction so small that scheduling noise alone would trip it.
     """
@@ -116,7 +118,7 @@ class DeadlinePolicy:
     factor: float = 8.0
     #: minimum budget for any job
     floor_seconds: float = 2.0
-    #: budget when no cost-model prediction is available
+    #: budget before any result has priced a job
     default_seconds: float = 60.0
 
     def __post_init__(self) -> None:

@@ -19,7 +19,8 @@ generic master/worker protocol.
   pool and the socket master both drive;
 * :mod:`parallel` — the multiprocessing executor used as the
   real-parallel measurement configuration and as a cross-check; its
-  warm path orders jobs longest-predicted-first (LPT) over
+  warm path orders jobs longest-predicted-first (LPT) by their
+  interior unknown count;
 * :mod:`pool` — the persistent worker pool: ``processes`` long-lived
   task instances shared across levels and runs, whose warm workers
   retain their process-local operator caches between jobs.
@@ -31,7 +32,6 @@ from .netengine import HostSpec, SocketTaskEngine, WorkerDaemon, parse_hosts
 from .parallel import (
     RunResult,
     order_longest_first,
-    predicted_spec_seconds,
     run_multiprocessing,
 )
 from .pool import (
@@ -72,7 +72,6 @@ __all__ = [
     "order_longest_first",
     "parse_hosts",
     "pool_diagnostics",
-    "predicted_spec_seconds",
     "run_concurrent",
     "run_multiprocessing",
     "shutdown_pool",

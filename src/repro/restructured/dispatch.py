@@ -17,8 +17,9 @@ What the core owns, identically for every driver:
 * **attempt counting and stale-attempt rejection** — a result or error
   whose attempt is not the outstanding one is dropped, so a worker that
   answers after being declared lost cannot corrupt the run;
-* **deadlines** — cost-model-scaled per attempt, armed on the timer
-  wheel, read off the wheel's clock (as is ``seconds_lost``);
+* **deadlines** — per attempt, priced from the run's own completions
+  (:attr:`DispatchCore.seconds_per_unknown`), armed on the timer wheel,
+  read off the wheel's clock (as is ``seconds_lost``);
 * the **escalation ladder** — :meth:`EscalationPolicy.decide` per
   fault: retry/reassign parked on the wheel (never slept), in-master
   ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
@@ -235,7 +236,7 @@ class DispatchCore:
         escalation,
         timers: _TimerWheel,
         use_cache: bool = True,
-        cost_model=None,
+        seconds_per_unknown: Optional[float] = None,
         trace=None,
     ) -> None:
         self.driver = driver
@@ -243,7 +244,10 @@ class DispatchCore:
         self.timers = timers
         self.clock = timers.clock
         self.use_cache = use_cache
-        self.cost_model = cost_model
+        #: the largest worker-measured ``wall_seconds / n_interior`` of
+        #: an accepted result (``None`` until one is in); the driver
+        #: seeds it from its substrate and keeps it for the next run
+        self.seconds_per_unknown = seconds_per_unknown
         self.log = FaultLog()
         self.trace = trace
         self.ready: deque[tuple[SubsolveJobSpec, int]] = deque(
@@ -294,8 +298,8 @@ class DispatchCore:
         key = (spec.l, spec.m)
         predicted = (
             None
-            if self.cost_model is None
-            else float(self.cost_model.predict_seconds(spec.l, spec.m, spec.tol))
+            if self.seconds_per_unknown is None
+            else self.seconds_per_unknown * spec.grid.n_interior
         )
         budget = self.escalation.deadline.deadline_seconds(predicted)
         self.attempts += 1
@@ -335,6 +339,10 @@ class DispatchCore:
         if job is None or job.attempt != attempt:
             return
         del self.pending[key]
+        # measured in the worker, so queueing on the master adds nothing;
+        # the largest sample wins, so noise only lengthens a deadline
+        rate = payload.wall_seconds / max(1, job.spec.grid.n_interior)
+        self.seconds_per_unknown = max(self.seconds_per_unknown or 0.0, rate)
         self.driver.retire(job, None)
         self._settle(key, JobState.DONE, payload)
         _trace_payload(self.trace, payload, attempt=attempt)

@@ -76,7 +76,8 @@ its socket driver and contributes the detection channels of a network:
   recorded as a ``reconnect`` trace event;
 * a **silent daemon** — no frame within ``HEARTBEAT_TIMEOUT`` — is a
   ``hang``: the daemon is killed and replaced, its job re-dispatched;
-* the core's **per-job deadline** (cost-model-scaled) catches a wedged
+* the core's **per-job deadline** (priced from the results the engine
+  has seen, :mod:`~repro.restructured.dispatch`) catches a wedged
   job on an otherwise healthy daemon; the driver's ``retire`` hook
   replaces the daemon so the wedged compute cannot outlive the run.
 
@@ -858,6 +859,8 @@ class SocketTaskEngine:
         #: run has returned normally (and before the first)
         self._core: Optional[DispatchCore] = None
         self._plan = None
+        #: the dispatch core's learned job rate, kept for the next run
+        self.seconds_per_unknown: Optional[float] = None
         # the network accounting of the latest run
         self.reconnects = 0
         self.bytes_sent = 0
@@ -1079,7 +1082,6 @@ class SocketTaskEngine:
         escalation,
         plan=None,
         use_cache: bool = True,
-        cost_model=None,
         trace=None,
     ) -> DispatchOutcome:
         """Dispatch ``ordered`` (LPT order preserved) across the daemons.
@@ -1108,7 +1110,7 @@ class SocketTaskEngine:
             escalation=escalation,
             timers=timers,
             use_cache=use_cache,
-            cost_model=cost_model,
+            seconds_per_unknown=self.seconds_per_unknown,
             trace=trace,
         )
         for link in self.links:
@@ -1144,6 +1146,7 @@ class SocketTaskEngine:
                     self._connect_done(link)
             timers.fire_due()
         self._core = None
+        self.seconds_per_unknown = core.seconds_per_unknown
         return core.outcome()
 
     # ------------------------------------------------------------------

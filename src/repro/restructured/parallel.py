@@ -90,7 +90,6 @@ from .worker import SubsolveJobSpec, SubsolvePayload
 
 __all__ = [
     "RunResult",
-    "predicted_spec_seconds",
     "order_longest_first",
     "run_multiprocessing",
 ]
@@ -101,33 +100,18 @@ __all__ = [
 ENGINES = ("pool", "socket")
 
 
-def predicted_spec_seconds(spec: SubsolveJobSpec, cost_model=None) -> float:
-    """Predicted ``subsolve`` cost of one job, for dispatch ordering.
-
-    With a calibrated :class:`~repro.perf.costmodel.CostModel` the
-    prediction is its fitted wall time.  Without one, a structural
-    proxy: the interior unknown count.  ``n_interior`` grows
-    geometrically with the diagonal ``l+m`` (separating the two
-    diagonals of the family by ~4x) and, within a diagonal, peaks at
-    the square grid — matching the measured per-grid profile, where
-    assembly, factorization bandwidth and per-solve cost all scale with
-    the unknowns.
-    """
-    if cost_model is not None:
-        return float(cost_model.predict_seconds(spec.l, spec.m, spec.tol))
-    return float(spec.grid.n_interior)
-
-
-def order_longest_first(
-    specs: list[SubsolveJobSpec], cost_model=None
-) -> list[SubsolveJobSpec]:
+def order_longest_first(specs: list[SubsolveJobSpec]) -> list[SubsolveJobSpec]:
     """Longest-predicted-first (LPT) dispatch order; ties keep loop
-    order (the sort is stable)."""
-    return sorted(
-        specs,
-        key=lambda s: predicted_spec_seconds(s, cost_model),
-        reverse=True,
-    )
+    order (the sort is stable).
+
+    The prediction is a structural proxy, the interior unknown count:
+    ``n_interior`` grows geometrically with the diagonal ``l+m``
+    (separating the two diagonals of the family by ~4x) and, within a
+    diagonal, peaks at the square grid — matching the measured per-grid
+    profile, where assembly, factorization bandwidth and per-solve cost
+    all scale with the unknowns.
+    """
+    return sorted(specs, key=lambda s: s.grid.n_interior, reverse=True)
 
 
 @dataclass
@@ -320,7 +304,6 @@ def _run_pool(
     use_cache: bool,
     plan,
     escalation,
-    cost_model,
     trace=None,
 ) -> DispatchOutcome:
     """Drive the dispatch core over the pool's task instances.
@@ -364,7 +347,7 @@ def _run_pool(
         escalation=escalation,
         timers=timers,
         use_cache=use_cache,
-        cost_model=cost_model,
+        seconds_per_unknown=pool.seconds_per_unknown,
         trace=trace,
     )
 
@@ -396,6 +379,7 @@ def _run_pool(
                         job.key, "exception", detected_by="exception", error=body
                     )
             timers.fire_due()
+        pool.seconds_per_unknown = core.seconds_per_unknown
         return core.outcome()
     finally:
         # a failed or interrupted run leaves nothing running behind it
@@ -414,7 +398,6 @@ def run_multiprocessing(
     t_end: Optional[float] = None,
     scheme: str = "upwind",
     target_cap: int | None = 8,
-    cost_model=None,
     warm_pool: bool = True,
     escalation=None,
     faults: Union[str, object, None] = None,
@@ -438,7 +421,10 @@ def run_multiprocessing(
     (:class:`~repro.resilience.EscalationPolicy`, whose ``retry`` and
     ``deadline`` fields default) replaces the ladder; ``faults`` (a
     :class:`~repro.resilience.FaultPlan` or its spec string) injects
-    failures into the workers.
+    failures into the workers.  The core prices each job's deadline
+    from the run's own results; the pool or fleet keeps the rate it
+    learned, so a warm run starts with it and a ``warm_pool=False``
+    run learns it afresh.
 
     ``trace`` (a :class:`~repro.trace.TraceRecorder`) records the run's
     structured event timeline: job lifecycle, faults and recovery
@@ -465,6 +451,8 @@ def run_multiprocessing(
         )
     if hosts is not None and engine != "socket":
         raise ValueError("hosts requires engine='socket'")
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
     plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
     if escalation is None:
         escalation = EscalationPolicy()
@@ -485,7 +473,7 @@ def run_multiprocessing(
         for g in nested_loop_grids(root, level)
     ]
     n_proc = processes or min(len(specs), multiprocessing.cpu_count())
-    ordered = order_longest_first(specs, cost_model)
+    ordered = order_longest_first(specs)
 
     #: the socket engine's counters (zero on the fork pool)
     net_stats: dict = {}
@@ -503,7 +491,6 @@ def run_multiprocessing(
                         escalation=escalation,
                         plan=plan,
                         use_cache=warm_pool,
-                        cost_model=cost_model,
                         trace=trace,
                     )
                 finally:
@@ -526,7 +513,6 @@ def run_multiprocessing(
                         use_cache=warm_pool,
                         plan=plan,
                         escalation=escalation,
-                        cost_model=cost_model,
                         trace=trace,
                     )
                 finally:

@@ -93,6 +93,8 @@ class PersistentWorkerPool:
         resource_tracker.ensure_running()
         self._context = multiprocessing.get_context("fork")
         self.jobs_dispatched = 0
+        #: the dispatch core's learned job rate, kept for the next run
+        self.seconds_per_unknown: Optional[float] = None
         self.closed = False
         #: every live worker, and the ones no run holds
         self._workers: list[_TaskInstance] = []

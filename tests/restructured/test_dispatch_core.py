@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -324,21 +324,53 @@ class TestTime:
         # the finished key's timer fired too, and was void
         assert rig.core.state[(0, 2)] is JobState.DONE
 
-    def test_deadline_scales_with_the_cost_model(self):
-        class Flat:
-            def predict_seconds(self, l, m, tol):
-                return 100.0
+    def test_deadline_scales_with_the_learned_rate(self):
+        policy = DeadlinePolicy(factor=8.0, floor_seconds=2.0, default_seconds=60.0)
 
-        clock = FakeClock()
-        core = DispatchCore(
-            [spec_for((1, 1))],
+        def rig(keys):
+            return Rig(
+                keys=keys, workers=1, escalation=EscalationPolicy(deadline=policy)
+            )
+
+        def answer(rig, key, wall_seconds):
+            payload = payload_for(spec_for(key))
+            rig.core.result(key, 1, replace(payload, wall_seconds=wall_seconds))
+            rig.core.dispatch_ready()
+
+        # (a) before the first result: the flat default
+        heavy = rig(((3, 1), (0, 2)))
+        assert heavy.core.pending[(3, 1)].deadline_at == policy.default_seconds
+        # (b) w seconds on n unknowns price a job on n' unknowns at
+        # factor * n' * w / n
+        w, n = 1.5, spec_for((3, 1)).grid.n_interior
+        n_next = spec_for((0, 2)).grid.n_interior
+        heavy.clock.value = 1.0
+        answer(heavy, (3, 1), w)
+        budget = policy.factor * n_next * w / n
+        assert budget > policy.floor_seconds
+        assert heavy.core.pending[(0, 2)].deadline_at == pytest.approx(1.0 + budget)
+        # a cheaper sample never shortens it: the largest rate stands
+        answer(heavy, (0, 2), 0.0)
+        assert heavy.core.seconds_per_unknown == w / n
+        # (c) after a cheap result, a hang is convicted at the floor
+        cheap = rig(((1, 1), (0, 2)))
+        answer(cheap, (1, 1), 1e-4)
+        cheap.advance(policy.floor_seconds)       # not yet: the grace
+        assert len(cheap.core.log) == 0
+        cheap.advance(0.01)
+        (event,) = cheap.core.log.events()
+        assert (event.key, event.kind) == ((0, 2), "deadline")
+        assert event.seconds_lost == pytest.approx(policy.floor_seconds + 0.01)
+        # (d) a second core handed the first one's rate starts with it
+        second = DispatchCore(
+            [spec_for((0, 2))],
             Driver(lambda: Slot("w"), lambda job: None, lambda job, kind: None),
-            escalation=EscalationPolicy(deadline=DeadlinePolicy(factor=8.0)),
-            timers=_TimerWheel(clock),
-            cost_model=Flat(),
+            escalation=EscalationPolicy(deadline=policy),
+            timers=_TimerWheel(FakeClock()),
+            seconds_per_unknown=heavy.core.seconds_per_unknown,
         )
-        core.dispatch_ready()
-        assert core.pending[(1, 1)].deadline_at == 800.0
+        second.dispatch_ready()
+        assert second.pending[(0, 2)].deadline_at == pytest.approx(budget)
 
 
 # ----------------------------------------------------------------------

@@ -361,15 +361,29 @@ class TestHangRecovery:
         assert pool_diagnostics()["respawns"] - respawns == 1
         assert np.array_equal(result.combined, fault_free_combined)
 
-    def test_deadline_scales_with_cost_model(self):
-        class Flat:
-            def predict_seconds(self, l, m, tol):
-                return 10.0
-
-        # factor 8 x 10s predicted: the deadline is far away, so a
-        # *fault-free* run under a cost model finishes untroubled
-        result = _run(escalation=EscalationPolicy(), cost_model=Flat())
+    @pytest.mark.parametrize("engine", ("pool", "socket"))
+    def test_a_slow_host_is_not_a_hung_one(self, engine, fault_free_combined):
+        _run(engine=engine)  # warm: the run starts with a learned rate
+        result = _run(engine=engine, faults="slow@*:factor=4")
+        assert result.warm_pool
         assert result.faults == 0
+        assert np.array_equal(result.combined, fault_free_combined)
+
+    @pytest.mark.parametrize("engine", ("pool", "socket"))
+    def test_a_warm_run_convicts_a_hang_at_the_floor(self, engine):
+        """The default ladder, no ``escalation=``: the substrate kept the
+        rate its last run learned, so a hung job gets the 2 s floor, not
+        the 60 s ``default_seconds`` of a run that knows nothing yet."""
+        reference = _run(engine=engine, level=3)
+        started = time.perf_counter()
+        result = _run(engine=engine, level=3, faults="hang@1,2:seconds=120")
+        elapsed = time.perf_counter() - started
+        assert result.warm_pool
+        assert np.array_equal(result.combined, reference.combined)
+        assert [(e.key, e.kind) for e in result.fault_report.events] == [
+            ((1, 2), "deadline")
+        ]
+        assert elapsed < 10.0
 
 
 class TestColdPoolCrash:

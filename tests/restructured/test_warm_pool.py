@@ -20,7 +20,6 @@ from repro.restructured import (
     acquire_pool,
     order_longest_first,
     pool_diagnostics,
-    predicted_spec_seconds,
     run_multiprocessing,
     shutdown_pool,
 )
@@ -166,7 +165,7 @@ class TestDispatchOrdering:
     def test_longest_first_orders_by_interior_count(self):
         specs = [_spec(g.l, g.m) for g in nested_loop_grids(2, 4)]
         ordered = order_longest_first(specs)
-        costs = [predicted_spec_seconds(s) for s in ordered]
+        costs = [s.grid.n_interior for s in ordered]
         assert costs == sorted(costs, reverse=True)
         # the top diagonal's near-square grids lead; the paper loop's
         # coarse opener is nowhere near the front
@@ -174,27 +173,21 @@ class TestDispatchOrdering:
         assert (ordered[-1].l, ordered[-1].m) != (ordered[0].l, ordered[0].m)
 
     def test_proxy_is_interior_count(self):
-        spec = _spec(2, 1)
-        assert predicted_spec_seconds(spec) == float(spec.grid.n_interior)
-
-    def test_cost_model_overrides_proxy(self):
-        class Inverting:
-            def predict_seconds(self, l, m, tol):
-                return -float(l)  # deliberately backwards
-
-        specs = [_spec(0, 2), _spec(1, 1), _spec(2, 0)]
-        ordered = order_longest_first(specs, Inverting())
-        assert [s.l for s in ordered] == [0, 1, 2]
+        # within a diagonal the square-most grid has the most unknowns
+        # and leads, though the paper's loop reaches it second
+        specs = [_spec(0, 3), _spec(1, 2)]
+        assert [s.grid.n_interior for s in specs] == [93, 105]
+        assert [(s.l, s.m) for s in order_longest_first(specs)] == [(1, 2), (0, 3)]
 
     def test_stable_on_ties(self):
-        specs = [_spec(1, 1), _spec(2, 0), _spec(0, 2)]  # equal n_interior? no —
-        # use a constant model to force ties; loop order must survive
-        class Flat:
-            def predict_seconds(self, l, m, tol):
-                return 1.0
-
-        ordered = order_longest_first(specs, Flat())
-        assert [(s.l, s.m) for s in ordered] == [(1, 1), (2, 0), (0, 2)]
+        # level 3's natural ties: (1,2)/(2,1) at 105, (0,3)/(3,0) at 93,
+        # (0,2)/(2,0) at 45; each pair keeps its loop order
+        specs = [_spec(g.l, g.m) for g in nested_loop_grids(2, 3)]
+        ordered = order_longest_first(specs)
+        assert [(s.l, s.m, s.grid.n_interior) for s in ordered] == [
+            (1, 2, 105), (2, 1, 105), (0, 3, 93), (3, 0, 93),
+            (1, 1, 49), (0, 2, 45), (2, 0, 45),
+        ]
 
 
 class TestRunMultiprocessing:
@@ -212,6 +205,26 @@ class TestRunMultiprocessing:
         # with one shared fork pool the second run's workers inherit or
         # retain warm caches: every operator request hits
         assert second.operator_cache_hit_ratio == 1.0
+
+    def test_the_pool_keeps_the_rate_its_run_learned(self):
+        result = run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=2)
+        pool, _ = acquire_pool(2)
+        assert pool.seconds_per_unknown == max(
+            p.wall_seconds / _spec(p.l, p.m).grid.n_interior
+            for p in result.payloads.values()
+        )
+
+    @pytest.mark.parametrize("engine", ("pool", "socket"))
+    @pytest.mark.parametrize("warm", (True, False))
+    @pytest.mark.parametrize("processes", (0, -1))
+    def test_processes_below_one_rejected(self, engine, warm, processes):
+        if warm:  # a shared substrate that any size would otherwise reuse
+            run_multiprocessing(root=2, level=LEVEL, tol=TOL, engine=engine)
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            run_multiprocessing(
+                root=2, level=LEVEL, tol=TOL, engine=engine,
+                processes=processes, warm_pool=warm,
+            )
 
     def test_warm_and_cold_match_sequential_bitwise(self):
         sequential = SequentialApplication(root=2, level=LEVEL, tol=TOL).run()

@@ -101,6 +101,22 @@ class TestCommands:
         assert info.value.code == 2
         assert "--dispatch" in capsys.readouterr().err
 
+    def test_run_parallel_has_no_model_option(self, model_file, capsys):
+        # a job's deadline is priced from the run's own results
+        with pytest.raises(SystemExit) as info:
+            main(["run-parallel", "--level", "1", "--model", model_file])
+        assert info.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+    def test_run_parallel_rejects_zero_processes(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run-parallel", "--level", "0",
+             "--processes", "0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        assert "processes must be >= 1" in result.stderr
+
     def test_calibrate_writes_model(self, tmp_path, capsys, monkeypatch):
         # This test covers the CLI glue (argument plumbing, JSON output),
         # not the measurement itself: real timings under background load
