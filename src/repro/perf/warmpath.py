@@ -119,10 +119,15 @@ class WarmPathReport:
             )
         resilience = []
         if r.faults:
+            succeeded = "".join(
+                f", worker replaced by a "
+                f"{'warm standby' if how == 'standby' else 'cold fork'}"
+                for how in r.replacements
+            )
             resilience.append(
                 f"resilience: {r.faults} faults over {r.attempts} "
                 f"attempts, {r.recovered} recovered, "
-                f"{r.fallbacks} sequential fallbacks"
+                f"{r.fallbacks} sequential fallbacks{succeeded}"
             )
         transport = []
         pickled = sum(int(p.solution.nbytes) for p in r.payloads.values())

@@ -12,8 +12,10 @@ their substrate's signals into core calls and plug three callables
 What the core owns, identically for every driver:
 
 * the **ledger** — every grid ``(l, m)`` is in exactly one
-  :class:`JobState`: ``ready → in-flight → done | backoff | fallback |
-  failed``, with ``backoff → ready`` the only way back;
+  :class:`JobState`: ``ready → in-flight → done | ready | backoff |
+  fallback | failed``.  A reassign goes straight back to the head of
+  ``ready``; a retry waits in ``backoff`` until its timer fires or a
+  slot would otherwise sit idle, whichever comes first;
 * **attempt counting and stale-attempt rejection** — a result or error
   whose attempt is not the outstanding one is dropped, so a worker that
   answers after being declared lost cannot corrupt the run;
@@ -21,11 +23,13 @@ What the core owns, identically for every driver:
   (:attr:`DispatchCore.seconds_per_unknown`), armed on the timer wheel,
   read off the wheel's clock (as is ``seconds_lost``);
 * the **escalation ladder** — :meth:`EscalationPolicy.decide` per
-  fault: retry/reassign parked on the wheel (never slept), in-master
-  ``execute_job`` fallback, :class:`FaultToleranceExhausted`;
+  fault: a reassign re-queued at once (the fresh worker is the remedy),
+  a retry parked on the wheel (never slept, and never while a slot is
+  free with nothing ready), in-master ``execute_job`` fallback,
+  :class:`FaultToleranceExhausted`;
 * the ``FaultLog`` and every trace event of the lifecycle, in the
-  per-key order ``fault`` → (driver: ``respawn`` / ``reconnect``) →
-  ``retry`` → ``job_submit``.
+  per-key order ``fault`` → (driver: ``respawn``) → ``retry`` →
+  ``job_submit``, the ``retry`` carrying the seconds actually parked.
 
 What a driver is, identically on both substrates: ``place`` names a
 free slot (an idle task instance, a daemon link with no job on it),
@@ -192,6 +196,16 @@ class Job:
         return (self.spec.l, self.spec.m)
 
 
+@dataclass(eq=False)
+class _Parked:
+    """A failed attempt waiting out its retry backoff."""
+
+    job: Job
+    kind: str
+    since: float                # on the wheel's clock
+    due: float
+
+
 class Driver(NamedTuple):
     """What a substrate plugs into the core.  None of the three may call
     :meth:`DispatchCore.dispatch_ready`: the core relies on nothing
@@ -255,6 +269,8 @@ class DispatchCore:
         )
         self.state = {(spec.l, spec.m): JobState.READY for spec, _ in self.ready}
         self.pending: dict[tuple[int, int], Job] = {}
+        #: retries in backoff, in the order they were parked
+        self.parked: dict[tuple[int, int], _Parked] = {}
         self.completed: dict[tuple[int, int], SubsolvePayload] = {}
         self.completion_order: list[tuple[int, int]] = []
         self.recovered_keys: list[tuple[int, int]] = []
@@ -286,12 +302,20 @@ class DispatchCore:
     # ready → in-flight
     # ------------------------------------------------------------------
     def dispatch_ready(self) -> None:
-        """Launch ready jobs, in queue order, while the driver has room."""
-        while self.ready:
+        """Launch ready jobs, in queue order, while the driver has room.
+
+        A slot that no ready job wants takes the parked retry due first:
+        a backoff orders work behind what is ready, it never idles a
+        worker."""
+        while self.ready or self.parked:
             slot = self.driver.place()
             if slot is None:
                 return
-            spec, attempt = self.ready.popleft()
+            if self.ready:
+                spec, attempt = self.ready.popleft()
+            else:
+                first = min(self.parked.values(), key=lambda p: p.due)
+                spec, attempt = self._unpark(first.job, first.kind, first.since)
             self._submit(spec, attempt, slot)
 
     def _submit(self, spec: SubsolveJobSpec, attempt: int, slot: Slot) -> None:
@@ -388,7 +412,10 @@ class DispatchCore:
         if self.trace is not None:
             self.trace.record_fault(event)
         self.driver.retire(job, kind)
-        if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
+        if step is EscalationStep.REASSIGN:
+            # the fresh worker is the remedy: nothing to wait for
+            self.ready.appendleft(self._unpark(job, kind, self.clock()))
+        elif step is EscalationStep.RETRY:
             self._park(job, kind)
         elif step is EscalationStep.FALLBACK:
             self._fall_back(job, kind)
@@ -397,24 +424,38 @@ class DispatchCore:
             self.fail()
 
     def _park(self, job: Job, kind: str) -> None:
-        """Backoff on the wheel: every other key keeps completing."""
+        """Backoff on the wheel: every other key keeps completing, and
+        a free slot with nothing ready ends it early (dispatch_ready)."""
         key = job.key
         delay = self.escalation.retry.delay_seconds(job.attempt, key)
+        now = self.clock()
+        parked = self.parked[key] = _Parked(job, kind, now, now + delay)
         self.state[key] = JobState.BACKOFF
 
-        def requeue() -> None:
-            if self.trace is not None:
-                self.trace.record(
-                    "retry",
-                    key=key,
-                    attempt=job.attempt + 1,
-                    cause=kind,
-                    backoff_seconds=delay,
-                )
-            self.ready.appendleft((job.spec, job.attempt + 1))
-            self.state[key] = JobState.READY
+        def expire() -> None:
+            # void once a free slot has taken it early
+            if self.parked.get(key) is parked:
+                self.ready.appendleft(self._unpark(job, kind, now))
 
-        self.timers.schedule(delay, requeue)
+        self.timers.schedule(delay, expire)
+
+    def _unpark(
+        self, job: Job, kind: str, since: float
+    ) -> tuple[SubsolveJobSpec, int]:
+        """The failed ``job``'s key is ready again, at its next attempt;
+        its ``retry`` event carries the seconds waited ``since`` the
+        fault."""
+        self.parked.pop(job.key, None)
+        self.state[job.key] = JobState.READY
+        if self.trace is not None:
+            self.trace.record(
+                "retry",
+                key=job.key,
+                attempt=job.attempt + 1,
+                cause=kind,
+                backoff_seconds=self.clock() - since,
+            )
+        return job.spec, job.attempt + 1
 
     def _fall_back(self, job: Job, kind: str) -> None:
         """Graceful degradation: the master computes the grid itself,

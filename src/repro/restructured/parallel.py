@@ -124,7 +124,8 @@ class RunResult:
     root: int
     level: int
     tol: float
-    #: workers a pool had at once
+    #: jobs the run had in flight at most: its ``processes``, however
+    #: large the warm pool it ran on
     processes: int
     payloads: dict[tuple[int, int], SubsolvePayload]
     target_grid: Grid
@@ -154,6 +155,9 @@ class RunResult:
     # ------------------------------------------------------------------
     #: job dispatches, replays included
     attempts: int = 0
+    #: how each pool worker lost to a fault was succeeded, in order:
+    #: ``"standby"`` (its warm standby promoted) or ``"cold"`` (forked)
+    replacements: tuple[str, ...] = ()
     #: the detection-ordered fault history and the grids it recovered
     fault_report: FaultReport = FaultReport()
     # ------------------------------------------------------------------
@@ -220,9 +224,11 @@ class RunResult:
 # the pool driver of the dispatch core
 # ----------------------------------------------------------------------
 class _PoolLease:
-    """The pool a run dispatches into, shared or private."""
+    """The pool a run dispatches into, shared or private, and the at
+    most ``processes`` of its workers the run may hold at once."""
 
     def __init__(self, processes: int, shared: bool) -> None:
+        self.processes = processes
         self.shared = shared
         if shared:
             self.pool, self.was_warm = acquire_pool(processes)
@@ -231,6 +237,8 @@ class _PoolLease:
         self.cold_start_seconds = (
             0.0 if self.was_warm else self.pool.cold_start_seconds
         )
+        #: how each worker the run lost was succeeded ("standby"/"cold")
+        self.replacements: list[str] = []
 
     def release(self) -> None:
         if not self.shared:
@@ -320,6 +328,8 @@ def _run_pool(
     busy: dict[Connection, Job] = {}
 
     def place() -> Optional[Slot]:
+        if len(busy) >= lease.processes:
+            return None  # a larger warm pool lends no more than asked
         worker = pool.take()
         return None if worker is None else Slot(worker, worker.process.pid)
 
@@ -337,7 +347,8 @@ def _run_pool(
             return
         # dead, or wedged and killed here: that one worker is replaced
         wedged = kind != "crash"
-        pool.replace(job.worker, wedged=wedged)
+        promoted = pool.replace(job.worker, wedged=wedged)
+        lease.replacements.append("standby" if promoted else "cold")
         if wedged and trace is not None:
             trace.record("respawn", key=job.key, attempt=job.attempt)
 
@@ -380,6 +391,8 @@ def _run_pool(
                     )
             timers.fire_due()
         pool.seconds_per_unknown = core.seconds_per_unknown
+        if use_cache:
+            pool.keep_standbys(core.completed.values())
         return core.outcome()
     finally:
         # a failed or interrupted run leaves nothing running behind it
@@ -477,6 +490,7 @@ def run_multiprocessing(
 
     #: the socket engine's counters (zero on the fork pool)
     net_stats: dict = {}
+    replacements: tuple[str, ...] = ()
 
     t_pool = time.perf_counter()
     with recording(trace):
@@ -517,7 +531,7 @@ def run_multiprocessing(
                     )
                 finally:
                     lease.release()
-                n_proc = lease.pool.processes
+                replacements = tuple(lease.replacements)
             payloads = outcome.payloads
         pool_seconds = time.perf_counter() - t_pool
 
@@ -544,6 +558,7 @@ def run_multiprocessing(
         dispatch_order=tuple((s.l, s.m) for s in ordered),
         completion_order=outcome.completion_order,
         attempts=outcome.attempts,
+        replacements=replacements,
         fault_report=outcome.report,
         combine_seconds=combine_seconds,
         engine=engine,

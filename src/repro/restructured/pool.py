@@ -26,6 +26,10 @@ one duplex pipe, one job at a time) and a list of the idle ones.
   (:meth:`~PersistentWorkerPool.replace`).  A death is the EOF of the
   dead worker's pipe; there is no queue between master and workers, no
   helper thread, and nothing to poll;
+* a replacement is warm when it can be: a warm worker keeps a
+  **standby**, a fork of itself with its caches
+  (:meth:`PersistentWorkerPool.keep_standbys`), and its successor is that
+  standby promoted; only a worker with none is succeeded by a cold fork;
 * taking from a pool that has been (or is being) shut down raises a
   clean :class:`PoolClosedError`, and an ``atexit`` hook winds the pool
   down at interpreter exit.
@@ -117,6 +121,28 @@ class PersistentWorkerPool:
         self._workers.remove(worker)
         trace_emit("death_worker", worker=worker.process.pid)
 
+    def _succeed(self, worker: _TaskInstance) -> tuple[_TaskInstance, bool]:
+        """Bury ``worker`` — dead, or wedged and killed here — and
+        return its successor: its standby promoted (``True``), or, with
+        none alive, a cold fork of this process (``False``)."""
+        global _promotions
+        standby, worker.standby = worker.standby, None
+        self._bury(worker)
+        if standby is None:
+            return self._fork(repopulated=True), False
+        if not standby.process.is_alive():
+            standby.kill()  # gone too: close what the master holds of it
+            return self._fork(repopulated=True), False
+        _promotions += 1
+        self._workers.append(standby)
+        trace_emit(
+            "worker_spawn",
+            worker=standby.process.pid,
+            processes=self.processes,
+            promoted=True,
+        )
+        return standby, True
+
     # ------------------------------------------------------------------
     # dispatch: take a worker, send it one job, give it back
     # ------------------------------------------------------------------
@@ -132,8 +158,7 @@ class PersistentWorkerPool:
             if not worker.process.is_alive():
                 # died with nothing on it (an OOM kill between two
                 # runs): never handed out
-                self._bury(worker)
-                worker = self._fork(repopulated=True)
+                worker, _ = self._succeed(worker)
             self.jobs_dispatched += 1
             return worker
 
@@ -146,8 +171,10 @@ class PersistentWorkerPool:
                 return
         worker.stop()
 
-    def replace(self, worker: _TaskInstance, *, wedged: bool = False) -> None:
-        """Kill that one process and fork its successor, idle and cold.
+    def replace(self, worker: _TaskInstance, *, wedged: bool = False) -> bool:
+        """Kill that one process and put its successor, idle, in its
+        place: its standby if it has one alive, else a cold fork.
+        Returns whether the successor was a promoted standby.
 
         ``wedged`` says the process was alive and not answering — a
         hang, as opposed to a death already observed — which is what
@@ -155,11 +182,37 @@ class PersistentWorkerPool:
         """
         global _respawns
         with self._lock:
-            self._bury(worker)
             if wedged:
                 _respawns += 1
-            if not self.closed:
-                self._idle.append(self._fork(repopulated=True))
+            if self.closed:
+                self._bury(worker)
+                return False
+            successor, promoted = self._succeed(worker)
+            self._idle.append(successor)
+            return promoted
+
+    def keep_standbys(self, payloads) -> None:
+        """After a run that used the caches, have each idle worker whose
+        caches did not grow in it — no operator assembled, no LU
+        factorized — copy itself if its standby is missing or older
+        than its caches.  A worker whose caches grew is left alone: the
+        copy waits for a run that adds nothing, so a pool is not copied
+        after every warming run (each copy costs the next run the
+        copy-on-write faults of the pages it writes)."""
+        grew = {
+            p.worker_pid
+            for p in payloads
+            if not p.operator_cache_hit or p.factorizations
+        }
+        with self._lock:
+            for worker in self._idle:
+                if worker.process.pid in grew:
+                    worker.cache_generation += 1
+                elif worker.cache_generation and (
+                    worker.standby is None
+                    or worker.standby.cache_generation < worker.cache_generation
+                ):
+                    worker.copy()
 
     def worker_pids(self) -> set[int]:
         """PIDs of the pool's current worker processes."""
@@ -186,7 +239,8 @@ class PersistentWorkerPool:
             idle, self._idle = self._idle, []
             leaving = list(self._workers) if force else idle
         # outside the lock: takers must fail fast with PoolClosedError
-        # instead of queueing behind a long drain
+        # instead of queueing behind a long drain; stop() and kill() end
+        # a worker's standby too
         for worker in leaving:
             if force:
                 worker.kill()
@@ -205,6 +259,8 @@ _cold_starts = 0
 _warm_acquisitions = 0
 #: how many wedged workers were killed and replaced
 _respawns = 0
+#: how many lost workers were succeeded by their standby
+_promotions = 0
 
 
 @dataclass
@@ -297,6 +353,7 @@ def pool_diagnostics() -> dict[str, float]:
         "cold_starts": _cold_starts,
         "warm_acquisitions": _warm_acquisitions,
         "respawns": _respawns,
+        "promotions": _promotions,
         "jobs_dispatched": _shared.jobs_dispatched if _shared is not None else 0,
         "cold_start_seconds": (
             _shared.cold_start_seconds if _shared is not None else 0.0

@@ -168,9 +168,9 @@ class TestLadder:
             event = rig.core.log.events()[-1]
             assert (event.kind, event.attempt) == (kind, attempt)
             assert event.action == DEFAULT_LADDER[kind, attempt]
-            if attempt < 3:
-                assert rig.core.state[(1, 1)] is JobState.BACKOFF
-                rig.advance(1.0)
+        # no clock moved: a reassign waits for nothing, and a retry's
+        # backoff ends when a slot would otherwise sit idle
+        assert rig.clock.value == 0.0
         assert rig.core.state[(1, 1)] is JobState.FALLBACK
         assert rig.core.done
         outcome = rig.core.outcome()
@@ -221,13 +221,13 @@ class TestLadder:
 
     def test_per_key_trace_order(self):
         rig = Rig(keys=((1, 1),))
+        rig.advance(0.5)
         rig.fault((1, 1), "crash")
-        rig.advance(1.0)
         rig.finish((1, 1))
         assert rig.kinds((1, 1))[:4] == ["job_submit", "fault", "retry", "job_submit"]
         retry = next(e for e in rig.trace.events() if e.kind == "retry")
-        assert retry.data["backoff_seconds"] == 1.0
-        assert retry.t == 1.0  # stamped when the parked delay had passed
+        assert retry.data["backoff_seconds"] == 0.0  # re-queued at once
+        assert retry.t == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -238,10 +238,10 @@ class TestLedger:
 
     def _mixed_run(self):
         rig = Rig(keys=self.KEYS, workers=2)
-        rig.fault((2, 0), "crash")            # parks; (0, 2) takes the slot
-        rig.finish((1, 1))
-        rig.fault((0, 2), "exception")
-        rig.advance(1.0)                      # both backoffs expire
+        rig.fault((2, 0), "crash")            # re-queued: attempt 2 takes the slot
+        rig.finish((1, 1))                    # (0, 2) takes this one
+        rig.fault((0, 2), "exception")        # parks; (1, 0) takes the slot
+        rig.advance(1.0)                      # the backoff expires
         rig.drain()
         return rig
 
@@ -270,10 +270,7 @@ class TestLedger:
     def test_late_result_for_a_superseded_attempt_is_ignored(self):
         rig = Rig(keys=((1, 1),))
         rig.fault((1, 1), "crash")
-        rig.core.result((1, 1), 1, payload_for(spec_for((1, 1))))
-        assert rig.core.state[(1, 1)] is JobState.BACKOFF
-        rig.advance(1.0)
-        assert rig.core.pending[(1, 1)].attempt == 2
+        assert rig.core.pending[(1, 1)].attempt == 2  # reassigned at once
         # the lost worker answers after all: wrong attempt, dropped
         rig.core.result((1, 1), 1, payload_for(spec_for((1, 1))))
         rig.core.fault((1, 1), "exception", detected_by="script", attempt=1)
@@ -290,24 +287,78 @@ class TestLedger:
 # time
 # ----------------------------------------------------------------------
 class TestTime:
-    def test_parked_backoff_delays_nobody_else(self):
+    @pytest.mark.parametrize("kind", sorted(EscalationPolicy.REASSIGN_KINDS))
+    def test_a_reassign_is_requeued_with_no_timer(self, kind):
+        rig = Rig(keys=((2, 0), (1, 1)), workers=1)
+        timers = len(rig.timers)                  # (2, 0)'s deadline
+        rig.core.fault((2, 0), kind, detected_by="script")
+        (event,) = rig.core.log.events()
+        assert event.action == "reassign"
+        assert rig.core.state[(2, 0)] is JobState.READY
+        assert rig.core.ready[0] == (spec_for((2, 0)), 2)  # ahead of (1, 1)
+        assert len(rig.timers) == timers and not rig.core.parked
+        rig.core.dispatch_ready()
+        assert rig.core.pending[(2, 0)].attempt == 2
+        assert rig.core.state[(1, 1)] is JobState.READY
+
+    def test_a_parked_retry_waits_only_while_ready_work_wants_the_slot(self):
         rig = Rig(keys=((2, 0), (1, 1), (0, 2)), workers=2)
         rig.fault((2, 0), "exception")
         assert rig.clock.value == 0.0             # the core moved no clock
         assert rig.core.state[(2, 0)] is JobState.BACKOFF
         # the freed slot went to the next ready key at once
         assert rig.core.state[(0, 2)] is JobState.IN_FLIGHT
-        rig.finish((1, 1))
-        rig.finish((0, 2))
-        assert rig.core.outcome().completion_order == ((1, 1), (0, 2))
-        assert rig.clock.value == 0.0
-        assert not rig.core.done
-        rig.advance(0.999)
+        rig.advance(0.25)
         assert rig.core.state[(2, 0)] is JobState.BACKOFF
-        rig.advance(0.001)
-        assert rig.core.pending[(2, 0)].attempt == 2
+        # nothing is ready: the slot (1, 1) frees takes the retry at once
+        rig.finish((1, 1))
+        job = rig.core.pending[(2, 0)]
+        assert (job.attempt, job.submitted_at) == (2, 0.25)
+        retry = next(e for e in rig.trace.events() if e.kind == "retry")
+        assert retry.data["backoff_seconds"] == 0.25  # what it waited
+        rig.finish((0, 2))
         rig.finish((2, 0))
         assert rig.core.done
+        assert rig.core.outcome().completion_order == ((1, 1), (0, 2), (2, 0))
+        assert rig.clock.value == 0.25
+
+    def test_a_stale_backoff_timer_does_nothing(self):
+        rig = Rig(keys=((2, 0), (1, 1)), workers=2)
+        place = rig.core.driver.place
+        rig.fault((2, 0), "exception")            # parked until 1.0...
+        assert rig.core.pending[(2, 0)].attempt == 2  # ...taken at once
+        # attempt 2 faults with no slot to be had: parked until 1.5
+        rig.core.driver = rig.core.driver._replace(place=lambda: None)
+        rig.advance(0.5)
+        rig.fault((2, 0), "exception")
+        assert rig.core.state[(2, 0)] is JobState.BACKOFF
+        rig.advance(0.5)                          # attempt 1's timer: void
+        assert rig.core.state[(2, 0)] is JobState.BACKOFF
+        assert not rig.core.ready
+        rig.core.driver = rig.core.driver._replace(place=place)
+        rig.advance(0.5)                          # attempt 2's timer
+        assert rig.core.pending[(2, 0)].attempt == 3
+        retries = [e for e in rig.trace.events() if e.kind == "retry"]
+        assert [(e.attempt, e.data["backoff_seconds"]) for e in retries] == [
+            (2, 0.0),
+            (3, 1.0),
+        ]
+        rig.drain()
+        assert rig.core.attempts == 4             # (1, 1) once, (2, 0) thrice
+
+    def test_a_persistent_raise_ends_in_the_same_ladder_events(self):
+        rig = Rig(keys=((1, 1), (0, 2)), workers=2)
+        for _ in range(3):
+            rig.fault((1, 1), "exception")
+        rig.finish((0, 2))
+        assert [(e.kind, e.attempt, e.action) for e in rig.core.log.events()] == [
+            ("exception", 1, "retry"),
+            ("exception", 2, "retry"),
+            ("exception", 3, "fallback"),
+        ]
+        assert rig.core.done and rig.clock.value == 0.0
+        assert rig.core.outcome().report.fallback_keys == ((1, 1),)
+        assert rig.kinds((1, 1)).count("retry") == 2
 
     def test_deadline_is_a_timer_on_the_wheels_clock(self):
         rig = Rig(keys=((1, 1), (0, 2)), workers=2)
@@ -390,10 +441,12 @@ class TestRetireOrdering:
             )
         )
         rig.core.fault((1, 1), "hang", detected_by="script")
-        # inside retire: not yet parked, only the deadline on the wheel
+        # inside retire: not yet re-queued, only the deadline on the wheel
         assert seen == [("hang", JobState.IN_FLIGHT, 1)]
-        assert rig.core.state[(1, 1)] is JobState.BACKOFF
-        assert len(rig.timers) == 2
+        # after it: at the head of the queue, and no timer armed
+        assert rig.core.state[(1, 1)] is JobState.READY
+        assert rig.core.ready[0] == (spec_for((1, 1)), 2)
+        assert len(rig.timers) == 1
 
     def test_retire_precedes_the_fallback(self, monkeypatch):
         order = []

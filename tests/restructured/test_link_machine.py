@@ -386,7 +386,9 @@ class TestLoss:
         # the other link's job is untouched, and nothing new went to it
         assert core.pending[(1, 1)].worker is second
         assert second.job is core.pending[(1, 1)]
-        assert core.state[(2, 0)] is JobState.BACKOFF
+        # the lost job is back at the head of the queue, no timer on it
+        assert core.state[(2, 0)] is JobState.READY
+        assert core.ready[0] == (spec_for((2, 0)), 2)
         assert core.state[(0, 2)] is JobState.READY
 
     def test_an_idle_link_lost_faults_nothing(self):
@@ -470,12 +472,12 @@ class TestOneSendOrLost:
         assert (bad.state, bad.job) == ("reviving", None)
         assert bad_sock.closed and bad_sock not in rig.selector.registered
         assert rig.selector.write_interest == []
-        assert good.job.key == (1, 1)
-        # the job completes on the other link, one attempt later
+        # re-queued at its head, the job takes the other link at once,
+        # one attempt later, and (1, 1) waits for it
+        assert good.job is core.pending[(2, 0)] and good.job.attempt == 2
         good.sock.answer()
         rig.deliver(good)
-        rig.advance(RETRY_BACKOFF)
-        assert good.job is core.pending[(2, 0)] and good.job.attempt == 2
+        assert good.job.key == (1, 1)
         good.sock.answer()
         rig.deliver(good)
         assert core.done
@@ -488,8 +490,8 @@ class TestOneSendOrLost:
         ]
         assert submits == [
             ((2, 0), 1, "daemon-0"),
-            ((1, 1), 1, "daemon-1"),
             ((2, 0), 2, "daemon-1"),
+            ((1, 1), 1, "daemon-1"),
         ]
         # the only socket ever watched for writability is a revive's connect
         assert rig.selector.write_interest == rig.dials

@@ -720,6 +720,11 @@ class TestForkedDaemons:
         master = _fd_targets(os.getpid())
         assert "anon_inode:[eventpoll]" in master.values()
         for link in engine.links:
+            if link.pid is None:
+                # revived, but the crashed job went to the other link at
+                # once: wait for its hello, sent once it has shed what
+                # it inherited and taken its connection
+                assert wait_for_exit([link.sock], 10.0)
             held = set(_fd_targets(link.proc.pid).values())
             assert tracker in held
             assert not (held & set(before.values())) - shared
@@ -1193,8 +1198,10 @@ class TestRetryNoHeadOfLine:
         """The head-of-line regression: a grid backing off after a fault
         must not freeze completion handling for healthy daemons.  The
         thread-per-link engine slept the full retry delay on its only
-        dispatch thread; the reactor parks the grid on a timer and keeps
-        serving every other link's frames."""
+        dispatch thread; the reactor parks the grid and keeps serving
+        every other link's frames, and the first link that comes free
+        with nothing ready takes the grid without waiting out the
+        1.5 s."""
         from repro.resilience import RetryPolicy
 
         recorder = TraceRecorder()
@@ -1211,9 +1218,10 @@ class TestRetryNoHeadOfLine:
         events = recorder.events()
         fault = next(e for e in events if e.kind == "fault")
         retry = next(e for e in events if e.kind == "retry")
-        assert retry.data["backoff_seconds"] == pytest.approx(1.5)
-        assert retry.t - fault.t >= 1.4  # the full backoff elapsed...
-        # ...and the healthy daemon's results kept landing *during* it
+        waited = retry.data["backoff_seconds"]
+        assert waited == pytest.approx(retry.t - fault.t, abs=2e-3)
+        assert waited < 1.0  # taken by an idle link, not the timer...
+        # ...once the healthy daemon's results had landed *during* it
         during = [
             e
             for e in events
@@ -1227,7 +1235,7 @@ class TestRetryNoHeadOfLine:
             "the retry stalled healthy links"
         )
         analysis = TraceAnalysis.from_recorder(recorder)
-        assert analysis.retry_backoff_seconds == pytest.approx(1.5)
+        assert analysis.retry_backoff_seconds == pytest.approx(waited)
         assert any("backoff" in line for line in analysis.report_lines())
 
 

@@ -87,6 +87,19 @@ class TestPersistentWorkerPool:
         assert pool.closed and pool.worker_pids() == set()
 
 
+class TestProcessesBound:
+    def test_a_smaller_run_on_a_larger_warm_pool_keeps_its_bound(self):
+        run_multiprocessing(root=2, level=3, tol=TOL, processes=2)
+        result = run_multiprocessing(root=2, level=3, tol=TOL, processes=1)
+        assert result.processes == 1
+        assert len({p.worker_pid for p in result.payloads.values()}) == 1
+        spans = sorted(
+            (p.started_monotonic, p.finished_monotonic)
+            for p in result.payloads.values()
+        )
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
 class TestAcquirePool:
     def test_second_acquisition_is_warm_and_same_pool(self):
         first, warm1 = acquire_pool(1)
