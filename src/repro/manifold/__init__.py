@@ -16,7 +16,6 @@ from .builtins import Variable, make_printer, make_sink, make_variable, make_voi
 from .config import ConfigSpec, HostMapper, parse_config
 from .errors import (
     ConfigError,
-    DeadlockError,
     EventError,
     LinkError,
     ManifoldError,
@@ -53,7 +52,6 @@ __all__ = [
     "ConfigError",
     "ConfigSpec",
     "Coordinator",
-    "DeadlockError",
     "Event",
     "EventError",
     "EventMemory",

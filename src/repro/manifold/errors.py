@@ -57,19 +57,3 @@ class LinkError(ManifoldError):
 class ConfigError(ManifoldError):
     """Raised by the CONFIG stage for malformed host-mapping specs."""
 
-
-class DeadlockError(ManifoldError):
-    """Raised when the runtime detects that no progress is possible.
-
-    The detector is conservative: it only fires when *every* live process
-    is blocked on a coordination primitive and no timer or external input
-    can unblock any of them.
-    """
-
-
-class RuntimeShutdown(ManifoldError):
-    """Internal signal used to unwind process threads at shutdown.
-
-    User code never needs to catch this; the runtime converts it into a
-    clean thread exit.
-    """

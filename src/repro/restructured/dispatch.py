@@ -44,10 +44,11 @@ costs nobody else anything, and a key is only ever re-submitted at its
 next attempt.
 
 The core never sleeps and never advances the clock: it schedules on the
-injected :class:`_TimerWheel` and the driver's loop — ``dispatch_ready``,
-block on the substrate with ``timers.next_timeout()``, ``fire_due`` —
-decides when time passes.  That is what makes it testable with a fake
-clock and a scripted driver, no process or socket involved.
+injected :class:`_TimerWheel`, and :func:`drive`, the one loop over a
+core on either substrate, decides when time passes.  A *channel* is what
+a driver registers with its selector: a busy pool worker's pipe, a
+daemon link's socket.  That is what makes both testable with a fake
+clock, a fake selector and scripted channels, no process or socket.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "Job",
     "JobState",
     "Slot",
+    "drive",
 ]
 
 #: scheduling slack added to deadline timers so a conviction never
@@ -84,12 +86,12 @@ _DEADLINE_GRACE = 0.005
 
 
 class _TimerWheel:
-    """The dispatch loops' time source: a heap of ``(due, seq, callback)``.
+    """The dispatch loop's time source: a heap of ``(due, seq, callback)``.
 
     Everything a dispatch thread would otherwise ``time.sleep`` for —
     retry backoff, reconnect backoff, heartbeat-silence deadlines,
-    per-job deadlines — is a scheduled callback here, so a driver's
-    only blocking point is its substrate's wait with
+    per-job deadlines — is a scheduled callback here, so :func:`drive`'s
+    only blocking point is its selector's ``select`` with
     :meth:`next_timeout` as the timeout.  Callbacks validate
     their subject at fire time (a job's pending identity, a link's
     generation) instead of being cancelled, which keeps scheduling
@@ -493,3 +495,26 @@ class DispatchCore:
         """Fail the run with its structured failure history."""
         failed_key = self.log.events()[-1].key if len(self.log) else None
         raise FaultToleranceExhausted(self._report(failed_key)) from cause
+
+
+# ----------------------------------------------------------------------
+# the one loop
+# ----------------------------------------------------------------------
+def drive(
+    core: DispatchCore, selector, ready, *, starved, settling=lambda: False
+) -> DispatchOutcome:
+    """Run ``core`` to its outcome: launch what the driver has room for,
+    ``select`` until a registered channel is ready or the next timer is
+    due, hand each ready one to ``ready(data, fileobj)``, fire the due
+    timers.  A pass that leaves the core unfinished with nothing in
+    flight calls ``starved()``, which raises when nothing the substrate
+    holds can free a slot; ``settling()`` keeps the loop going after
+    the last key settled."""
+    while not core.done or settling():
+        core.dispatch_ready()
+        if not core.done and not core.pending:
+            starved()
+        for key, _ in selector.select(core.timers.next_timeout()):
+            ready(key.data, key.fileobj)
+        core.timers.fire_due()
+    return core.outcome()

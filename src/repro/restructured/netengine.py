@@ -31,21 +31,16 @@ fleet daemon that nobody has connected to for ``FLEET_IDLE_EXIT``
 seconds leaves on its own.  Nothing of it is on the wire.
 
 Master threading model: **one thread, one selector**.  The master owns
-every daemon socket through a single :class:`selectors.DefaultSelector`
-reactor — non-blocking sockets with a stateful per-link
-:class:`_FrameDecoder` doing incremental frame decoding, and the timer
-wheel of :mod:`~repro.restructured.dispatch` that schedules everything
-the thread-per-link predecessor used to block on: retry backoff,
-reconnect backoff, heartbeat-silence deadlines, per-job deadlines.  No
-code path on the dispatch loop ever calls ``time.sleep``; its only
-blocking point is ``selector.select`` with the wheel's next due time as
-the timeout.  That is what lets one master hold dozens (or hundreds) of
-daemon links without a reader thread per link, and it removes a whole
-class of head-of-line stalls: one grid backing off, or one flapping
-daemon reconnecting, no longer freezes completion handling for every
-healthy daemon.  A daemon is the same shape one size down
-(:class:`WorkerDaemon`): nothing in this module starts a thread or
-sleeps.
+every daemon socket through one :class:`selectors.DefaultSelector`, a
+non-blocking socket and an incremental :class:`_FrameDecoder` per link,
+and it runs the dispatch core's own loop (``dispatch.drive``, the pool's
+too) with the links as its channels: retry and reconnect backoff,
+heartbeat silence and job deadlines are timers on the core's wheel, and
+``select`` is the only blocking point.  So one master holds many links
+with no reader thread, and one grid backing off or one daemon flapping
+never stalls completion handling on the others.  A daemon is the same
+shape one size down (:class:`WorkerDaemon`): nothing in this module
+starts a thread or sleeps.
 
 A link is a **three-state machine** (:class:`_DaemonLink`: ``down``,
 ``reviving``, ``up``; ``_LINK_MOVES`` is every legal move) carrying
@@ -119,6 +114,7 @@ from .dispatch import (
     Job,
     Slot,
     _TimerWheel,
+    drive,
 )
 from .taskengine import _TaskInstance
 from .worker import SubsolveJobSpec
@@ -439,12 +435,12 @@ class WorkerDaemon:
     served at a time; after a disconnect the daemon returns to
     ``accept`` so a reconnecting master finds it again.
 
-    It is a **relay on one thread** — the pool driver's loop
-    (``parallel._run_pool``) with a connection where the core was —
-    blocked only in ``wait`` over the connection and, while a job
-    computes, the instance's pipe, with the heartbeat as the timeout.  A
-    ``job`` frame goes down the pipe as ``(spec, plan, attempt,
-    use_cache)``; the pipe's ``("ok" | "error", …)`` goes home as a
+    It is a **relay on one thread** — ``dispatch.drive``'s shape with a
+    connection where the core would be, a loop of its own because it
+    drives no core — blocked only in ``wait`` over the connection and,
+    while a job computes, the instance's pipe, with the heartbeat as
+    the timeout.  A ``job`` frame goes down the pipe as ``(spec, plan,
+    attempt, use_cache)``; the pipe's ``("ok" | "error", …)`` goes home as a
     ``result`` / ``error`` frame, its EOF — the instance died — as an
     ``error`` with ``fault_kind="death_worker"``, and the next job forks
     a fresh one.  One job means one sender to the socket and one reader
@@ -1073,7 +1069,7 @@ class SocketTaskEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    # the dispatch reactor
+    # a run: the dispatch core's loop over the links
     # ------------------------------------------------------------------
     def run(
         self,
@@ -1086,29 +1082,22 @@ class SocketTaskEngine:
     ) -> DispatchOutcome:
         """Dispatch ``ordered`` (LPT order preserved) across the daemons.
 
-        The job lifecycle — deadlines, the escalation ladder, idempotent
-        completion keyed ``(l, m)`` — is the dispatch core's
-        (:mod:`~repro.restructured.dispatch`); the engine is its socket
-        driver (:meth:`_place`, :meth:`_launch`, :meth:`_retire`) and
-        this method the loop around both: reads, retries, reconnects
-        and every deadline multiplex through one ``select`` with the
-        wheel's next due time as the timeout, so a fault or a flapping
-        daemon on one link never blocks completion handling on another.
-        A ready descriptor's link says what it means — readable bytes
-        when ``up``, a finished connect when ``reviving``.  The network
-        accounting (``reconnects``, ``bytes_sent``/``bytes_received``,
-        ``net_send_seconds``/``net_recv_seconds``) is left on the engine
-        and describes this run alone.
+        The job lifecycle and the loop are the dispatch core's
+        (:func:`~repro.restructured.dispatch.drive`); the engine is its
+        socket driver (:meth:`_place`, :meth:`_launch`, :meth:`_retire`)
+        and the links are the loop's channels (:meth:`_ready`).  The
+        network accounting (``reconnects``, ``bytes_sent``/
+        ``bytes_received``, ``net_send_seconds``/``net_recv_seconds``) is
+        left on the engine and describes this run alone.
         """
         self.reconnects = self.bytes_sent = self.bytes_received = 0
         self.net_send_seconds = self.net_recv_seconds = 0.0
         self._plan = plan
-        timers = _TimerWheel(self._clock)
         self._core = core = DispatchCore(
             ordered,
             Driver(place=self._place, launch=self._launch, retire=self._retire),
             escalation=escalation,
-            timers=timers,
+            timers=_TimerWheel(self._clock),
             use_cache=use_cache,
             seconds_per_unknown=self.seconds_per_unknown,
             trace=trace,
@@ -1122,32 +1111,36 @@ class SocketTaskEngine:
                     trace.record(
                         "worker_spawn", worker=link.name, pid=link.pid, reused=True
                     )
-        # the loop also drains in-progress revives: the outcome's
-        # reconnect count must describe daemons that actually came back
-        # (and traced their ``reconnect`` event)
-        while not core.done or any(l.state == "reviving" for l in self.links):
-            if all(l.state == "down" for l in self.links):
-                core.fail(
-                    RuntimeError(
-                        "every worker daemon is lost and out of reconnect budget"
-                        if self.reconnects
-                        else "no worker daemon is alive"
-                    )
-                )
-            core.dispatch_ready()
-            # never None: an up or reviving link always has a timer armed
-            for key, _ in self._selector.select(timers.next_timeout()):
-                link = key.data
-                if link.sock is not key.fileobj:
-                    continue  # dropped earlier in this batch
-                if link.state == "up":
-                    self._read(link)
-                else:
-                    self._connect_done(link)
-            timers.fire_due()
+        outcome = drive(
+            core, self._selector, self._ready,
+            starved=self._starved, settling=self._reviving,
+        )
         self._core = None
         self.seconds_per_unknown = core.seconds_per_unknown
-        return core.outcome()
+        return outcome
+
+    def _ready(self, link: _DaemonLink, sock: socket.socket) -> None:
+        """Readable bytes when ``up``, a finished connect when ``reviving``."""
+        if link.sock is not sock:
+            return  # dropped earlier in this batch
+        if link.state == "up":
+            self._read(link)
+        else:
+            self._connect_done(link)
+
+    def _starved(self) -> None:
+        """Nothing in flight: an up or reviving link can still serve."""
+        if all(l.state == "down" for l in self.links):
+            self._core.fail(RuntimeError(
+                "every worker daemon is lost and out of reconnect budget"
+                if self.reconnects
+                else "no worker daemon is alive"
+            ))
+
+    def _reviving(self) -> bool:
+        """The run waits for a revive in progress: its reconnect count
+        describes daemons that came back and traced their ``reconnect``."""
+        return any(l.state == "reviving" for l in self.links)
 
     # ------------------------------------------------------------------
     # the dispatch core's driver: place, launch, retire

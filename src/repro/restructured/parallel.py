@@ -28,13 +28,12 @@ configurations are bitwise identical in their output.
 **Fault tolerance.**  Every run — with or without ``escalation`` or
 ``faults`` — is driven by the shared dispatch core
 (:mod:`~repro.restructured.dispatch`); there is no other way onto a
-pool worker.  This module only *drives* the core, on one
-thread and in the socket reactor's shape: ``place`` takes an idle task
-instance from the pool, ``launch`` sends the attempt down that worker's
-own pipe, ``retire`` gives the worker back or replaces it, and the loop
-blocks in one ``multiprocessing.connection.wait`` over the busy
-workers' pipes with the timer wheel's next due time as the timeout.
-The pool's two signals are translated into core calls —
+pool worker.  This module only *drives* the core, through the socket
+master's loop (:func:`~repro.restructured.dispatch.drive`): ``place``
+takes an idle task instance from the pool, ``launch`` sends the attempt
+down that worker's pipe and registers the pipe with the lease's
+selector, ``retire`` unregisters it and gives the worker back or
+replaces it.  The pool's two signals are translated into core calls —
 
 1. a **readable pipe**: the worker's ``("ok", payload)`` is the job's
    result, its ``("error", text)`` a transient exception, and EOF a
@@ -59,9 +58,10 @@ Escalation is the core's: retry → reassign → in-master sequential
 from __future__ import annotations
 
 import multiprocessing
+import selectors
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from typing import Optional, Union
 
 import numpy as np
@@ -78,6 +78,7 @@ from .dispatch import (
     Job,
     Slot,
     _TimerWheel,
+    drive,
 )
 from .pool import (
     ParkedFleet,
@@ -224,8 +225,9 @@ class RunResult:
 # the pool driver of the dispatch core
 # ----------------------------------------------------------------------
 class _PoolLease:
-    """The pool a run dispatches into, shared or private, and the at
-    most ``processes`` of its workers the run may hold at once."""
+    """The pool a run dispatches into, shared or private, the at most
+    ``processes`` of its workers the run may hold at once, and the
+    selector their pipes are watched with."""
 
     def __init__(self, processes: int, shared: bool) -> None:
         self.processes = processes
@@ -239,8 +241,12 @@ class _PoolLease:
         )
         #: how each worker the run lost was succeeded ("standby"/"cold")
         self.replacements: list[str] = []
+        self.selector = selectors.DefaultSelector()
+        #: what the run's timers are read off
+        self.clock = time.monotonic
 
     def release(self) -> None:
+        self.selector.close()
         if not self.shared:
             self.pool.shutdown()
 
@@ -317,31 +323,28 @@ def _run_pool(
     """Drive the dispatch core over the pool's task instances.
 
     Nothing of the job lifecycle is decided here: this function only
-    translates what a worker's pipe says — a result, an error, EOF —
-    into :class:`DispatchCore` calls, and gives the core the pool's way
-    to launch an attempt and to free its worker.  Its one blocking
-    point is the ``wait`` on the busy workers' pipes.
+    gives the core the pool's way to place, launch and retire an
+    attempt, and its channels — a busy worker's pipe, registered with
+    its attempt from ``launch`` to ``retire`` — whose result, error or
+    EOF ``ready`` turns into :class:`DispatchCore` calls.
     """
-    pool = lease.pool
-    timers = _TimerWheel()
-    #: a busy worker's pipe → the attempt it was sent
-    busy: dict[Connection, Job] = {}
+    pool, selector = lease.pool, lease.selector
 
     def place() -> Optional[Slot]:
-        if len(busy) >= lease.processes:
+        if len(core.pending) >= lease.processes:
             return None  # a larger warm pool lends no more than asked
         worker = pool.take()
         return None if worker is None else Slot(worker, worker.process.pid)
 
     def launch(job: Job) -> None:
-        busy[job.worker.channel] = job
+        selector.register(job.worker.channel, selectors.EVENT_READ, job)
         try:
             job.worker.channel.send((job.spec, plan, job.attempt, use_cache))
         except OSError:
             pass  # died since take(): its pipe reads EOF in the loop
 
     def retire(job: Job, kind: Optional[str]) -> None:
-        del busy[job.worker.channel]
+        selector.unregister(job.worker.channel)
         if kind is None or kind == "exception":
             pool.give(job.worker)
             return
@@ -352,51 +355,47 @@ def _run_pool(
         if wedged and trace is not None:
             trace.record("respawn", key=job.key, attempt=job.attempt)
 
+    def ready(job: Job, channel: Connection) -> None:
+        # every call names the attempt: the core drops a superseded one's
+        try:
+            status, body = channel.recv()
+        except (EOFError, OSError):
+            error = f"worker pid {job.worker.process.pid} died"
+            core.fault(job.key, "crash", detected_by="liveness", error=error,
+                       attempt=job.attempt)
+            return
+        if status == "ok":
+            core.result(job.key, job.attempt, body)
+        else:
+            core.fault(job.key, "exception", detected_by="exception", error=body,
+                       attempt=job.attempt)
+
+    def starved() -> None:
+        # nothing of ours is busy, so no timer can give a worker back
+        raise RuntimeError(
+            "no pool worker is free and none is ours to wait for: "
+            "another run holds them all"
+        )
+
     core = DispatchCore(
         ordered,
         Driver(place=place, launch=launch, retire=retire),
         escalation=escalation,
-        timers=timers,
+        timers=_TimerWheel(lease.clock),
         use_cache=use_cache,
         seconds_per_unknown=pool.seconds_per_unknown,
         trace=trace,
     )
-
     try:
-        while not core.done:
-            core.dispatch_ready()
-            timeout = timers.next_timeout()
-            if not busy and timeout is None:
-                raise RuntimeError(
-                    "no pool worker is free and none is ours to wait for: "
-                    "another run holds them all"
-                )
-            for channel in wait(list(busy), timeout):
-                job = busy[channel]
-                try:
-                    status, body = channel.recv()
-                except (EOFError, OSError):
-                    core.fault(
-                        job.key,
-                        "crash",
-                        detected_by="liveness",
-                        error=f"worker pid {job.worker.process.pid} died",
-                    )
-                    continue
-                if status == "ok":
-                    core.result(job.key, job.attempt, body)
-                else:
-                    core.fault(
-                        job.key, "exception", detected_by="exception", error=body
-                    )
-            timers.fire_due()
+        outcome = drive(core, selector, ready, starved=starved)
         pool.seconds_per_unknown = core.seconds_per_unknown
         if use_cache:
             pool.keep_standbys(core.completed.values())
-        return core.outcome()
+        return outcome
     finally:
         # a failed or interrupted run leaves nothing running behind it
-        for job in list(busy.values()):
+        # (the lease closes the selector that still watches their pipes)
+        for job in list(core.pending.values()):
             pool.replace(job.worker)
 
 

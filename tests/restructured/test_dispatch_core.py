@@ -9,13 +9,17 @@ the :class:`FakeClock` and fires the wheel.
 
 from __future__ import annotations
 
+import ast
 import os
 import socket
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.resilience import (
     DeadlinePolicy,
@@ -468,3 +472,23 @@ class TestRetireOrdering:
         assert rig.core.state[(1, 1)] is JobState.FALLBACK
         assert rig.kinds((1, 1))[-4:] == ["fallback", "cache_miss", "job_start", "job_done"]
 
+
+
+# ----------------------------------------------------------------------
+# one loop
+# ----------------------------------------------------------------------
+def test_drive_is_the_only_loop_over_a_core():
+    """Both substrates go through ``dispatch.drive``: no other module of
+    the package launches ready jobs or fires the wheel, so a second
+    dispatch loop cannot come back unnoticed."""
+    package = Path(repro.__file__).parent
+    callers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dispatch_ready", "fire_due")
+            ):
+                callers.add(str(path.relative_to(package)))
+    assert callers == {"restructured/dispatch.py"}

@@ -213,6 +213,9 @@ class TestOneRunResult:
     ("repro.perf", "costs_from_run"),
     ("repro.perf", "records_from_run"),
     ("repro.perf", "replay_on_cluster"),
+    ("repro.manifold", "DeadlockError"),
+    ("repro.manifold.errors", "DeadlockError"),
+    ("repro.manifold.errors", "RuntimeShutdown"),
 ])
 def test_no_alias_of_a_retired_name(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -602,9 +602,9 @@ class TestReactorInvariants:
         )
 
     def test_master_adds_no_threads(self, pickle_combined):
-        """One selector, zero reader threads; one ``wait`` over the
-        pool's pipes, zero helper threads: a run on either engine leaves
-        the master's thread count exactly where it found it."""
+        """One selector over the links, zero reader threads; one over
+        the pool's pipes, zero helper threads: a run on either engine
+        leaves the master's thread count exactly where it found it."""
         samples = []
         stop = threading.Event()
 

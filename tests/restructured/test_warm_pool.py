@@ -10,6 +10,7 @@ last bit.
 from __future__ import annotations
 
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,37 @@ class TestProcessesBound:
             for p in result.payloads.values()
         )
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+class TestStarvedRun:
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_a_run_another_run_starves_raises_at_once(self, monkeypatch, warm):
+        """Another run takes every idle worker the moment this run gives
+        one back: with nothing of its own in flight, no timer can give
+        it a worker, so it raises at once — not at the deadline of a job
+        it already finished (60 s on a fresh pool, 2 s on a warm one)."""
+        if warm:
+            run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=1)
+        pool, _ = acquire_pool(1)
+        give = PersistentWorkerPool.give
+        taken = []
+
+        def give_to_another_run(self, worker):
+            give(self, worker)
+            if not taken:
+                while (idle := self.take()) is not None:
+                    taken.append(idle)
+
+        monkeypatch.setattr(PersistentWorkerPool, "give", give_to_another_run)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="another run holds them all"):
+                run_multiprocessing(root=2, level=LEVEL, tol=TOL, processes=1)
+            assert time.monotonic() - started < 1.0
+        finally:
+            for worker in taken:
+                give(pool, worker)
+        assert taken
 
 
 class TestAcquirePool:
