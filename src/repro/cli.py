@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("threads", "task-instances"),
         default="threads",
         help="where worker computations execute: in the worker threads, "
-        "or in per-worker OS task instances with perpetual reuse (the "
-        "MLINK semantics, literally)",
+        "or each in an OS task instance of the shared worker pool, reused "
+        "by the next worker and the next run (the MLINK {perpetual} "
+        "{load 1}, literally)",
     )
     p_conc.add_argument("--pool-per-diagonal", action="store_true",
                         help="one workers-pool per grid diagonal (two pools)")
@@ -223,6 +224,7 @@ def cmd_run_sequential(args) -> int:
 
 def cmd_run_concurrent(args) -> int:
     from repro.restructured import TaskInstanceEngine, run_concurrent
+    from repro.restructured.pool import pool_diagnostics
     from repro.restructured.mainprog import DEFAULT_MLINK
     from repro.sparsegrid import SequentialApplication
     from repro.sparsegrid.registry import make_problem
@@ -243,9 +245,11 @@ def cmd_run_concurrent(args) -> int:
         print(f"task instances forked: {len(tasks.instances())}, "
               f"peak alive {tasks.peak_instances()}")
     if engine is not None:
-        print(f"OS task instances: {engine.stats.spawned} spawned, "
-              f"{engine.stats.reused} worker(s) reused one")
         engine.close()
+        pool = pool_diagnostics()
+        print(f"OS task instances: {pool['processes']} pool worker(s), "
+              f"{pool['jobs_dispatched']} job(s) dispatched, "
+              f"{pool['promotions']} standby promotion(s)")
     if args.verify:
         seq = SequentialApplication(
             root=args.root, level=args.level, tol=args.tol,

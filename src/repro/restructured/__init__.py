@@ -7,9 +7,10 @@ generic master/worker protocol.
 
 * :mod:`worker` — the worker wrapper plus pluggable *compute engines*:
   inline (worker thread computes; concurrency bounded by the GIL except
-  where NumPy/SciPy release it) and, in :mod:`taskengine`, process-based
-  (each worker ships its job to a separate OS process — the Python
-  equivalent of MLINK housing each worker in its own task instance);
+  where NumPy/SciPy release it) and, in :mod:`pool`, process-based
+  (each worker ships its job to a task instance of :mod:`taskengine` —
+  the Python equivalent of MLINK housing each worker in its own task
+  instance);
 * :mod:`master` — the master wrapper: the sequential program with the
   nested loop replaced by protocol steps 3(a)–3(h);
 * :mod:`mainprog` — ``mainprog.m``: ``Main`` calls
@@ -22,8 +23,8 @@ generic master/worker protocol.
   warm path orders jobs longest-predicted-first (LPT) by their
   interior unknown count;
 * :mod:`pool` — the persistent worker pool: ``processes`` long-lived
-  task instances shared across levels and runs, whose warm workers
-  retain their process-local operator caches between jobs.
+  task instances shared across levels, runs and engines, whose warm
+  workers retain their process-local operator caches between jobs.
 """
 
 from .master import make_master_definition
@@ -37,11 +38,12 @@ from .parallel import (
 from .pool import (
     PersistentWorkerPool,
     PoolClosedError,
+    TaskInstanceEngine,
     acquire_pool,
     pool_diagnostics,
     shutdown_pool,
 )
-from .taskengine import TaskInstanceDied, TaskInstanceEngine, TaskInstanceStats
+from .taskengine import TaskInstanceDied
 from .worker import (
     ComputeEngine,
     InlineEngine,
@@ -64,7 +66,6 @@ __all__ = [
     "SubsolvePayload",
     "TaskInstanceDied",
     "TaskInstanceEngine",
-    "TaskInstanceStats",
     "acquire_pool",
     "execute_job",
     "make_master_definition",

@@ -10,9 +10,10 @@ configurations of the paper:
   configuration.  CPython's GIL limits the speedup to what NumPy/SciPy
   release — this is the repro-band caveat; measured honestly in the
   benchmarks.
-* :class:`~repro.restructured.taskengine.TaskInstanceEngine` — each
-  job is shipped to a worker OS process of its own: the "distributed"
-  (one worker per task instance) configuration, and the GIL workaround.
+* :class:`~repro.restructured.pool.TaskInstanceEngine` — each job is
+  shipped to a task instance of the shared worker pool, an OS process
+  of its own: the "distributed" (one worker per task instance)
+  configuration, and the GIL workaround.
   Only the small job spec and the result arrays cross the process
   boundary, exactly the data the paper's master passes to and from its
   workers.

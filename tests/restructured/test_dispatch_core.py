@@ -492,3 +492,20 @@ def test_drive_is_the_only_loop_over_a_core():
             ):
                 callers.add(str(path.relative_to(package)))
     assert callers == {"restructured/dispatch.py"}
+
+
+def test_the_pool_is_the_only_owner_of_task_instances():
+    """Only the pool forks a task instance: the ``run_concurrent``
+    engine and a socket daemon take theirs from a pool, so a second
+    idle list or death rule cannot come back unnoticed."""
+    package = Path(repro.__file__).parent
+    owners = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_TaskInstance"
+            ):
+                owners.add(str(path.relative_to(package)))
+    assert owners == {"restructured/pool.py"}

@@ -216,6 +216,9 @@ class TestOneRunResult:
     ("repro.manifold", "DeadlockError"),
     ("repro.manifold.errors", "DeadlockError"),
     ("repro.manifold.errors", "RuntimeShutdown"),
+    ("repro.restructured", "TaskInstanceStats"),
+    ("repro.restructured.taskengine", "TaskInstanceStats"),
+    ("repro.restructured.taskengine", "TaskInstanceEngine"),
 ])
 def test_no_alias_of_a_retired_name(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -51,7 +51,7 @@ class TestHostMapping:
 
 class TestProcessEngine:
     def test_caller_owned_engine_not_closed(self):
-        engine = TaskInstanceEngine(max_instances=2)
+        engine = TaskInstanceEngine()
         try:
             run_concurrent(root=2, level=0, tol=1e-3, engine=engine, timeout=120)
             # the engine must still be usable: run_concurrent did not
