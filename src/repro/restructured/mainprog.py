@@ -16,7 +16,8 @@ completion, and returns the master's result.  The MLINK/CONFIG stages
 are optional inputs: when a link spec is given, a
 :class:`~repro.manifold.task.TaskManager` records the bundling of
 process instances into task instances (the ebb & flow data); when a
-host mapper is given, forked task instances are assigned machines.
+host mapper is given, that task manager also gives every task instance
+it forks a machine, and takes it back when the instance dies.
 """
 
 from __future__ import annotations
@@ -81,15 +82,9 @@ def run_concurrent(
     runtime = Runtime("mainprog")
     task_manager: Optional[TaskManager] = None
     if link_spec_text is not None:
-        task_manager = TaskManager(parse_mlink(link_spec_text)).attach(runtime)
-        if host_mapper is not None:
-            runtime.on_activate_hooks.append(
-                lambda proc: _assign_host(proc, host_mapper)
-            )
-            # machines are released on *task* death — any path: the last
-            # resident leaving a non-perpetual instance, the perpetual
-            # wind-down, or an engine killing the instance outright
-            task_manager.on_task_death.append(host_mapper.free)
+        task_manager = TaskManager(
+            parse_mlink(link_spec_text), hosts=host_mapper
+        ).attach(runtime)
 
     own_engine = engine is None
     engine = engine if engine is not None else InlineEngine()
@@ -133,8 +128,7 @@ def run_concurrent(
         if task_manager is not None:
             # service processes (variables, void) unwind asynchronously
             # after shutdown; wait for them so their tasks empty before
-            # the perpetual wind-down (which frees their machines via
-            # the task-death subscription above)
+            # the perpetual wind-down (which frees their machines)
             runtime.join_all(timeout=10.0)
             task_manager.kill_idle_perpetual()
 
@@ -142,9 +136,3 @@ def run_concurrent(
     if result is None:
         raise RuntimeError("master finished without publishing a result")
     return result, task_manager
-
-
-def _assign_host(proc, mapper: HostMapper) -> None:
-    task = proc.task_instance
-    if task is not None and task.host is None:
-        mapper.assign(task)

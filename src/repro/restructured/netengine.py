@@ -208,7 +208,7 @@ def _unpack_body(body: bytes) -> tuple[str, object]:
     """The ``(kind, data)`` pair of a frame body.  Anything else is a
     broken stream, which both ends survive as they do a reset: garbage
     raises whatever its bytes happen to spell, hence the broad catch.
-    (Unpickling still runs what a hostile peer sends — ROADMAP 4.)"""
+    (Unpickling still runs what a hostile peer sends — ROADMAP item 7.)"""
     try:
         frame = pickle.loads(body)
     except Exception as exc:

@@ -306,11 +306,12 @@ class TestHostMapper:
 class TestTaskDeathFreesHost:
     """Regression: a task instance's machine slot must be released on
     *task* death through every exit path — not only when a resident
-    thread's death happens to empty a non-perpetual instance.  Before
-    the ``TaskManager.on_task_death`` subscription, instances ended by
-    ``kill_idle_perpetual`` (mid-run reclamation) or ``mark_dead`` (an
-    engine observing its daemon die) held their host forever, so long
-    chaos runs wrongly exhausted the locus."""
+    thread's death happens to empty a non-perpetual instance.  Instances
+    ended by ``kill_idle_perpetual`` (mid-run reclamation) or
+    ``mark_dead`` (an engine observing its daemon die) once held their
+    host forever, so long chaos runs wrongly exhausted the locus.  A
+    ``TaskManager`` given ``hosts=`` assigns and frees the machines
+    itself."""
 
     TWO_HOSTS = """
     {host h1 diplice.sen.cwi.nl}
@@ -328,18 +329,15 @@ class TestTaskDeathFreesHost:
 
     def make_pair(self, perpetual: bool):
         pattern = "{perpetual} " if perpetual else ""
+        mapper = HostMapper(parse_config(self.TWO_HOSTS), "bumpa.sen.cwi.nl")
         manager = TaskManager(parse_mlink(
             "{task mainprog " + pattern + "{load 1} {weight Worker 1}}"
-        ))
-        mapper = HostMapper(parse_config(self.TWO_HOSTS), "bumpa.sen.cwi.nl")
-        manager.on_task_death.append(mapper.free)
+        ), hosts=mapper)
         return manager, mapper
 
     def cycle_once(self, manager, mapper, *, reclaim: bool):
         proc = self.FakeProc()
         task = manager.place(proc)
-        if task.host is None:
-            mapper.assign(task)
         manager.release(proc)
         if reclaim:
             manager.kill_idle_perpetual()
@@ -364,7 +362,6 @@ class TestTaskDeathFreesHost:
         manager, mapper = self.make_pair(perpetual=True)
         proc = self.FakeProc()
         task = manager.place(proc)
-        mapper.assign(task)
         assert manager.mark_dead(task) is True
         assert mapper.hosts_in_use() == []
         # second kill is a no-op: no callbacks, no double free
@@ -372,3 +369,16 @@ class TestTaskDeathFreesHost:
         # the resident unwinding later must not re-report the death
         manager.release(proc)
         assert mapper.hosts_in_use() == []
+
+    def test_full_locus_records_nothing(self):
+        # startup host + two locus hosts are taken: the fourth fork
+        # finds no machine, and no host-less instance is left behind
+        manager, mapper = self.make_pair(perpetual=True)
+        for _ in range(3):
+            manager.place(self.FakeProc())
+        instances, timeline = manager.instances(), manager.timeline()
+        with pytest.raises(ConfigError):
+            manager.place(self.FakeProc())
+        assert manager.instances() == instances
+        assert manager.timeline() == timeline
+        assert all(task.host is not None for task in instances)
