@@ -167,12 +167,26 @@ class TestCommands:
     def test_ablations_from_model_file(self, model_file, capsys):
         code = main([
             "ablations", "--model", model_file, "--level", "10",
-            "--scenarios", "paper", "no-perpetual",
+            "--scenarios", "paper", "no-perpetual", "one-task",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "paper" in out
         assert "no-perpetual" in out
+        # tasks forked, per scenario, by the one placement engine: every
+        # one of level 10's 21 workers forks its own task instance when
+        # none is perpetual, {load n} houses them all in one, and
+        # perpetual reuse lies in between
+        tasks = {
+            cells[0]: int(cells[2])
+            for cells in (
+                [c.strip() for c in line.split("|")] for line in out.splitlines()
+            )
+            if len(cells) == 5 and cells[2].isdigit()
+        }
+        assert tasks["no-perpetual"] == 21
+        assert tasks["one-task"] == 1
+        assert 1 <= tasks["paper"] < 21
 
     def test_ablations_unknown_scenario_fails(self, model_file):
         with pytest.raises(KeyError):
