@@ -262,7 +262,6 @@ def cmd_run_concurrent(args) -> int:
 
 
 def cmd_run_parallel(args) -> int:
-    from repro.perf import warm_path_report
     from repro.resilience import (
         DeadlinePolicy,
         EscalationPolicy,
@@ -292,7 +291,7 @@ def cmd_run_parallel(args) -> int:
     for run in range(max(1, args.repeat)):
         if args.trace:
             # one recorder per run: the written trace (and the report's
-            # trace metrics) describe the final run, not a mixture
+            # trace part) describe the final run, not a mixture
             from repro.trace import TraceRecorder
 
             recorder = TraceRecorder()
@@ -312,11 +311,8 @@ def cmd_run_parallel(args) -> int:
               f"(pool {result.pool_seconds:.3f}s) on {result.processes} "
               f"process(es), {result.n_workers} grids")
     print()
-    for line in warm_path_report(result, trace=recorder).lines():
+    for line in result.report_lines(trace=recorder):
         print(line)
-    if result.faults:
-        for line in result.fault_report.lines():
-            print(line)
     if args.trace:
         from repro.trace import write_jsonl
 

@@ -229,10 +229,6 @@ class Port:
             self._interrupted = True
             self._wake_locked()
 
-    def clear_interrupt(self) -> None:
-        with self._lock:
-            self._interrupted = False
-
     def close(self) -> None:
         """Permanently close the port; blocked calls raise."""
         with self._lock:

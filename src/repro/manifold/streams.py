@@ -215,10 +215,6 @@ class Stream:
         if sink is not None:
             sink.detach(self)
 
-    def break_both(self) -> None:
-        self.break_source()
-        self.break_sink()
-
     @property
     def source_broken(self) -> bool:
         with self._lock:

@@ -8,10 +8,6 @@
 * :mod:`metrics` — speedup and machine-usage summary statistics;
 * :mod:`overhead` — the §7 overhead decomposition (multi-user effects,
   concurrency overhead, coordination-layer overhead);
-* :mod:`warmpath` — warm-path observability of one
-  :class:`~repro.restructured.parallel.RunResult`: operator/factorization
-  cache effectiveness, cold-vs-warm pool timings, and the
-  dispatch-order makespan metric;
 * :mod:`dataplane` — a shared-memory arena (pooled
   ``multiprocessing.shared_memory`` blocks, leases, checksummed
   descriptors) that no run uses: it stays only as the subject of the
@@ -30,13 +26,6 @@ from .dataplane import (
 from .metrics import RunStatistics, speedup, summarize_runs
 from .overhead import OverheadReport, decompose_run
 from .timing import TimingResult, time_callable
-from .warmpath import (
-    DispatchMakespan,
-    WarmPathReport,
-    dispatch_makespan,
-    simulate_makespan,
-    warm_path_report,
-)
 
 __all__ = [
     "CalibrationError",
@@ -45,19 +34,14 @@ __all__ = [
     "DataPlane",
     "DataPlaneAudit",
     "DataPlaneError",
-    "DispatchMakespan",
     "OverheadReport",
     "RunStatistics",
     "ShmDescriptor",
     "ShmLease",
     "TimingResult",
-    "WarmPathReport",
     "decompose_run",
-    "dispatch_makespan",
     "measure_costs",
-    "simulate_makespan",
     "speedup",
     "summarize_runs",
     "time_callable",
-    "warm_path_report",
 ]

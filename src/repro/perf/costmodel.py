@@ -80,10 +80,6 @@ class CostRecord:
     steps_accepted: int
     n_interior: int
 
-    @property
-    def log_wall(self) -> float:
-        return math.log(self.wall_seconds)
-
 
 def measure_costs(
     problem_name: str,

@@ -69,6 +69,7 @@ import numpy as np
 from repro.resilience import EscalationPolicy, FaultPlan, FaultReport
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
+from repro.trace.analysis import TraceAnalysis
 from repro.trace.recorder import recording, trace_span
 
 from .dispatch import (
@@ -219,6 +220,81 @@ class RunResult:
             return 0.0
         reused = sum(p.factor_reuse_hits for p in self.payloads.values())
         return reused / prepares
+
+    def report_lines(self, trace=None) -> list[str]:
+        """The run's one report: what the result knows, then its fault
+        report when it had faults, then — given the run's
+        :class:`~repro.trace.TraceRecorder` — the trace's report, the
+        text ``repro analyze-trace`` prints for the written trace."""
+        start = f"{self.pool_cold_start_seconds * 1e3:.1f} ms"
+        lines = []
+        if self.engine == "socket":
+            fleet = (
+                "warm (no spawn paid)" if self.warm_pool
+                else f"cold (spawn {start})"
+            )
+            lines.append(
+                f"socket engine: {self.daemons} daemon(s) on "
+                f"{self.hosts or 'localhost'}, fleet: {fleet}, "
+                f"{self.net_bytes_sent + self.net_bytes_received} framed "
+                f"bytes ({self.net_bytes_sent} sent / "
+                f"{self.net_bytes_received} received), "
+                f"{self.net_send_seconds + self.net_recv_seconds:.3f}s on "
+                f"the wire, {self.reconnects} reconnect(s)"
+            )
+        else:
+            lines.append(
+                "pool: warm" if self.warm_pool else f"pool: cold (fork {start})"
+            )
+        if self.faults:
+            lines.append(
+                f"attempts: {self.attempts} for {self.n_workers} grids"
+                + "".join(
+                    f", worker replaced by a "
+                    f"{'warm standby' if how == 'standby' else 'cold fork'}"
+                    for how in self.replacements
+                )
+            )
+        pickled = sum(int(p.solution.nbytes) for p in self.payloads.values())
+        if pickled:
+            lines.append(
+                f"result transport: {pickled} bytes through the pickle "
+                f"channel, combine {self.combine_seconds * 1e3:.1f} ms"
+            )
+        # the dispatch order scored on the run's own measured durations:
+        # a scheduling metric free of this machine's core count
+        workers = max(2, self.processes)
+        seconds = [self.payloads[k].wall_seconds for k in self.dispatch_order]
+        lines += [
+            f"operator cache: {self.operator_cache_hits} hits / "
+            f"{self.operator_cache_misses} misses "
+            f"(hit ratio {self.operator_cache_hit_ratio:.2f})",
+            f"factorization reuse: ratio {self.factor_reuse_ratio:.2f}, "
+            f"{self.factor_cache_hits} cross-run factor-cache hits",
+            f"makespan @{workers} workers: dispatched "
+            f"{_greedy_makespan(seconds, workers):.3f}s (lower bound "
+            f"{sum(seconds) / workers:.3f}s)",
+            f"pool {self.pool_seconds:.3f}s, total {self.total_seconds:.3f}s",
+        ]
+        if self.faults:
+            lines += self.fault_report.lines()
+        if trace is not None:
+            lines += TraceAnalysis(trace.events()).report_lines()
+        return lines
+
+
+def _greedy_makespan(durations: list[float], n_workers: int) -> float:
+    """Elapsed time of a greedy list schedule: each of ``n_workers``
+    workers pulls the next duration when it becomes free."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    loads = [0.0] * min(n_workers, len(durations))
+    for d in durations:
+        if d < 0:
+            raise ValueError(f"durations must be non-negative, got {d}")
+        i = loads.index(min(loads))
+        loads[i] += d
+    return max(loads, default=0.0)
 
 
 # ----------------------------------------------------------------------

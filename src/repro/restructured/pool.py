@@ -39,8 +39,9 @@ of one) all take, give back and replace workers under its rules.
   clean :class:`PoolClosedError`, and an ``atexit`` hook winds the pool
   down at interpreter exit.
 
-Cold-start cost is recorded so the warm-path observability layer can
-report cold-vs-warm pool timings.
+Cold-start cost is recorded so a run's report
+(:meth:`~repro.restructured.parallel.RunResult.report_lines`) can say
+whether its pool was warm or cold and what the fork cost.
 
 The socket engine's daemons are leased the same way: beside the shared
 pool sits one slot for a **parked fleet** — a
@@ -417,7 +418,9 @@ def shutdown_pool() -> None:
 
 
 def pool_diagnostics() -> dict[str, float]:
-    """Counters for the warm-path report."""
+    """The shared pool's and the parked fleet's counters, as
+    ``repro run-concurrent --engine task-instances`` prints them and the
+    e2e probes read ``respawns``."""
     fleet = _fleet
     return {
         "fleet_hosts": fleet.key if fleet is not None else "",

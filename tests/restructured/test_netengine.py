@@ -416,12 +416,11 @@ class TestReactorInvariants:
     def test_no_option_serves_a_deleted_layer(self):
         """``warm_pool`` is the one cold switch, a daemon's beat is the
         module's, a pool is acquired for a size, the combination is one
-        function, nothing scores ``Pool.map``'s chunking, and the
-        warm-path report holds the result it reports on."""
-        import dataclasses
+        function, nothing scores ``Pool.map``'s chunking, and a run's
+        report is its result's own."""
         import inspect
+        from importlib.util import find_spec
 
-        from repro.perf import warmpath
         from repro.sparsegrid import combination
 
         def parameters(function):
@@ -436,10 +435,7 @@ class TestReactorInvariants:
             name for name, value in vars(combination).items()
             if inspect.isclass(value) and value.__module__ == combination.__name__
         ]
-        assert not [name for name in vars(warmpath) if name.startswith("static_")]
-        assert {f.name for f in dataclasses.fields(warmpath.WarmPathReport)} == {
-            "result", "makespan", "trace"
-        }
+        assert find_spec("repro.perf.warmpath") is None
 
     def test_one_way_home_for_a_result(self):
         """A result array comes home pickled and nothing else: no module
@@ -487,7 +483,6 @@ class TestReactorInvariants:
         from importlib.util import find_spec
 
         from repro.perf.costmodel import CostRecord
-        from repro.perf.warmpath import WarmPathReport
         from repro.restructured import run_multiprocessing
         from repro.restructured.parallel import RunResult
         from repro.restructured.worker import SubsolveJobSpec, SubsolvePayload
@@ -506,7 +501,7 @@ class TestReactorInvariants:
         )
         for record in (
             SubsolveJobSpec, SubsolvePayload, StepStats, CostRecord,
-            RunResult, WarmPathReport,
+            RunResult,
         ):
             names = {f.name for f in dataclasses.fields(record)}
             names |= set(vars(record))

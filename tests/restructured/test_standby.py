@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.perf import warm_path_report
 from repro.resilience import (
     DeadlinePolicy,
     EscalationPolicy,
@@ -223,8 +222,6 @@ class TestObservability:
             and (e.data.get("promoted") or e.data.get("repopulated"))
         ]
         assert spawns == ["repopulated", "promoted"]
-        assert "worker replaced by a cold fork" in warm_path_report(cold).lines()[0]
-        assert "worker replaced by a warm standby" in (
-            warm_path_report(warm).lines()[0]
-        )
+        assert "worker replaced by a cold fork" in cold.report_lines()[1]
+        assert "worker replaced by a warm standby" in warm.report_lines()[1]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -93,6 +94,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "run 1 (cold)" in out
         assert "pool: cold" in out
+
+    def test_run_parallel_prints_one_report(self, tmp_path, capsys):
+        """The trace part of a run's report is the text ``analyze-trace``
+        prints for the written trace, and the fault counts are printed
+        by the fault report alone."""
+        trace = str(tmp_path / "run.jsonl")
+        assert main([
+            "run-parallel", "--level", "3", "--processes", "2",
+            "--faults", "crash@2,0", "--trace", trace,
+        ]) == 0
+        run = capsys.readouterr().out.splitlines()
+        assert main(["analyze-trace", trace]) == 0
+        analyzed = capsys.readouterr().out.splitlines()
+
+        start = run.index(analyzed[0])
+        assert run[start:start + len(analyzed)] == analyzed
+        counts = "faults: 1, recovered: 1, sequential fallbacks: 0, survived: True"
+        assert [line for line in run if line.startswith("faults: ")] == [counts]
+        faults = run.index(counts)
+        assert run[faults + 1].startswith("  crash on (2, 0)")
+        rest = run[:faults] + run[faults + 2:start] + run[start + len(analyzed):]
+        assert not [
+            line for line in rest
+            if re.search(r"\bfaults?\b|recovered|fallback", line)
+        ]
 
     def test_run_parallel_has_no_dispatch_option(self, capsys):
         # jobs are always dispatched longest-predicted-first
