@@ -42,9 +42,9 @@ def run_noop_pools(n_workers: int, n_pools: int = 1) -> None:
         @block.state(BEGIN)
         def begin(ctx):
             master = ctx.spawn(master_defn)
-            ctx.run_block(protocol_mw(master, worker_defn))
-            ctx.terminated(master)
-            ctx.halt()
+            yield ctx.run_block(protocol_mw(master, worker_defn))
+            yield ctx.terminated(master)
+            yield ctx.halt()
 
         return block
 

@@ -72,9 +72,9 @@ def main() -> int:
         def begin(ctx):
             master = ctx.spawn(master_defn)
             # the untouched CFD protocol, coordinating darts instead
-            ctx.run_block(protocol_mw(master, worker_defn))
-            ctx.terminated(master)
-            ctx.halt()
+            yield ctx.run_block(protocol_mw(master, worker_defn))
+            yield ctx.terminated(master)
+            yield ctx.halt()
 
         return block
 

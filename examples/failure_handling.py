@@ -75,9 +75,9 @@ def run(supervise: bool) -> dict:
         @block.state(BEGIN)
         def begin(ctx):
             master = ctx.spawn(master_defn)
-            ctx.run_block(protocol_mw(master, worker_defn, supervise=supervise))
-            ctx.terminated(master)
-            ctx.halt()
+            yield ctx.run_block(protocol_mw(master, worker_defn, supervise=supervise))
+            yield ctx.terminated(master)
+            yield ctx.halt()
 
         return block
 

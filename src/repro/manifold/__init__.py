@@ -36,7 +36,7 @@ from .process import (
     ProcessState,
 )
 from .scheduler import Runtime
-from .states import Block, HaltBlock, Preempted, StateContext
+from .states import Block, HaltBlock, StateContext
 from .streams import Stream, StreamType
 from .task import TaskInstance, TaskManager, TimelinePoint
 from .units import ProcessReference, Unit
@@ -64,7 +64,6 @@ __all__ = [
     "ManifoldError",
     "Port",
     "PortDirection",
-    "Preempted",
     "ProcessBase",
     "ProcessError",
     "ProcessReference",

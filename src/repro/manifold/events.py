@@ -25,7 +25,7 @@ import operator
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from .errors import EventError
 
@@ -131,8 +131,9 @@ class EventOccurrence:
         return True
 
 
-#: What a consumer hands the memory to choose among pending occurrences.
-Matcher = Union[Mapping[Event, int], Callable[[EventOccurrence], Optional[int]]]
+#: What a consumer hands the memory to choose among pending occurrences:
+#: ``{event: rank}``.
+Matcher = Mapping[Event, int]
 
 
 class EventMemory:
@@ -145,13 +146,11 @@ class EventMemory:
     ``priority create_worker > rendezvous`` declaration).
 
     Occurrences are kept in one queue per event, each entry stamped
-    with its arrival number.  A *matcher* is either a ``{event: rank}``
-    mapping — the form the runtime uses: only the head of each labelled
-    queue is looked at, so occurrences nobody has a label for (a pool's
-    saved ``death`` events) cost nothing — or a callable mapping an
-    occurrence to a rank or ``None``, which ranks every pending
-    occurrence of the same store.  Higher rank wins; among equal ranks
-    the earliest arrival.
+    with its arrival number.  A *matcher* is a ``{event: rank}``
+    mapping: only the head of each labelled queue is looked at, so
+    occurrences nobody has a label for (a pool's saved ``death``
+    events) cost nothing.  Higher rank wins; among equal ranks the
+    earliest arrival.
 
     While a coordinator's innermost block runs inline (generator state
     bodies, :mod:`repro.manifold.states`), that coordinator is the
@@ -170,7 +169,7 @@ class EventMemory:
         self._queues: dict[Event, deque[tuple[int, EventOccurrence]]] = {}
         self._arrivals = 0
         #: what each blocked waiter can be woken by: its label mapping,
-        #: or ``None`` for any delivery (a callable matcher or predicate)
+        #: or ``None`` for any delivery (it waits on a predicate too)
         self._waiters: list[Optional[Mapping[Event, int]]] = []
         self._closed = False
         #: the inline coordinator's ``StateContext``, or ``None``
@@ -225,10 +224,7 @@ class EventMemory:
 
     def __len__(self) -> int:
         with self._lock:
-            return self._pending_locked()
-
-    def _pending_locked(self) -> int:
-        return sum(map(len, self._queues.values()))
+            return sum(map(len, self._queues.values()))
 
     def take_match(self, matcher: Matcher) -> Optional[EventOccurrence]:
         """Remove and return the best pending occurrence, if any."""
@@ -251,11 +247,7 @@ class EventMemory:
         by every delivery and by :meth:`notify`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        labels = (
-            matcher
-            if extra_predicate is None and not callable(matcher)
-            else None
-        )
+        labels = matcher if extra_predicate is None else None
         with self._lock:
             self._waiters.append(labels)
             try:
@@ -278,28 +270,15 @@ class EventMemory:
 
     def _take_match_locked(self, matcher: Matcher) -> Optional[EventOccurrence]:
         best_key: Optional[tuple[int, int]] = None
-        best_queue = best_index = None
-        if callable(matcher):
-            for queue in self._queues.values():
-                for index, (arrival, occurrence) in enumerate(queue):
-                    rank = matcher(occurrence)
-                    if rank is not None and (
-                        best_key is None or (rank, -arrival) > best_key
-                    ):
-                        best_key = (rank, -arrival)
-                        best_queue, best_index = queue, index
-        else:
-            for event, rank in matcher.items():
-                queue = self._queues.get(event)
-                if queue and (
-                    best_key is None or (rank, -queue[0][0]) > best_key
-                ):
-                    best_key = (rank, -queue[0][0])
-                    best_queue, best_index = queue, 0
+        best_queue = None
+        for event, rank in matcher.items():
+            queue = self._queues.get(event)
+            if queue and (best_key is None or (rank, -queue[0][0]) > best_key):
+                best_key = (rank, -queue[0][0])
+                best_queue = queue
         if best_queue is None:
             return None
-        occurrence = best_queue[best_index][1]
-        del best_queue[best_index]
+        occurrence = best_queue.popleft()[1]
         if not best_queue:
             del self._queues[occurrence.event]
         return occurrence
@@ -335,19 +314,6 @@ class EventMemory:
         """
         with self._lock:
             return sum(len(self._queues.pop(event, ())) for event in set(events))
-
-    def discard_where(
-        self, predicate: Callable[[EventOccurrence], bool]
-    ) -> int:
-        """Drop all pending occurrences satisfying ``predicate``."""
-        with self._lock:
-            before = self._pending_locked()
-            self._queues = {
-                event: kept
-                for event, queue in self._queues.items()
-                if (kept := deque(e for e in queue if not predicate(e[1])))
-            }
-            return before - self._pending_locked()
 
     def close(self) -> None:
         """Shut the memory down; pending and future waiters return ``None``,

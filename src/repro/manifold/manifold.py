@@ -15,8 +15,8 @@ Usage sketch, mirroring ``mainprog.m``::
         @block.state(BEGIN)
         def begin(ctx):
             master = ctx.spawn(master_defn, argv)
-            ctx.run_block(protocol_mw(master, worker_defn))
-            ctx.halt()
+            yield ctx.run_block(protocol_mw(master, worker_defn))
+            yield ctx.halt()
 
         return block
 
@@ -24,8 +24,7 @@ Usage sketch, mirroring ``mainprog.m``::
     coordinator.activate()
 
 A manner is simply a function returning a :class:`Block`; the caller
-runs it with ``ctx.run_block(manner(...))`` (``yield ctx.run_block(...)``
-from a generator body).
+runs it with ``yield ctx.run_block(manner(...))``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .events import EventMemory
 from .ports import STANDARD_ERR, STANDARD_IN, STANDARD_OUT
 from .process import ProcessBase
 from .scheduler import Runtime
-from .states import Block, BlockExit, HaltBlock, Preempted, StateContext
+from .states import Block, BlockExit, HaltBlock, StateContext
 from .threads import start_thread
 
 __all__ = ["Coordinator", "Manner"]
@@ -53,21 +52,20 @@ Manner = Callable[..., Block]
 class Coordinator(ProcessBase):
     """A manifold instance: runs a state block.
 
-    A block of plain state bodies runs on the coordinator's own thread.
     A block of generator bodies runs inline (:mod:`repro.manifold.states`):
     :meth:`activate` enters its ``begin`` state before it returns, later
     transitions run in the threads that deliver the events, and the
     coordinator keeps a thread only if it has a ``deadline`` to enforce.
+    A block whose one state is a plain ``begin`` body runs that body as
+    straight-line code on the coordinator's own thread.  No wait polls:
+    a predicate that changes with no event needs
+    :meth:`EventMemory.notify`.
 
     Parameters
     ----------
     body:
         Either a ready :class:`Block` or a callable ``(*args) -> Block``
         (the manifold definition; ``args`` are the manifold parameters).
-    poll_interval:
-        How often a waiting coordinator thread re-checks non-event
-        predicates (process termination, deadlines).  Purely an
-        implementation knob; event arrivals wake waiters immediately.
     deadline:
         Optional wall-clock budget in seconds; exceeded ⇒ the
         coordinator fails with :class:`StateMachineError` instead of
@@ -83,14 +81,12 @@ class Coordinator(ProcessBase):
         *,
         in_ports: Sequence[str] = (STANDARD_IN,),
         out_ports: Sequence[str] = (STANDARD_OUT, STANDARD_ERR),
-        poll_interval: float = 0.02,
         deadline: Optional[float] = None,
     ) -> None:
         super().__init__(runtime, name, in_ports=in_ports, out_ports=out_ports)
         self._body = body
         self._args = tuple(args)
         self.event_memory = EventMemory(owner_name=name)
-        self.poll_interval = poll_interval
         self._deadline_seconds = deadline
         self._deadline_at: Optional[float] = None
         self.failure_traceback: Optional[str] = None
@@ -120,31 +116,20 @@ class Coordinator(ProcessBase):
                 return
         start_thread(functools.partial(self._thread_main, ctx, block), self.name)
 
-    def deadline_exceeded(self) -> bool:
-        return self._deadline_at is not None and time.monotonic() > self._deadline_at
-
-    def wait_slice(self) -> float:
-        """How long a blocking primitive may sleep before it looks at
-        its predicate and the deadline again."""
+    def time_left(self) -> Optional[float]:
+        """Seconds to the deadline: ``None`` without one, ``0.0`` once it
+        has passed."""
         if self._deadline_at is None:
-            return self.poll_interval
-        return max(0.0, min(self.poll_interval, self._deadline_at - time.monotonic()))
+            return None
+        return max(0.0, self._deadline_at - time.monotonic())
 
     def _thread_main(self, ctx: StateContext, block: Block) -> None:
         try:
             if block.inline:
                 ctx._await_inline()  # entered by activate()
             else:
-                ctx.run_block(block)
+                ctx._run_plain(block)
         except (HaltBlock, BlockExit):
-            self._finish(None)
-        except Preempted as exc:
-            # An event unwound past the outermost block: treat the event
-            # as unhandled-at-top-level and end the coordinator cleanly,
-            # recording what happened for diagnostics.
-            self.trace_message(
-                f"top-level preemption by {exc.occurrence.event.name!r}; ending"
-            )
             self._finish(None)
         except BaseException as exc:  # noqa: BLE001 - report coordinator failure
             if self.failure_traceback is None:  # else an inline body's, kept

@@ -25,17 +25,21 @@ begin state *inside* ``create_worker`` is preempted by the next
 while ``Create_Worker_Pool`` itself declares ``save *`` so the caller's
 labels stay dormant until the manner returns.
 
-Where a transition runs.  A block whose state bodies are all generator
-functions runs *inline*: protocol code owns no thread.  Its transitions
-run in the thread that delivers the occurrence (a master's or worker's
-``raise_event``, a ``post``) and finish before that delivery returns.
-Such a body yields its waits — ``yield ctx.idle()``,
+Where a transition runs.  A block's state bodies are generator
+functions, and the block runs *inline*: protocol code owns no thread.
+Its transitions run in the thread that delivers the occurrence (a
+master's or worker's ``raise_event``, a ``post``) and finish before that
+delivery returns.  Such a body yields its waits — ``yield ctx.idle()``,
 ``yield ctx.terminated(p)``, ``yield ctx.sleep_until(pred)``,
 ``yield ctx.run_block(inner)`` — and resumes when the wait ends; a wait
-for an event ends with the next transition instead.  A block of plain
-functions blocks on its coordinator's own thread, and a plain body that
-runs a generator block waits there until the block halts.  The kind of
-body decides; a block may not mix them.
+for an event ends with the next transition instead.  A wait is
+re-checked on a delivery or on :meth:`EventMemory.notify`, never by a
+poll.  The one other kind of block is a coordinator's top block with a
+single plain ``begin`` body: the coordinator's thread runs it as
+straight-line code, its waits block that thread, and a generator block
+it runs holds the thread until the block halts.  A plain body makes no
+transition: ``Block.state`` refuses one for any other label, and
+``run_block`` refuses a plain block.
 
 Simplification relative to the full language (documented deviation):
 unconsumed occurrences always remain in the event memory — i.e. every
@@ -60,27 +64,13 @@ from .wiring import wire as wire_chain
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .manifold import Coordinator
 
-__all__ = ["Block", "StateContext", "Preempted", "HaltBlock", "BlockExit"]
+__all__ = ["Block", "StateContext", "HaltBlock", "BlockExit"]
 
 #: A label's rank in the event memory is ``depth * _DEPTH_STRIDE +
 #: priority``: inner blocks dominate, then the declared priority, with
 #: the predefined ``begin`` event ("high-priority") at the top of its block.
 _DEPTH_STRIDE = 1_000_000
 _BEGIN_PRIORITY = _DEPTH_STRIDE - 1
-
-
-class Preempted(Exception):
-    """Raised inside a blocking primitive when a matching event arrives.
-
-    ``depth`` is the block-stack depth whose label matched; executors at
-    deeper levels unwind (dismantling their streams) and re-raise until
-    the owning executor catches it and performs the transition.
-    """
-
-    def __init__(self, occurrence: EventOccurrence, depth: int) -> None:
-        super().__init__(occurrence.event.name)
-        self.occurrence = occurrence
-        self.depth = depth
 
 
 class HaltBlock(Exception):
@@ -96,9 +86,9 @@ class Block:
 
     ``setup`` runs the local declaration part and returns the block's
     locals mapping (processes, counters, local events).  States are
-    registered with :meth:`state`; each body is a callable taking a
-    :class:`StateContext`, either a plain function or a generator
-    function (then the block runs inline, see the module docstring).
+    registered with :meth:`state`; each body is a generator function
+    taking a :class:`StateContext` (the block runs inline, see the
+    module docstring), or the block's one plain ``begin`` body.
     """
 
     def __init__(
@@ -134,6 +124,11 @@ class Block:
                 )
             code = getattr(body, "__code__", None)
             inline = code is not None and bool(code.co_flags & inspect.CO_GENERATOR)
+            if not inline and event != BEGIN:
+                raise StateMachineError(
+                    f"block {self.name!r}: state {event.name!r} is a plain "
+                    "function; only a begin body may be plain"
+                )
             if self.inline is None:
                 self.inline = inline
             elif inline is not self.inline:
@@ -355,28 +350,24 @@ class StateContext:
         return self._wait(predicate)
 
     def _wait(self, until: Optional[Callable[[], bool]]):
-        """In a generator body, the wait to yield.  In a plain body, block:
-        return when ``until`` fires, raise :class:`Preempted` when a
-        matching event occurrence arrives."""
+        """In a generator body, the wait to yield.  In a plain ``begin``,
+        block until ``until`` holds (``idle``: until the memory closes
+        or the deadline passes); a delivery or ``notify`` re-checks it."""
         frame = self.frame
         if frame.inline:
             return self._handed(frame, _IDLE if until is None else _Wait(until, None))
-        labels = frame.labels
-        while True:
-            if self.memory.closed:
-                # runtime shutdown: unwind all blocks of this coordinator
+        memory, coordinator = self.memory, self.coordinator
+        while until is None or not until():
+            if memory.closed:
+                # runtime shutdown: unwind the coordinator's block
                 raise BlockExit()
-            if self.coordinator.deadline_exceeded():
+            if coordinator.time_left() == 0.0:
                 raise StateMachineError(
-                    f"{self.coordinator.name} exceeded its deadline while waiting"
+                    f"{coordinator.name} exceeded its deadline while waiting"
                 )
-            occ = self.memory.wait_for_match(
-                labels, timeout=self.coordinator.wait_slice(), extra_predicate=until
+            memory.wait_for_match(
+                {}, timeout=coordinator.time_left(), extra_predicate=until
             )
-            if occ is not None:
-                raise Preempted(occ, depth=labels[occ.event] // _DEPTH_STRIDE)
-            if until is not None and until():
-                return
 
     def halt(self) -> None:
         """Return from the current block (MANIFOLD ``halt``).  It raises
@@ -401,24 +392,29 @@ class StateContext:
     # nested blocks / manners
     # ------------------------------------------------------------------
     def run_block(self, block: Block):
-        """Run a nested block (a state body that is itself a block, or a
-        manner's body) to completion within this coordinator.  In a
-        generator body, the wait to yield."""
+        """Run a nested generator block (a state body that is itself a
+        block, or a manner's body) to completion within this coordinator.
+        In a generator body, the wait to yield; in a plain ``begin``, the
+        coordinator's thread waits until the block halts."""
         block.validate()
+        if not block.inline:
+            raise StateMachineError(
+                f"block {block.name!r} has a plain body; only a coordinator "
+                "runs such a block, as its top block"
+            )
         if self._stack and self._stack[-1].inline:
-            if not block.inline:
-                raise StateMachineError(
-                    f"block {self._stack[-1].block.name!r} runs inline and "
-                    f"cannot run block {block.name!r}, whose bodies are plain"
-                )
             return self._handed(self._stack[-1], _Wait(None, block))
-        if block.inline:
-            self._enter_inline(block, waited=True)
-            self._await_inline()
-            return
+        self._enter_inline(block, waited=True)
+        self._await_inline()
+
+    def _run_plain(self, block: Block) -> None:
+        """A coordinator's plain top block: its ``begin`` body, straight-
+        line on the coordinator's thread; a body that returns stays in
+        ``begin`` until the memory closes or the deadline passes."""
         frame = self._push(block)
         try:
-            self._event_loop(frame)
+            block._states[BEGIN](self)
+            self.idle()
         finally:
             self._pop(frame)
 
@@ -469,35 +465,15 @@ class StateContext:
         self, frame: _Frame, event: Event, occ: Optional[EventOccurrence]
     ) -> None:
         """The one transition routine: leave the blocks above ``frame``
-        and its current state, then run the body labelled ``event``.
-
-        Plain bodies reach it with the blocks above already unwound by
-        :class:`Preempted`; an inline body runs until its first wait."""
+        and its current state, then run the body labelled ``event`` until
+        its first wait."""
         while self._stack[-1] is not frame:
             self._pop(self._stack[-1])
         self._leave_state(frame)
         frame.state = event
         self.current_occurrence = occ
-        body = frame.block._states[event]
-        if frame.inline:
-            frame.body = body(self)
-            self._run(frame)
-        else:
-            body(self)
-
-    def _event_loop(self, frame: _Frame) -> None:
-        """A plain block's states, on the coordinator's thread."""
-        event, occ = BEGIN, None
-        while True:
-            try:
-                self._transition(frame, event, occ)
-                self.idle()  # the body returned: wait in its state
-            except Preempted as p:
-                if p.depth != frame.depth:
-                    raise  # outer block's label matched: unwind further
-                event, occ = p.occurrence.event, p.occurrence
-            except HaltBlock:
-                return
+        frame.body = frame.block._states[event](self)
+        self._run(frame)
 
     # ------------------------------------------------------------------
     # inline blocks
@@ -582,11 +558,10 @@ class StateContext:
                     frame.until = None
                     self._run(frame)
                 else:
+                    # a plain frame's only label, begin, is shadowed by
+                    # every inline block's own: the target runs inline
                     target = self._stack[frame.labels[occ.event] // _DEPTH_STRIDE]
-                    if target.inline:
-                        self._transition(target, occ.event, occ)
-                    else:  # a plain body's label: its thread makes the transition
-                        self._end_inline(Preempted(occ, target.depth))
+                    self._transition(target, occ.event, occ)
             except BaseException as exc:  # fails the coordinator; re-raised below
                 self._ended = None  # tear down again, for the failure
                 self._fail(exc)
@@ -614,31 +589,27 @@ class StateContext:
 
     def _await_inline(self) -> None:
         """Wait in the calling thread until the inline blocks end: return
-        when they halt, raise anything else.  Woken by their end, the
-        thread otherwise wakes each poll slice to enforce the deadline
-        and re-check what the innermost body waits for."""
+        when they halt, raise anything else.  Woken by their end; a
+        deadline wakes it once, to tear them down."""
         memory, coordinator = self.memory, self.coordinator
-        poll = False
         while True:
             with memory._lock:
                 ended = self._ended
                 if ended is not None and not memory._driving:
                     self._ended = None
                     break
-                if self._stop is None and coordinator.deadline_exceeded():
+                if self._stop is None and coordinator.time_left() == 0.0:
                     self._stop = StateMachineError(
                         f"{coordinator.name} exceeded its deadline while waiting"
                     )
-                if memory._driving or not (
-                    self._stop is not None
-                    or memory._closed
-                    or (poll and self._stack[-1].until is not None)
-                ):
-                    memory._cond.wait(coordinator.wait_slice() or coordinator.poll_interval)
-                    poll = True
+                if memory._driving or (self._stop is None and not memory._closed):
+                    # a driver that sees ``_stop`` or the close ends the
+                    # blocks and notifies
+                    memory._cond.wait(
+                        None if self._stop is not None else coordinator.time_left()
+                    )
                     continue
                 memory._driving = True
-            poll = False
             self._drive()
         if not isinstance(ended, HaltBlock):
             raise ended

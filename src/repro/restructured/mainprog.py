@@ -110,12 +110,12 @@ def run_concurrent(
         def begin(ctx):
             master = ctx.spawn(master_defn)
             ctx.locals["master"] = master
-            ctx.run_block(protocol_mw(master, worker_defn))
+            yield ctx.run_block(protocol_mw(master, worker_defn))
             # ProtocolMW returned on `finished`; the master is still
             # running its final prolongation work — wait it out.
-            ctx.terminated(master)
+            yield ctx.terminated(master)
             holder["result"] = getattr(master, "result", None)
-            ctx.halt()
+            yield ctx.halt()
 
         return block
 

@@ -92,15 +92,13 @@ class TestCoordinatorLifecycle:
 
                 @inner.state(BEGIN)
                 def inner_begin(ictx):
-                    ictx.idle()  # nothing can preempt: save_all shields
+                    yield ictx.idle()  # nothing can preempt: save_all shields
 
                 ctx.run_block(inner)
 
             return outer
 
-        coordinator = Coordinator(
-            runtime, "C", factory, deadline=0.2, poll_interval=0.02
-        )
+        coordinator = Coordinator(runtime, "C", factory, deadline=0.2)
         coordinator.activate()
         assert coordinator.join(timeout=5)
         assert isinstance(coordinator.failure, StateMachineError)
@@ -180,7 +178,7 @@ class TestCoordinatorWaits:
 
             return block
 
-        coordinator = Coordinator(runtime, "C", factory, poll_interval=30)
+        coordinator = Coordinator(runtime, "C", factory)
         coordinator.activate()
         assert coordinator.join(timeout=5)
         assert time.monotonic() - ended[0] < 0.1
@@ -199,7 +197,7 @@ class TestCoordinatorWaits:
 
             return block
 
-        coordinator = Coordinator(runtime, "C", factory, poll_interval=30)
+        coordinator = Coordinator(runtime, "C", factory)
         coordinator.activate()
         time.sleep(0.05)
         flag.set()

@@ -96,12 +96,7 @@ class TestEventOccurrence:
 
 class TestEventMemory:
     def match_any(self, *events: Event):
-        targets = set(events)
-
-        def matcher(occ: EventOccurrence):
-            return 0 if occ.event in targets else None
-
-        return matcher
+        return dict.fromkeys(events, 0)
 
     def test_post_then_take(self):
         memory = EventMemory()
@@ -135,13 +130,7 @@ class TestEventMemory:
         memory.post(Event("rendezvous"))
         memory.post(Event("create_worker"))
 
-        def matcher(occ: EventOccurrence):
-            if occ.event == Event("create_worker"):
-                return 2
-            if occ.event == Event("rendezvous"):
-                return 1
-            return None
-
+        matcher = {Event("create_worker"): 2, Event("rendezvous"): 1}
         taken = memory.take_match(matcher)
         assert taken is not None and taken.event == Event("create_worker")
 
@@ -185,13 +174,6 @@ class TestEventMemory:
         assert dropped == 2
         assert len(memory) == 1
 
-    def test_discard_where_predicate(self):
-        memory = EventMemory()
-        memory.post(Event("a"))
-        memory.post(Event("b"))
-        dropped = memory.discard_where(lambda occ: occ.event.name == "a")
-        assert dropped == 1
-
     def test_snapshot_preserves_order(self):
         memory = EventMemory()
         memory.post(Event("a"))
@@ -232,15 +214,15 @@ class TestWaitDeadline:
     """A timeout is one deadline, not a quiet period."""
 
     @pytest.mark.parametrize(
-        "matcher",
-        [{Event("go"): 0}, lambda occ: 0 if occ.event == Event("go") else None],
-        ids=["mapping", "callable"],
+        "predicate", [None, lambda: False], ids=["mapping", "predicate"]
     )
-    def test_unrelated_traffic_does_not_postpone_timeout(self, matcher):
+    def test_unrelated_traffic_does_not_postpone_timeout(self, predicate):
         memory = EventMemory()
         noise = _noise(memory, 1.0)
         start = time.monotonic()
-        assert memory.wait_for_match(matcher, timeout=0.05) is None
+        assert memory.wait_for_match(
+            {Event("go"): 0}, timeout=0.05, extra_predicate=predicate
+        ) is None
         elapsed = time.monotonic() - start
         noise.join()
         assert elapsed < 0.2
@@ -312,9 +294,7 @@ _steps = st.lists(
         st.tuples(st.just("post"), st.sampled_from(_EVENTS)),
         st.tuples(st.just("redeliver"), st.integers(0, 50)),
         st.tuples(st.just("take_mapping"), _ranks),
-        st.tuples(st.just("take_callable"), _ranks),
         st.tuples(st.just("discard"), st.lists(st.sampled_from(_EVENTS), max_size=2)),
-        st.tuples(st.just("discard_where"), st.integers(0, 2)),
     ),
     max_size=40,
 )
@@ -353,18 +333,10 @@ def test_indexed_memory_agrees_with_a_plain_list(steps):
             pending.append(occ)
         elif op == "take_mapping":
             assert memory.take_match(arg) is _reference_take(pending, arg)
-        elif op == "take_callable":
-            taken = memory.take_match(lambda occ: arg.get(occ.event))
-            assert taken is _reference_take(pending, arg)
         elif op == "discard":
             before = len(pending)
             pending = [occ for occ in pending if occ.event not in arg]
             assert memory.discard(arg) == before - len(pending)
-        elif op == "discard_where":
-            before = len(pending)
-            pending = [occ for occ in pending if occ.seq % 3 != arg]
-            dropped = memory.discard_where(lambda occ: occ.seq % 3 == arg)
-            assert dropped == before - len(pending)
         assert len(memory) == len(pending)
         snapshot = memory.snapshot()
         assert len(snapshot) == len(pending)

@@ -96,34 +96,6 @@ class TestWhereTransitionsRun:
         assert coordinator.join(timeout=5.0)
         assert coordinator.failure is None
 
-    def test_a_plain_blocks_label_preempts_its_inline_block(self, runtime):
-        """The inline blocks are left and the plain body's thread makes
-        the transition, as for a plain inner block."""
-        visits: list = []
-
-        def factory():
-            outer = Block("outer")
-
-            @outer.state(BEGIN)
-            def outer_begin(ctx):
-                ctx.spawn(raiser(GO))
-                ctx.run_block(idle_then_halt_on(STOP, visits))
-                visits.append("unexpected")
-
-            @outer.state(GO)
-            def go(ctx):
-                visits.append(("outer-go", threading.current_thread().name))
-                ctx.halt()
-
-            return outer
-
-        coordinator = Coordinator(runtime, "C", factory, deadline=5)
-        coordinator.activate()
-        assert coordinator.join(timeout=6)
-        assert coordinator.failure is None
-        assert visits[0][0] == "begin"
-        assert visits[1:] == [("outer-go", coordinator.name)]
-
 
 class TestFailures:
     def test_a_body_failure_fails_the_coordinator_not_the_raiser(self, runtime):
@@ -193,7 +165,7 @@ class TestFailures:
         def begin(ctx):
             yield ctx.idle()
 
-        coordinator = Coordinator(runtime, "C", block, deadline=0.2, poll_interval=0.02)
+        coordinator = Coordinator(runtime, "C", block, deadline=0.2)
         coordinator.activate()
         assert coordinator.join(timeout=5)
         assert isinstance(coordinator.failure, StateMachineError)
@@ -324,21 +296,6 @@ class TestWaits:
         assert coordinator.state is ProcessState.ACTIVE
         coordinator.event_memory.notify()
         assert coordinator.state is ProcessState.TERMINATED
-
-    def test_the_deadline_thread_polls_sleep_until(self, runtime):
-        flag = threading.Event()
-        block = Block("wait")
-
-        @block.state(BEGIN)
-        def begin(ctx):
-            yield ctx.sleep_until(flag.is_set)
-            yield ctx.halt()
-
-        coordinator = Coordinator(runtime, "C", block, deadline=10, poll_interval=0.01)
-        coordinator.activate()
-        flag.set()  # no delivery, no notify: only the poll slice sees it
-        assert coordinator.join(timeout=5)
-        assert coordinator.failure is None
 
     def test_declared_processes_end_with_their_block(self, runtime):
         """``auto`` scope: a process the declaration part returns among

@@ -117,11 +117,9 @@ class TestDeathEvents:
         runtime.subscribe(memory)
         proc = runtime.spawn(AtomicDefinition("quick", lambda p: None))
         proc.join(timeout=2.0)
-        occ = memory.wait_for_match(
-            lambda o: 0 if o.event == DEATH and o.source is proc else None,
-            timeout=2.0,
-        )
+        occ = memory.wait_for_match({DEATH: 0}, timeout=2.0)
         assert occ is not None
+        assert occ.source is proc
 
     def test_raised_events_reach_subscribers(self, runtime):
         memory = EventMemory()
@@ -129,9 +127,7 @@ class TestDeathEvents:
         done = Event("done")
         proc = runtime.spawn(AtomicDefinition("raiser", lambda p: p.raise_event(done)))
         proc.join(timeout=2.0)
-        occ = memory.wait_for_match(
-            lambda o: 0 if o.event == done else None, timeout=2.0
-        )
+        occ = memory.wait_for_match({done: 0}, timeout=2.0)
         assert occ is not None and occ.source is proc
 
     def test_event_log_records_broadcasts(self, runtime):

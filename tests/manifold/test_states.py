@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from repro.manifold import (
     StreamType,
 )
 from repro.manifold.states import HaltBlock
+
+REPO = Path(__file__).resolve().parents[2]
 
 GO = Event("go")
 STOP = Event("stop")
@@ -36,7 +40,10 @@ def run_coordinator(runtime: Runtime, block_factory, timeout: float = 5.0) -> Co
 class TestBlockStructure:
     def test_block_without_begin_rejected(self, runtime):
         block = Block("nobegin")
-        block.add_state(GO, lambda ctx: None)
+
+        @block.state(GO)
+        def go(ctx):
+            yield ctx.idle()
 
         coord = Coordinator(runtime, "C", block, deadline=2)
         coord.activate()
@@ -48,6 +55,31 @@ class TestBlockStructure:
         block.add_state(BEGIN, lambda ctx: None)
         with pytest.raises(StateMachineError):
             block.add_state(BEGIN, lambda ctx: None)
+
+    def test_a_plain_body_is_refused_for_any_label_but_begin(self):
+        block = Block("plain")
+        with pytest.raises(StateMachineError, match="'plain'.*'go'"):
+            block.add_state(GO, lambda ctx: None)
+
+    def test_a_plain_begin_cannot_run_a_plain_block(self, runtime):
+        refused = []
+
+        def factory():
+            outer = Block("outer")
+
+            @outer.state(BEGIN)
+            def begin(ctx):
+                inner = Block("inner")
+                inner.add_state(BEGIN, lambda ictx: ictx.halt())
+                with pytest.raises(StateMachineError, match="'inner'"):
+                    ctx.run_block(inner)
+                refused.append("inner")
+                ctx.halt()
+
+            return outer
+
+        run_coordinator(runtime, factory)
+        assert refused == ["inner"]
 
     def test_begin_state_runs_first(self, runtime):
         visits = []
@@ -97,12 +129,12 @@ class TestTransitions:
             def begin(ctx):
                 visits.append("begin")
                 ctx.post(GO)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(GO)
             def go(ctx):
                 visits.append("go")
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -121,12 +153,12 @@ class TestTransitions:
             @block.state(BEGIN)
             def begin(ctx):
                 ctx.spawn(defn, GO)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(GO)
             def go(ctx):
                 visits.append("go")
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -166,13 +198,13 @@ class TestTransitions:
             def begin(ctx):
                 never = ctx.spawn(void_like)
                 ctx.spawn(defn, GO)
-                ctx.terminated(never)
+                yield ctx.terminated(never)
                 visits.append("unexpected")
 
             @block.state(GO)
             def go(ctx):
                 visits.append("preempted")
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -194,12 +226,12 @@ class TestTransitions:
             def begin(ctx):
                 visits.append("begin")
                 ctx.spawn(defn, STOP)
-                # body returns without idling
+                yield from ()  # body returns without idling
 
             @block.state(STOP)
             def stop(ctx):
                 visits.append("stop")
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -215,15 +247,15 @@ class TestTransitions:
             @block.state(BEGIN)
             def begin(ctx):
                 ctx.post(GO)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(GO)
             def go(ctx):
                 counter.append(1)
                 if len(counter) < 3:
                     ctx.post(GO)
-                    ctx.idle()
-                ctx.halt()
+                    yield ctx.idle()
+                yield ctx.halt()
 
             return block
 
@@ -240,17 +272,17 @@ class TestTransitions:
             def begin(ctx):
                 ctx.post(STOP)
                 ctx.post(GO)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(GO)
             def go(ctx):
                 visits.append("go")
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(STOP)
             def stop(ctx):
                 visits.append("stop")
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -267,15 +299,15 @@ class TestTransitions:
             def begin(ctx):
                 ctx.memory.post(OTHER)
                 ctx.memory.post(OTHER)
-                ctx.halt()
+                yield ctx.halt()
 
             outer = Block("outer")
 
             @outer.state(BEGIN)
             def outer_begin(ctx):
-                ctx.run_block(block)
+                yield ctx.run_block(block)
                 leftover.append(len(ctx.memory))
-                ctx.halt()
+                yield ctx.halt()
 
             return outer
 
@@ -303,15 +335,15 @@ class TestNestedBlocks:
                 @inner.state(BEGIN)
                 def inner_begin(ictx):
                     visits.append("inner")
-                    ictx.idle()
+                    yield ictx.idle()
 
-                ctx.run_block(inner)
+                yield ctx.run_block(inner)
                 visits.append("unexpected")
 
             @outer.state(GO)
             def go(ctx):
                 visits.append("outer-go")
-                ctx.halt()
+                yield ctx.halt()
 
             return outer
 
@@ -334,21 +366,21 @@ class TestNestedBlocks:
                 def inner_begin(ictx):
                     visits.append("inner")
                     ictx.post(END)
-                    ictx.idle()
+                    yield ictx.idle()
 
                 @inner.state(END)
                 def inner_end(ictx):
                     visits.append("inner-end")
-                    ictx.halt()
+                    yield ictx.halt()
 
-                ctx.run_block(inner)
+                yield ctx.run_block(inner)
                 visits.append("after-inner")
-                ctx.idle()
+                yield ctx.idle()
 
             @outer.state(GO)
             def go(ctx):
                 visits.append("outer-go")
-                ctx.halt()
+                yield ctx.halt()
 
             return outer
 
@@ -370,11 +402,11 @@ class TestNestedBlocks:
                 @inner.state(BEGIN)
                 def inner_begin(ictx):
                     visits.append("inner")
-                    ictx.halt()
+                    yield ictx.halt()
 
-                ctx.run_block(inner)
+                yield ctx.run_block(inner)
                 visits.append("outer-continues")
-                ctx.halt()
+                yield ctx.halt()
 
             return outer
 
@@ -395,10 +427,10 @@ class TestNestedBlocks:
                 def inner_begin(ictx):
                     seen.append(ictx.local("shared"))
                     seen.append(ictx.local("mine"))
-                    ictx.halt()
+                    yield ictx.halt()
 
-                ctx.run_block(inner)
-                ctx.halt()
+                yield ctx.run_block(inner)
+                yield ctx.halt()
 
             return outer
 
@@ -436,11 +468,11 @@ class TestStreamsInStates:
                 streams["bk"] = ctx.connect(a.output, b.input)
                 streams["kk"] = ctx.connect(a.output, b.input, type=StreamType.KK)
                 ctx.post(GO)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(GO)
             def go(ctx):
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 
@@ -477,7 +509,44 @@ class TestStreamsInStates:
 
             return block
 
-        coord = Coordinator(runtime, "C", factory, deadline=0.2, poll_interval=0.02)
+        coord = Coordinator(runtime, "C", factory, deadline=0.2)
         coord.activate()
         assert coord.join(timeout=5)
         assert isinstance(coord.failure, StateMachineError)
+
+
+def _yields(function: ast.FunctionDef) -> bool:
+    """Whether ``function`` itself (not a function nested in it) yields."""
+    nodes = list(function.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_state_body_outside_the_tests_is_a_generator():
+    """Generator blocks make every transition: no state body of the
+    package, the examples or the benches is plain, so a second
+    transition engine cannot come back unnoticed.  The e2e harness's
+    plain ``Main`` is the one plain ``begin`` left."""
+    paths = [
+        path
+        for top in ("src", "examples", "benchmarks")
+        for path in (REPO / top).rglob("*.py")
+        if (REPO / "benchmarks" / "e2e") not in path.parents
+    ]
+    bodies = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(decorator, ast.Call)
+                and isinstance(decorator.func, ast.Attribute)
+                and decorator.func.attr == "state"
+                for decorator in node.decorator_list
+            ):
+                bodies[f"{path.relative_to(REPO)}:{node.name}"] = _yields(node)
+    assert "src/repro/restructured/mainprog.py:begin" in bodies
+    assert [body for body, yields in bodies.items() if not yields] == []

@@ -166,11 +166,11 @@ class TestWiring:
                     "a -> b", env={"a": a, "b": b}, types={0: StreamType.BK}
                 )
                 ctx.post(go)
-                ctx.idle()
+                yield ctx.idle()
 
             @block.state(go)
             def on_go(ctx):
-                ctx.halt()
+                yield ctx.halt()
 
             return block
 

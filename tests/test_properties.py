@@ -143,7 +143,7 @@ def test_event_memory_conserves_occurrences(names):
     for name in names:
         memory.post(Event(name))
     taken = 0
-    while memory.take_match(lambda occ: 0 if occ.event.name == "a" else None):
+    while memory.take_match({Event("a"): 0}):
         taken += 1
     assert taken == names.count("a")
     assert len(memory) == len(names) - taken
@@ -157,7 +157,7 @@ def test_event_memory_take_respects_priority(names, ranks):
     memory = EventMemory()
     for name in names:
         memory.post(Event(name))
-    best = memory.take_match(lambda occ: ranks[occ.event.name])
+    best = memory.take_match({Event(name): rank for name, rank in ranks.items()})
     assert best is not None
     top_rank = max(ranks[n] for n in names)
     assert ranks[best.event.name] == top_rank

@@ -169,9 +169,7 @@ class TestEventMemoryContention:
             thread.start()
         consumed = 0
         while consumed < n_producers * per_producer:
-            occ = memory.wait_for_match(
-                lambda o: 0 if o.event == event else None, timeout=5.0
-            )
+            occ = memory.wait_for_match({event: 0}, timeout=5.0)
             assert occ is not None, "lost occurrences under contention"
             consumed += 1
         for thread in threads:
