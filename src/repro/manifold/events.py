@@ -118,18 +118,6 @@ class EventOccurrence:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventOccurrence({self.event!r}, {self.source!r}, seq={self.seq})"
 
-    def matches(self, event: Event, source: Optional["ProcessBase"] = None) -> bool:
-        """True when this occurrence matches a state label.
-
-        A label may constrain just the event, or the ``event.source``
-        pair (MANIFOLD's ``e.p`` label form).
-        """
-        if self.event != event:
-            return False
-        if source is not None and self.source is not source:
-            return False
-        return True
-
 
 #: What a consumer hands the memory to choose among pending occurrences:
 #: ``{event: rank}``.

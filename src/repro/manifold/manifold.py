@@ -30,7 +30,6 @@ runs it with ``yield ctx.run_block(manner(...))``.
 from __future__ import annotations
 
 import functools
-import threading
 import time
 import traceback
 from typing import Callable, Optional, Sequence
@@ -90,8 +89,6 @@ class Coordinator(ProcessBase):
         self._deadline_seconds = deadline
         self._deadline_at: Optional[float] = None
         self.failure_traceback: Optional[str] = None
-        self._trace_lines: list[str] = []
-        self._trace_lock = threading.Lock()
         runtime.subscribe(self.event_memory)
         runtime.adopt(self)
 
@@ -142,18 +139,6 @@ class Coordinator(ProcessBase):
         self.event_memory.close()
         self.runtime.unsubscribe(self.event_memory)
         super()._finish(failure)
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def trace_message(self, text: str) -> None:
-        """Record a MES(...)-style message for tests and run traces."""
-        with self._trace_lock:
-            self._trace_lines.append(text)
-
-    def trace(self) -> list[str]:
-        with self._trace_lock:
-            return list(self._trace_lines)
 
 
 def run_application(

@@ -47,7 +47,7 @@ _TRACED_EVENT_KINDS = {
 class Runtime:
     """One coordination runtime instance ≙ one MANIFOLD application run."""
 
-    def __init__(self, name: str = "app", trace: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, name: str = "app") -> None:
         self.name = name
         self._lock = threading.Lock()
         #: every registered process, in registration order (a dict: O(1)
@@ -55,17 +55,16 @@ class Runtime:
         self._processes: dict[ProcessBase, None] = {}
         #: replaced, never mutated: a broadcast iterates it without a copy
         self._subscribers: tuple[EventMemory, ...] = ()
-        self._event_log: list[EventOccurrence] = []
-        self._trace = trace
         self._shutdown = False
-        self._started_at = time.monotonic()
         #: callbacks fired when a process becomes active (placement stage)
         self.on_activate_hooks: list[Callable[[ProcessBase], None]] = []
         #: callbacks fired when a process reaches a final state
         self.on_death_hooks: list[Callable[[ProcessBase], None]] = []
-        #: coordination pulse: bumped on every broadcast/activation/death
-        #: (consumed by :class:`repro.manifold.watchdog.Watchdog`)
+        #: coordination pulse: bumped on every broadcast/activation/death,
+        #: with the monotonic time of its last beat (consumed by
+        #: :class:`repro.manifold.watchdog.Watchdog`)
         self._activity = 0
+        self._activity_at = time.monotonic()
 
     # ------------------------------------------------------------------
     # registry
@@ -75,7 +74,6 @@ class Runtime:
         proc = definition.instantiate(self, *args, **kwargs)
         with self._lock:
             self._processes[proc] = None
-        self._emit("create %s", proc.name)
         return proc
 
     def spawn(self, definition: AtomicDefinition, *args: object, **kwargs: object) -> AtomicProcess:
@@ -94,7 +92,7 @@ class Runtime:
         with self._lock:
             self._processes.setdefault(proc)
             self._activity += 1
-        self._emit("activate %s", proc.name)
+            self._activity_at = time.monotonic()
         trace_emit("process_activate", worker=proc.name)
         if self.on_activate_hooks:
             for hook in list(self.on_activate_hooks):
@@ -127,15 +125,13 @@ class Runtime:
         """Deliver an occurrence to every subscribed event memory."""
         with self._lock:
             subscribers = self._subscribers
-            self._event_log.append(occurrence)
             self._activity += 1
-        source = occurrence.source.name if occurrence.source else "<runtime>"
-        self._emit("event %s raised by %s", occurrence.event.name, source)
+            self._activity_at = time.monotonic()
         name = occurrence.event.name
         if name != "death":  # process death is traced in on_process_death
             trace_emit(
                 _TRACED_EVENT_KINDS.get(name, "manifold_event"),
-                worker=source,
+                worker=occurrence.source.name if occurrence.source else "<runtime>",
                 event=name,
             )
         for memory in subscribers:
@@ -145,21 +141,16 @@ class Runtime:
         """Broadcast an event with no source (runtime-originated)."""
         self.broadcast(EventOccurrence(event, None))
 
-    def event_log(self) -> list[EventOccurrence]:
-        """All occurrences broadcast so far, in order (for tests/traces)."""
-        with self._lock:
-            return list(self._event_log)
-
     # ------------------------------------------------------------------
     # lifecycle callbacks
     # ------------------------------------------------------------------
     def on_process_death(self, proc: ProcessBase) -> None:
         """Called by every process when it reaches a final state."""
         state = proc.state.value
-        self._emit("death %s (%s)", proc.name, state)
         trace_emit("process_death", worker=proc.name, state=state)
         with self._lock:
             self._activity += 1
+            self._activity_at = time.monotonic()
         if self.on_death_hooks:
             for hook in list(self.on_death_hooks):
                 hook(proc)
@@ -193,13 +184,18 @@ class Runtime:
             proc.interrupt()
         for memory in subs:
             memory.close()
-        self._emit("shutdown")
 
     @property
     def activity_count(self) -> int:
         """Monotone coordination-activity counter (watchdog pulse)."""
         with self._lock:
             return self._activity
+
+    @property
+    def last_activity(self) -> float:
+        """``time.monotonic()`` of the pulse's last beat."""
+        with self._lock:
+            return self._activity_at
 
     def failures(self) -> list[ProcessBase]:
         """Processes that ended in the FAILED state."""
@@ -212,15 +208,6 @@ class Runtime:
             failure = proc.failure
             if failure is not None:
                 raise failure
-
-    # ------------------------------------------------------------------
-    # tracing
-    # ------------------------------------------------------------------
-    def _emit(self, message: str, *args: object) -> None:
-        """Send ``message % args`` to the trace sink; built only if one is set."""
-        if self._trace is not None:
-            elapsed = time.monotonic() - self._started_at
-            self._trace(f"[{self.name} +{elapsed:8.4f}s] {message % args}")
 
     def __enter__(self) -> "Runtime":
         return self

@@ -54,6 +54,8 @@ import inspect
 import traceback
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional
 
+from repro.trace.recorder import emit as trace_emit
+
 from .errors import StateMachineError
 from .events import BEGIN, Event, EventMemory, EventOccurrence
 from .ports import Port
@@ -618,5 +620,6 @@ class StateContext:
     # diagnostics
     # ------------------------------------------------------------------
     def message(self, text: str) -> None:
-        """MES(...) equivalent: a trace line attributed to the coordinator."""
-        self.coordinator.trace_message(text)
+        """MES(...) equivalent: a ``manifold_message`` trace event
+        attributed to the coordinator."""
+        trace_emit("manifold_message", worker=self.coordinator.name, text=text)

@@ -3,8 +3,9 @@
 Event-driven coordination deadlocks silently: a master waiting for an
 acknowledgement nobody will send just blocks.  The watchdog gives a
 runtime a pulse — every broadcast, activation and death ticks an
-activity counter — and a background sampler raises the alarm when the
-pulse flatlines while processes are still alive.
+activity counter and stamps the time of the beat — and a background
+sampler, asleep until the pulse could first have been flat for the
+timeout, raises the alarm when it is while processes are still alive.
 
 The detector is deliberately *advisory* (it reports; it does not kill):
 a long-running numerical kernel between port operations is
@@ -47,7 +48,7 @@ class StallReport:
 
 
 class Watchdog:
-    """Samples a runtime's activity counter on a background thread.
+    """Watches a runtime's pulse from a background thread.
 
     ``on_stall`` fires (once per flatline episode) with a
     :class:`StallReport`; activity resets the episode.
@@ -58,14 +59,12 @@ class Watchdog:
         runtime: Runtime,
         timeout: float = 5.0,
         on_stall: Optional[Callable[[StallReport], None]] = None,
-        poll_interval: float = 0.05,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.runtime = runtime
         self.timeout = timeout
         self.on_stall = on_stall
-        self.poll_interval = poll_interval
         #: (stop, stopped) of the running sampler; None while stopped
         self._running: Optional[tuple[threading.Event, threading.Event]] = None
         self._reports: list[StallReport] = []
@@ -124,26 +123,28 @@ class Watchdog:
         )
 
     def _run(self, stop: threading.Event) -> None:
-        last_count = self.runtime.activity_count
-        last_change = time.monotonic()
-        reported = False
-        while not stop.wait(self.poll_interval):
-            count = self.runtime.activity_count
+        # Quiet time counts from the pulse's last beat, but never from
+        # before this start(): a stop() around a quiet phase forgets it.
+        # The sampler sleeps until the first moment the pulse could have
+        # been flat for ``timeout``; while nothing is alive it re-checks
+        # once per ``timeout``.
+        floor = time.monotonic()
+        reported: Optional[float] = None  # quiet_since of the reported episode
+        while True:
             now = time.monotonic()
-            if count != last_count:
-                last_count = count
-                last_change = now
-                reported = False
-                continue
             if not self.runtime.live_processes():
-                last_change = now
-                reported = False
-                continue
-            stalled_for = now - last_change
-            if stalled_for >= self.timeout and not reported:
-                report = self.snapshot(stalled_for)
-                with self._reports_lock:
-                    self._reports.append(report)
-                if self.on_stall is not None:
-                    self.on_stall(report)
-                reported = True
+                floor, wait = now, self.timeout
+            else:
+                quiet_since = max(self.runtime.last_activity, floor)
+                wait = quiet_since + self.timeout - now
+                if wait <= 0:
+                    if reported != quiet_since:
+                        reported = quiet_since
+                        report = self.snapshot(now - quiet_since)
+                        with self._reports_lock:
+                            self._reports.append(report)
+                        if self.on_stall is not None:
+                            self.on_stall(report)
+                    wait = self.timeout  # a new episode needs a beat first
+            if stop.wait(wait):
+                return

@@ -94,6 +94,7 @@ import multiprocessing
 import os
 import pickle
 import selectors
+import signal
 import socket
 import struct
 import time
@@ -137,8 +138,8 @@ _HEADER = struct.Struct("!4sI")
 #: refuse to allocate absurd frames (a corrupted or hostile header)
 MAX_FRAME_BYTES = 1 << 30
 
-#: seconds a stopped daemon grants its in-flight jobs — and the master
-#: grants the daemon to exit on its own before killing it
+#: seconds the master grants a stopped daemon to exit on its own before
+#: killing it (the daemon itself leaves at once, its job killed)
 DRAIN_TIMEOUT = 5.0
 
 #: seconds a fleet daemon (a forked daemon leased across runs, see
@@ -449,13 +450,12 @@ class WorkerDaemon:
     nothing is locked; a second ``job`` frame while busy is refused with
     an ``error`` frame, never queued.
 
-    A ``stop`` frame, or :meth:`stop`, is a *clean* shutdown, the same
-    loop with a deadline: the job in flight has ``DRAIN_TIMEOUT``
-    seconds to finish and be delivered.  A master that vanishes mid-job
-    costs the instance a ``replace``, and a drain that runs out a
-    forced ``shutdown`` — nobody is left to take the result.  With
-    ``idle_exit`` set, a daemon that has had no master connected for
-    that many seconds leaves as if stopped — the lease of a fleet
+    A ``stop`` frame, or :meth:`stop`, ends the relay at once: a master
+    that stops a daemon reads nothing more from it, so a job in flight
+    is killed with its instance (a forced ``shutdown``), not drained.
+    A master that vanishes mid-job costs the instance a ``replace``.
+    With ``idle_exit`` set, a daemon that has had no master connected
+    for that many seconds leaves as if stopped — the lease of a fleet
     daemon; the default never leaves.
 
     Fault injection: what happens to the *machine* happens here — a
@@ -500,8 +500,8 @@ class WorkerDaemon:
         return self.address[1]
 
     def stop(self) -> None:
-        """Drain and leave: the serving thread reads this at its next
-        wake-up, at most one heartbeat interval on."""
+        """Leave: the serving thread reads this at its next wake-up, at
+        most one heartbeat interval on."""
         self._stopping = True
 
     # ------------------------------------------------------------------
@@ -537,20 +537,14 @@ class WorkerDaemon:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """Relay between one master and the task instance, until the
-        master leaves or a stop has been drained."""
+        master leaves or the daemon is stopped."""
         if not self._send(conn, "hello", {"pid": os.getpid()}):
             return
         decoder = _FrameDecoder()
         next_beat = time.monotonic() + self.heartbeat_interval
-        drain_until: Optional[float] = None
         try:
-            while True:
+            while not self._stopping:
                 now = time.monotonic()
-                if self._stopping:
-                    if drain_until is None:
-                        drain_until = now + DRAIN_TIMEOUT
-                    if self._job is None or now >= drain_until:
-                        return
                 if self._held is not None and now >= self._held[0]:
                     self._forward(self._held[1])
                     self._held = None
@@ -561,8 +555,6 @@ class WorkerDaemon:
                 due = next_beat
                 if self._held is not None:
                     due = min(due, self._held[0])
-                if drain_until is not None:
-                    due = min(due, drain_until)
                 worker = self._worker
                 channel = None if worker is None else worker.channel
                 ready = wait(
@@ -743,11 +735,14 @@ def _forked_daemon_main(
       cache whatever the master had computed;
     * objects copied from the master are frozen, so no finaliser of
       theirs ever runs here against a descriptor number we reused;
+    * it leads a process group of its own, which its task instances
+      join, so the master kills them with it (``SocketTaskEngine._reap``);
     * it leaves through ``os._exit``: no ``atexit`` hook, ``DataPlane``
       or pool finaliser inherited from the master runs in the child.
     """
     status = 1
     try:
+        os.setpgid(0, 0)
         for fd in inherited:
             try:
                 os.close(fd)
@@ -917,15 +912,27 @@ class SocketTaskEngine:
                 daemon=True,
             )
             link.proc.start()
+            # the child makes itself a group leader too: whichever call
+            # comes first, no task instance is forked outside the group
+            try:
+                os.setpgid(link.proc.pid, link.proc.pid)
+            except OSError:
+                pass  # the child has already exited
 
     @staticmethod
     def _reap(link: _DaemonLink) -> None:
-        """Kill the link's daemon if it still runs, and collect it."""
+        """Kill the link's daemon and the task instances of its process
+        group if they still run, and collect the daemon."""
         proc, link.proc = link.proc, None
         if proc is None:
             return
-        if proc.is_alive():
-            proc.kill()
+        try:
+            # only while the daemon is not yet reaped: until then its
+            # PID, the group's id, cannot name a newer process
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            os.killpg(proc.pid, signal.SIGKILL)
+        except (ChildProcessError, ProcessLookupError):
+            pass  # reaped already, or nothing of the group is left
         # no timeout: that waits for the daemon alone, while a timed
         # join waits on the sentinel its task instances inherited too
         proc.join()
@@ -1037,9 +1044,8 @@ class SocketTaskEngine:
         A forked daemon is sent ``stop`` (one this engine holds no
         connection to — parked, or left out by a failed :meth:`resume`
         — is reconnected for that) and given ``DRAIN_TIMEOUT`` seconds
-        to leave on its own — drain its job, stop its task instance —
-        before it is killed: killing it at once would orphan the task
-        instance its ``serve_forever`` stops on the way out.  A dialed
+        to leave on its own — kill its job, stop its task instance and
+        close its pool — before its process group is killed.  A dialed
         daemon is never stopped, only disconnected.
         """
         if self._closed:

@@ -67,6 +67,7 @@ EVENT_KINDS = (
     # MANIFOLD coordination
     "rendezvous",
     "manifold_event",
+    "manifold_message",
     "process_activate",
     "process_death",
     # warm-path cache observability

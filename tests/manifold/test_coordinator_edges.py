@@ -20,6 +20,7 @@ from repro.manifold import (
     run_application,
 )
 from repro.manifold.units import ProcessReference, Unit
+from repro.trace import TraceRecorder, recording
 
 
 class TestUnits:
@@ -262,14 +263,11 @@ class TestRunApplication:
 
 class TestRuntimeTrace:
     def test_trace_callback_records_lifecycle(self):
-        lines: list[str] = []
-        with Runtime("traced", trace=lines.append) as runtime:
+        with recording(TraceRecorder()) as rec, Runtime("traced") as runtime:
             proc = runtime.spawn(AtomicDefinition("quick", lambda p: None))
             proc.join(timeout=5)
             runtime.raise_event(Event("ping"))
-        text = "\n".join(lines)
-        assert "create quick" in text
-        assert "activate quick" in text
-        assert "death quick" in text
-        assert "event ping" in text
-        assert "shutdown" in text
+        seen = {(e.kind, e.worker, e.data.get("event")) for e in rec.events()}
+        assert ("process_activate", proc.name, None) in seen
+        assert ("process_death", proc.name, None) in seen
+        assert ("manifold_event", "<runtime>", "ping") in seen

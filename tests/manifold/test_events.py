@@ -74,20 +74,6 @@ class TestEvent:
 
 
 class TestEventOccurrence:
-    def test_matches_same_event(self):
-        occ = EventOccurrence(Event("go"))
-        assert occ.matches(Event("go"))
-
-    def test_does_not_match_other_event(self):
-        occ = EventOccurrence(Event("go"))
-        assert not occ.matches(Event("stop"))
-
-    def test_source_filter(self):
-        source = object()
-        occ = EventOccurrence(Event("go"), source)  # type: ignore[arg-type]
-        assert occ.matches(Event("go"), source)
-        assert not occ.matches(Event("go"), object())
-
     def test_sequence_numbers_increase(self):
         a = EventOccurrence(Event("go"))
         b = EventOccurrence(Event("go"))

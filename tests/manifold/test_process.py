@@ -24,6 +24,7 @@ from repro.manifold import (
     make_void,
 )
 from repro.manifold import process as process_module
+from repro.trace import TraceRecorder, recording
 
 
 class TestLifecycle:
@@ -132,9 +133,10 @@ class TestDeathEvents:
 
     def test_event_log_records_broadcasts(self, runtime):
         done = Event("done")
-        proc = runtime.spawn(AtomicDefinition("raiser", lambda p: p.raise_event(done)))
-        proc.join(timeout=2.0)
-        names = [occ.event.name for occ in runtime.event_log()]
+        with recording(TraceRecorder()) as rec:
+            proc = runtime.spawn(AtomicDefinition("raiser", lambda p: p.raise_event(done)))
+            proc.join(timeout=2.0)
+        names = [e.data.get("event") for e in rec.events()]
         assert "done" in names
 
     def test_unsubscribed_memory_not_delivered(self, runtime):

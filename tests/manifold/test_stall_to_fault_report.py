@@ -18,8 +18,7 @@ class TestStallToFaultReport:
     def test_stalled_scheduler_becomes_structured_report(self, runtime):
         make_void(runtime)  # alive and forever silent: a stalled run
         reports: list[StallReport] = []
-        with Watchdog(runtime, timeout=0.2, on_stall=reports.append,
-                      poll_interval=0.02):
+        with Watchdog(runtime, timeout=0.2, on_stall=reports.append):
             time.sleep(0.6)
         assert reports, "the stall was not detected"
 
@@ -39,8 +38,7 @@ class TestStallToFaultReport:
     def test_sub_floor_stalls_do_not_qualify(self, runtime):
         make_void(runtime)
         reports: list[StallReport] = []
-        with Watchdog(runtime, timeout=0.2, on_stall=reports.append,
-                      poll_interval=0.02):
+        with Watchdog(runtime, timeout=0.2, on_stall=reports.append):
             time.sleep(0.6)
         assert reports
         # a floor above the observed stall filters everything out
@@ -49,7 +47,7 @@ class TestStallToFaultReport:
 
     def test_stall_events_flow_into_a_shared_fault_log(self, runtime):
         make_void(runtime)
-        with Watchdog(runtime, timeout=0.2, poll_interval=0.02) as dog:
+        with Watchdog(runtime, timeout=0.2) as dog:
             time.sleep(0.6)
             stalls = dog.reports()
         assert stalls

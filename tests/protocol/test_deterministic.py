@@ -31,6 +31,7 @@ from repro.protocol import (
     protocol_mw,
 )
 from repro.protocol.events import events_for
+from repro.trace import TraceRecorder, recording
 
 WORKERS = 3
 
@@ -44,6 +45,12 @@ def no_sleep(monkeypatch):
     monkeypatch.setattr(time, "sleep", _forbidden_sleep)
 
 
+@pytest.fixture
+def rec():
+    with recording(TraceRecorder()) as recorder:
+        yield recorder
+
+
 def live_variables(runtime) -> dict[str, Variable]:
     return {
         proc.definition_name: proc
@@ -52,7 +59,7 @@ def live_variables(runtime) -> dict[str, Variable]:
     }
 
 
-def test_one_pool_one_raise_at_a_time(runtime):
+def test_one_pool_one_raise_at_a_time(runtime, rec):
     master = runtime.create(
         AtomicDefinition("Master", lambda proc: None, in_ports=("input", "dataport"))
     )
@@ -120,6 +127,9 @@ def test_one_pool_one_raise_at_a_time(runtime):
 
     master.raise_event(ev.finished)
     assert main.state is ProcessState.TERMINATED
-    assert main.trace() == ["begin"] + ["create_worker: begin"] * WORKERS + [
+    assert [
+        e.data["text"] for e in rec.events()
+        if e.kind == "manifold_message" and e.worker == main.name
+    ] == ["begin"] + ["create_worker: begin"] * WORKERS + [
         "rendezvous acknowledged"
     ]

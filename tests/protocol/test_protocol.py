@@ -29,6 +29,7 @@ from repro.protocol import (
     make_worker_definition,
     protocol_mw,
 )
+from repro.trace import TraceRecorder, recording
 
 
 def run_master_with_protocol(runtime: Runtime, master_defn, worker_defn, timeout=30.0):
@@ -261,8 +262,9 @@ class TestProtocolEvents:
         master_defn = AtomicDefinition(
             "Master", master_body, in_ports=("input", "dataport")
         )
-        run_master_with_protocol(runtime, master_defn, worker_defn)
-        names = [occ.event.name for occ in runtime.event_log()]
+        with recording(TraceRecorder()) as rec:
+            run_master_with_protocol(runtime, master_defn, worker_defn)
+        names = [e.data["event"] for e in rec.events() if "event" in e.data]
         assert names.count("create_pool") == 1
         assert names.count("create_worker") == 2
         assert names.count("rendezvous") == 1
@@ -327,6 +329,7 @@ class TestInterfaceValidation:
         """The MES(...) messages of the protocol source appear in the
         coordinator's trace."""
         worker_defn = make_worker_definition("Worker", lambda x: x)
+        rec = TraceRecorder()
         traces = []
 
         def master_body(proc):
@@ -345,14 +348,18 @@ class TestInterfaceValidation:
             def begin(ctx):
                 master = ctx.spawn(master_defn)
                 ctx.run_block(protocol_mw(master, worker_defn))
-                traces.append(ctx.coordinator.trace())
+                traces.append([
+                    e.data["text"] for e in rec.events()
+                    if e.kind == "manifold_message" and e.worker == ctx.coordinator.name
+                ])
                 ctx.terminated(master)
                 ctx.halt()
 
             return block
 
         main = Coordinator(runtime, "Main", main_body, deadline=20)
-        run_application(runtime, main, timeout=20)
+        with recording(rec):
+            run_application(runtime, main, timeout=20)
         (trace,) = traces
         assert "begin" in trace
         assert "create_worker: begin" in trace
