@@ -30,17 +30,17 @@ runs it with ``yield ctx.run_block(manner(...))``.
 from __future__ import annotations
 
 import functools
-import time
 import traceback
 from typing import Callable, Optional, Sequence
 
-from .errors import ProcessError
+from .errors import ProcessError, StateMachineError
 from .events import EventMemory
 from .ports import STANDARD_ERR, STANDARD_IN, STANDARD_OUT
 from .process import ProcessBase
 from .scheduler import Runtime
 from .states import Block, BlockExit, HaltBlock, StateContext
 from .threads import start_thread
+from .timers import TimerWheel
 
 __all__ = ["Coordinator", "Manner"]
 
@@ -52,13 +52,12 @@ class Coordinator(ProcessBase):
     """A manifold instance: runs a state block.
 
     A block of generator bodies runs inline (:mod:`repro.manifold.states`):
-    :meth:`activate` enters its ``begin`` state before it returns, later
-    transitions run in the threads that deliver the events, and the
-    coordinator keeps a thread only if it has a ``deadline`` to enforce.
-    A block whose one state is a plain ``begin`` body runs that body as
-    straight-line code on the coordinator's own thread.  No wait polls:
-    a predicate that changes with no event needs
-    :meth:`EventMemory.notify`.
+    :meth:`activate` enters its ``begin`` state before it returns, and
+    later transitions run in the threads that deliver the events; the
+    coordinator keeps no thread.  A block whose one state is a plain
+    ``begin`` body runs that body as straight-line code on the
+    coordinator's own thread.  No wait polls: a predicate that changes
+    with no event needs :meth:`EventMemory.notify`.
 
     Parameters
     ----------
@@ -68,7 +67,8 @@ class Coordinator(ProcessBase):
     deadline:
         Optional wall-clock budget in seconds; exceeded ⇒ the
         coordinator fails with :class:`StateMachineError` instead of
-        hanging forever (used by tests and the deadlock detector).
+        hanging forever; the thread in :func:`run_application` enforces
+        it (:meth:`expire`), and no other thread watches the time.
     """
 
     def __init__(
@@ -87,7 +87,8 @@ class Coordinator(ProcessBase):
         self._args = tuple(args)
         self.event_memory = EventMemory(owner_name=name)
         self._deadline_seconds = deadline
-        self._deadline_at: Optional[float] = None
+        #: what the coordinator's waits raise once :meth:`expire` ran
+        self._late: Optional[StateMachineError] = None
         self.failure_traceback: Optional[str] = None
         runtime.subscribe(self.event_memory)
         runtime.adopt(self)
@@ -97,7 +98,7 @@ class Coordinator(ProcessBase):
     # ------------------------------------------------------------------
     def _start(self) -> None:
         if self._deadline_seconds is not None:
-            self._deadline_at = time.monotonic() + self._deadline_seconds
+            self.runtime.after(self._deadline_seconds, self.expire)
         ctx = StateContext(self)
         try:
             block = self._body if isinstance(self._body, Block) else self._body(*self._args)
@@ -107,25 +108,19 @@ class Coordinator(ProcessBase):
             self._finish(exc)
             return
         if block.inline:
-            # begin runs here; a thread is kept only to enforce the deadline
-            ctx._enter_inline(block, waited=self._deadline_at is not None)
-            if self._deadline_at is None:
-                return
-        start_thread(functools.partial(self._thread_main, ctx, block), self.name)
+            ctx._enter_inline(block, waited=False)  # begin runs here
+        else:
+            start_thread(functools.partial(self._thread_main, ctx, block), self.name)
 
-    def time_left(self) -> Optional[float]:
-        """Seconds to the deadline: ``None`` without one, ``0.0`` once it
-        has passed."""
-        if self._deadline_at is None:
-            return None
-        return max(0.0, self._deadline_at - time.monotonic())
+    def expire(self) -> None:
+        """Fail as a passed ``deadline`` does: the waits raise, and the
+        inline blocks are torn down here if no other thread drives them."""
+        self._late = StateMachineError(f"{self.name} exceeded its deadline while waiting")
+        self.event_memory.notify()
 
     def _thread_main(self, ctx: StateContext, block: Block) -> None:
         try:
-            if block.inline:
-                ctx._await_inline()  # entered by activate()
-            else:
-                ctx._run_plain(block)
+            ctx._run_plain(block)
         except (HaltBlock, BlockExit):
             self._finish(None)
         except BaseException as exc:  # noqa: BLE001 - report coordinator failure
@@ -139,6 +134,7 @@ class Coordinator(ProcessBase):
         self.event_memory.close()
         self.runtime.unsubscribe(self.event_memory)
         super()._finish(failure)
+        self.runtime.wake()  # run_application waits for its main coordinator
 
 
 def run_application(
@@ -152,13 +148,19 @@ def run_application(
     service processes (``void``, ``variable``); the convention — the one
     the paper's application follows — is that the main coordinator only
     finishes once every worker it is responsible for has finished, so
-    joining ``main`` is the application's natural end.  Afterwards the
-    runtime is shut down, unwinding any service processes, and the first
-    recorded failure (coordinator or worker) is re-raised so drivers see
-    worker exceptions instead of silent hangs.
+    waiting for ``main`` is the application's natural end.  The waiting
+    thread fires ``timeout``, every ``deadline`` and every started
+    ``Watchdog``'s checks as timers (:meth:`Runtime.serve`).  Afterwards
+    the runtime is shut down, unwinding any service processes, and the
+    first recorded failure (coordinator or worker) is re-raised so
+    drivers see worker exceptions instead of silent hangs.
     """
     main.activate()
-    finished = main.join(timeout)
+    wheel, expired = TimerWheel(), []
+    if timeout is not None:
+        wheel.schedule(timeout, functools.partial(expired.append, True))
+    runtime.serve(wheel, lambda: bool(expired) or main.is_terminated())
+    finished = main.is_terminated()
     failures = runtime.failures()
     runtime.shutdown()
     if not finished:

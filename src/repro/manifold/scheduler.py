@@ -32,6 +32,7 @@ from .process import (
     ProcessBase,
     ProcessState,
 )
+from .timers import TimerWheel
 
 __all__ = ["Runtime"]
 
@@ -65,6 +66,9 @@ class Runtime:
         #: :class:`repro.manifold.watchdog.Watchdog`)
         self._activity = 0
         self._activity_at = time.monotonic()
+        #: ``(due, callback)`` for the thread in :meth:`serve`; ``_tick`` wakes it
+        self._timed: list[tuple[float, Callable[[], None]]] = []
+        self._tick = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # registry
@@ -158,7 +162,7 @@ class Runtime:
             self.broadcast(EventOccurrence(DEATH, proc))
 
     # ------------------------------------------------------------------
-    # shutdown / join
+    # shutdown / join, and the time of the thread in run_application
     # ------------------------------------------------------------------
     def join_all(self, timeout: Optional[float] = None) -> bool:
         """Wait for every registered process to finish.
@@ -173,6 +177,32 @@ class Runtime:
             if not proc.join(remaining) and deadline is not None:
                 return False
         return True
+
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
+        """Have the thread in :meth:`serve`, or the next, call ``callback`` in ``delay`` s."""
+        with self._lock:
+            self._timed.append((time.monotonic() + delay, callback))
+            self._tick.notify_all()
+
+    def wake(self) -> None:
+        """Have the thread in :meth:`serve` look at ``done()`` again."""
+        with self._lock:
+            self._tick.notify_all()
+
+    def serve(self, wheel: TimerWheel, done: Callable[[], bool]) -> None:
+        """Fire ``wheel``'s timers and those :meth:`after` hands over until
+        ``done()``, re-checked at each and at :meth:`wake` (``wheel`` reads
+        ``time.monotonic``, as :meth:`after` does)."""
+        while True:
+            with self._lock:
+                while not (self._timed or done()) and wheel.next_timeout() != 0.0:
+                    self._tick.wait(wheel.next_timeout())
+                if done():
+                    return
+                taken, self._timed = self._timed, []
+            for due, callback in taken:
+                wheel.schedule(due - wheel.clock(), callback)
+            wheel.fire_due()
 
     def shutdown(self) -> None:
         """Interrupt all ports and close all event memories."""

@@ -230,7 +230,7 @@ class StateContext:
         self.current_occurrence: Optional[EventOccurrence] = None
         #: a wait a generator body was handed and has not yielded yet
         self._unyielded: Optional[_Wait] = None
-        #: why the inline blocks must be torn down (a failure, the deadline)
+        #: why the inline blocks must be torn down (a failure)
         self._stop: Optional[BaseException] = None
         #: how the inline blocks ended (``HaltBlock`` when they returned);
         #: handed to the thread waiting for them
@@ -359,17 +359,14 @@ class StateContext:
         if frame.inline:
             return self._handed(frame, _IDLE if until is None else _Wait(until, None))
         memory, coordinator = self.memory, self.coordinator
+        woken = lambda: coordinator._late or (until is not None and until())  # noqa: E731
         while until is None or not until():
             if memory.closed:
                 # runtime shutdown: unwind the coordinator's block
                 raise BlockExit()
-            if coordinator.time_left() == 0.0:
-                raise StateMachineError(
-                    f"{coordinator.name} exceeded its deadline while waiting"
-                )
-            memory.wait_for_match(
-                {}, timeout=coordinator.time_left(), extra_predicate=until
-            )
+            if coordinator._late is not None:
+                raise coordinator._late
+            memory.wait_for_match({}, extra_predicate=woken)
 
     def halt(self) -> None:
         """Return from the current block (MANIFOLD ``halt``).  It raises
@@ -544,7 +541,7 @@ class StateContext:
                     if waited:
                         memory._cond.notify_all()
                     break
-                stop = self._stop
+                stop = self._stop or self.coordinator._late
                 if stop is None and memory._closed:
                     stop = BlockExit()
                 if stop is None:
@@ -590,29 +587,14 @@ class StateContext:
             self._stop = exc
 
     def _await_inline(self) -> None:
-        """Wait in the calling thread until the inline blocks end: return
-        when they halt, raise anything else.  Woken by their end; a
-        deadline wakes it once, to tear them down."""
-        memory, coordinator = self.memory, self.coordinator
-        while True:
-            with memory._lock:
-                ended = self._ended
-                if ended is not None and not memory._driving:
-                    self._ended = None
-                    break
-                if self._stop is None and coordinator.time_left() == 0.0:
-                    self._stop = StateMachineError(
-                        f"{coordinator.name} exceeded its deadline while waiting"
-                    )
-                if memory._driving or (self._stop is None and not memory._closed):
-                    # a driver that sees ``_stop`` or the close ends the
-                    # blocks and notifies
-                    memory._cond.wait(
-                        None if self._stop is not None else coordinator.time_left()
-                    )
-                    continue
-                memory._driving = True
-            self._drive()
+        """Wait until the inline blocks end: return when they halt, raise
+        anything else.  Whichever thread drives ends them (on a failure,
+        the close, :meth:`Coordinator.expire`) and wakes this one."""
+        memory = self.memory
+        with memory._lock:
+            while self._ended is None or memory._driving:
+                memory._cond.wait()
+            ended, self._ended = self._ended, None
         if not isinstance(ended, HaltBlock):
             raise ended
 

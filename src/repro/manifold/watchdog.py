@@ -3,9 +3,10 @@
 Event-driven coordination deadlocks silently: a master waiting for an
 acknowledgement nobody will send just blocks.  The watchdog gives a
 runtime a pulse — every broadcast, activation and death ticks an
-activity counter and stamps the time of the beat — and a background
-sampler, asleep until the pulse could first have been flat for the
-timeout, raises the alarm when it is while processes are still alive.
+activity counter and stamps the time of the beat — and a check timed
+to the first moment the pulse could have been flat for the timeout (a
+timer of the thread waiting in ``run_application``, not a thread of its
+own) raises the alarm when it is while processes are still alive.
 
 The detector is deliberately *advisory* (it reports; it does not kill):
 a long-running numerical kernel between port operations is
@@ -17,14 +18,12 @@ runtime.  Callers choose the timeout accordingly, or use
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .process import ProcessState
 from .scheduler import Runtime
-from .threads import start_thread
 
 __all__ = ["StallReport", "Watchdog"]
 
@@ -48,10 +47,12 @@ class StallReport:
 
 
 class Watchdog:
-    """Watches a runtime's pulse from a background thread.
+    """Checks a runtime's pulse on the thread waiting in ``run_application``.
 
     ``on_stall`` fires (once per flatline episode) with a
-    :class:`StallReport`; activity resets the episode.
+    :class:`StallReport`; activity resets the episode.  :meth:`start`
+    hands the runtime its first check, each check its next one, and
+    :meth:`stop` ends the chain; :meth:`check` is one look at an instant.
     """
 
     def __init__(
@@ -65,33 +66,31 @@ class Watchdog:
         self.runtime = runtime
         self.timeout = timeout
         self.on_stall = on_stall
-        #: (stop, stopped) of the running sampler; None while stopped
-        self._running: Optional[tuple[threading.Event, threading.Event]] = None
+        #: a token per start(): a check of an earlier one ends its chain
+        self._started: Optional[object] = None
+        #: quiet time counts from no earlier than this: the first check
+        #: after start(), or the last one that found nothing alive
+        self._floor: Optional[float] = None
+        #: quiet_since of the episode last reported
+        self._reported: Optional[float] = None
         self._reports: list[StallReport] = []
-        self._reports_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def start(self) -> "Watchdog":
-        if self._running is not None:
+        if self._started is not None:
             raise RuntimeError("watchdog already started")
-        # a fresh pair per start, so a stopped watchdog can start again
-        stop, stopped = self._running = threading.Event(), threading.Event()
+        started = self._started = object()
+        self._floor = self._reported = None
 
         def sample() -> None:
-            try:
-                self._run(stop)
-            finally:
-                stopped.set()
+            if self._started is started:
+                self.runtime.after(self.check(time.monotonic()), sample)
 
-        start_thread(sample, "watchdog")
+        self.runtime.after(0.0, sample)
         return self
 
     def stop(self) -> None:
-        if self._running is not None:
-            stop, stopped = self._running
-            stop.set()
-            stopped.wait(timeout=2.0)
-            self._running = None
+        self._started = None
 
     def __enter__(self) -> "Watchdog":
         return self.start()
@@ -101,8 +100,7 @@ class Watchdog:
 
     # ------------------------------------------------------------------
     def reports(self) -> list[StallReport]:
-        with self._reports_lock:
-            return list(self._reports)
+        return list(self._reports)
 
     def snapshot(self, stalled_for: float) -> StallReport:
         live = tuple(
@@ -122,29 +120,21 @@ class Watchdog:
             activity_count=self.runtime.activity_count,
         )
 
-    def _run(self, stop: threading.Event) -> None:
-        # Quiet time counts from the pulse's last beat, but never from
-        # before this start(): a stop() around a quiet phase forgets it.
-        # The sampler sleeps until the first moment the pulse could have
-        # been flat for ``timeout``; while nothing is alive it re-checks
-        # once per ``timeout``.
-        floor = time.monotonic()
-        reported: Optional[float] = None  # quiet_since of the reported episode
-        while True:
-            now = time.monotonic()
-            if not self.runtime.live_processes():
-                floor, wait = now, self.timeout
-            else:
-                quiet_since = max(self.runtime.last_activity, floor)
-                wait = quiet_since + self.timeout - now
-                if wait <= 0:
-                    if reported != quiet_since:
-                        reported = quiet_since
-                        report = self.snapshot(now - quiet_since)
-                        with self._reports_lock:
-                            self._reports.append(report)
-                        if self.on_stall is not None:
-                            self.on_stall(report)
-                    wait = self.timeout  # a new episode needs a beat first
-            if stop.wait(wait):
-                return
+    def check(self, now: float) -> float:
+        """Look at the pulse at ``now``: report a flat one once per
+        episode; returns the seconds until the next look is due, the
+        first moment the pulse could have been flat for ``timeout``."""
+        if self._floor is None or not self.runtime.live_processes():
+            self._floor = now  # nothing alive, or the first look: no quiet yet
+            return self.timeout
+        quiet_since = max(self.runtime.last_activity, self._floor)
+        wait = quiet_since + self.timeout - now
+        if wait > 0:
+            return wait
+        if self._reported != quiet_since:
+            self._reported = quiet_since
+            report = self.snapshot(now - quiet_since)
+            self._reports.append(report)
+            if self.on_stall is not None:
+                self.on_stall(report)
+        return self.timeout  # a new episode needs a beat first

@@ -152,17 +152,6 @@ class DeadlinePolicy:
             if stall.stalled_for_seconds >= self.floor_seconds
         ]
 
-    def report_from_stalls(self, stalls: Iterable[object]) -> Optional["FaultReport"]:
-        """A structured report of the qualifying stalls, or ``None``.
-
-        This is how a stalled scheduler surfaces as a
-        :class:`FaultReport` instead of a silent hang.
-        """
-        events = self.stall_events(stalls)
-        if not events:
-            return None
-        return FaultReport(events=tuple(events))
-
 
 class EscalationStep(Enum):
     """What the ladder prescribes after one more fault."""

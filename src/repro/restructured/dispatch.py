@@ -44,7 +44,7 @@ costs nobody else anything, and a key is only ever re-submitted at its
 next attempt.
 
 The core never sleeps and never advances the clock: it schedules on the
-injected :class:`_TimerWheel`, and :func:`drive`, the one loop over a
+injected :class:`~repro.manifold.timers.TimerWheel`, and :func:`drive`, the one loop over a
 core on either substrate, decides when time passes.  A *channel* is what
 a driver registers with its selector: a busy pool worker's pipe, a
 daemon link's socket.  That is what makes both testable with a fake
@@ -53,13 +53,12 @@ clock, a fake selector and scripted channels, no process or socket.
 
 from __future__ import annotations
 
-import heapq
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from repro.manifold.timers import TimerWheel
 from repro.resilience import (
     EscalationStep,
     FaultEvent,
@@ -83,50 +82,6 @@ __all__ = [
 #: scheduling slack added to deadline timers so a conviction never
 #: lands a clock-granularity tick *before* its full window has elapsed
 _DEADLINE_GRACE = 0.005
-
-
-class _TimerWheel:
-    """The dispatch loop's time source: a heap of ``(due, seq, callback)``.
-
-    Everything a dispatch thread would otherwise ``time.sleep`` for —
-    retry backoff, reconnect backoff, heartbeat-silence deadlines,
-    per-job deadlines — is a scheduled callback here, so :func:`drive`'s
-    only blocking point is its selector's ``select`` with
-    :meth:`next_timeout` as the timeout.  Callbacks validate
-    their subject at fire time (a job's pending identity, a link's
-    generation) instead of being cancelled, which keeps scheduling
-    O(log n) with no bookkeeping on the hot path.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` on the dispatch thread ``delay`` seconds on."""
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.clock() + max(0.0, delay), self._seq, callback)
-        )
-
-    def next_timeout(self) -> Optional[float]:
-        """Seconds until the earliest timer, ``None`` on an empty wheel."""
-        if not self._heap:
-            return None
-        return max(0.0, self._heap[0][0] - self.clock())
-
-    def fire_due(self) -> int:
-        """Run every callback whose due time has passed; returns how many."""
-        fired = 0
-        while self._heap and self._heap[0][0] <= self.clock():
-            _, _, callback = heapq.heappop(self._heap)
-            callback()
-            fired += 1
-        return fired
 
 
 def _trace_payload(trace, payload, *, attempt: int = 1, fallback: bool = False) -> None:
@@ -250,7 +205,7 @@ class DispatchCore:
         driver: Driver,
         *,
         escalation,
-        timers: _TimerWheel,
+        timers: TimerWheel,
         use_cache: bool = True,
         seconds_per_unknown: Optional[float] = None,
         trace=None,

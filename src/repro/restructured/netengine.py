@@ -104,6 +104,7 @@ from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 from typing import Callable, Optional
 
+from repro.manifold.timers import TimerWheel
 from repro.sparsegrid.cache import reset_default_operator_cache
 from repro.trace.recorder import uninstall_recorder
 
@@ -114,7 +115,6 @@ from .dispatch import (
     Driver,
     Job,
     Slot,
-    _TimerWheel,
     drive,
 )
 from .pool import PersistentWorkerPool
@@ -316,7 +316,7 @@ class _FrameDecoder:
 
 
 def arm_heartbeat_deadline(
-    timers: _TimerWheel,
+    timers: TimerWheel,
     link: "_DaemonLink",
     timeout: float,
     on_silent: Callable[["_DaemonLink"], None],
@@ -1113,7 +1113,7 @@ class SocketTaskEngine:
             ordered,
             Driver(place=self._place, launch=self._launch, retire=self._retire),
             escalation=escalation,
-            timers=_TimerWheel(self._clock),
+            timers=TimerWheel(self._clock),
             use_cache=use_cache,
             seconds_per_unknown=self.seconds_per_unknown,
             trace=trace,

@@ -66,6 +66,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.manifold.timers import TimerWheel
 from repro.resilience import EscalationPolicy, FaultPlan, FaultReport
 from repro.sparsegrid.combination import combine
 from repro.sparsegrid.grid import Grid, nested_loop_grids
@@ -78,7 +79,6 @@ from .dispatch import (
     Driver,
     Job,
     Slot,
-    _TimerWheel,
     drive,
 )
 from .pool import (
@@ -457,7 +457,7 @@ def _run_pool(
         ordered,
         Driver(place=place, launch=launch, retire=retire),
         escalation=escalation,
-        timers=_TimerWheel(lease.clock),
+        timers=TimerWheel(lease.clock),
         use_cache=use_cache,
         seconds_per_unknown=pool.seconds_per_unknown,
         trace=trace,

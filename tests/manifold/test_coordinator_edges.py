@@ -19,6 +19,7 @@ from repro.manifold import (
     StateMachineError,
     run_application,
 )
+from repro.manifold.builtins import VOID_DEFINITION
 from repro.manifold.units import ProcessReference, Unit
 from repro.trace import TraceRecorder, recording
 
@@ -100,8 +101,8 @@ class TestCoordinatorLifecycle:
             return outer
 
         coordinator = Coordinator(runtime, "C", factory, deadline=0.2)
-        coordinator.activate()
-        assert coordinator.join(timeout=5)
+        with pytest.raises(StateMachineError, match="exceeded its deadline"):
+            run_application(runtime, coordinator, timeout=5)
         assert isinstance(coordinator.failure, StateMachineError)
 
     def test_top_level_unhandled_event_ends_cleanly(self, runtime):
@@ -153,8 +154,8 @@ class TestCoordinatorWaits:
         thread.start()
         try:
             start = time.monotonic()
-            coordinator.activate()
-            assert coordinator.join(timeout=1.5)
+            with pytest.raises(StateMachineError, match="exceeded its deadline"):
+                run_application(runtime, coordinator, timeout=1.5)
             elapsed = time.monotonic() - start
         finally:
             stop.set()
@@ -245,6 +246,35 @@ class TestRunApplication:
 
         main = Coordinator(runtime, "Main", factory, deadline=10)
         run_application(runtime, main, timeout=10)  # must not raise
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "plain"])
+    def test_a_passed_deadline_fails_main_and_leaves_nothing_alive(
+        self, runtime, inline
+    ):
+        """Both kinds of ``Main`` past ``deadline=``: the thread in
+        ``run_application`` fails it with one message, and every process
+        ends."""
+        block = Block("Main")
+        if inline:
+
+            @block.state(BEGIN)
+            def begin(ctx):
+                ctx.spawn(VOID_DEFINITION)
+                yield ctx.idle()
+
+        else:
+
+            @block.state(BEGIN)
+            def begin(ctx):
+                ctx.spawn(VOID_DEFINITION)
+                ctx.idle()
+
+        main = Coordinator(runtime, "Main", block, deadline=0.2)
+        with pytest.raises(StateMachineError) as raised:
+            run_application(runtime, main, timeout=10)
+        assert str(raised.value) == f"{main.name} exceeded its deadline while waiting"
+        assert runtime.join_all(timeout=5.0)
+        assert runtime.live_processes() == []
 
     def test_timeout_reported(self, runtime):
         def factory():

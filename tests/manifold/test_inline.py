@@ -166,8 +166,8 @@ class TestFailures:
             yield ctx.idle()
 
         coordinator = Coordinator(runtime, "C", block, deadline=0.2)
-        coordinator.activate()
-        assert coordinator.join(timeout=5)
+        with pytest.raises(StateMachineError, match="exceeded its deadline"):
+            run_application(runtime, coordinator, timeout=5)
         assert isinstance(coordinator.failure, StateMachineError)
         assert declared[0].state is ProcessState.TERMINATED
 

@@ -7,11 +7,10 @@ the same policy layer the pool path uses — not as a silent hang.
 
 from __future__ import annotations
 
-import time
-
 from repro.manifold import make_void
 from repro.manifold.watchdog import StallReport, Watchdog
 from repro.resilience import DeadlinePolicy, FaultLog, FaultReport
+from tests.manifold.test_watchdog import run_hung
 
 
 class TestStallToFaultReport:
@@ -19,11 +18,11 @@ class TestStallToFaultReport:
         make_void(runtime)  # alive and forever silent: a stalled run
         reports: list[StallReport] = []
         with Watchdog(runtime, timeout=0.2, on_stall=reports.append):
-            time.sleep(0.6)
+            run_hung(runtime, 0.6)
         assert reports, "the stall was not detected"
 
         policy = DeadlinePolicy(floor_seconds=0.1)
-        fault_report = policy.report_from_stalls(reports)
+        fault_report = FaultReport(events=tuple(policy.stall_events(reports)))
         assert isinstance(fault_report, FaultReport)
         assert fault_report.faults == len(reports)
         event = fault_report.events[0]
@@ -39,16 +38,16 @@ class TestStallToFaultReport:
         make_void(runtime)
         reports: list[StallReport] = []
         with Watchdog(runtime, timeout=0.2, on_stall=reports.append):
-            time.sleep(0.6)
+            run_hung(runtime, 0.6)
         assert reports
         # a floor above the observed stall filters everything out
         tall = DeadlinePolicy(floor_seconds=3600.0)
-        assert tall.report_from_stalls(reports) is None
+        assert FaultReport(events=tuple(tall.stall_events(reports))).events == ()
 
     def test_stall_events_flow_into_a_shared_fault_log(self, runtime):
         make_void(runtime)
         with Watchdog(runtime, timeout=0.2) as dog:
-            time.sleep(0.6)
+            run_hung(runtime, 0.6)
             stalls = dog.reports()
         assert stalls
 

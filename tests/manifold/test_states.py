@@ -18,6 +18,7 @@ from repro.manifold import (
     Runtime,
     StateMachineError,
     StreamType,
+    run_application,
 )
 from repro.manifold.states import HaltBlock
 
@@ -510,8 +511,8 @@ class TestStreamsInStates:
             return block
 
         coord = Coordinator(runtime, "C", factory, deadline=0.2)
-        coord.activate()
-        assert coord.join(timeout=5)
+        with pytest.raises(StateMachineError, match="exceeded its deadline"):
+            run_application(runtime, coord, timeout=5)
         assert isinstance(coord.failure, StateMachineError)
 
 

@@ -17,9 +17,26 @@ from collections import Counter
 
 import pytest
 
-from repro.manifold import AtomicDefinition, ProcessState, Runtime, make_void
+from repro.manifold import (
+    BEGIN,
+    AtomicDefinition,
+    Block,
+    Coordinator,
+    ProcessState,
+    Runtime,
+    Watchdog,
+    make_void,
+    run_application,
+)
 from repro.manifold import process as process_module
 from repro.manifold import threads
+from repro.protocol import (
+    MasterProtocolClient,
+    WorkerJob,
+    make_worker_definition,
+    protocol_mw,
+)
+from repro.restructured import TaskInstanceEngine, run_concurrent
 from tests.manifold.test_scaling import run_noop_pool
 
 
@@ -91,6 +108,82 @@ def test_a_pool_starts_one_body_per_worker(monkeypatch, workers):
     monkeypatch.setattr(process_module, "start_thread", counting)
     assert len(run_noop_pool(workers)) == workers
     assert sorted(started) == ["Master"] + ["Worker"] * workers
+
+
+@pytest.fixture()
+def started(monkeypatch) -> list[str]:
+    """The names of the bodies given a thread, counted at every caller of
+    ``threads.start_thread`` in the package."""
+    names: list[str] = []
+    start = threads.start_thread
+
+    def counting(body, name):
+        names.append(name.partition("#")[0])
+        start(body, name)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "start_thread", None) is start:
+            monkeypatch.setattr(module, "start_thread", counting)
+    return names
+
+
+def run_inline_pool(runtime: Runtime, workers: int) -> list:
+    """One pool of ``workers`` identity workers under a generator-block
+    ``Main`` with a ``deadline=``, as ``run_concurrent``'s; the results."""
+    worker_defn = make_worker_definition("Worker", lambda value: value)
+    results: list = []
+
+    def master_body(proc):
+        client = MasterProtocolClient(proc, timeout=60)
+        results.extend(client.run_pool([WorkerJob(i, i) for i in range(workers)]))
+        client.finished()
+
+    master_defn = AtomicDefinition("Master", master_body, in_ports=("input", "dataport"))
+    block = Block("Main")
+
+    @block.state(BEGIN)
+    def begin(ctx):
+        master = ctx.spawn(master_defn)
+        yield ctx.run_block(protocol_mw(master, worker_defn))
+        yield ctx.terminated(master)
+        yield ctx.halt()
+
+    main = Coordinator(runtime, "Main", block, deadline=60)
+    run_application(runtime, main, timeout=60)
+    return results
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_pool_starts_k_threads_in_all(runtime, started, workers):
+    """Counted at every caller, not only at the atomic processes: a
+    k-worker pool starts k threads besides its master's, and ``Main``,
+    whose deadline the thread in ``run_application`` enforces, none."""
+    assert len(run_inline_pool(runtime, workers)) == workers
+    assert sorted(started) == ["Master"] + ["Worker"] * workers
+
+
+def test_a_watchdog_around_run_application_starts_no_thread(runtime, started):
+    """The watchdog's checks are timers of the thread that waits in
+    ``run_application``."""
+    with Watchdog(runtime, timeout=30.0) as dog:
+        assert len(run_inline_pool(runtime, 4)) == 4
+    assert sorted(started) == ["Master"] + ["Worker"] * 4
+    assert dog.reports() == []
+
+
+@pytest.mark.parametrize("level", [3])
+def test_run_concurrent_over_task_instances_starts_one_thread_per_atomic(
+    started, level
+):
+    """The master and its 2·level + 1 workers, each blocked on its task
+    instance's pipe: 2·level + 2 threads.  ``Main`` has a ``deadline=``,
+    which the thread in ``run_application`` enforces: it has no thread
+    (it had one, 2·level + 3 in all)."""
+    with TaskInstanceEngine() as engine:
+        result, _ = run_concurrent(root=2, level=level, engine=engine, timeout=120)
+    assert result.combined is not None
+    assert len(started) == 2 * level + 2
+    assert sorted(started) == ["Master"] + ["Worker"] * (2 * level + 1)
 
 
 def test_a_child_forked_after_a_pool_runs_a_pool():

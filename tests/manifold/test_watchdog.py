@@ -1,4 +1,10 @@
-"""The stall watchdog."""
+"""The stall watchdog, checked by the thread waiting in ``run_application``.
+
+Each test here runs an application whose ``Main`` hangs until its
+deadline, or ends on a worker's cue, with the watchdog's checks on the
+test thread, the one in ``run_application``.  The episode rules at
+chosen instants, with no application, are ``test_clock.py``'s.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,44 @@ import time
 
 import pytest
 
-from repro.manifold import AtomicDefinition, Event, Runtime, make_void
+from repro.manifold import (
+    BEGIN,
+    AtomicDefinition,
+    Block,
+    Coordinator,
+    Event,
+    StateMachineError,
+    make_void,
+    run_application,
+)
 from repro.manifold.watchdog import StallReport, Watchdog
+
+
+def run_hung(runtime, seconds: float) -> None:
+    """Run an application whose ``Main`` idles until its ``seconds``
+    deadline fails it."""
+    block = Block("Main")
+
+    @block.state(BEGIN)
+    def begin(ctx):
+        yield ctx.idle()
+
+    main = Coordinator(runtime, "Main", block, deadline=seconds)
+    with pytest.raises(StateMachineError, match="exceeded its deadline"):
+        run_application(runtime, main, timeout=seconds + 10)
+
+
+def run_until_done(runtime, body) -> None:
+    """Run an application whose ``Main`` halts once a process running
+    ``body`` has ended."""
+    block = Block("Main")
+
+    @block.state(BEGIN)
+    def begin(ctx):
+        yield ctx.terminated(ctx.spawn(AtomicDefinition("cue", body)))
+        yield ctx.halt()
+
+    run_application(runtime, Coordinator(runtime, "Main", block), timeout=30)
 
 
 class TestActivityCounter:
@@ -38,7 +80,7 @@ class TestWatchdog:
         make_void(runtime)  # alive and forever silent
         reports: list[StallReport] = []
         with Watchdog(runtime, timeout=0.2, on_stall=reports.append):
-            time.sleep(0.6)
+            run_hung(runtime, 0.6)
         assert reports, "the stall was not detected"
         report = reports[0]
         assert report.stalled_for_seconds >= 0.2
@@ -49,33 +91,29 @@ class TestWatchdog:
         make_void(runtime)
         reports = []
         with Watchdog(runtime, timeout=0.1, on_stall=reports.append):
-            time.sleep(0.5)
+            run_hung(runtime, 0.5)
         assert len(reports) == 1
 
     def test_activity_resets_episode(self, runtime):
         make_void(runtime)
         reports = []
-        with Watchdog(runtime, timeout=0.25, on_stall=reports.append):
-            for _ in range(8):
-                runtime.raise_event(Event("heartbeat"))
-                time.sleep(0.05)
-        assert reports == []
 
-    def test_silent_when_nothing_alive(self, runtime):
-        reports = []
-        with Watchdog(runtime, timeout=0.1, on_stall=reports.append):
-            time.sleep(0.3)
+        def heartbeats(proc):
+            for _ in range(8):
+                proc.raise_event(Event("heartbeat"))
+                time.sleep(0.05)
+
+        with Watchdog(runtime, timeout=0.25, on_stall=reports.append):
+            run_until_done(runtime, heartbeats)
         assert reports == []
 
     def test_reports_accessible_without_callback(self, runtime):
         make_void(runtime)
         with Watchdog(runtime, timeout=0.1) as dog:
-            time.sleep(0.3)
+            run_hung(runtime, 0.3)
             assert dog.reports()
 
     def test_pending_events_counted(self, runtime):
-        from repro.manifold import Block, Coordinator, BEGIN
-
         def body():
             block = Block("hang")
 
@@ -103,27 +141,34 @@ class TestWatchdog:
             dog.stop()
 
     def test_reports_again_after_a_restart(self, runtime):
-        """``stop()`` around a known-quiet phase, then ``start()``: the
-        restarted watchdog reports the next stall too."""
+        """``stop()`` around a known-quiet phase, then ``start()``, from a
+        worker while the application runs: the restarted watchdog reports
+        the next stall too."""
         make_void(runtime)
         stalled = threading.Event()
         dog = Watchdog(runtime, timeout=0.2, on_stall=lambda r: stalled.set())
-        for episode in range(2):
-            dog.start()
-            try:
-                assert stalled.wait(timeout=5.0), f"stall {episode} unreported"
-            finally:
-                dog.stop()
-            stalled.clear()
+        unreported = []
+
+        def restart_twice(proc):
+            for episode in range(2):
+                dog.start()
+                try:
+                    if not stalled.wait(timeout=5.0):
+                        unreported.append(episode)
+                finally:
+                    dog.stop()
+                stalled.clear()
+
+        run_until_done(runtime, restart_twice)
+        assert unreported == []
         assert len(dog.reports()) == 2
 
     def test_quiet_time_before_start_is_not_counted(self, runtime):
-        """A pulse already flat for longer than the timeout when the
-        watchdog starts is reported one timeout after ``start()``, not
+        """A pulse already flat for longer than the timeout when a worker
+        starts the watchdog is reported one timeout after ``start()``, not
         at once: quiet time counts from the later of the last beat and
         the start."""
         make_void(runtime)
-        time.sleep(0.3)  # flat for longer than the timeout below
         stalled = threading.Event()
         reported_at = []
 
@@ -131,10 +176,18 @@ class TestWatchdog:
             reported_at.append(time.monotonic())
             stalled.set()
 
-        started = time.monotonic()
-        with Watchdog(runtime, timeout=0.2, on_stall=on_stall):
-            assert stalled.wait(timeout=5.0), "the stall was not reported"
-        assert reported_at[0] - started >= 0.2
+        dog = Watchdog(runtime, timeout=0.2, on_stall=on_stall)
+        started = []
+
+        def start_when_flat(proc):
+            time.sleep(0.3)  # flat for longer than the timeout
+            started.append(time.monotonic())
+            with dog:
+                stalled.wait(timeout=5.0)
+
+        run_until_done(runtime, start_when_flat)
+        assert reported_at, "the stall was not reported"
+        assert reported_at[0] - started[0] >= 0.2
 
     def test_invalid_timeout_rejected(self, runtime):
         with pytest.raises(ValueError):
@@ -143,7 +196,6 @@ class TestWatchdog:
     def test_detects_protocol_deadlock(self, runtime):
         """The motivating scenario: an unsupervised worker crash leaves
         the protocol waiting forever; the watchdog sees it."""
-        from repro.manifold import BEGIN, Block, Coordinator
         from repro.protocol import (
             MasterProtocolClient,
             WorkerJob,
@@ -178,8 +230,8 @@ class TestWatchdog:
             return block
 
         reports = []
-        main = Coordinator(runtime, "Main", main_body, deadline=30)
+        main = Coordinator(runtime, "Main", main_body, deadline=1.5)
         with Watchdog(runtime, timeout=0.4, on_stall=reports.append):
-            main.activate()
-            time.sleep(1.5)
+            with pytest.raises(StateMachineError, match="exceeded its deadline"):
+                run_application(runtime, main, timeout=30)
         assert reports, "the protocol deadlock went unnoticed"

@@ -89,11 +89,13 @@ class _Stall:
 class TestDeadlinePolicyStallBridge:
     def test_short_stalls_filtered_out(self):
         policy = DeadlinePolicy(floor_seconds=2.0)
-        assert policy.report_from_stalls([_Stall(0.5)]) is None
+        assert FaultReport(events=tuple(policy.stall_events([_Stall(0.5)]))).events == ()
 
     def test_qualifying_stall_becomes_fault_report(self):
         policy = DeadlinePolicy(floor_seconds=2.0)
-        report = policy.report_from_stalls([_Stall(0.5), _Stall(5.0)])
+        report = FaultReport(
+            events=tuple(policy.stall_events([_Stall(0.5), _Stall(5.0)]))
+        )
         assert isinstance(report, FaultReport)
         assert report.faults == 1
         event = report.events[0]

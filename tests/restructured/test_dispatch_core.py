@@ -21,6 +21,7 @@ import pytest
 
 import repro
 
+from repro.manifold.timers import TimerWheel
 from repro.resilience import (
     DeadlinePolicy,
     EscalationPolicy,
@@ -33,7 +34,6 @@ from repro.restructured.dispatch import (
     Driver,
     JobState,
     Slot,
-    _TimerWheel,
 )
 from repro.restructured.worker import SubsolveJobSpec, SubsolvePayload
 from repro.trace import TraceRecorder
@@ -93,7 +93,7 @@ class Rig:
 
     def __post_init__(self):
         self.clock = FakeClock()
-        self.timers = _TimerWheel(self.clock)
+        self.timers = TimerWheel(self.clock)
         self.trace = TraceRecorder(clock=self.clock)
         self.free = [f"w{i}" for i in range(self.workers)]
         self.retired: list[tuple] = []
@@ -421,7 +421,7 @@ class TestTime:
             [spec_for((0, 2))],
             Driver(lambda: Slot("w"), lambda job: None, lambda job, kind: None),
             escalation=EscalationPolicy(deadline=policy),
-            timers=_TimerWheel(FakeClock()),
+            timers=TimerWheel(FakeClock()),
             seconds_per_unknown=heavy.core.seconds_per_unknown,
         )
         second.dispatch_ready()
@@ -479,19 +479,23 @@ class TestRetireOrdering:
 # ----------------------------------------------------------------------
 def test_drive_is_the_only_loop_over_a_core():
     """Both substrates go through ``dispatch.drive``: no other module of
-    the package launches ready jobs or fires the wheel, so a second
-    dispatch loop cannot come back unnoticed."""
+    the package launches ready jobs, and the only other module that
+    fires a wheel is the MANIFOLD runtime's (``Runtime.serve``, over no
+    core), so a second dispatch loop cannot come back unnoticed."""
     package = Path(repro.__file__).parent
-    callers = set()
+    callers: dict[str, set] = {"dispatch_ready": set(), "fire_due": set()}
     for path in package.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("dispatch_ready", "fire_due")
+                and node.func.attr in callers
             ):
-                callers.add(str(path.relative_to(package)))
-    assert callers == {"restructured/dispatch.py"}
+                callers[node.func.attr].add(str(path.relative_to(package)))
+    assert callers == {
+        "dispatch_ready": {"restructured/dispatch.py"},
+        "fire_due": {"restructured/dispatch.py", "manifold/scheduler.py"},
+    }
 
 
 def test_the_pool_is_the_only_owner_of_task_instances():

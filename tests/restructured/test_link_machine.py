@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.manifold.timers import TimerWheel
 from repro.resilience import (
     DeadlinePolicy,
     EscalationPolicy,
@@ -33,7 +34,6 @@ from repro.restructured.dispatch import (
     DispatchCore,
     Driver,
     JobState,
-    _TimerWheel,
 )
 from repro.restructured.netengine import (
     CONNECT_TIMEOUT,
@@ -224,7 +224,7 @@ class Rig:
             [spec_for(key) for key in keys],
             Driver(engine._place, engine._launch, engine._retire),
             escalation=self.escalation,
-            timers=_TimerWheel(self.clock),
+            timers=TimerWheel(self.clock),
             trace=self.trace,
         )
         for link in self.links:
@@ -316,7 +316,7 @@ class TestHeartbeatDeadline:
 
     def test_convicts_silent_link_with_jobs_in_flight(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.job = object()
         convicted = []
@@ -327,7 +327,7 @@ class TestHeartbeatDeadline:
 
     def test_frames_postpone_the_deadline(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.job = object()
         convicted = []
@@ -345,7 +345,7 @@ class TestHeartbeatDeadline:
 
     def test_idle_silence_is_not_a_hang(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)  # nothing in flight: owes no result
         convicted = []
         arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
@@ -356,7 +356,7 @@ class TestHeartbeatDeadline:
 
     def test_stale_epoch_watch_is_void(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.job = object()
         convicted = []

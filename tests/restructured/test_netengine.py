@@ -26,6 +26,7 @@ from multiprocessing.connection import wait as wait_for_exit
 import numpy as np
 import pytest
 
+from repro.manifold.timers import TimerWheel
 from repro.resilience import DeadlinePolicy, EscalationPolicy, FaultPlan
 from repro.restructured import (
     SocketTaskEngine,
@@ -38,7 +39,6 @@ from repro.restructured import (
     shutdown_pool,
 )
 from repro.restructured import netengine, pool as pool_module
-from repro.restructured.dispatch import _TimerWheel
 from repro.restructured.netengine import (
     DRAIN_TIMEOUT,
     FLEET_IDLE_EXIT,
@@ -263,7 +263,7 @@ class TestFrameDecoder:
 class TestTimerWheel:
     def test_fires_in_due_order_under_injected_clock(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         fired = []
         wheel.schedule(2.0, lambda: fired.append("late"))
         wheel.schedule(1.0, lambda: fired.append("early"))
@@ -280,7 +280,7 @@ class TestTimerWheel:
 
     def test_equal_deadlines_fire_in_schedule_order(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         fired = []
         for name in ("a", "b", "c"):
             wheel.schedule(1.0, lambda name=name: fired.append(name))
